@@ -29,10 +29,10 @@ def _default_prec() -> int:
         return 60
     try:
         value = int(raw)
-        if value < 1:
-            raise ValueError
     except ValueError:
-        raise SystemExit(f"QRANK_PREC must be a positive integer, got {raw!r}")
+        value = 0
+    if value < 1:
+        raise ValueError(f"QRANK_PREC must be a positive integer, got {raw!r}")
     return value
 
 
@@ -114,7 +114,11 @@ def _series_plain(series) -> str:
 
 
 def _cmd_coeffs(args, out, err) -> int:
-    prec = args.prec if args.prec is not None else _default_prec()
+    try:
+        prec = args.prec if args.prec is not None else _default_prec()
+    except ValueError as exc:
+        err.write(f"{exc}\n")
+        return 2
     try:
         ctx = EvalCtx(ell=args.ell, prec=prec)
         series = evaluate(args.expr, ctx)

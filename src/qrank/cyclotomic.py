@@ -6,11 +6,17 @@ top power is eliminated through 1 + zeta + ... + zeta^(l-1) = 0, so equality
 is a plain coordinate comparison.  Inverses are computed by solving the
 (l-1) x (l-1) linear system of multiplication-by-a over the rationals, which
 is exact and entirely adequate at degree <= 12.
+
+The coefficient-ring adapters (``QQ``, ``cyclotomic_field(l)``) also translate
+between single elements and the integer form that ``LaurentSeries`` stores:
+``split`` gives a positive denominator and integer coordinates, ``view``
+rebuilds the element from them.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -267,6 +273,7 @@ class RationalField:
 
     _rank = 0
     name = "QQ"
+    width = 1
     zero = _ZERO
     one = _ONE
 
@@ -275,15 +282,21 @@ class RationalField:
         return as_rational(x)
 
     @staticmethod
+    def split(x):
+        """(denominator, integer coordinates, z offset) of x."""
+        x = as_rational(x)
+        return x.denominator, (x.numerator,), 0
+
+    @staticmethod
+    def view(den, coords, zlo=0) -> Fraction:
+        return Fraction(coords[0], den)
+
+    @staticmethod
     def invert(x):
         x = as_rational(x)
         if not x:
             raise ZeroDivisionError("division by zero")
         return 1 / x
-
-    @staticmethod
-    def is_zero(x):
-        return not x
 
     @staticmethod
     def encode(x):
@@ -306,6 +319,7 @@ class CyclotomicField:
             raise ValueError(f"cyclotomic order must be a prime >= 3, got {ell}")
         self.ell = ell
         self.name = f"QQ(zeta_{ell})"
+        self.width = ell - 1
         n = ell - 1
         self.zero = CycQ(ell, (_ZERO,) * n)
         self.one = CycQ(ell, (_ONE,) + (_ZERO,) * (n - 1))
@@ -328,11 +342,14 @@ class CyclotomicField:
     def invert(self, x) -> CycQ:
         return self.of(x).inverse()
 
-    @staticmethod
-    def is_zero(x):
-        if isinstance(x, CycQ):
-            return x.is_zero()
-        return not x
+    def split(self, x):
+        """(denominator, l-1 integer power-basis coordinates, z offset) of x."""
+        coords = self.of(x).coeffs
+        den = math.lcm(*(c.denominator for c in coords))
+        return den, tuple(c.numerator * (den // c.denominator) for c in coords), 0
+
+    def view(self, den, coords, zlo=0) -> CycQ:
+        return CycQ(self.ell, tuple(Fraction(c, den) for c in coords))
 
     def encode(self, x):
         return [rational_str(c) for c in self.of(x).coeffs]

@@ -5,16 +5,38 @@ A series carries its valuation, a dense coefficient block, and a precision
 be ``INF`` for objects that are exact polynomials (monomials, Gaussian
 binomials).  Operations never claim coefficients they cannot know.
 
-Coefficient rings are small adapter objects (``QQ``, ``cyclotomic_field(l)``,
-``ZPOLY``) supplying zero/one, coercion, and scalar inversion.  A rational
-series combines freely with a series over a larger ring; the coefficients
-themselves carry the arithmetic via operator dispatch.
+The block is integer-first: one positive denominator ``den`` shared by every
+coefficient, and a flat list ``data`` of integer coordinates, ``width`` per
+exponent of q.  The width is 1 over the rationals (``QQ``), l-1 power-basis
+coordinates over Q(zeta_l) (``cyclotomic_field(l)``), and the z-span of the
+block, starting at z^zlo, for Laurent polynomials in z (``ZPOLY``).  A
+rational series combines freely with a series over a larger ring.  The ring
+adapters' ``split`` and ``view`` convert single coefficients; ``Fraction``,
+``CycQ`` and ``ZLaurentPoly`` values are built only where a caller reads
+coefficients (``coefficient``, ``nonzero_items``, ``to_json``, ``repr``) or
+passes a scalar to ``scale``.
+
+All dense arithmetic runs on integers:
+
+* ``_mul`` multiplies by Kronecker substitution: both blocks are packed into
+  one Python integer each, with digits wide enough, by a proven bound, that
+  no coefficient of the product spills into its neighbour; one big-integer
+  product is unpacked into signed digits and reduced mod the cyclotomic
+  polynomial;
+* ``inverse`` runs Newton iteration on that product;
+* ``poch`` keeps the running product in one packed integer and multiplies in
+  each factor (1 - c q^e) with a shift, a subtraction and a mask.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import add, and_, floordiv, lshift, mul, neg, or_, rshift, sub
 
 from .cyclotomic import QQ, CycQ, as_rational, cyclotomic_field, rational_str
 
@@ -152,10 +174,10 @@ class ZLaurentPoly:
 
     def eval_at_root(self, field) -> CycQ:
         """Substitute z -> zeta_l, landing in Q(zeta_l)."""
-        acc = field.zero
+        raw = [Fraction(0)] * field.ell
         for k, c in self.items():
-            acc = acc + field.zeta(k) * c
-        return acc
+            raw[k % field.ell] += c
+        return CycQ.from_raw(field.ell, raw)
 
     def eval_at_one(self) -> Fraction:
         return sum(self.coeffs, Fraction(0))
@@ -184,6 +206,7 @@ class ZPolyRing:
 
     _rank = 1
     name = "QQ[z, 1/z]"
+    width = None  # each series block carries its own z-span
     zero = ZLaurentPoly(0, ())
     one = ZLaurentPoly.constant(1)
 
@@ -205,10 +228,17 @@ class ZPolyRing:
         raise ValueError("leading coefficient is a non-unit polynomial; clear denominators instead")
 
     @staticmethod
-    def is_zero(x):
-        if isinstance(x, ZLaurentPoly):
-            return x.is_zero()
-        return not x
+    def split(x):
+        """(denominator, integer coefficients of z^lowest.., lowest) of x."""
+        x = ZPolyRing.of(x)
+        if not x.coeffs:
+            return 1, (0,), 0
+        den = math.lcm(*(c.denominator for c in x.coeffs))
+        return den, tuple(c.numerator * (den // c.denominator) for c in x.coeffs), x.lowest
+
+    @staticmethod
+    def view(den, coords, zlo=0) -> ZLaurentPoly:
+        return ZLaurentPoly(zlo, [Fraction(c, den) for c in coords])
 
     @staticmethod
     def encode(x):
@@ -221,79 +251,271 @@ class ZPolyRing:
 ZPOLY = ZPolyRing()
 
 
+# -- packed integers ------------------------------------------------------------
+#
+# A list of signed digits d_i with |d_i| < 2^(8k-1) packs into the integer
+# sum d_i X^i, X = 2^(8k).  Adding 2^(8k-1) to every digit makes all of them
+# non-negative, so the bytes of (sum + offset) are the biased digits side by
+# side; ``array`` converts between those bytes and Python ints in C.
+
+_SMALL_CODES = {array(code).itemsize: code for code in "BHI"}
+_WORD_MASK = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit that hold any integer of magnitude <= bound, plus a sign bit."""
+    size = (bound.bit_length() + 8) // 8
+    for k in sorted(_SMALL_CODES):
+        if size <= k:
+            return k
+    return -(-size // 8) * 8
+
+
+def _offset(k: int, n: int) -> int:
+    """The packed integer whose n digits of k bytes all equal 2^(8k-1)."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+
+
+def _pack(vals, k: int) -> int:
+    """sum(vals[i] * 2^(8k i)) for signed digits |vals[i]| < 2^(8k-1)."""
+    n = len(vals)
+    biased = map(add, vals, repeat(1 << (8 * k - 1)))
+    if k in _SMALL_CODES:
+        words = array(_SMALL_CODES[k], biased)
+    elif k == 8:
+        words = array("Q", biased)
+    else:
+        biased = list(biased)
+        t = k // 8
+        words = array("Q", bytes(k * n))
+        for j in range(t):
+            words[j::t] = array("Q", map(and_, map(rshift, biased, repeat(64 * j)), repeat(_WORD_MASK)))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little") - _offset(k, n)
+
+
+def _unpack(x: int, n: int, k: int) -> list:
+    """The n lowest signed digits of x in base 2^(8k), each of magnitude < 2^(8k-1)."""
+    biased = ((x + _offset(k, n)) & ((1 << (8 * k * n)) - 1)).to_bytes(k * n, "little")
+    words = array(_SMALL_CODES.get(k, "Q"))
+    words.frombytes(biased)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    digits = words
+    t = k // 8
+    if t > 1:
+        digits = words[0::t]
+        for j in range(1, t):
+            digits = map(or_, digits, map(lshift, words[j::t], repeat(64 * j)))
+    return list(map(sub, digits, repeat(1 << (8 * k - 1))))
+
+
+def _spread(data: list, width: int, stride: int, offset: int = 0) -> list:
+    """Re-lay slots of ``width`` coordinates into ``stride`` columns from column ``offset``."""
+    if width == stride:
+        return data
+    out = [0] * (len(data) // width * stride)
+    for j in range(width):
+        out[offset + j::stride] = data[j::width]
+    return out
+
+
+def _kron_mul(a: list, wa: int, b: list, wb: int, n: int) -> list:
+    """First n slots of the 2-D convolution of blocks a and b, wa + wb - 1 digits per slot.
+
+    Substituting z -> X and q -> X^(wa+wb-1) turns both blocks into integers
+    whose product holds each raw coordinate of the result in its own digit.
+    A coordinate sums at most min(len_a, len_b) * min(wa, wb) products, so
+    that count times max|a| * max|b|, plus a sign bit, sizes the digits.
+    """
+    same = a is b
+    a = a[:n * wa]
+    b = a if same else b[:n * wb]
+    stride = wa + wb - 1
+    bound = (min(len(a) // wa, len(b) // wb) * min(wa, wb)
+             * max(map(abs, a)) * max(map(abs, b)))
+    k = _digit_bytes(bound)
+    pa = _pack(_spread(a, wa, stride), k)
+    pb = pa if same else _pack(_spread(b, wb, stride), k)
+    return _unpack(pa * pb, n * stride, k)
+
+
+def _fold_cyclotomic(raw: list, ell: int, n: int) -> list:
+    """Reduce n slots of 2l-3 raw coordinates (powers zeta^0..zeta^(2l-4)) to the power basis.
+
+    zeta^(l+k) folds onto zeta^k, then zeta^(l-1) = -(1 + zeta + ... + zeta^(l-2))
+    subtracts the top coordinate from the others.
+    """
+    stride = 2 * ell - 3
+    width = ell - 1
+    out = [0] * (n * width)
+    top = raw[ell - 1::stride]
+    for j in range(width):
+        col = raw[j::stride]
+        if j + ell < stride:
+            col = map(add, col, raw[j + ell::stride])
+        out[j::width] = map(sub, col, top)
+    return out
+
+
+def _first_nonzero(data: list):
+    return next(compress(count(), data), None)
+
+
+# -- the series type --------------------------------------------------------------
+
+
+class _Coefficients(Sequence):
+    """Read-only view of a series' dense coefficients, one ring element per exponent."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series):
+        self._series = series
+
+    def __len__(self):
+        return len(self._series.data) // self._series.width
+
+    def __getitem__(self, i: int):
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("coefficient index out of range")
+        return self._series._view(i)
+
+
+def _new(ring, valuation, den, data, width, zlo, prec) -> "LaurentSeries":
+    s = object.__new__(LaurentSeries)
+    s.ring, s.valuation, s.prec = ring, valuation, prec
+    s.den, s.data, s.width, s.zlo = den, data, width, zlo
+    return s
+
+
+def _make(ring, valuation, den, data, width, zlo, prec) -> "LaurentSeries":
+    """A series in canonical form from any block.
+
+    Canonical: nothing at or above prec, no zero slot at either end, no zero
+    z-column at either end (ZPOLY), and gcd(den, data) = 1; the zero series
+    has an empty block, den 1 and valuation prec.
+    """
+    if prec != INF and data:
+        keep = (prec - valuation) * width
+        if keep < len(data):
+            data = data[:max(int(keep), 0)]
+    first = _first_nonzero(data)
+    if first is None:
+        return LaurentSeries.zero(ring, prec)
+    last = len(data) - _first_nonzero(data[::-1])
+    start = first // width
+    end = -(-last // width)
+    if start or end * width < len(data):
+        data = data[start * width:end * width]
+        valuation += start
+    if ring is ZPOLY and width > 1:
+        lo = 0
+        while not any(data[lo::width]):
+            lo += 1
+        hi = width
+        while not any(data[hi - 1::width]):
+            hi -= 1
+        if lo or hi < width:
+            trimmed = [0] * (len(data) // width * (hi - lo))
+            for j in range(lo, hi):
+                trimmed[j - lo::hi - lo] = data[j::width]
+            data, width, zlo = trimmed, hi - lo, zlo + lo
+    if den != 1:
+        g = math.gcd(den, *data)
+        if g != 1:
+            den //= g
+            data = list(map(floordiv, data, repeat(g)))
+    return _new(ring, valuation, den, data, width, zlo, prec)
+
+
+def _assemble(ring, items, prec) -> "LaurentSeries":
+    """Series from (exponent, ring element) pairs; duplicate exponents add."""
+    parts = [(e, *ring.split(c)) for e, c in items if prec == INF or e < prec]
+    if not parts:
+        return LaurentSeries.zero(ring, prec)
+    lo = min(p[0] for p in parts)
+    den = math.lcm(*(p[1] for p in parts))
+    if ring is ZPOLY:
+        zlo = min(p[3] for p in parts)
+        width = max(p[3] + len(p[2]) for p in parts) - zlo
+    else:
+        zlo, width = 0, ring.width
+    data = [0] * ((max(p[0] for p in parts) - lo + 1) * width)
+    for e, d, coords, z in parts:
+        f = den // d
+        base = (e - lo) * width + z - zlo
+        for j, x in enumerate(coords):
+            if x:
+                data[base + j] += x * f
+    return _make(ring, lo, den, data, width, zlo, prec)
+
+
 class LaurentSeries:
     """Truncated Laurent series over an exact ring, exact below ``prec``."""
 
-    __slots__ = ("ring", "valuation", "coeffs", "prec")
+    __slots__ = ("ring", "valuation", "prec", "den", "data", "width", "zlo")
 
     def __init__(self, ring, valuation, coeffs, prec=INF):
-        coeffs = list(coeffs)
-        if prec != INF and coeffs:
-            keep = prec - valuation
-            if keep <= 0:
-                coeffs = []
-            elif len(coeffs) > keep:
-                del coeffs[int(keep):]
-        iz = ring.is_zero
-        while coeffs and iz(coeffs[0]):
-            coeffs.pop(0)
-            valuation += 1
-        while coeffs and iz(coeffs[-1]):
-            coeffs.pop()
-        self.ring = ring
-        self.coeffs = coeffs
-        self.valuation = valuation if coeffs else prec
-        self.prec = prec
+        made = _assemble(ring, [(valuation + i, c) for i, c in enumerate(coeffs)], prec)
+        for name in LaurentSeries.__slots__:
+            setattr(self, name, getattr(made, name))
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(ring, prec=INF) -> "LaurentSeries":
-        return LaurentSeries(ring, prec, (), prec)
+        return _new(ring, prec, 1, [], ring.width or 1, 0, prec)
 
     @staticmethod
     def const(ring, value, prec=INF) -> "LaurentSeries":
-        return LaurentSeries(ring, 0, (ring.of(value),), prec)
+        return _assemble(ring, [(0, value)], prec)
 
     @staticmethod
     def monomial(ring, exponent: int, coeff=1, prec=INF) -> "LaurentSeries":
-        return LaurentSeries(ring, exponent, (ring.of(coeff),), prec)
+        return _assemble(ring, [(exponent, coeff)], prec)
 
     @staticmethod
     def from_items(ring, items, prec=INF) -> "LaurentSeries":
         """Series from (exponent, coefficient) pairs; duplicate exponents add."""
-        acc = {}
-        for e, c in items:
-            if prec != INF and e >= prec:
-                continue
-            acc[e] = acc[e] + c if e in acc else c
-        if not acc:
-            return LaurentSeries.zero(ring, prec)
-        lo = min(acc)
-        hi = max(acc)
-        dense = [ring.zero] * (hi - lo + 1)
-        for e, c in acc.items():
-            dense[e - lo] = c
-        return LaurentSeries(ring, lo, dense, prec)
+        return _assemble(ring, items, prec)
 
     # -- inspection -----------------------------------------------------
 
+    @property
+    def coeffs(self) -> _Coefficients:
+        """The dense coefficients from q^valuation on, built as ring elements on access."""
+        return _Coefficients(self)
+
+    def _view(self, i: int):
+        w = self.width
+        return self.ring.view(self.den, self.data[i * w:(i + 1) * w], self.zlo)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.data
 
     def coefficient(self, e: int):
         """Exact coefficient of q^e; raises PrecisionError for e >= prec."""
         if e >= self.prec:
             raise PrecisionError(f"coefficient of q^{e} is beyond precision {self.prec}")
-        if not self.coeffs or e < self.valuation or e >= self.valuation + len(self.coeffs):
+        if not self.data or e < self.valuation or e >= self.valuation + len(self.data) // self.width:
             return self.ring.zero
-        return self.coeffs[e - self.valuation]
+        return self._view(e - self.valuation)
 
     def nonzero_items(self):
-        iz = self.ring.is_zero
-        for i, c in enumerate(self.coeffs):
-            if not iz(c):
-                yield self.valuation + i, c
+        data, w = self.data, self.width
+        if w == 1:
+            for i in compress(count(), data):
+                yield self.valuation + i, self._view(i)
+            return
+        for i in range(len(data) // w):
+            if any(data[i * w:(i + 1) * w]):
+                yield self.valuation + i, self._view(i)
 
     def coefficient_range(self, lo: int, hi: int) -> list:
         """Coefficients of q^lo .. q^(hi-1); all must be below prec."""
@@ -301,80 +523,32 @@ class LaurentSeries:
 
     # -- ring operations --------------------------------------------------
 
-    def _promote_coeffs(self, ring):
-        if self.ring is ring:
-            return self.coeffs
-        of = ring.of
-        return [of(c) for c in self.coeffs]
-
-    def _combine(self, other, minus: bool) -> "LaurentSeries":
-        ring = join_rings(self.ring, other.ring)
-        prec = min(self.prec, other.prec)
-        a, b = self._promote_coeffs(ring), other._promote_coeffs(ring)
-        if not a and not b:
-            return LaurentSeries.zero(ring, prec)
-        if not a:
-            return LaurentSeries(ring, other.valuation, [-c for c in b] if minus else b, prec)
-        if not b:
-            return LaurentSeries(ring, self.valuation, a, prec)
-        lo = min(self.valuation, other.valuation)
-        hi = max(self.valuation + len(a), other.valuation + len(b))
-        acc = [ring.zero] * (hi - lo)
-        off = self.valuation - lo
-        for i, c in enumerate(a):
-            acc[off + i] = c
-        off = other.valuation - lo
-        if minus:
-            for i, c in enumerate(b):
-                acc[off + i] = acc[off + i] - c
-        else:
-            for i, c in enumerate(b):
-                acc[off + i] = acc[off + i] + c
-        return LaurentSeries(ring, lo, acc, prec)
+    def _layout(self, ring):
+        """(data, width, zlo) of this block over ``ring``, a ring containing self.ring."""
+        if self.ring is ring or ring is ZPOLY:
+            return self.data, self.width, self.zlo
+        out = [0] * (len(self.data) * ring.width)
+        out[0::ring.width] = self.data
+        return out, ring.width, 0
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self._combine(other, False)
+        return _combine(self, other, add)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self._combine(other, True)
+        return _combine(self, other, sub)
 
     def __neg__(self):
-        return LaurentSeries(self.ring, self.valuation, [-c for c in self.coeffs], self.prec)
+        return _new(self.ring, self.valuation, self.den, list(map(neg, self.data)),
+                    self.width, self.zlo, self.prec)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             return self.scale(other)
-        ring = join_rings(self.ring, other.ring)
-        prec = min(self.prec + other.valuation, other.prec + self.valuation)
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries.zero(ring, prec)
-        val = self.valuation + other.valuation
-        length = len(self.coeffs) + len(other.coeffs) - 1
-        if prec != INF:
-            length = min(length, int(prec - val))
-            if length <= 0:
-                return LaurentSeries.zero(ring, prec)
-        a, b = self.coeffs, other.coeffs
-        iza, izb = self.ring.is_zero, other.ring.is_zero
-        if sum(1 for c in a if not iza(c)) > sum(1 for c in b if not izb(c)):
-            a, b = b, a
-            iza, izb = izb, iza
-        acc = [ring.zero] * length
-        for i, ca in enumerate(a):
-            if i >= length:
-                break
-            if iza(ca):
-                continue
-            jmax = min(len(b), length - i)
-            for j in range(jmax):
-                cb = b[j]
-                if not izb(cb):
-                    acc[i + j] = acc[i + j] + ca * cb
-        return LaurentSeries(ring, val, acc, prec)
+        return _mul(self, other)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -399,13 +573,20 @@ class LaurentSeries:
             ring = join_rings(ring, ZPOLY)
         else:
             c = as_rational(c)
-        if ring.is_zero(c):
+        if not c:
             return LaurentSeries.zero(ring, self.prec)
-        return LaurentSeries(ring, self.valuation, [c * x for x in self.coeffs], self.prec)
+        if c == 1:
+            return self.promote(ring)
+        if isinstance(c, Fraction):
+            data = self.data if c.numerator == 1 else list(map(mul, self.data, repeat(c.numerator)))
+            return _make(ring, self.valuation, self.den * c.denominator, data,
+                         self.width, self.zlo, self.prec)
+        return _mul(self, LaurentSeries.const(ring, c))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q^k."""
-        return LaurentSeries(self.ring, self.valuation + k, self.coeffs, self.prec + k)
+        return _new(self.ring, self.valuation + k, self.den, self.data,
+                    self.width, self.zlo, self.prec + k)
 
     def inverse(self, prec=None) -> "LaurentSeries":
         """Multiplicative inverse to precision ``self.prec - 2*valuation``.
@@ -414,66 +595,57 @@ class LaurentSeries:
         output precision (never upward past what the input supports unless the
         input is exact).
         """
-        if not self.coeffs:
-            raise ZeroDivisionError("inverting a series with no known nonzero coefficient")
-        v = self.valuation
-        native = self.prec - 2 * v if self.prec != INF else INF
-        out_prec = native if prec is None else (prec if native == INF else min(prec, native))
-        if out_prec == INF:
-            raise PrecisionError("cannot invert an exact polynomial to infinite precision; pass prec")
-        lead_inv = self.ring.invert(self.coeffs[0])
-        count = int(out_prec + v)
-        if count <= 0:
-            return LaurentSeries.zero(self.ring, out_prec)
-        iz = self.ring.is_zero
-        rest = [(i, c) for i, c in enumerate(self.coeffs) if i and not iz(c)]
-        out = [lead_inv]
-        for k in range(1, count):
-            s = None
-            for i, c in rest:
-                if i > k:
-                    break
-                t = c * out[k - i]
-                s = t if s is None else s + t
-            out.append(self.ring.zero if s is None else -(lead_inv * s))
-        return LaurentSeries(self.ring, -v, out, out_prec)
+        return _inverse(self, prec)
 
     # -- structural operations ------------------------------------------
 
     def truncate(self, prec) -> "LaurentSeries":
         if prec >= self.prec:
             return self
-        return LaurentSeries(self.ring, self.valuation, self.coeffs, prec)
+        return self.with_prec(prec)
 
     def with_prec(self, prec) -> "LaurentSeries":
         """Assert a precision (used when a result is known to be exact)."""
-        return LaurentSeries(self.ring, self.valuation, self.coeffs, prec)
+        if not self.data:
+            return LaurentSeries.zero(self.ring, prec)
+        if prec < self.valuation + len(self.data) // self.width:
+            return _make(self.ring, self.valuation, self.den, self.data, self.width, self.zlo, prec)
+        return _new(self.ring, self.valuation, self.den, self.data, self.width, self.zlo, prec)
 
     def substitute_qk(self, k: int) -> "LaurentSeries":
         """q -> q^k; precision becomes k*(prec-1)+1."""
         if k < 1:
             raise ValueError(f"substitution power must be >= 1, got {k}")
         prec = self.prec if self.prec == INF else k * (self.prec - 1) + 1
-        if k == 1 or not self.coeffs:
-            return LaurentSeries(self.ring, self.valuation * k if self.coeffs else prec,
-                                 self.coeffs, prec)
-        spread = [self.ring.zero] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            spread[i * k] = c
-        return LaurentSeries(self.ring, self.valuation * k, spread, prec)
+        if not self.data:
+            return LaurentSeries.zero(self.ring, prec)
+        w = self.width
+        data = self.data
+        if k > 1:
+            data = [0] * (((len(data) // w - 1) * k + 1) * w)
+            for j in range(w):
+                data[j::k * w] = self.data[j::w]
+        return _new(self.ring, self.valuation * k, self.den, data, w, self.zlo, prec)
 
     def dissect(self, modulus: int, residue: int) -> "LaurentSeries":
         """Keep only the exponents congruent to residue mod modulus."""
         if modulus < 1 or not 0 <= residue < modulus:
             raise ValueError(f"need 0 <= residue < modulus, got {residue} mod {modulus}")
-        kept = [(e, c) for e, c in self.nonzero_items() if e % modulus == residue]
-        return LaurentSeries.from_items(self.ring, kept, self.prec)
+        if not self.data:
+            return self
+        w = self.width
+        first = (residue - self.valuation) % modulus * w
+        kept = [0] * len(self.data)
+        for j in range(first, first + w):
+            kept[j::modulus * w] = self.data[j::modulus * w]
+        return _make(self.ring, self.valuation, self.den, kept, w, self.zlo, self.prec)
 
     def promote(self, ring) -> "LaurentSeries":
         target = join_rings(self.ring, ring)
         if target is self.ring:
             return self
-        return LaurentSeries(target, self.valuation, self._promote_coeffs(target), self.prec)
+        data, width, zlo = self._layout(target)
+        return _new(target, self.valuation, self.den, data, width, zlo, self.prec)
 
     # -- comparison -------------------------------------------------------
 
@@ -501,7 +673,9 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (self.ring is other.ring and self.prec == other.prec
-                and self.valuation == other.valuation and self.coeffs == other.coeffs)
+                and self.valuation == other.valuation and self.den == other.den
+                and self.width == other.width and self.zlo == other.zlo
+                and self.data == other.data)
 
     # -- output -----------------------------------------------------------
 
@@ -531,6 +705,180 @@ class LaurentSeries:
         return body + tail
 
 
+# -- the kernels ------------------------------------------------------------------
+
+
+def _combine(a: LaurentSeries, b: LaurentSeries, op) -> LaurentSeries:
+    """a + b (op = add) or a - b (op = sub) over the joined ring."""
+    ring = join_rings(a.ring, b.ring)
+    prec = min(a.prec, b.prec)
+    if not b.data:
+        data, width, zlo = a._layout(ring)
+        return _make(ring, a.valuation, a.den, data, width, zlo, prec)
+    if not a.data:
+        data, width, zlo = b._layout(ring)
+        if op is sub:
+            data = list(map(neg, data))
+        return _make(ring, b.valuation, b.den, data, width, zlo, prec)
+    ad, aw, az = a._layout(ring)
+    bd, bw, bz = b._layout(ring)
+    if aw != bw or az != bz:
+        # ZPOLY blocks with different z-spans: re-lay both on the union span
+        zlo = min(az, bz)
+        width = max(az + aw, bz + bw) - zlo
+        ad = _spread(ad, aw, width, az - zlo)
+        bd = _spread(bd, bw, width, bz - zlo)
+    else:
+        width, zlo = aw, az
+    den = math.lcm(a.den, b.den)
+    if den != a.den:
+        ad = list(map(mul, ad, repeat(den // a.den)))
+    if den != b.den:
+        bd = list(map(mul, bd, repeat(den // b.den)))
+    lo = min(a.valuation, b.valuation)
+    hi = max(a.valuation + len(ad) // width, b.valuation + len(bd) // width)
+    if prec != INF:
+        hi = min(hi, int(prec))
+    if hi <= lo:
+        return LaurentSeries.zero(ring, prec)
+    out = [0] * ((hi - lo) * width)
+    start = (a.valuation - lo) * width
+    stop = min(start + len(ad), len(out))
+    if stop > start:
+        out[start:stop] = ad[:stop - start]
+    start = (b.valuation - lo) * width
+    stop = min(start + len(bd), len(out))
+    if stop > start:
+        out[start:stop] = map(op, out[start:stop], bd)
+    return _make(ring, lo, den, out, width, zlo, prec)
+
+
+def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """The product a*b through the Kronecker kernel."""
+    ring = join_rings(a.ring, b.ring)
+    prec = min(a.prec + b.valuation, b.prec + a.valuation)
+    if not a.data or not b.data:
+        return LaurentSeries.zero(ring, prec)
+    val = a.valuation + b.valuation
+    wa, wb = a.width, b.width
+    n = len(a.data) // wa + len(b.data) // wb - 1
+    if prec != INF:
+        n = min(n, int(prec - val))
+        if n <= 0:
+            return LaurentSeries.zero(ring, prec)
+    raw = _kron_mul(a.data, wa, b.data, wb, n)
+    width = wa + wb - 1
+    if wa > 1 and wb > 1 and ring is not ZPOLY:
+        raw, width = _fold_cyclotomic(raw, ring.ell, n), ring.width
+    return _make(ring, val, a.den * b.den, raw, width, a.zlo + b.zlo, prec)
+
+
+def _newton(f: LaurentSeries, n: int) -> LaurentSeries:
+    """1/f to n terms, for f of valuation 0 with constant term exactly 1.
+
+    Newton's step g -> g - g (f g - 1) doubles the number of correct terms;
+    f g - 1 vanishes below the old length, so only its tail is multiplied.
+    """
+    g = LaurentSeries.const(f.ring, 1, 1)
+    done = 1
+    while done < n:
+        step = min(2 * done, n)
+        g = g.with_prec(step)
+        fg = _mul(f.truncate(step), g)
+        w = fg.width
+        tail = fg.data[(done - fg.valuation) * w:]
+        if tail:
+            g = _combine(g, _mul(g, _new(fg.ring, done, fg.den, tail, w, fg.zlo, step)), sub)
+        done = step
+    return g
+
+
+def _inverse(s: LaurentSeries, prec=None) -> LaurentSeries:
+    if not s.data:
+        raise ZeroDivisionError("inverting a series with no known nonzero coefficient")
+    v = s.valuation
+    native = s.prec - 2 * v if s.prec != INF else INF
+    out_prec = native if prec is None else (prec if native == INF else min(prec, native))
+    if out_prec == INF:
+        raise PrecisionError("cannot invert an exact polynomial to infinite precision; pass prec")
+    lead_inv = s.ring.invert(s.coefficient(v))
+    terms = int(out_prec + v)
+    if terms <= 0:
+        return LaurentSeries.zero(s.ring, out_prec)
+    unit = s.shift(-v).scale(lead_inv)
+    return _newton(unit, terms).scale(lead_inv).shift(-v)
+
+
+def _cyclic_lift(coords) -> list:
+    """Coordinates of 1..zeta^(l-1) with least absolute sum that represent the same element.
+
+    Adding t (1 + zeta + ... + zeta^(l-1)) = 0 changes nothing in Q(zeta_l);
+    t = -median minimises the sum of absolute values.
+    """
+    full = list(coords) + [0]
+    t = sorted(full)[len(full) // 2]
+    return [x - t for x in full]
+
+
+def _pochhammer(ring, c, exps, n: int, prec) -> LaurentSeries:
+    """prod over e in exps (all >= 1) of (1 - c q^e), truncated to n terms.
+
+    The running product P lives in one integer: digit (i*W + j) holds the
+    coordinate j of q^i.  Multiplying in a factor is d P - (P C) << e*W digits,
+    where c = C/d.  Over Q(zeta_l) the coordinates run over 1..zeta^(l-1) and
+    after each factor the digits zeta^l..zeta^(2l-2) fold back onto 1..zeta^(l-2);
+    over QQ[z, 1/z] the W digits cover every z-degree the product can reach.
+    The absolute coefficient sum of a product is at most the product of the
+    factors' sums, so (d + |C|_1)^len(exps) bounds every digit (and the
+    digits of C itself).
+    """
+    den, coords, clo = ring.split(c)
+    factors = len(exps)
+    fold = ring is not QQ and ring is not ZPOLY
+    if fold:
+        ell = ring.ell
+        coords, stride, base, clo = _cyclic_lift(coords), 2 * ell - 1, 0, 0
+    elif ring is ZPOLY:
+        zmin = factors * min(0, clo)
+        stride = factors * max(0, clo + len(coords) - 1) - zmin + 1
+        base = -zmin
+    else:
+        stride, base = 1, 0
+    k = _digit_bytes((den + sum(map(abs, coords))) ** max(factors, 1))
+    bits = 8 * k
+    digits = n * stride
+    packed_c = _pack(coords, k)
+    shift_c = packed_c.bit_length() - 1 if packed_c > 0 and not packed_c & (packed_c - 1) else None
+    offset = _offset(k, digits)
+    if fold:
+        # per slot: digits 0..l-1 stay, digits l..2l-2 move down by l digits
+        ones, half = b"\xff" * k, bytes(k - 1) + b"\x80"
+        low_mask = int.from_bytes((ones * ell + bytes(k * (ell - 1))) * n, "little")
+        high_mask = int.from_bytes((bytes(k * ell) + ones * (ell - 1)) * n, "little")
+        fix = (int.from_bytes((half * ell + bytes(k * (ell - 1))) * n, "little")
+               + int.from_bytes((half * (ell - 1) + bytes(k * ell)) * n, "little"))
+    else:
+        mask = (1 << (bits * digits)) - 1
+    p = 1 << (base * bits)
+    for e in exps:
+        term = p << shift_c if shift_c is not None else p * packed_c
+        p = (p * den if den != 1 else p) - (term << ((e * stride + clo) * bits))
+        p += offset
+        if fold:
+            p = (p & low_mask) + ((p & high_mask) >> (ell * bits)) - fix
+        else:
+            p = (p & mask) - offset
+    raw = _unpack(p, digits, k)
+    if fold:
+        width = ell - 1
+        data = [0] * (n * width)
+        top = raw[width::stride]
+        for j in range(width):
+            data[j::width] = map(sub, raw[j::stride], top)
+        return _make(ring, 0, den ** factors, data, width, 0, prec)
+    return _make(ring, 0, den ** factors, raw, stride, -base, prec)
+
+
 # -- product and sum builders ------------------------------------------------
 
 
@@ -540,15 +888,11 @@ def geometric(ring, c, step: int, prec) -> "LaurentSeries":
         raise ValueError(f"geometric step must be >= 1, got {step}")
     if prec == INF:
         raise PrecisionError("geometric expansion needs a finite precision")
-    c = ring.of(c)
-    out = [ring.zero] * max(int(prec), 1)
-    power = ring.one
-    e = 0
-    while e < prec:
-        out[e] = power
-        power = power * c
-        e += step
-    return LaurentSeries(ring, 0, out, prec)
+    if prec <= 0:
+        return LaurentSeries.zero(ring, prec)
+    terms = -(-(int(prec) - 1) // step) + 1
+    base = LaurentSeries.from_items(ring, [(0, ring.one), (1, -ring.of(c))])
+    return _newton(base, terms).substitute_qk(step).truncate(prec)
 
 
 def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
@@ -567,30 +911,20 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
             raise ValueError("infinite product (1;q)_inf vanishes identically; handle the z=1 case separately")
         if prec == INF:
             raise PrecisionError("infinite product needs a finite precision")
-        size = int(prec)
-        arr = [ring.zero] * size
-        arr[0] = ring.one
-        iz = ring.is_zero
-        e = a if a >= 1 else b
-        while e < prec:
-            for i in range(size - 1, e - 1, -1):
-                src = arr[i - e]
-                if not iz(src):
-                    arr[i] = arr[i] - c * src
-            e += b
-        if a == 0:
-            s = ring.one - c
-            arr = [s * x for x in arr]
-        return LaurentSeries(ring, 0, arr, prec)
+        size = max(int(prec), 1)
+        out = _pochhammer(ring, c, range(a if a >= 1 else b, size, b), size, prec)
+        return out.scale(ring.one - c) if a == 0 else out
     if not isinstance(count, int) or count < 0:
         raise ValueError(f"Pochhammer count must be a non-negative integer or INF, got {count}")
-    result = LaurentSeries.const(ring, ring.one, prec)
-    for j in range(count):
-        e = a + j * b
-        if prec != INF and e >= prec and e > 0:
-            break
-        factor = LaurentSeries.from_items(ring, [(0, ring.one), (e, -c)], prec)
-        result = result * factor
+    exps = [a + j * b for j in range(count)]
+    if prec != INF:
+        exps = [e for e in exps if e < prec or e <= 0]
+    positive = [e for e in exps if e > 0]
+    size = int(prec) if prec != INF else sum(positive) + 1
+    result = _pochhammer(ring, c, positive, max(size, 1), prec)
+    for e in exps:
+        if e <= 0:
+            result = _mul(result, LaurentSeries.from_items(ring, [(0, ring.one), (e, -c)], prec))
     return result
 
 

@@ -113,3 +113,64 @@ def as_coeff_dict(series, lo: int, hi: int) -> dict:
         if c:
             out[e] = c
     return out
+
+
+# -- reference series arithmetic ----------------------------------------------
+#
+# The dense algorithms the integer kernel in qrank.series replaced, kept as
+# the slow reference.  They work on plain lists of ring elements (Fraction,
+# CycQ or ZLaurentPoly), index 0 being the lowest exponent, with one ring
+# operation per term.
+
+
+def ref_mul(a: list, b: list, length: int, zero) -> list:
+    """Schoolbook product of two coefficient lists, first ``length`` terms."""
+    out = [zero] * length
+    for i, x in enumerate(a[:length]):
+        if not x:
+            continue
+        for j, y in enumerate(b[:length - i]):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def ref_inverse(a: list, count: int, lead_inv, zero) -> list:
+    """First ``count`` terms of 1/a by out[k] = -lead_inv * sum_{i>=1} a[i] out[k-i]."""
+    out = [lead_inv]
+    for k in range(1, count):
+        s = zero
+        for i in range(1, min(k, len(a) - 1) + 1):
+            if a[i]:
+                s = s + a[i] * out[k - i]
+        out.append(-(lead_inv * s))
+    return out[:count]
+
+
+def ref_poch(c, a: int, b: int, count, size: int, one, zero) -> list:
+    """(c q^a; q^b)_count to ``size`` terms (count None means infinite), in place."""
+    arr = [one] + [zero] * (size - 1)
+    j = 0
+    while count is None or j < count:
+        e = a + j * b
+        if e >= size:
+            break
+        for i in range(size - 1, e - 1, -1):
+            arr[i] = arr[i] - c * arr[i - e]
+        j += 1
+    return arr
+
+
+def ref_substitute(coeffs: list, k: int, zero) -> list:
+    """Coefficient list of q -> q^k."""
+    if not coeffs:
+        return []
+    out = [zero] * ((len(coeffs) - 1) * k + 1)
+    out[::k] = coeffs
+    return out
+
+
+def ref_dissect(valuation: int, coeffs: list, modulus: int, residue: int, zero) -> list:
+    """Coefficient list keeping the exponents congruent to residue mod modulus."""
+    return [c if (valuation + i) % modulus == residue else zero
+            for i, c in enumerate(coeffs)]

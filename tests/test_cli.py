@@ -1,8 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from qrank.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 U3_TABLE_TRIPLES = sorted([
     (0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 3), (-1, 2, 4), (0, 0, 0),
@@ -130,6 +135,14 @@ def test_usage_error_exit_code():
 def test_env_precision_override(monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "qrank", "coeffs", "--expr", "U()", "--format", "json"],
-        capture_output=True, text=True, env={"PATH": "", "QRANK_PREC": "7"})
+        capture_output=True, text=True,
+        env={"PATH": "", "PYTHONPATH": SRC, "QRANK_PREC": "7"})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["prec"] == 7
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_env_precision_rejected_as_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("QRANK_PREC", raw)
+    assert main(["coeffs", "--expr", "U()"]) == 2
+    assert f"QRANK_PREC must be a positive integer, got {raw!r}" in capsys.readouterr().err

@@ -1,0 +1,212 @@
+"""The integer series kernel against the reference algorithms in ``oracles``.
+
+Every property builds random series over QQ, Q(zeta_l) for l in {3, 5, 7, 13}
+and QQ[z, 1/z], runs one kernel operation, and compares the result with the
+schoolbook product, the inverse recurrence or the in-place Pochhammer loop
+run on plain coefficient lists.  Equality is canonical series equality, so
+valuation, precision and every coefficient must agree.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
+from qrank.series import (INF, LaurentSeries, ZLaurentPoly, ZPOLY, _digit_bytes,
+                          _pack, _unpack, geometric, poch)
+
+import oracles
+
+ORDERS = (3, 5, 7, 13)
+
+# Magnitudes on both sides of the 1, 2, 4, 8 and 16 byte digit widths.
+BOUNDARY = sorted({(1 << bits) + d for bits in (7, 8, 15, 16, 31, 32, 63, 64, 127, 128)
+                   for d in (-1, 0, 1)})
+
+rationals = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    st.integers(min_value=-3, max_value=3).map(Fraction),
+    st.builds(lambda m, s: Fraction(s * m), st.sampled_from(BOUNDARY), st.sampled_from((1, -1))),
+)
+
+
+def ring_elements(ring):
+    if ring is QQ:
+        return rationals
+    if ring is ZPOLY:
+        return st.builds(ZLaurentPoly, st.integers(min_value=-3, max_value=3),
+                         st.lists(rationals, min_size=0, max_size=4))
+    return st.lists(rationals, min_size=ring.ell - 1, max_size=ring.ell - 1).map(
+        lambda cs: CycQ(ring.ell, cs))
+
+
+rings = st.one_of(st.just(QQ), st.just(ZPOLY), st.sampled_from(ORDERS).map(cyclotomic_field))
+
+
+@st.composite
+def series_over(draw, ring, max_terms=7):
+    valuation = draw(st.integers(min_value=-3, max_value=3))
+    coeffs = draw(st.lists(ring_elements(ring), min_size=0, max_size=max_terms))
+    prec = draw(st.one_of(st.just(INF), st.integers(min_value=valuation,
+                                                   max_value=valuation + max_terms + 3)))
+    return LaurentSeries(ring, valuation, coeffs, prec)
+
+
+@st.composite
+def ring_and_pair(draw):
+    ring = draw(rings)
+    return ring, draw(series_over(ring)), draw(series_over(ring))
+
+
+def expected_product(ring, a, b):
+    prec = min(a.prec + b.valuation, b.prec + a.valuation)
+    if a.is_zero() or b.is_zero():
+        return LaurentSeries.zero(ring, prec)
+    val = a.valuation + b.valuation
+    length = len(a.coeffs) + len(b.coeffs) - 1
+    if prec != INF:
+        length = min(length, int(prec - val))
+    if length <= 0:
+        return LaurentSeries.zero(ring, prec)
+    coeffs = oracles.ref_mul(list(a.coeffs), list(b.coeffs), length, ring.zero)
+    return LaurentSeries(ring, val, coeffs, prec)
+
+
+# -- multiplication -------------------------------------------------------------
+
+
+@given(ring_and_pair())
+@example((QQ, LaurentSeries.zero(QQ, 5), LaurentSeries(QQ, 0, [Fraction(3)], 5)))
+@example((cyclotomic_field(13), LaurentSeries(cyclotomic_field(13), -2, [cyclotomic_field(13).zeta(5)], INF),
+          LaurentSeries(cyclotomic_field(13), -1, [cyclotomic_field(13).zeta(9)], INF)))
+@example((ZPOLY, LaurentSeries(ZPOLY, -1, [ZLaurentPoly(-2, [1, 0, 3])], INF),
+          LaurentSeries(ZPOLY, 0, [ZLaurentPoly(1, [Fraction(1, 2)]), ZPOLY.one], 4)))
+def test_mul_matches_schoolbook(case):
+    ring, a, b = case
+    assert a * b == expected_product(ring, a, b)
+
+
+@given(series_over(QQ), st.sampled_from(ORDERS).flatmap(
+    lambda ell: series_over(cyclotomic_field(ell))))
+def test_mixed_ring_mul_matches_schoolbook(a, b):
+    expected = expected_product(b.ring, a, b)
+    assert a * b == expected
+    assert b * a == expected
+
+
+@given(ring_and_pair())
+def test_square_matches_schoolbook(case):
+    ring, a, _ = case
+    assert a * a == expected_product(ring, a, a)
+
+
+@pytest.mark.parametrize("magnitude", BOUNDARY)
+def test_mul_at_digit_width_boundaries(magnitude):
+    f7 = cyclotomic_field(7)
+    for ring, big in ((QQ, Fraction(magnitude)), (f7, CycQ(7, [magnitude, -magnitude, 0, 1, 0, 0]))):
+        one_term = LaurentSeries(ring, 0, [big], INF)
+        three_terms = LaurentSeries(ring, -1, [big, -big, big], INF)
+        for a, b in ((one_term, one_term), (three_terms, three_terms), (one_term, three_terms)):
+            assert a * b == expected_product(ring, a, b)
+
+
+def test_digit_codec_round_trips_at_boundaries():
+    for k in (1, 2, 4, 8, 16, 24):
+        top = (1 << (8 * k - 1)) - 1
+        vals = [top, -top, 0, 1, -1, top, -top]
+        assert _unpack(_pack(vals, k), len(vals), k) == vals
+        assert _digit_bytes(top) == k
+        assert _digit_bytes(top + 1) > k
+
+
+# -- inverse --------------------------------------------------------------------
+
+
+@st.composite
+def invertible(draw):
+    ring = draw(rings)
+    valuation = draw(st.integers(min_value=-3, max_value=3))
+    lead = draw(ring_elements(ring).filter(bool))
+    if ring is ZPOLY:
+        lead = ZLaurentPoly(lead.lowest, lead.coeffs[:1])  # only unit monomials invert
+    tail = draw(st.lists(ring_elements(ring), min_size=0, max_size=6))
+    prec = draw(st.one_of(st.just(INF), st.integers(min_value=valuation + 1,
+                                                   max_value=valuation + 10)))
+    return LaurentSeries(ring, valuation, [lead] + tail, prec)
+
+
+@given(invertible(), st.integers(min_value=1, max_value=12))
+@example(LaurentSeries(QQ, 0, [Fraction(2), Fraction(1)], 12), 12)   # 1/(2+q): denominators 2^k
+@example(LaurentSeries(QQ, -2, [Fraction(1)], INF), 3)
+def test_inverse_matches_recurrence(a, requested):
+    ring = a.ring
+    v = a.valuation
+    native = a.prec - 2 * v if a.prec != INF else INF
+    out_prec = requested if native == INF else min(requested, native)
+    count = int(out_prec + v)
+    got = a.inverse(prec=requested)
+    if count <= 0:
+        assert got == LaurentSeries.zero(ring, out_prec)
+        return
+    lead_inv = ring.invert(a.coefficient(v))
+    coeffs = oracles.ref_inverse(list(a.coeffs), count, lead_inv, ring.zero)
+    assert got == LaurentSeries(ring, -v, coeffs, out_prec)
+
+
+# -- Pochhammer products and geometric series -----------------------------------
+
+
+@st.composite
+def poch_case(draw):
+    ring = draw(rings)
+    c = draw(ring_elements(ring))
+    a = draw(st.integers(min_value=0, max_value=3))
+    b = draw(st.integers(min_value=1, max_value=3))
+    count = draw(st.one_of(st.just(INF), st.integers(min_value=0, max_value=5)))
+    prec = draw(st.one_of(st.integers(min_value=1, max_value=14),
+                          st.just(INF) if count != INF else st.nothing()))
+    if count == INF and a == 0 and c == ring.one:
+        a = 1
+    return ring, c, a, b, count, prec
+
+
+@given(poch_case())
+def test_poch_matches_in_place_loop(case):
+    ring, c, a, b, count, prec = case
+    c = ring.of(c)
+    if prec == INF:
+        size = sum(a + j * b for j in range(count)) + 1
+    else:
+        size = prec
+    coeffs = oracles.ref_poch(c, a, b, None if count == INF else count, size, ring.one, ring.zero)
+    assert poch(ring, c, a, b, count, prec) == LaurentSeries(ring, 0, coeffs, prec)
+
+
+@given(rings.flatmap(lambda r: st.tuples(st.just(r), ring_elements(r))),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=14))
+def test_geometric_matches_inverse_recurrence(case, step, prec):
+    ring, c = case
+    c = ring.of(c)
+    factor = [ring.one] + [ring.zero] * (step - 1) + [-c]
+    coeffs = oracles.ref_inverse(factor, prec, ring.one, ring.zero)
+    assert geometric(ring, c, step, prec) == LaurentSeries(ring, 0, coeffs, prec)
+
+
+# -- structural operations ------------------------------------------------------
+
+
+@given(rings.flatmap(series_over), st.integers(min_value=1, max_value=4))
+def test_substitute_matches_reference(a, k):
+    prec = a.prec if a.prec == INF else k * (a.prec - 1) + 1
+    coeffs = oracles.ref_substitute(list(a.coeffs), k, a.ring.zero)
+    expected = LaurentSeries(a.ring, a.valuation * k if coeffs else prec, coeffs, prec)
+    assert a.substitute_qk(k) == expected
+
+
+@given(rings.flatmap(series_over), st.integers(min_value=1, max_value=5), st.data())
+def test_dissect_matches_reference(a, modulus, data):
+    residue = data.draw(st.integers(min_value=0, max_value=modulus - 1))
+    coeffs = oracles.ref_dissect(a.valuation, list(a.coeffs), modulus, residue, a.ring.zero)
+    expected = LaurentSeries(a.ring, a.valuation if coeffs else a.prec, coeffs, a.prec)
+    assert a.dissect(modulus, residue) == expected
