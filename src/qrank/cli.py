@@ -16,7 +16,8 @@ import sys
 
 from .cyclotomic import CycQ, cyclotomic_field
 from .qexpr import EvalCtx, QExprEvalError, QExprSyntaxError, evaluate
-from .quadruples import RANK_TABLE_COLUMNS, class_counts, rank_table
+from .quadruples import (CLASSES_MAX_N, RANK_TABLE_COLUMNS, RANKTABLE_MAX_N, class_counts,
+                         rank_table)
 from .rankgen import u_series, v_series
 from .verify import PROFILES, check_names, run_all
 
@@ -145,8 +146,9 @@ def _cmd_coeffs(args, out, err) -> int:
 
 
 def _cmd_ranktable(args, out, err) -> int:
-    if args.n < 1:
-        err.write("qrank ranktable: n must be >= 1\n")
+    if not 1 <= args.n <= RANKTABLE_MAX_N:
+        err.write(f"qrank ranktable: need 1 <= n <= {RANKTABLE_MAX_N} "
+                  "(the table lists every quadruple)\n")
         return 2
     rows = [r.as_dict() for r in rank_table(args.n, args.kind)]
     doc = _doc("ranktable", {"n": args.n, "kind": args.kind, "format": args.format},
@@ -169,8 +171,8 @@ def _cmd_ranktable(args, out, err) -> int:
 
 
 def _cmd_classes(args, out, err) -> int:
-    if args.n < 1 or args.mod < 2:
-        err.write("qrank classes: need n >= 1 and --mod >= 2\n")
+    if not 1 <= args.n <= CLASSES_MAX_N or args.mod < 2:
+        err.write(f"qrank classes: need 1 <= n <= {CLASSES_MAX_N} and --mod >= 2\n")
         return 2
     counts = class_counts(args.n, args.kind, args.mod)
     payload = {"n": args.n, "kind": args.kind, "mod": args.mod,

@@ -1,4 +1,4 @@
-"""Brute-force enumeration of the partition quadruples behind u(n) and v(n).
+"""The partition quadruples behind u(n) and v(n): enumeration and rank counts.
 
 A quadruple (p1, p2, p3, p4) of partitions belongs to the family U when p1 is
 non-empty, the smallest part of p1 is minimal among all four partitions, and
@@ -6,6 +6,14 @@ the largest part of p4 is at most twice that smallest part.  V additionally
 requires the smallest part of p1 to repeat.  The omega statistic counts the
 parts of p1 that equal s(p1) or exceed s(p1) + #(p4); the u-rank and v-rank
 are omega - 1 (resp. omega - 2) + 2#(p2) - 2#(p3) - #(p4).
+
+Two independent paths serve two jobs.  Enumeration lists every member and
+serves the rank tables (``enumerate_quadruples``, ``rank_table``); it grows
+with u(n), so the CLI caps it at RANKTABLE_MAX_N.  A dynamic program over
+packed z-polynomials counts members by rank without listing them and serves
+the histograms and class totals (``rank_counts``, ``class_counts``); it
+takes tens of milliseconds at n = 40, the CLI's CLASSES_MAX_N.  The tests hold each
+against the other.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 UNBOUNDED = math.inf  # smallest part of the empty partition
+RANKTABLE_MAX_N = 18   # u(18) = 380,475 rows
+CLASSES_MAX_N = 40
 
 
 @dataclass(frozen=True, order=True)
@@ -147,13 +157,99 @@ def enumerate_quadruples(n: int, kind: str = "u") -> list[Quadruple]:
     return quads
 
 
+def _divide(table: list, part: int, up: int = 0, down: int = 0) -> None:
+    """Multiply a packed table by 1/(1 - z^k q^part) in place.
+
+    ``table[t]`` is the coefficient of q^t, packed in z; multiplying by z^k
+    shifts it ``up`` bits left or ``down`` bits right.
+    """
+    for t in range(part, len(table)):
+        table[t] += (table[t - part] << up) >> down
+
+
+def _multiply(table: list, part: int, up: int) -> None:
+    """Multiply a packed table by (1 - z^k q^part) in place, z^k a left shift."""
+    for t in range(len(table) - 1, part - 1, -1):
+        table[t] -= table[t - part] << up
+
+
+def _exact_parts(part_lo: int, part_hi: int, count_max: int, total_max: int) -> list:
+    """rows[m][j]: partitions of j into exactly m parts in [part_lo, part_hi]."""
+    rows = [[0] * (total_max + 1) for _ in range(count_max + 1)]
+    rows[0][0] = 1
+    for part in range(part_lo, min(part_hi, total_max) + 1):
+        for m in range(1, count_max + 1):
+            prev, row = rows[m - 1], rows[m]
+            for j in range(part, total_max + 1):
+                row[j] += prev[j - part]
+    return rows
+
+
 def rank_counts(n: int, kind: str = "u") -> dict[int, int]:
-    """Histogram rank -> number of family members of n with that rank."""
-    counts: dict[int, int] = {}
-    for qd in enumerate_quadruples(n, kind):
-        r = qd.rank(kind)
-        counts[r] = counts.get(r, 0) + 1
-    return counts
+    """Histogram rank -> number of family members of n with that rank.
+
+    Counted by dynamic programming, without listing any member.  For the
+    smallest part s of p1 and m = #(p4), the members carry
+
+        z^-m * 1/(1 - z q^s) * prod_{s<k<=s+m} 1/(1 - q^k)
+             * prod_{k>s+m} 1/(1 - z q^k)
+             * prod_{k>=s} 1/((1 - z^2 q^k)(1 - z^-2 q^k))
+             * [p4 has exactly m parts in [s, 2s]]
+
+    at q^(n - forced*s), with forced = 1 s-part for u and 2 for v; those
+    forced parts count in omega and cancel the rank's -1 (resp. -2).  The
+    factors are p1's further parts (weight z where omega counts them), p2,
+    p3 and p4.  Each coefficient of q is one integer holding its polynomial
+    in z as ``width``-bit digits, biased by z^bias so every rank sits at a
+    non-negative digit; multiplying by z^k is a shift.  Every digit counts
+    tuples of four partitions of total at most n, and there are at most 5^n
+    of those (four-coloured compositions), so no digit overflows.  The keys
+    come out in increasing order.
+    """
+    _check_kind(kind)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    forced = 1 if kind == "u" else 2
+    if n < forced:
+        return {}
+    top = n - forced                      # weight beside the forced parts at s = 1
+    width = (5 ** n).bit_length()
+    # every z-exponent met is >= -2#(p3) - #(p4) >= -2n, so with this bias
+    # each right shift drops only zero digits
+    bias = 2 * n
+    # p2 and p3 together, and p1 with every further part in omega; both gain
+    # the parts k = s as s falls, so each is built once for all s.
+    p23 = [1 << (bias * width)] + [0] * top
+    p1_base = [1] + [0] * top
+    acc = 0
+    for s in range(n, 0, -1):
+        _divide(p23, s, up=2 * width)
+        _divide(p23, s, down=2 * width)
+        _divide(p1_base, s, up=width)
+        rest = n - forced * s
+        if rest < 0:
+            continue
+        p1 = p1_base[:rest + 1]
+        for m, p4 in enumerate(_exact_parts(s, 2 * s, rest // s, rest)):
+            if m:
+                # the part s + m drops out of omega
+                _multiply(p1, s + m, up=width)
+                _divide(p1, s + m)
+            lo = m * s
+            # p2, p3 and p4 together, at each weight from lo to rest
+            tails = [sum(p4[j] * p23[u - j] for j in range(lo, min(2 * lo, u) + 1))
+                     for u in range(lo, rest + 1)]
+            total = sum(p1[t] * tails[rest - lo - t] for t in range(rest - lo + 1))
+            acc += total >> (m * width)
+    hist = {}
+    mask = (1 << width) - 1
+    digit = 0
+    while acc:
+        if acc & mask:
+            hist[digit - bias] = acc & mask
+        acc >>= width
+        digit += 1
+    return hist
 
 
 def class_counts(n: int, kind: str, ell: int) -> list[int]:

@@ -277,7 +277,8 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Ran
         if ell is None:
             return RankSeries(None, route, biv)
         return RankSeries(ell, route, specialize_root(biv, ell))
-    # ENUMERATION: brute-force histograms assembled into a series
+    # ENUMERATION: rank histograms counted by quadruples.rank_counts (a DP
+    # over the members, independent of the q-series routes) as a series
     from .quadruples import rank_counts
     field = cyclotomic_field(ell) if ell is not None else None
     items = []

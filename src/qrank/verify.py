@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import cyclotomic_field
 from .lambert import P_series, chan_identity_residual, chan_suite_parameters, lambert_t
-from .quadruples import class_counts, rank_counts
+from .quadruples import CLASSES_MAX_N, class_counts, rank_counts
 from .rankgen import (eval_f, identity_lhs, partial_fraction_residual,
                       prefactor_residual, prod_dissection_residual,
                       rhs_identity, ru_at_root, ru_bivariate, ru_via_transform,
@@ -71,7 +71,7 @@ class _Check:
     default_prec: int
     fast_prec: int
     long: bool = field(default=False)
-    # enumeration- and bivariate-backed checks stay desk-scale however large
+    # rank-count- and bivariate-backed checks stay desk-scale however large
     # a --prec override is; the report carries the precision actually used
     max_prec: int | None = field(default=None)
 
@@ -302,7 +302,8 @@ def _build_registry() -> dict[str, _Check]:
         registry[f"THM12:{name}"] = _Check(_identity_check(name), 120 if name == "RU7" else 60, 40)
     registry["THM13:bivariate-agreement"] = _Check(_bivariate_agreement, 21, 9, max_prec=23)
     for key in CLASS_FAMILIES:
-        registry[f"THM13:classes-{key}"] = _Check(_class_equality_check(key), 14, 8, max_prec=16)
+        registry[f"THM13:classes-{key}"] = _Check(_class_equality_check(key), 14, 8,
+                                                   max_prec=CLASSES_MAX_N)
     registry["INFRA:T-symmetry"] = _Check(_t_symmetry, 80, 40)
     registry["INFRA:EqChan1-suite"] = _Check(_chan_suite(1), 100, 40)
     registry["INFRA:EqChan2-suite"] = _Check(_chan_suite(2), 100, 40)

@@ -7,6 +7,8 @@ stay naive so they can arbitrate against the fast paths they check.
 
 from fractions import Fraction
 
+from qrank.quadruples import enumerate_quadruples
+
 
 def pentagonal_coeffs(prec: int) -> dict[int, int]:
     """Coefficients of prod (1-q^n) via the bilateral pentagonal sum."""
@@ -174,3 +176,15 @@ def ref_dissect(valuation: int, coeffs: list, modulus: int, residue: int, zero) 
     """Coefficient list keeping the exponents congruent to residue mod modulus."""
     return [c if (valuation + i) % modulus == residue else zero
             for i, c in enumerate(coeffs)]
+
+
+# -- reference rank counts -----------------------------------------------------
+
+
+def ref_rank_counts(n: int, kind: str) -> dict[int, int]:
+    """Rank histogram of the family members of n, by listing every member."""
+    counts: dict[int, int] = {}
+    for qd in enumerate_quadruples(n, kind):
+        r = qd.rank(kind)
+        counts[r] = counts.get(r, 0) + 1
+    return dict(sorted(counts.items()))

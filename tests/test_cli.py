@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qrank.cli import main
+from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -130,6 +131,25 @@ def test_usage_error_exit_code():
     code, _, _ = run_cli("frobnicate")
     assert code == 2
     assert main(["classes", "0", "--mod", "3"]) == 2
+
+
+def test_oversized_inputs_refused_before_any_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the cap must be checked first")
+
+    monkeypatch.setattr("qrank.cli.rank_table", no_work)
+    monkeypatch.setattr("qrank.cli.class_counts", no_work)
+    assert main(["ranktable", str(RANKTABLE_MAX_N + 1)]) == 2
+    assert f"n <= {RANKTABLE_MAX_N}" in capsys.readouterr().err
+    assert main(["classes", str(CLASSES_MAX_N + 1), "--mod", "5"]) == 2
+    assert f"n <= {CLASSES_MAX_N}" in capsys.readouterr().err
+
+
+def test_classes_at_the_cap():
+    code, out, _ = run_cli("classes", str(CLASSES_MAX_N), "--kind", "u", "--mod", "5",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["payload"]["equal"] is True
 
 
 def test_env_precision_override(monkeypatch):

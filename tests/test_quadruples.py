@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from qrank.quadruples import (EMPTY, Partition, Quadruple, class_counts,
                               enumerate_quadruples, partitions_bounded,
                               rank_counts, rank_table)
@@ -101,8 +102,29 @@ def test_rank_examples():
 def test_rank_counts_examples():
     assert rank_counts(3, "u") == {-4: 1, -3: 1, -2: 2, -1: 2, 0: 3, 1: 2, 2: 2, 3: 1, 4: 1}
     assert rank_counts(2, "u") == {-2: 1, -1: 1, 0: 1, 1: 1, 2: 1}
+    assert rank_counts(1, "u") == {0: 1}
     assert rank_counts(1, "v") == {}
+    assert rank_counts(2, "v") == {0: 1}
     assert rank_counts(3, "v") == {-2: 1, -1: 1, 1: 1, 2: 1}
+    with pytest.raises(ValueError):
+        rank_counts(0, "u")
+    with pytest.raises(ValueError):
+        rank_counts(3, "w")
+
+
+@pytest.mark.parametrize("kind", ["u", "v"])
+def test_rank_counts_match_enumeration(kind):
+    for n in range(1, 15):
+        got = rank_counts(n, kind)
+        assert got == oracles.ref_rank_counts(n, kind), n
+        assert list(got) == sorted(got)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("kind", ["u", "v"])
+def test_rank_counts_match_enumeration_deep(kind):
+    for n in range(15, 18):
+        assert rank_counts(n, kind) == oracles.ref_rank_counts(n, kind), n
 
 
 def test_class_counts_examples():
@@ -118,10 +140,11 @@ def test_class_counts_feed_residue_vector_test():
 
 
 def test_totals_match_counting_series():
-    u = u_series(15)
-    v = v_series(15)
-    for n in range(1, 15):
+    u = u_series(31)
+    v = v_series(31)
+    for n in range(1, 31):
         assert sum(class_counts(n, "u", 7)) == u.coefficient(n)
+        assert sum(rank_counts(n, "u").values()) == u.coefficient(n)
         assert sum(rank_counts(n, "v").values()) == v.coefficient(n)
 
 

@@ -76,3 +76,9 @@ def test_fast_profile_all_pass():
 def test_explicit_prec_override():
     report = run_check("THM12:RU5", prec=25, profile="fast")
     assert report.prec == 25 and report.status == "PASS"
+
+
+def test_class_checks_reach_past_enumeration_scale():
+    report = run_check("THM13:classes-u5", prec=25)
+    assert report.prec == 25 and report.status == "PASS"
+    assert "25" in report.detail
