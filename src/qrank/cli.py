@@ -4,7 +4,9 @@ Every command writes an OutputDoc: a stable JSON envelope with the schema
 version, an echo of the command, and the payload.  Plain and CSV formats
 render the payload only.  Exit status: 0 on success or PASS, 1 on any FAIL,
 2 on usage errors.  The environment variable QRANK_PREC overrides the default
-precision.
+precision.  Precisions (``coeffs --prec``, QRANK_PREC, ``verify --prec``) and
+``congruence --max`` above PREC_MAX, and a ``verify --prec`` below 1, are
+refused with exit 2 before any work.
 """
 
 from __future__ import annotations
@@ -15,13 +17,18 @@ import os
 import sys
 
 from .cyclotomic import CycQ, cyclotomic_field
-from .qexpr import EvalCtx, QExprEvalError, QExprSyntaxError, evaluate
 from .quadruples import (CLASSES_MAX_N, RANK_TABLE_COLUMNS, RANKTABLE_MAX_N, class_counts,
                          rank_table)
 from .rankgen import u_series, v_series
 from .verify import PROFILES, check_names, run_all
 
 SCHEMA_VERSION = 1
+
+# Measured at 1000 on a 2-core x86 machine (Python 3.11, under 30 MB each):
+# the whole `verify --prec` registry 36 s, the u(5n) congruence scan 17 s,
+# `coeffs` of U() 14 s, of RHS(RU7) - RU(7) 2.3 s, of E(1) 0.13 s.  The scan
+# grows about 6.5x per doubling (2.6 s at 500), so 2000 would take minutes.
+PREC_MAX = 1000
 
 
 def _default_prec() -> int:
@@ -34,6 +41,8 @@ def _default_prec() -> int:
         value = 0
     if value < 1:
         raise ValueError(f"QRANK_PREC must be a positive integer, got {raw!r}")
+    if value > PREC_MAX:
+        raise ValueError(f"QRANK_PREC must be at most {PREC_MAX}, got {raw!r}")
     return value
 
 
@@ -46,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="evaluate a series expression")
     p.add_argument("--expr", required=True, help="expression, e.g. 'q*E(25)/P(1)^2'")
     p.add_argument("--ell", type=int, default=5, help="ambient cyclotomic order (default 5)")
-    p.add_argument("--prec", type=int, default=None, help="working precision (default 60)")
+    p.add_argument("--prec", type=int, default=None,
+                   help=f"working precision (default 60, at most {PREC_MAX})")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
 
     p = sub.add_parser("ranktable", help="rank table of the quadruples of n")
@@ -64,13 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("u", "v"), required=True)
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--residue", type=int, required=True)
-    p.add_argument("--max", type=int, required=True, help="largest exponent scanned")
+    p.add_argument("--max", type=int, required=True,
+                   help=f"largest exponent scanned (at most {PREC_MAX})")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
 
     p = sub.add_parser("verify", help="run the named-check registry")
     p.add_argument("--only", default=None, help="comma-separated check names")
     p.add_argument("--profile", choices=PROFILES, default="default")
-    p.add_argument("--prec", type=int, default=None, help="override every check precision")
+    p.add_argument("--prec", type=int, default=None,
+                   help=f"override every check precision (1 to {PREC_MAX})")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     p.add_argument("--list", action="store_true", help="list check names and exit")
     return parser
@@ -120,6 +132,11 @@ def _cmd_coeffs(args, out, err) -> int:
     except ValueError as exc:
         err.write(f"{exc}\n")
         return 2
+    if prec > PREC_MAX:
+        err.write(f"qrank coeffs: --prec must be at most {PREC_MAX}, got {prec}\n")
+        return 2
+    # imported here so the other commands do not pay for the parser's import
+    from .qexpr import EvalCtx, QExprEvalError, QExprSyntaxError, evaluate
     try:
         ctx = EvalCtx(ell=args.ell, prec=prec)
         series = evaluate(args.expr, ctx)
@@ -195,8 +212,9 @@ def _cmd_classes(args, out, err) -> int:
 
 
 def _cmd_congruence(args, out, err) -> int:
-    if args.mod < 2 or not 0 <= args.residue < args.mod or args.max < 0:
-        err.write("qrank congruence: need --mod >= 2, 0 <= --residue < --mod, --max >= 0\n")
+    if args.mod < 2 or not 0 <= args.residue < args.mod or not 0 <= args.max <= PREC_MAX:
+        err.write("qrank congruence: need --mod >= 2, 0 <= --residue < --mod, "
+                  f"0 <= --max <= {PREC_MAX}\n")
         return 2
     series = u_series(args.max + 1) if args.family == "u" else v_series(args.max + 1)
     failure = None
@@ -237,6 +255,9 @@ def _cmd_verify(args, out, err) -> int:
         for name in check_names():
             out.write(name + "\n")
         return 0
+    if args.prec is not None and not 1 <= args.prec <= PREC_MAX:
+        err.write(f"qrank verify: --prec must be between 1 and {PREC_MAX}, got {args.prec}\n")
+        return 2
     only = None
     if args.only:
         only = [n.strip() for n in args.only.split(",") if n.strip()]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .cyclotomic import QQ, CycQ, cyclotomic_field, is_prime
 from .lambert import E_series, P_series, lambert_t
@@ -71,30 +72,54 @@ def root_prefactor(ell: int, prec: int) -> LaurentSeries:
     return prod.scale(field.one + z)
 
 
+def _rotate(u: list, k: int) -> list:
+    """x^k u in Z[x]/(x^l - 1), for the residue vector u of length l."""
+    cut = len(u) - k % len(u)
+    return u[cut:] + u[:cut]
+
+
 def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> LaurentSeries:
     """sum_j (1-z^j)(1-z^(j-1)) z^(1-j) (-1)^j q^(j(j+offset)/2) / ((1-z^2 q^j)(1-z^-2 q^j)).
 
     offset is 3 for the u-family and 1 for the v-family.  Terms with
     j = 0, 1 mod ell vanish.  Denominators at negative j are normalized to
-    positive exponents, which lifts the term valuation by 2|j|.
+    positive exponents, which lifts the term valuation by 2|j|; the term
+    then starts at q^eff and steps by X = q^|j|.
+
+    At z = zeta = zeta_ell every coefficient is an integer combination of
+    powers of zeta, so the whole sum is one integer block of exponent
+    residues mod ell, built from two closed forms:
+
+    * 1/((1 - zeta^2 X)(1 - zeta^-2 X)) = sum_m U_m X^m, with
+      U_m = sum_{i=0..m} zeta^(2(2i-m)); U_{m+ell} = U_m, because the ell
+      extra terms sum zeta^(4i) over every residue i mod ell;
+    * c_j = (1-zeta^j)(1-zeta^(j-1)) zeta^(1-j) (-1)^j
+          = (-1)^j (zeta^(1-j) + zeta^j - zeta - 1).
+
+    Term j adds c_j U_m to the coefficient of q^(eff + m|j|).
     """
     field = cyclotomic_field(ell)
-    z2, z2i = field.zeta(2), field.zeta(-2)
-    acc = LaurentSeries.zero(field, prec)
+    periods = []
+    for m in range(ell):
+        u = [0] * ell
+        for i in range(m + 1):
+            u[2 * (2 * i - m) % ell] += 1
+        periods.append(u)
+    raw = [0] * (max(prec, 0) * ell)
 
     def add_term(j: int):
-        nonlocal acc
         e = j * (j + offset) // 2
         eff = e if j > 0 else e + 2 * (-j)
         if eff >= prec or j % ell in (0, 1):
             return
         step = abs(j)
-        rel = prec - eff
-        g = geometric(field, z2, step, rel) * geometric(field, z2i, step, rel)
-        c = (field.one - field.zeta(j)) * (field.one - field.zeta(j - 1)) * field.zeta(1 - j)
-        if j % 2:
-            c = -c
-        acc = acc + g.scale(c).shift(eff)
+        sign = -1 if j % 2 else 1
+        rows = [[sign * (a + b - c - d) for a, b, c, d in
+                 zip(_rotate(u, 1 - j), _rotate(u, j), _rotate(u, 1), u)] for u in periods]
+        reps = (prec - 1 - eff) // step // ell + 1
+        for k in range(ell):
+            target = slice(eff * ell + k, None, step * ell)
+            raw[target] = map(add, raw[target], [row[k] for row in rows] * reps)
 
     j = 2
     while j * (j + offset) // 2 < prec:
@@ -104,7 +129,7 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> LaurentSeries:
     while j * (j + offset) // 2 + 2 * (-j) < prec:
         add_term(j)
         j -= 1
-    return acc
+    return LaurentSeries.from_residues(field, 0, raw, prec)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,14 @@ All dense arithmetic runs on integers:
   polynomial;
 * ``inverse`` runs Newton iteration on that product;
 * ``poch`` keeps the running product in one packed integer and multiplies in
-  each factor (1 - c q^e) with a shift, a subtraction and a mask.
+  each factor (1 - c q^e) with a shift, a subtraction and a mask.  Its digit
+  width comes from min((d + A)^k, d^(k-t) max(d, A)^(t+1) P(n)) for c = C/d,
+  A = |C|_1 and k factors: a coefficient of q^i sums d^(k-|T|) C^|T| over
+  the sets T of factors with exponent sum i, of which there are at most
+  p(i) < P(n), a power of two above exp(pi sqrt(2(n-1)/3)), and none holds
+  more than t factors (the full proof is at ``_pochhammer``);
+* ``geometric`` runs no Newton iteration: it writes the integer coordinates
+  of c^k directly, and once c^k = 1 tiles the period into the block.
 """
 
 from __future__ import annotations
@@ -485,6 +492,16 @@ class LaurentSeries:
         """Series from (exponent, coefficient) pairs; duplicate exponents add."""
         return _assemble(ring, items, prec)
 
+    @staticmethod
+    def from_residues(field, valuation: int, raw: list, prec=INF) -> "LaurentSeries":
+        """Series over Q(zeta_l) from an integer block, l entries per power of q.
+
+        The entries for q^(valuation + i) are raw[i*l:(i+1)*l], the integer
+        coefficients of 1, zeta, ..., zeta^(l-1).
+        """
+        ell = field.ell
+        return _make(field, valuation, 1, _reduce_residues(raw, ell, ell), ell - 1, 0, prec)
+
     # -- inspection -----------------------------------------------------
 
     @property
@@ -820,17 +837,47 @@ def _cyclic_lift(coords) -> list:
     return [x - t for x in full]
 
 
+def _reduce_residues(raw: list, ell: int, stride: int) -> list:
+    """Power-basis coordinates of slots of ``stride`` digits, the first l of each
+    the coefficients of 1, zeta, ..., zeta^(l-1).
+
+    zeta^(l-1) = -(1 + zeta + ... + zeta^(l-2)) subtracts the top coefficient
+    from the others.
+    """
+    width = ell - 1
+    data = [0] * (len(raw) // stride * width)
+    top = raw[width::stride]
+    for j in range(width):
+        data[j::width] = map(sub, raw[j::stride], top)
+    return data
+
+
 def _pochhammer(ring, c, exps, n: int, prec) -> LaurentSeries:
-    """prod over e in exps (all >= 1) of (1 - c q^e), truncated to n terms.
+    """prod over e in exps (ascending, all >= 1) of (1 - c q^e), truncated to n terms.
 
     The running product P lives in one integer: digit (i*W + j) holds the
     coordinate j of q^i.  Multiplying in a factor is d P - (P C) << e*W digits,
     where c = C/d.  Over Q(zeta_l) the coordinates run over 1..zeta^(l-1) and
     after each factor the digits zeta^l..zeta^(2l-2) fold back onto 1..zeta^(l-2);
     over QQ[z, 1/z] the W digits cover every z-degree the product can reach.
-    The absolute coefficient sum of a product is at most the product of the
-    factors' sums, so (d + |C|_1)^len(exps) bounds every digit (and the
-    digits of C itself).
+
+    Digit bound.  Let A = |C|_1 (of the lifted C over Q(zeta_l)) and k the
+    number of factors.  The product of (d - C q^e) over the factors has as
+    coefficient of q^i the sum, over the sets T of factors whose exponents
+    sum to i, of d^(k-|T|) (-C)^|T|.  The l1 norm is submultiplicative, and
+    folding in Z[x]/(x^l - 1) adds digits together, which does not raise it,
+    so every digit of q^i is at most that sum with C^|T| replaced by A^|T|.
+    There are at most 2^k sets, which gives (d + A)^k.  The exponents in T
+    are distinct, so there are at most p(i) sets, and for i <= n - 1,
+    p(i) <= exp(pi sqrt(2(n-1)/3)) <= P(n), a power of two (Apostol, Thm
+    14.5).  No T holds more than t factors, t the most whose smallest
+    exponents sum to <= n - 1, and d^(k-m) A^m <= d^(k-t) max(d, A)^t for
+    m <= t.  Every digit is therefore at most
+    min((d + A)^k, d^(k-t) max(d, A)^t P(n)) for the final product and for
+    every partial one (d >= 1), and the extra factor max(d, A) covers d P
+    and P C before the subtraction, and the digits of C itself.  Digits of
+    q^n and above may overflow; their carries only run upward and the mask
+    drops them.
     """
     den, coords, clo = ring.split(c)
     factors = len(exps)
@@ -844,7 +891,21 @@ def _pochhammer(ring, c, exps, n: int, prec) -> LaurentSeries:
         base = -zmin
     else:
         stride, base = 1, 0
-    k = _digit_bytes((den + sum(map(abs, coords))) ** max(factors, 1))
+    norm = sum(map(abs, coords))
+    bound = (den + norm) ** max(factors, 1)
+    # log2 of a power of two above exp(pi sqrt(2(n-1)/3)), with float slack
+    pbits = int(math.pi * math.sqrt(2 * (n - 1) / 3) / math.log(2)) + 2
+    if bound.bit_length() > pbits:
+        # below 2^pbits the count bound cannot win, so t is only found here
+        t, total = 0, 0
+        for e in exps:
+            total += e
+            if total > n - 1:
+                break
+            t += 1
+        big = max(den, norm)
+        bound = min(bound, den ** (factors - t) * big ** (t + 1) << pbits)
+    k = _digit_bytes(bound)
     bits = 8 * k
     digits = n * stride
     packed_c = _pack(coords, k)
@@ -870,12 +931,7 @@ def _pochhammer(ring, c, exps, n: int, prec) -> LaurentSeries:
             p = (p & mask) - offset
     raw = _unpack(p, digits, k)
     if fold:
-        width = ell - 1
-        data = [0] * (n * width)
-        top = raw[width::stride]
-        for j in range(width):
-            data[j::width] = map(sub, raw[j::stride], top)
-        return _make(ring, 0, den ** factors, data, width, 0, prec)
+        return _make(ring, 0, den ** factors, _reduce_residues(raw, ell, stride), ell - 1, 0, prec)
     return _make(ring, 0, den ** factors, raw, stride, -base, prec)
 
 
@@ -883,16 +939,57 @@ def _pochhammer(ring, c, exps, n: int, prec) -> LaurentSeries:
 
 
 def geometric(ring, c, step: int, prec) -> "LaurentSeries":
-    """1/(1 - c*q^step) = sum_{k>=0} c^k q^(k*step), step >= 1."""
+    """1/(1 - c*q^step) = sum_{k>=0} c^k q^(k*step), step >= 1.
+
+    With c = C/d and K the last power below prec, entry k of the block is
+    C^k d^(K-k) over the common denominator d^K: each entry is the one
+    before times C, divided exactly by d.  Over Q(zeta_l) the product is
+    taken in Z[x]/(x^l - 1) on the lifted C and reduced to the power basis;
+    over QQ[z, 1/z] each entry carries its own z-offset.  Entry k equals
+    entry 0 exactly when c^k = 1 (a root of unity: k <= 2l; c = 1: k = 1),
+    and from there the entries found so far repeat.
+    """
     if step < 1:
         raise ValueError(f"geometric step must be >= 1, got {step}")
     if prec == INF:
         raise PrecisionError("geometric expansion needs a finite precision")
     if prec <= 0:
         return LaurentSeries.zero(ring, prec)
-    terms = -(-(int(prec) - 1) // step) + 1
-    base = LaurentSeries.from_items(ring, [(0, ring.one), (1, -ring.of(c))])
-    return _newton(base, terms).substitute_qk(step).truncate(prec)
+    terms = (int(prec) - 1) // step + 1
+    den, coords, clo = ring.split(c)
+    fold = ring is not QQ and ring is not ZPOLY
+    if fold:
+        ell = ring.ell
+        coords = _cyclic_lift(coords)
+    entries = [(0, [den ** (terms - 1)] + [0] * ((ring.width or 1) - 1))]
+    while len(entries) < terms:
+        zoff, p = entries[-1]
+        if fold:
+            p = p + [0]
+        size = len(p)
+        prod = [0] * (size + len(coords) - 1)
+        for j, cj in enumerate(coords):
+            if cj:
+                prod[j:j + size] = map(add, prod[j:j + size],
+                                       p if cj == 1 else map(mul, p, repeat(cj)))
+        if fold:
+            prod = _reduce_residues(list(map(add, prod[:ell], prod[ell:] + [0])), ell, ell)
+        if den != 1:
+            prod = [x // den for x in prod]
+        entry = (zoff + clo, prod)
+        if entry == entries[0]:
+            break
+        entries.append(entry)
+    zlo = min(z for z, _ in entries)
+    width = max(z + len(p) for z, p in entries) - zlo
+    flat = []
+    for z, p in entries:
+        flat += [0] * (z - zlo) + p + [0] * (zlo + width - z - len(p))
+    flat = (flat * -(-terms // len(entries)))[:terms * width]
+    data = [0] * (((terms - 1) * step + 1) * width)
+    for j in range(width):
+        data[j::step * width] = flat[j::width]
+    return _make(ring, 0, den ** (terms - 1), data, width, zlo, prec)
 
 
 def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":

@@ -7,7 +7,9 @@ stay naive so they can arbitrate against the fast paths they check.
 
 from fractions import Fraction
 
+from qrank.cyclotomic import cyclotomic_field
 from qrank.quadruples import enumerate_quadruples
+from qrank.series import LaurentSeries
 
 
 def pentagonal_coeffs(prec: int) -> dict[int, int]:
@@ -176,6 +178,53 @@ def ref_dissect(valuation: int, coeffs: list, modulus: int, residue: int, zero) 
     """Coefficient list keeping the exponents congruent to residue mod modulus."""
     return [c if (valuation + i) % modulus == residue else zero
             for i, c in enumerate(coeffs)]
+
+
+# -- reference series builders -------------------------------------------------
+#
+# The builders that qrank.series.geometric and rankgen._bilateral_rank_sum
+# replaced: Newton inversion of 1 - c q, and the bilateral sum term by term
+# through ring-element products.  Unlike the list references above they run
+# on LaurentSeries, but share none of the closed forms they check.
+
+
+def ref_geometric(ring, c, step: int, prec: int):
+    """1/(1 - c q^step) by Newton inversion of 1 - c q, then q -> q^step."""
+    terms = -(-(prec - 1) // step) + 1
+    base = LaurentSeries.from_items(ring, [(0, ring.one), (1, -ring.of(c))])
+    return base.inverse(prec=terms).substitute_qk(step).truncate(prec)
+
+
+def ref_bilateral_rank_sum(ell: int, prec: int, offset: int):
+    """sum_j (1-z^j)(1-z^(j-1)) z^(1-j) (-1)^j q^(j(j+offset)/2) / ((1-z^2 q^j)(1-z^-2 q^j))
+    at z = zeta_ell, one product of two geometric series per term j."""
+    field = cyclotomic_field(ell)
+    z2, z2i = field.zeta(2), field.zeta(-2)
+    acc = LaurentSeries.zero(field, prec)
+
+    def add_term(j: int):
+        nonlocal acc
+        e = j * (j + offset) // 2
+        eff = e if j > 0 else e + 2 * (-j)
+        if eff >= prec or j % ell in (0, 1):
+            return
+        step = abs(j)
+        rel = prec - eff
+        g = ref_geometric(field, z2, step, rel) * ref_geometric(field, z2i, step, rel)
+        c = (field.one - field.zeta(j)) * (field.one - field.zeta(j - 1)) * field.zeta(1 - j)
+        if j % 2:
+            c = -c
+        acc = acc + g.scale(c).shift(eff)
+
+    j = 2
+    while j * (j + offset) // 2 < prec:
+        add_term(j)
+        j += 1
+    j = -1
+    while j * (j + offset) // 2 + 2 * (-j) < prec:
+        add_term(j)
+        j -= 1
+    return acc
 
 
 # -- reference rank counts -----------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qrank.cli import main
+from qrank.cli import PREC_MAX, main
 from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -143,6 +143,35 @@ def test_oversized_inputs_refused_before_any_work(monkeypatch, capsys):
     assert f"n <= {RANKTABLE_MAX_N}" in capsys.readouterr().err
     assert main(["classes", str(CLASSES_MAX_N + 1), "--mod", "5"]) == 2
     assert f"n <= {CLASSES_MAX_N}" in capsys.readouterr().err
+
+
+def test_oversized_precision_refused_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cap must be checked first")
+
+    for target in ("qrank.cli.u_series", "qrank.cli.v_series", "qrank.cli.run_all",
+                   "qrank.qexpr.evaluate"):
+        monkeypatch.setattr(target, no_work)
+    over = str(PREC_MAX + 1)
+    for argv in (["coeffs", "--expr", "U()", "--prec", over],
+                 ["congruence", "--family", "u", "--mod", "5", "--residue", "0", "--max", over],
+                 ["verify", "--only", "THM11:u3", "--prec", over],
+                 ["verify", "--only", "THM12:RU3", "--prec", "0"]):
+        assert main(argv) == 2
+        assert str(PREC_MAX) in capsys.readouterr().err
+    monkeypatch.setenv("QRANK_PREC", over)
+    assert main(["coeffs", "--expr", "U()"]) == 2
+    assert f"QRANK_PREC must be at most {PREC_MAX}" in capsys.readouterr().err
+
+
+def test_verify_does_not_import_the_expression_parser():
+    script = ("import sys; from qrank.cli import main; "
+              "code = main(['verify', '--only', 'THM11:u3', '--format', 'json']); "
+              "print(code, 'qrank.qexpr' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PATH": "", "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_classes_at_the_cap():

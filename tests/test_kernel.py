@@ -3,8 +3,9 @@
 Every property builds random series over QQ, Q(zeta_l) for l in {3, 5, 7, 13}
 and QQ[z, 1/z], runs one kernel operation, and compares the result with the
 schoolbook product, the inverse recurrence or the in-place Pochhammer loop
-run on plain coefficient lists.  Equality is canonical series equality, so
-valuation, precision and every coefficient must agree.
+run on plain coefficient lists.  Fixed cases take ``poch`` and ``geometric``
+to 60-120 terms, past the sizes Hypothesis draws.  Equality is canonical
+series equality, so valuation, precision and every coefficient must agree.
 """
 
 from fractions import Fraction
@@ -183,14 +184,65 @@ def test_poch_matches_in_place_loop(case):
     assert poch(ring, c, a, b, count, prec) == LaurentSeries(ring, 0, coeffs, prec)
 
 
+F5, F7 = cyclotomic_field(5), cyclotomic_field(7)
+
+# (ring, c, prec) with enough factors that the partition-count digit bound
+# is smaller than (d + |C|_1)^factors; the Hypothesis cases above stay below it.
+MANY_FACTORS = [
+    pytest.param(QQ, 1, 120, id="QQ-1"),
+    pytest.param(QQ, -1, 120, id="QQ-minus1"),
+    pytest.param(QQ, 2, 120, id="QQ-2"),
+    pytest.param(QQ, Fraction(3, 2), 120, id="QQ-3half"),
+    pytest.param(F7, F7.zeta(1), 120, id="Q7-zeta"),
+    pytest.param(F7, F7.one + F7.zeta(3), 120, id="Q7-1+zeta3"),
+    pytest.param(ZPOLY, ZLaurentPoly.monomial(1), 120, id="ZPOLY-z"),
+    pytest.param(ZPOLY, ZLaurentPoly(-1, [1, 0, 0, 1]), 60, id="ZPOLY-z2+zinv"),
+]
+
+
+@pytest.mark.parametrize("ring, c, prec", MANY_FACTORS)
+def test_poch_with_many_factors_matches_in_place_loop(ring, c, prec):
+    c = ring.of(c)
+    coeffs = oracles.ref_poch(c, 1, 1, None, prec, ring.one, ring.zero)
+    assert poch(ring, c, 1, 1, INF, prec) == LaurentSeries(ring, 0, coeffs, prec)
+
+
+def expected_geometric(ring, c, step, prec):
+    factor = [ring.one] + [ring.zero] * (step - 1) + [-c]
+    return LaurentSeries(ring, 0, oracles.ref_inverse(factor, prec, ring.one, ring.zero), prec)
+
+
 @given(rings.flatmap(lambda r: st.tuples(st.just(r), ring_elements(r))),
        st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=14))
 def test_geometric_matches_inverse_recurrence(case, step, prec):
     ring, c = case
     c = ring.of(c)
-    factor = [ring.one] + [ring.zero] * (step - 1) + [-c]
-    coeffs = oracles.ref_inverse(factor, prec, ring.one, ring.zero)
-    assert geometric(ring, c, step, prec) == LaurentSeries(ring, 0, coeffs, prec)
+    assert geometric(ring, c, step, prec) == expected_geometric(ring, c, step, prec)
+
+
+ROOTS_OF_UNITY = [
+    pytest.param(QQ, 1, id="QQ-1"),
+    pytest.param(QQ, -1, id="QQ-minus1"),
+    pytest.param(F5, F5.zeta(1), id="Q5-zeta"),
+    pytest.param(F7, F7.zeta(2), id="Q7-zeta2"),
+    pytest.param(F7, -F7.zeta(3), id="Q7-minus-zeta3"),
+    pytest.param(cyclotomic_field(13), cyclotomic_field(13).zeta(12), id="Q13-zeta12"),
+    pytest.param(ZPOLY, -ZPOLY.one, id="ZPOLY-minus1"),
+]
+NON_ROOTS = [
+    pytest.param(QQ, 2, id="QQ-2"),
+    pytest.param(QQ, Fraction(1, 2), id="QQ-half"),
+    pytest.param(F5, F5.one + F5.zeta(1), id="Q5-1+zeta"),
+    pytest.param(F7, F7.zeta(1) / 3, id="Q7-zeta-third"),
+    pytest.param(ZPOLY, ZLaurentPoly(-1, [1, 0, 2]), id="ZPOLY-zinv+2z"),
+]
+
+
+@pytest.mark.parametrize("prec", (1, 13, 60))
+@pytest.mark.parametrize("step", (1, 3))
+@pytest.mark.parametrize("ring, c", ROOTS_OF_UNITY + NON_ROOTS)
+def test_geometric_to_higher_precision(ring, c, step, prec):
+    assert geometric(ring, c, step, prec) == expected_geometric(ring, c, step, prec)
 
 
 # -- structural operations ------------------------------------------------------

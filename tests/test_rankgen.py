@@ -4,13 +4,15 @@ import pytest
 
 from qrank.cyclotomic import cyc_make, cyclotomic_field
 from qrank.quadruples import rank_counts
-from qrank.rankgen import (eval_f, eval_g, identity_lhs,
+from qrank.rankgen import (_bilateral_rank_sum, eval_f, eval_g, identity_lhs,
                            partial_fraction_residual, prefactor_residual,
                            prod_dissection_residual, rhs_identity,
                            root_prefactor, ru_at_root, ru_bivariate,
                            ru_via_transform, rv_at_root, rv_bivariate,
                            rv_via_transform, specialize_one, specialize_root,
                            u_series, v_series)
+
+import oracles
 
 U_GOLDEN = [1, 5, 15, 44, 105, 252, 539, 1135, 2259, 4390]
 V_GOLDEN = [1, 4, 15, 39, 105, 237, 530, 1100, 2223]
@@ -30,6 +32,13 @@ def test_v_golden_coefficients():
 def test_u_minus_v_at_q1():
     diff = u_series(11) - v_series(11)
     assert diff.coefficient(1) == 1
+
+
+@pytest.mark.parametrize("prec", (1, 2, 14, 40, 61))
+@pytest.mark.parametrize("offset", (3, 1))
+@pytest.mark.parametrize("ell", (3, 5, 7, 13))
+def test_bilateral_sum_matches_term_by_term(ell, offset, prec):
+    assert _bilateral_rank_sum(ell, prec, offset) == oracles.ref_bilateral_rank_sum(ell, prec, offset)
 
 
 def test_eval_f_is_ru_at_root():
