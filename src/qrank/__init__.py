@@ -1,7 +1,7 @@
 """qrank: exact q-series engine and partition-quadruple rank toolkit."""
 
-from .cyclotomic import (CycQ, QQ, Rational, cyc_invert, cyc_make, cyc_mul,
-                         cyclotomic_field, is_prime, residue_vector_is_constant)
+from .cyclotomic import (CycQ, QQ, Rational, cyclotomic_field, is_prime,
+                         residue_vector_is_constant)
 from .series import (INF, LaurentSeries, PrecisionError, ZLaurentPoly, ZPOLY,
                      gauss_binomial, geometric, jacprod, poch, theta_jtp_sum)
 from .lambert import (E_series, P_series, TSpec, chan_identity_residual,
@@ -9,12 +9,10 @@ from .lambert import (E_series, P_series, TSpec, chan_identity_residual,
 from .quadruples import (Partition, Quadruple, RankTableRow, class_counts,
                          enumerate_quadruples, partitions_bounded, rank_counts,
                          rank_table)
-from .rankgen import (IDENTITY_NAMES, ROUTES, RankSeries, eval_f, eval_g,
-                      identity_lhs, partial_fraction_residual,
-                      prefactor_residual, prod_dissection_residual,
-                      rank_series, rhs_identity, root_prefactor, ru_at_root,
-                      ru_bivariate, ru_via_transform, rv_at_root,
-                      rv_bivariate, rv_via_transform, specialize_one,
-                      specialize_root, u_series, v_series)
+from .rankgen import (IDENTITY_NAMES, ROUTES, eval_f, eval_g,
+                      partial_fraction_residual, prefactor_residual,
+                      prod_dissection_residual, rank_series, rhs_identity,
+                      root_prefactor, ru_at_root, rv_at_root, u_series,
+                      v_series)
 
 __version__ = "0.1.0"

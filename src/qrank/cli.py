@@ -16,11 +16,10 @@ import json
 import os
 import sys
 
-from .cyclotomic import CycQ, cyclotomic_field
+from .cyclotomic import cyclotomic_field
 from .quadruples import (CLASSES_MAX_N, RANK_TABLE_COLUMNS, RANKTABLE_MAX_N, class_counts,
                          rank_table)
-from .rankgen import u_series, v_series
-from .verify import PROFILES, check_names, run_all
+from .verify import PROFILES, check_names, congruence_scan, run_all
 
 SCHEMA_VERSION = 1
 
@@ -106,26 +105,6 @@ def _emit(doc: dict, fmt: str, plain_lines, csv_lines, out) -> None:
             out.write(line + "\n")
 
 
-def _coeff_plain(c: CycQ) -> str:
-    if c.is_rational():
-        v = c.rational_value()
-        return str(v.numerator) if v.denominator == 1 else str(v)
-    return f"({c})"
-
-
-def _series_plain(series) -> str:
-    terms = []
-    for e, c in series.nonzero_items():
-        cs = _coeff_plain(c)
-        if e == 0:
-            terms.append(cs)
-        else:
-            qs = "q" if e == 1 else f"q^{e}"
-            terms.append(qs if cs == "1" else f"{cs}*{qs}")
-    body = " + ".join(terms) if terms else "0"
-    return f"{body} + O(q^{int(series.prec)})"
-
-
 def _cmd_coeffs(args, out, err) -> int:
     try:
         prec = args.prec if args.prec is not None else _default_prec()
@@ -149,7 +128,7 @@ def _cmd_coeffs(args, out, err) -> int:
                           "format": args.format}, dump)
 
     def plain():
-        yield _series_plain(series)
+        yield str(series)
 
     def csv():
         width = args.ell - 1
@@ -216,15 +195,9 @@ def _cmd_congruence(args, out, err) -> int:
         err.write("qrank congruence: need --mod >= 2, 0 <= --residue < --mod, "
                   f"0 <= --max <= {PREC_MAX}\n")
         return 2
-    series = u_series(args.max + 1) if args.family == "u" else v_series(args.max + 1)
-    failure = None
-    checked = 0
-    for e in range(args.residue, args.max + 1, args.mod):
-        c = series.coefficient(e)
-        if c.denominator != 1 or c.numerator % args.mod:
-            failure = {"exponent": e, "coefficient": str(c)}
-            break
-        checked += 1
+    failure, checked = congruence_scan(args.family, args.mod, args.residue, args.max)
+    if failure is not None:
+        failure = {"exponent": failure[0], "coefficient": str(failure[1])}
     status = "PASS" if failure is None else "FAIL"
     payload = {"family": args.family, "mod": args.mod, "residue": args.residue,
                "max": args.max, "status": status, "checked": checked,

@@ -363,23 +363,6 @@ def cyclotomic_field(ell: int) -> CyclotomicField:
     return CyclotomicField(ell)
 
 
-def cyc_make(ell: int, raw) -> CycQ:
-    """Canonical element of Q(zeta_l) from l coefficients of 1, zeta, ..., zeta^(l-1)."""
-    if ell < 3 or not is_prime(ell):
-        raise ValueError(f"cyclotomic order must be a prime >= 3, got {ell}")
-    return CycQ.from_raw(ell, raw)
-
-
-def cyc_mul(a: CycQ, b: CycQ) -> CycQ:
-    if a.ell != b.ell:
-        raise ValueError(f"mixed cyclotomic orders {a.ell} and {b.ell}")
-    return a * b
-
-
-def cyc_invert(a: CycQ) -> CycQ:
-    return a.inverse()
-
-
 def residue_vector_is_constant(ell: int, c) -> bool:
     """True iff all l entries agree, i.e. sum_k c_k zeta^k = 0."""
     c = list(c)

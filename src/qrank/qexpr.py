@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime
 from .lambert import E_series, P_series, lambert_t
-from .rankgen import (IDENTITY_NAMES, eval_f, eval_g, rhs_identity,
-                      ru_at_root, rv_at_root, u_series, v_series)
+from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .series import INF, LaurentSeries, jacprod, poch
 
 
@@ -368,16 +367,14 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
         if name == "jac":
             zpow, qpow, step = _int_args(node, args)
             return jacprod(field, field.zeta(zpow), qpow, step, ctx.prec)
-        if name == "U":
-            return u_series(ctx.prec)
-        if name == "V":
-            return v_series(ctx.prec)
+        if name in ("U", "V"):
+            return rank_series(name.lower(), "DEFINITION", ctx.prec)
         if name in ("RU", "RV"):
             (ell,) = _int_args(node, args)
             if ell != ctx.ell:
                 raise QExprEvalError(
                     f"{name}({ell}) needs the ambient ell to be {ell}; pass --ell {ell}", node.pos)
-            return ru_at_root(ell, ctx.prec) if name == "RU" else rv_at_root(ell, ctx.prec)
+            return rank_series(name[1].lower(), "LAMBERT", ctx.prec, ell)
         if name == "RHS":
             (ident,) = args
             if ident not in IDENTITY_NAMES:

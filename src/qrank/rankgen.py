@@ -1,23 +1,24 @@
 """The generating functions behind u(n) and v(n), by independent routes.
 
-Three routes compute the rank generating functions RU(z,q), RV(z,q):
+``rank_series(kind, route, prec, ell)`` is the one entry point: it returns
+RU(z, q) (kind "u") or RV(z, q) (kind "v") along the named route, with z
+formal, at z = zeta_ell, or at z = 1.
 
-* the hypergeometric-style double products ``eval_f`` / ``eval_g`` with
-  (rho1, rho2, z) specialized to roots of unity,
-* ``ru_at_root`` / ``rv_at_root``, a bilateral Lambert-form sum over Q(zeta_l)
-  divided by the prefactor (1+z)(q, z, 1/z; q)_inf,
-* ``ru_bivariate`` / ``rv_bivariate``, an exact expansion in both z and q
-  built from a single sum plus a Gaussian-binomial double sum.
+* DEFINITION: the hypergeometric-style double product ``_fg_series`` with
+  (rho1, rho2, z) = (zeta^2, zeta^-2, zeta), or at z = 1 the counting series
+  computed directly from its smallest-part decomposition;
+* LAMBERT: ``ru_at_root`` / ``rv_at_root``, a bilateral Lambert-form sum over
+  Q(zeta_l) divided by the prefactor (1+z)(q, z, 1/z; q)_inf;
+* QBINOMIAL: ``_bivariate``, an exact expansion in both z and q built from a
+  single sum plus a Gaussian-binomial double sum;
+* ENUMERATION: the rank histograms of ``quadruples.rank_counts``.
 
-The z -> 1 specializations are the plain counting series ``u_series`` and
-``v_series``, computed directly from their smallest-part decompositions.
 ``rhs_identity`` assembles the E/P/T product forms the five root-of-unity
-identities equate these to.
+identities equate RU and RV at zeta_l to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
@@ -191,16 +192,6 @@ def eval_g(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int) -> LaurentSeries:
     return _fg_series(rho1, rho2, z, prec, 2)
 
 
-def ru_via_transform(ell: int, prec: int) -> LaurentSeries:
-    field = cyclotomic_field(ell)
-    return eval_f(field.zeta(2), field.zeta(-2), field.zeta(1), prec)
-
-
-def rv_via_transform(ell: int, prec: int) -> LaurentSeries:
-    field = cyclotomic_field(ell)
-    return eval_g(field.zeta(2), field.zeta(-2), field.zeta(1), prec)
-
-
 # -- route 3: the exact bivariate expansion -----------------------------------
 
 
@@ -236,92 +227,41 @@ def _bivariate(power: int, prec: int) -> LaurentSeries:
     return acc
 
 
-def ru_bivariate(prec: int) -> LaurentSeries:
-    """RU(z, q) with ZLaurentPoly coefficients: exact rank generating function."""
-    return _bivariate(1, prec)
+# -- the route table ------------------------------------------------------------
 
 
-def rv_bivariate(prec: int) -> LaurentSeries:
-    """RV(z, q) with ZLaurentPoly coefficients."""
-    return _bivariate(2, prec)
+def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> LaurentSeries:
+    """RU (kind "u") or RV (kind "v") to precision prec by the named route.
 
-
-def specialize_root(bivariate: LaurentSeries, ell: int) -> LaurentSeries:
-    """Substitute z -> zeta_ell coefficient-wise into a bivariate series."""
-    field = cyclotomic_field(ell)
-    items = [(e, c.eval_at_root(field)) for e, c in bivariate.nonzero_items()]
-    return LaurentSeries.from_items(field, items, bivariate.prec)
-
-
-def specialize_one(bivariate: LaurentSeries) -> LaurentSeries:
-    """Substitute z -> 1 coefficient-wise, recovering the counting series."""
-    items = [(e, c.eval_at_one()) for e, c in bivariate.nonzero_items()]
-    return LaurentSeries.from_items(QQ, items, bivariate.prec)
-
-
-# -- uniform route access ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RankSeries:
-    """A rank generating function tagged with how it was computed.
-
-    ``ell`` is the cyclotomic order when z is specialized at zeta_ell, or
-    None when z stays formal (QBINOMIAL/ENUMERATION) or equals 1 (DEFINITION).
-    """
-
-    ell: int | None
-    route: str
-    series: LaurentSeries
-
-
-def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> RankSeries:
-    """Compute RU (kind "u") or RV (kind "v") by the named route.
-
-    DEFINITION is the q-hypergeometric transform at z = zeta_ell, or the
-    plain counting series when ell is None (the z = 1 case).  LAMBERT is the
-    bilateral sum divided by the root prefactor.  QBINOMIAL and ENUMERATION
-    carry formal z when ell is None and specialize coefficient-wise otherwise.
+    With ell a prime >= 3 every route gives the series at z = zeta_ell over
+    Q(zeta_ell).  With ell None, DEFINITION gives the plain counting series
+    U or V (z = 1) and QBINOMIAL and ENUMERATION keep z formal over
+    QQ[z, 1/z]; LAMBERT needs ell.
     """
     if kind not in ("u", "v"):
         raise ValueError(f"kind must be 'u' or 'v', got {kind!r}")
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    power = 1 if kind == "u" else 2
     if route == "DEFINITION":
         if ell is None:
-            return RankSeries(None, route, u_series(prec) if kind == "u" else v_series(prec))
-        fn = ru_via_transform if kind == "u" else rv_via_transform
-        return RankSeries(ell, route, fn(ell, prec))
+            return _counting_series(power, prec)
+        field = cyclotomic_field(ell)
+        return _fg_series(field.zeta(2), field.zeta(-2), field.zeta(1), prec, power)
     if route == "LAMBERT":
         if ell is None:
             raise ValueError("the bilateral route needs z specialized; pass ell")
-        fn = ru_at_root if kind == "u" else rv_at_root
-        return RankSeries(ell, route, fn(ell, prec))
+        return ru_at_root(ell, prec) if kind == "u" else rv_at_root(ell, prec)
     if route == "QBINOMIAL":
-        biv = ru_bivariate(prec) if kind == "u" else rv_bivariate(prec)
-        if ell is None:
-            return RankSeries(None, route, biv)
-        return RankSeries(ell, route, specialize_root(biv, ell))
-    # ENUMERATION: rank histograms counted by quadruples.rank_counts (a DP
-    # over the members, independent of the q-series routes) as a series
-    from .quadruples import rank_counts
-    field = cyclotomic_field(ell) if ell is not None else None
-    items = []
-    for n in range(1, prec):
-        hist = rank_counts(n, kind)
-        if not hist:
-            continue
-        if field is None:
-            coeff = ZPOLY.zero
-            for m, count in hist.items():
-                coeff = coeff + ZLaurentPoly.monomial(m, count)
-        else:
-            coeff = field.zero
-            for m, count in hist.items():
-                coeff = coeff + field.zeta(m) * QQ.of(count)
-        items.append((n, coeff))
-    ring = ZPOLY if field is None else field
-    return RankSeries(ell, route, LaurentSeries.from_items(ring, items, prec))
+        series = _bivariate(power, prec)
+    else:
+        # ENUMERATION: rank histograms counted by quadruples.rank_counts (a DP
+        # over the members, independent of the q-series routes) as a series
+        from .quadruples import rank_counts
+        items = [(n, ZLaurentPoly.monomial(rank, count))
+                 for n in range(1, prec) for rank, count in rank_counts(n, kind).items()]
+        series = LaurentSeries.from_items(ZPOLY, items, prec)
+    return series if ell is None else series.specialize_z(cyclotomic_field(ell))
 
 
 # -- the right-hand sides of the five root-of-unity identities ----------------
@@ -381,12 +321,6 @@ def rhs_identity(name: str, prec: int) -> LaurentSeries:
     if out.prec < prec:
         raise ValueError(f"internal precision shortfall building {name}: {out.prec} < {prec}")
     return out
-
-
-def identity_lhs(name: str, prec: int) -> LaurentSeries:
-    """The matching left-hand side, via the bilateral Lambert route."""
-    ell = int(name[2:])
-    return ru_at_root(ell, prec) if name[1] == "U" else rv_at_root(ell, prec)
 
 
 # -- supporting identities ----------------------------------------------------

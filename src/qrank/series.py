@@ -13,7 +13,7 @@ block, starting at z^zlo, for Laurent polynomials in z (``ZPOLY``).  A
 rational series combines freely with a series over a larger ring.  The ring
 adapters' ``split`` and ``view`` convert single coefficients; ``Fraction``,
 ``CycQ`` and ``ZLaurentPoly`` values are built only where a caller reads
-coefficients (``coefficient``, ``nonzero_items``, ``to_json``, ``repr``) or
+coefficients (``coefficient``, ``nonzero_items``, ``to_json``, ``str``) or
 passes a scalar to ``scale``.
 
 All dense arithmetic runs on integers:
@@ -32,7 +32,9 @@ All dense arithmetic runs on integers:
   p(i) < P(n), a power of two above exp(pi sqrt(2(n-1)/3)), and none holds
   more than t factors (the full proof is at ``_pochhammer``);
 * ``geometric`` runs no Newton iteration: it writes the integer coordinates
-  of c^k directly, and once c^k = 1 tiles the period into the block.
+  of c^k directly, and once c^k = 1 tiles the period into the block;
+* ``specialize_z`` substitutes z -> zeta_l or z -> 1 by adding the z-columns
+  of a QQ[z, 1/z] block into their residues mod l.
 """
 
 from __future__ import annotations
@@ -178,16 +180,6 @@ class ZLaurentPoly:
         for i, c in enumerate(self.coeffs):
             if c:
                 yield self.lowest + i, c
-
-    def eval_at_root(self, field) -> CycQ:
-        """Substitute z -> zeta_l, landing in Q(zeta_l)."""
-        raw = [Fraction(0)] * field.ell
-        for k, c in self.items():
-            raw[k % field.ell] += c
-        return CycQ.from_raw(field.ell, raw)
-
-    def eval_at_one(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
 
     def __str__(self):
         if not self.coeffs:
@@ -657,6 +649,25 @@ class LaurentSeries:
             kept[j::modulus * w] = self.data[j::modulus * w]
         return _make(self.ring, self.valuation, self.den, kept, w, self.zlo, self.prec)
 
+    def specialize_z(self, ring) -> "LaurentSeries":
+        """z -> 1 (ring QQ) or z -> zeta_l (ring Q(zeta_l)) in a series over QQ[z, 1/z].
+
+        Column j of the block holds the coefficients of z^(zlo + j); it adds
+        into those of zeta^((zlo + j) mod l), or for z -> 1 into the single
+        rational column.  The common denominator carries over unchanged.
+        """
+        if self.ring is not ZPOLY:
+            raise ValueError(f"specialize_z needs a series over {ZPOLY.name}, not {self.ring.name}")
+        size = 1 if ring is QQ else ring.ell
+        w = self.width
+        raw = [0] * (len(self.data) // w * size)
+        for j in range(w):
+            r = (self.zlo + j) % size
+            raw[r::size] = map(add, raw[r::size], self.data[j::w])
+        if ring is not QQ:
+            raw = _reduce_residues(raw, size, size)
+        return _make(ring, self.valuation, self.den, raw, ring.width, 0, self.prec)
+
     def promote(self, ring) -> "LaurentSeries":
         target = join_rings(self.ring, ring)
         if target is self.ring:
@@ -703,10 +714,10 @@ class LaurentSeries:
             "coeffs": [self.ring.encode(c) for c in self.coeffs],
         }
 
-    def __repr__(self):
+    def _format(self, limit=None) -> str:
         terms = []
         for e, c in self.nonzero_items():
-            if len(terms) == 6:
+            if len(terms) == limit:
                 terms.append("...")
                 break
             cs = str(c)
@@ -720,6 +731,13 @@ class LaurentSeries:
         body = " + ".join(terms) if terms else "0"
         tail = "" if self.prec == INF else f" + O(q^{int(self.prec)})"
         return body + tail
+
+    def __str__(self):
+        """Every known nonzero term, then the O(q^prec) tail."""
+        return self._format()
+
+    def __repr__(self):
+        return self._format(limit=6)
 
 
 # -- the kernels ------------------------------------------------------------------

@@ -19,14 +19,11 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .cyclotomic import cyclotomic_field
+from .cyclotomic import QQ, cyclotomic_field
 from .lambert import P_series, chan_identity_residual, chan_suite_parameters, lambert_t
-from .quadruples import CLASSES_MAX_N, class_counts, rank_counts
-from .rankgen import (eval_f, identity_lhs, partial_fraction_residual,
-                      prefactor_residual, prod_dissection_residual,
-                      rhs_identity, ru_at_root, ru_bivariate, ru_via_transform,
-                      rv_at_root, rv_bivariate, rv_via_transform,
-                      specialize_one, specialize_root, u_series, v_series)
+from .quadruples import CLASSES_MAX_N, class_counts
+from .rankgen import (eval_f, partial_fraction_residual, prefactor_residual,
+                      prod_dissection_residual, rank_series, rhs_identity)
 
 PROFILES = ("fast", "default", "deep")
 
@@ -94,39 +91,53 @@ def _zero_residual(residual, prec, context=""):
     return "FAIL", (e, str(c), "0"), context
 
 
+def congruence_scan(family: str, mod: int, residue: int, top: int):
+    """Test that mod divides the coefficient of q^e in U (family "u") or V ("v")
+    for e = residue, residue + mod, ... up to top.
+
+    Returns (first failure, count of coefficients checked before it).  The
+    failure is None or (exponent, coefficient, expected), where expected is
+    "an integer" or "0 (mod m)".
+    """
+    series = rank_series(family, "DEFINITION", top + 1)
+    checked = 0
+    for e in range(residue, top + 1, mod):
+        c = series.coefficient(e)
+        if c.denominator != 1:
+            return (e, c, "an integer"), checked
+        if c.numerator % mod:
+            return (e, c, f"0 (mod {mod})"), checked
+        checked += 1
+    return None, checked
+
+
 def _congruence_check(family, mod, residue):
     def run(prec):
-        series = u_series(prec) if family == "u" else v_series(prec)
-        checked = 0
-        for e in range(residue, prec, mod):
-            c = series.coefficient(e)
-            if c.denominator != 1:
-                return "FAIL", (e, str(c), "an integer"), ""
-            if c.numerator % mod:
-                return "FAIL", (e, str(c), f"0 (mod {mod})"), ""
-            checked += 1
+        failure, checked = congruence_scan(family, mod, residue, prec - 1)
+        if failure is not None:
+            e, c, expected = failure
+            return "FAIL", (e, str(c), expected), ""
         return "PASS", None, f"{family}({mod}n+{residue}) = 0 mod {mod} at {checked} coefficients"
     return run
 
 
 def _identity_check(name):
+    kind, ell = name[1].lower(), int(name[2:])
     def run(prec):
-        return _series_pair(identity_lhs(name, prec), rhs_identity(name, prec), prec)
+        return _series_pair(rank_series(kind, "LAMBERT", prec, ell), rhs_identity(name, prec), prec)
     return run
 
 
 def _bivariate_agreement(prec):
     n_max = min(12, prec - 1)
-    biv_u, biv_v = ru_bivariate(prec), rv_bivariate(prec)
-    for kind, biv in (("u", biv_u), ("v", biv_v)):
-        for n in range(1, n_max + 1):
-            hist = rank_counts(n, kind)
-            got = {k: int(c) for k, c in biv.coefficient(n).items()}
-            if got != hist:
-                return "FAIL", (n, str(hist), str(got)), f"{kind}-rank histogram at n={n}"
     spez_bound = min(prec, 15)
-    for kind, biv, direct in (("u", biv_u, u_series(prec)), ("v", biv_v, v_series(prec))):
-        mismatch = specialize_one(biv).equal_upto(direct, spez_bound)
+    for kind in ("u", "v"):
+        formal = rank_series(kind, "QBINOMIAL", prec)
+        mismatch = rank_series(kind, "ENUMERATION", n_max + 1).equal_upto(formal)
+        if mismatch is not None:
+            e, lc, rc = mismatch
+            return "FAIL", (e, str(lc), str(rc)), f"{kind}-rank histogram at n={e}"
+        mismatch = formal.specialize_z(QQ).equal_upto(rank_series(kind, "DEFINITION", prec), spez_bound)
         if mismatch is not None:
             e, lc, rc = mismatch
             return "FAIL", (e, str(lc), str(rc)), f"z->1 against the {kind} counting series"
@@ -257,21 +268,20 @@ def _partial_fractions(which):
 
 
 def _three_routes(prec):
-    biv_u, biv_v = ru_bivariate(prec), rv_bivariate(prec)
-    for ell in (3, 5, 7):
-        for label, base, transform, biv in (
-                ("RU", ru_at_root(ell, prec), ru_via_transform(ell, prec), biv_u),
-                ("RV", rv_at_root(ell, prec), rv_via_transform(ell, prec), biv_v)):
-            for route, other in (("transform", transform), ("bivariate", specialize_root(biv, ell))):
-                mismatch = base.equal_upto(other, prec)
+    for kind in ("u", "v"):
+        for ell in (3, 5, 7):
+            base = rank_series(kind, "LAMBERT", prec, ell)
+            for route in ("DEFINITION", "QBINOMIAL"):
+                mismatch = base.equal_upto(rank_series(kind, route, prec, ell), prec)
                 if mismatch is not None:
                     e, lc, rc = mismatch
-                    return "FAIL", (e, str(lc), str(rc)), f"{label} at zeta_{ell}, {route} route"
+                    return ("FAIL", (e, str(lc), str(rc)),
+                            f"R{kind.upper()} at zeta_{ell}, {route} route")
     return "PASS", None, "RU and RV, ell in {3, 5, 7}, both alternate routes"
 
 
 def _ru13_nonzero(prec):
-    c = ru_at_root(13, max(prec, 14)).coefficient(13)
+    c = rank_series("u", "LAMBERT", max(prec, 14), 13).coefficient(13)
     if c.is_zero():
         return "FAIL", (13, "0", "a nonzero element"), ""
     return "PASS", None, f"coefficient of q^13 is {c}"

@@ -7,7 +7,7 @@ stay naive so they can arbitrate against the fast paths they check.
 
 from fractions import Fraction
 
-from qrank.cyclotomic import cyclotomic_field
+from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.quadruples import enumerate_quadruples
 from qrank.series import LaurentSeries
 
@@ -178,6 +178,20 @@ def ref_dissect(valuation: int, coeffs: list, modulus: int, residue: int, zero) 
     """Coefficient list keeping the exponents congruent to residue mod modulus."""
     return [c if (valuation + i) % modulus == residue else zero
             for i, c in enumerate(coeffs)]
+
+
+def ref_specialize_z(coeffs: list, ring) -> list:
+    """z -> 1 (ring QQ) or z -> zeta_l (ring Q(zeta_l)) in a list of Laurent polynomials in z,
+    one term at a time."""
+    if ring is QQ:
+        return [sum(c.coeffs, Fraction(0)) for c in coeffs]
+    out = []
+    for c in coeffs:
+        raw = [Fraction(0)] * ring.ell
+        for k, x in c.items():
+            raw[k % ring.ell] += x
+        out.append(CycQ.from_raw(ring.ell, raw))
+    return out
 
 
 # -- reference series builders -------------------------------------------------

@@ -10,11 +10,9 @@ import time
 import pytest
 
 from qrank import lambert, rankgen
-from qrank.cyclotomic import cyclotomic_field
+from qrank.cyclotomic import QQ, cyclotomic_field
 from qrank.quadruples import class_counts, rank_counts
-from qrank.rankgen import (eval_f, identity_lhs, rhs_identity, ru_at_root,
-                           ru_bivariate, rv_bivariate, specialize_one,
-                           u_series, v_series)
+from qrank.rankgen import eval_f, rank_series, rhs_identity, u_series, v_series
 from qrank.verify import run_check
 
 U_GOLDEN = [1, 5, 15, 44, 105, 252, 539, 1135, 2259, 4390]
@@ -77,7 +75,8 @@ def test_criterion_3_five_identities():
     start = time.perf_counter()
     outcomes = {}
     for name, prec in [("RU3", 60), ("RV3", 60), ("RU5", 60), ("RV5", 60), ("RU7", 120)]:
-        outcomes[name] = identity_lhs(name, prec).equal_upto(rhs_identity(name, prec), prec)
+        lhs = rank_series(name[1].lower(), "LAMBERT", prec, int(name[2:]))
+        outcomes[name] = lhs.equal_upto(rhs_identity(name, prec), prec)
     elapsed = time.perf_counter() - start
     bad = {k: v for k, v in outcomes.items() if v is not None}
     ok = not bad and elapsed < 120.0
@@ -86,13 +85,13 @@ def test_criterion_3_five_identities():
 
 def test_criterion_4_route_agreement():
     start = time.perf_counter()
-    biv_u, biv_v = ru_bivariate(15), rv_bivariate(15)
+    biv_u, biv_v = rank_series("u", "QBINOMIAL", 15), rank_series("v", "QBINOMIAL", 15)
     histograms_ok = all(
         {k: int(c) for k, c in biv.coefficient(n).items()} == rank_counts(n, kind)
         for kind, biv in (("u", biv_u), ("v", biv_v))
         for n in range(1, 13))
-    spez_ok = (specialize_one(biv_u).equal_upto(u_series(15), 15) is None
-               and specialize_one(biv_v).equal_upto(v_series(15), 15) is None)
+    spez_ok = (biv_u.specialize_z(QQ).equal_upto(u_series(15), 15) is None
+               and biv_v.specialize_z(QQ).equal_upto(v_series(15), 15) is None)
     elapsed = time.perf_counter() - start
     _verdict(4, histograms_ok and spez_ok,
              "rank histograms equal bivariate coefficients to n=12; z->1 matches to q^14",
@@ -133,7 +132,7 @@ def test_criterion_6_infrastructure_identities():
 def test_criterion_7_mod13_nonvanishing():
     _clear_caches()
     start = time.perf_counter()
-    coeff = ru_at_root(13, 14).coefficient(13)
+    coeff = rank_series("u", "LAMBERT", 14, 13).coefficient(13)
     elapsed = time.perf_counter() - start
     ok = (not coeff.is_zero()) and elapsed < 30.0
     _verdict(7, ok, "coefficient of q^13 in the mod-13 rank series is nonzero", elapsed)

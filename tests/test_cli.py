@@ -149,8 +149,7 @@ def test_oversized_precision_refused_before_any_work(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the cap must be checked first")
 
-    for target in ("qrank.cli.u_series", "qrank.cli.v_series", "qrank.cli.run_all",
-                   "qrank.qexpr.evaluate"):
+    for target in ("qrank.cli.congruence_scan", "qrank.cli.run_all", "qrank.qexpr.evaluate"):
         monkeypatch.setattr(target, no_work)
     over = str(PREC_MAX + 1)
     for argv in (["coeffs", "--expr", "U()", "--prec", over],

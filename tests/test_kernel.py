@@ -2,10 +2,12 @@
 
 Every property builds random series over QQ, Q(zeta_l) for l in {3, 5, 7, 13}
 and QQ[z, 1/z], runs one kernel operation, and compares the result with the
-schoolbook product, the inverse recurrence or the in-place Pochhammer loop
-run on plain coefficient lists.  Fixed cases take ``poch`` and ``geometric``
-to 60-120 terms, past the sizes Hypothesis draws.  Equality is canonical
-series equality, so valuation, precision and every coefficient must agree.
+schoolbook product, the inverse recurrence, the in-place Pochhammer loop or
+the term-by-term z substitution run on plain coefficient lists.  Fixed cases
+take ``poch`` and ``geometric`` to 60-120 terms, past the sizes Hypothesis
+draws, and ``specialize_z`` across a z-span wider than every l.  Equality is
+canonical series equality, so valuation, precision and every coefficient
+must agree.
 """
 
 from fractions import Fraction
@@ -246,6 +248,31 @@ def test_geometric_to_higher_precision(ring, c, step, prec):
 
 
 # -- structural operations ------------------------------------------------------
+
+
+SPECIALIZE_TARGETS = [QQ] + [cyclotomic_field(ell) for ell in ORDERS]
+
+# den 30, z^-17 .. z^9 across three slots: wider than every l, below z^0
+WIDE_BLOCK = LaurentSeries(ZPOLY, -2, [
+    ZLaurentPoly(-17, [Fraction(1, 3), 0, 2] + [0] * 20 + [Fraction(-5, 6)]),
+    ZPOLY.zero,
+    ZLaurentPoly(-4, [Fraction(7, 10), -1] + [0] * 11 + [Fraction(1, 2)]),
+], 5)
+
+
+@given(series_over(ZPOLY), st.sampled_from(SPECIALIZE_TARGETS))
+def test_specialize_z_matches_reference(a, ring):
+    coeffs = oracles.ref_specialize_z(list(a.coeffs), ring)
+    assert a.specialize_z(ring) == LaurentSeries(ring, a.valuation, coeffs, a.prec)
+
+
+@pytest.mark.parametrize("ring", SPECIALIZE_TARGETS, ids=repr)
+def test_specialize_z_folds_wide_block(ring):
+    assert WIDE_BLOCK.den == 30 and WIDE_BLOCK.zlo == -17
+    coeffs = oracles.ref_specialize_z(list(WIDE_BLOCK.coeffs), ring)
+    assert WIDE_BLOCK.specialize_z(ring) == LaurentSeries(ring, -2, coeffs, 5)
+    with pytest.raises(ValueError):
+        WIDE_BLOCK.specialize_z(QQ).specialize_z(ring)
 
 
 @given(rings.flatmap(series_over), st.integers(min_value=1, max_value=4))

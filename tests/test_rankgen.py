@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from qrank.cyclotomic import cyc_make, cyclotomic_field
+from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.quadruples import rank_counts
-from qrank.rankgen import (_bilateral_rank_sum, eval_f, eval_g, identity_lhs,
+from qrank.rankgen import (ROUTES, _bilateral_rank_sum, eval_f, eval_g,
                            partial_fraction_residual, prefactor_residual,
-                           prod_dissection_residual, rhs_identity,
-                           root_prefactor, ru_at_root, ru_bivariate,
-                           ru_via_transform, rv_at_root, rv_bivariate,
-                           rv_via_transform, specialize_one, specialize_root,
-                           u_series, v_series)
+                           prod_dissection_residual, rank_series, rhs_identity,
+                           root_prefactor, ru_at_root, rv_at_root, u_series,
+                           v_series)
+from qrank.series import ZPOLY
 
 import oracles
 
@@ -97,48 +96,47 @@ def test_ru13_matches_enumeration():
     counts = class_counts_13 = [0] * 13
     for r, c in rank_counts(13, "u").items():
         class_counts_13[r % 13] += c
-    expected = cyc_make(13, [Fraction(c) for c in class_counts_13])
+    expected = CycQ.from_raw(13, [Fraction(c) for c in class_counts_13])
     assert ru_at_root(13, 14).coefficient(13) == expected
 
 
 def test_bivariate_rank_polynomial_at_q3():
-    poly = ru_bivariate(5).coefficient(3)
+    biv = rank_series("u", "QBINOMIAL", 5)
+    poly = biv.coefficient(3)
     assert dict(poly.items()) == {-4: 1, -3: 1, -2: 2, -1: 2, 0: 3,
                                   1: 2, 2: 2, 3: 1, 4: 1}
-    assert poly.eval_at_one() == 15
-    assert ru_bivariate(5).coefficient(1).constant_value() == 1
+    assert biv.specialize_z(QQ).coefficient(3) == 15
+    assert biv.coefficient(1).constant_value() == 1
 
 
 def test_bivariate_histograms():
-    biv_u, biv_v = ru_bivariate(13), rv_bivariate(13)
+    biv_u, biv_v = rank_series("u", "QBINOMIAL", 13), rank_series("v", "QBINOMIAL", 13)
     for n in range(1, 13):
         assert {k: int(c) for k, c in biv_u.coefficient(n).items()} == rank_counts(n, "u")
         assert {k: int(c) for k, c in biv_v.coefficient(n).items()} == rank_counts(n, "v")
 
 
 def test_specialize_one_recovers_counting_series():
-    assert specialize_one(ru_bivariate(15)).equal_upto(u_series(15)) is None
-    assert specialize_one(rv_bivariate(15)).equal_upto(v_series(15)) is None
+    assert rank_series("u", "QBINOMIAL", 15).specialize_z(QQ).equal_upto(u_series(15)) is None
+    assert rank_series("v", "QBINOMIAL", 15).specialize_z(QQ).equal_upto(v_series(15)) is None
 
 
 def test_rank_series_routes_agree():
-    from qrank.rankgen import rank_series
     prec = 11
     for kind in ("u", "v"):
         for ell in (3, 5):
-            tagged = [rank_series(kind, route, prec, ell)
-                      for route in ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")]
-            base = tagged[0].series
-            for other in tagged[1:]:
-                assert other.ell == ell
-                assert base.equal_upto(other.series, prec) is None
+            base, *others = [rank_series(kind, route, prec, ell) for route in ROUTES]
+            for other in others:
+                assert other.ring is cyclotomic_field(ell)
+                assert base.equal_upto(other, prec) is None
         # formal-z routes agree with each other and specialize to z=1 counts
         formal_q = rank_series(kind, "QBINOMIAL", prec)
         formal_e = rank_series(kind, "ENUMERATION", prec)
-        assert formal_q.ell is None
-        assert formal_q.series.equal_upto(formal_e.series, prec) is None
+        assert formal_q.ring is ZPOLY
+        assert formal_q.equal_upto(formal_e, prec) is None
         counts = rank_series(kind, "DEFINITION", prec)
-        assert specialize_one(formal_q.series).equal_upto(counts.series, prec) is None
+        assert counts.ring is QQ
+        assert formal_q.specialize_z(QQ).equal_upto(counts, prec) is None
     with pytest.raises(ValueError):
         rank_series("u", "LAMBERT", 10)
     with pytest.raises(ValueError):
@@ -150,19 +148,18 @@ def test_rank_series_routes_agree():
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_three_routes_agree(ell):
     prec = 21
-    base_u = ru_at_root(ell, prec)
-    assert ru_via_transform(ell, prec).equal_upto(base_u) is None
-    assert specialize_root(ru_bivariate(prec), ell).equal_upto(base_u) is None
-    base_v = rv_at_root(ell, prec)
-    assert rv_via_transform(ell, prec).equal_upto(base_v) is None
-    assert specialize_root(rv_bivariate(prec), ell).equal_upto(base_v) is None
+    for kind in ("u", "v"):
+        base = rank_series(kind, "LAMBERT", prec, ell)
+        assert rank_series(kind, "DEFINITION", prec, ell).equal_upto(base) is None
+        assert rank_series(kind, "QBINOMIAL", prec, ell).equal_upto(base) is None
 
 
 @pytest.mark.parametrize("name,prec", [
     ("RU3", 60), ("RV3", 60), ("RU5", 60), ("RV5", 60), ("RU7", 120),
 ])
 def test_main_identities(name, prec):
-    assert identity_lhs(name, prec).equal_upto(rhs_identity(name, prec), prec) is None
+    lhs = rank_series(name[1].lower(), "LAMBERT", prec, int(name[2:]))
+    assert lhs.equal_upto(rhs_identity(name, prec), prec) is None
 
 
 def test_rhs_rv5_vanishing_families():
