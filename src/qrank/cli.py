@@ -23,10 +23,10 @@ from .verify import PROFILES, check_names, congruence_scan, run_all
 
 SCHEMA_VERSION = 1
 
-# Measured at 1000 on a 2-core x86 machine (Python 3.11, under 30 MB each):
-# the whole `verify --prec` registry 36 s, the u(5n) congruence scan 17 s,
-# `coeffs` of U() 14 s, of RHS(RU7) - RU(7) 2.3 s, of E(1) 0.13 s.  The scan
-# grows about 6.5x per doubling (2.6 s at 500), so 2000 would take minutes.
+# Measured at 1000 on a 2-core x86 machine (Python 3.11, about 31 MB at most):
+# the whole `verify --prec` registry 24-27 s, half of it in SEC5:RU13-q13-nonzero
+# (6.8 s) and INFRA:JTP (5.4 s); `coeffs` of RHS(RU7) - RU(7) 2.5 s, of U()
+# 0.34 s, of E(1) 0.13 s; the u(5n) congruence scan 0.32 s.
 PREC_MAX = 1000
 
 

@@ -52,11 +52,6 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_str(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 class CycQ:
     """An element of Q(zeta_l) as l-1 rational coordinates in the power basis."""
 

@@ -399,7 +399,11 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
 
 
 def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
-    """Evaluate an AST (or expression text) to a series over Q(zeta_ell)."""
+    """Evaluate an AST (or expression text) to a series over Q(zeta_ell), exact below ctx.prec.
+
+    Raises QExprEvalError when the expression is known to less precision,
+    for example a division by a series of positive valuation.
+    """
     if isinstance(node, str):
         node = parse(node)
     field = cyclotomic_field(ctx.ell)
@@ -437,7 +441,12 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
             return _call(n, ctx)
         raise TypeError(f"not an AST node: {n!r}")
 
-    return ev(node).promote(field).truncate(ctx.prec)
+    out = ev(node).promote(field).truncate(ctx.prec)
+    if out.prec < ctx.prec:
+        raise QExprEvalError(
+            f"the result is exact only below q^{int(out.prec)}, short of the requested "
+            f"precision {ctx.prec}", node.pos)
+    return out
 
 
 def _inverse_of(series: LaurentSeries, ctx: EvalCtx) -> LaurentSeries:

@@ -13,19 +13,24 @@ formal, at z = zeta_ell, or at z = 1.
   single sum plus a Gaussian-binomial double sum;
 * ENUMERATION: the rank histograms of ``quadruples.rank_counts``.
 
+``_counting_series``, ``_fg_series`` and ``_bivariate`` each keep one running
+``FactorBlock`` and change it by a few factors (1 - c q^e) whenever the
+smallest part n (and, in ``_bivariate``, the p4 count m) changes, so no term
+builds or inverts its own Pochhammer denominator.
+
 ``rhs_identity`` assembles the E/P/T product forms the five root-of-unity
 identities equate RU and RV at zeta_l to.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import add
 
 from .cyclotomic import QQ, CycQ, cyclotomic_field, is_prime
 from .lambert import E_series, P_series, lambert_t
-from .series import (INF, LaurentSeries, ZPOLY, ZLaurentPoly, gauss_binomial,
-                     geometric, poch)
+from .series import INF, FactorBlock, LaurentSeries, ZPOLY, ZLaurentPoly, geometric, poch
 
 IDENTITY_NAMES = ("RU3", "RV3", "RU5", "RV5", "RU7")
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
@@ -36,17 +41,26 @@ ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
 @lru_cache(maxsize=None)
 def _counting_series(power: int, prec: int) -> LaurentSeries:
-    # sum over the smallest part n of p1: q^(power*n) / ((q^n;q)_inf^3 (q^n;q)_{n+1})
-    acc = LaurentSeries.zero(QQ, prec)
-    n = 1
-    while power * n < prec:
-        base = power * n
-        rel = prec - base
-        block = poch(QQ, 1, n, 1, INF, rel)
-        den = block * block * block * poch(QQ, 1, n, 1, n + 1, rel)
-        acc = acc + den.inverse().shift(base)
-        n += 1
-    return acc
+    """sum over the smallest part n of p1 of q^(power*n) B_n, B_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1}).
+
+    One running block holds B_n, from the largest n down, to the length
+    that n = 1 needs: B_(n-1) is B_n divided four times by (1 - q^(n-1))
+    and multiplied by (1 - q^(2n-1)) and (1 - q^(2n)).
+    """
+    acc = FactorBlock(QQ, prec, 0)
+    top = (prec - 1) // power
+    block = FactorBlock(QQ, prec - power)
+    for e in range(top, prec - power):
+        for _ in range(3 if e > 2 * top else 4):
+            block.factor(1, e, divide=True)
+    for n in range(top, 0, -1):
+        if n < top:
+            for _ in range(4):
+                block.factor(1, n, divide=True)
+            block.factor(1, 2 * n + 1)
+            block.factor(1, 2 * n + 2)
+        acc.add(block, power * n)
+    return acc.series(prec)
 
 
 def u_series(prec: int) -> LaurentSeries:
@@ -153,33 +167,45 @@ def rv_at_root(ell: int, prec: int) -> LaurentSeries:
 
 
 def _fg_series(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int, power: int) -> LaurentSeries:
+    """(q;q)_inf/(z, 1/z, rho1, rho2; q)_inf times sum_n s^n q^(power*n) prod_c (c;q)_n/(q;q)_(2n),
+    s = 1/(rho1 rho2), c over z, 1/z, rho1, rho2.
+
+    The factors (1 - c) of (c;q)_n and of the prefactor cancel, so the sum
+    runs over s^n R_n, R_n = prod_c (cq;q)_(n-1)/(q;q)_(2n), one running
+    block: s^(n+1) R_(n+1) is s^n R_n times s and the four (1 - c q^n),
+    divided by (1 - q^(2n+1)) and (1 - q^(2n+2)).  The remaining prefactor
+    (q;q)_inf/prod_c (cq;q)_inf is applied to the sum in place.
+    """
     ell = z.ell
     if rho1.ell != ell or rho2.ell != ell:
         raise ValueError("rho1, rho2 and z must live in the same cyclotomic field")
     field = cyclotomic_field(ell)
-    one = field.one
     zinv = z.inverse()
     for label, c in (("z", z), ("1/z", zinv), ("rho1", rho1), ("rho2", rho2)):
-        if c == one:
+        if c == field.one:
             raise ValueError(
                 f"{label} = 1 makes the prefactor vanish; use the direct counting series for that case")
-    pref_den = poch(field, z, 0, 1, INF, prec) * poch(field, zinv, 0, 1, INF, prec) \
-        * poch(field, rho1, 0, 1, INF, prec) * poch(field, rho2, 0, 1, INF, prec)
-    pref = poch(QQ, 1, 1, 1, INF, prec) * pref_den.inverse()
+    args = (z, zinv, rho1, rho2)
     s = (rho1 * rho2).inverse()
-    num = LaurentSeries.const(field, one, prec)
-    inv_den = LaurentSeries.const(QQ, 1, prec)
-    spow = one
-    acc = LaurentSeries.zero(field, prec)
+    acc = FactorBlock(field, prec, 0)
+    term = FactorBlock(field, prec - power)
+    term.factor(1, 1, divide=True)
+    term.factor(1, 2, divide=True)
     n = 1
     while power * n < prec:
-        for c in (z, zinv, rho1, rho2):
-            num = num * LaurentSeries.from_items(field, [(0, one), (n - 1, -c)], prec)
-        inv_den = inv_den * geometric(QQ, 1, 2 * n - 1, prec) * geometric(QQ, 1, 2 * n, prec)
-        spow = spow * s
-        acc = acc + (num * inv_den).scale(spow).shift(power * n)
+        if n > 1:
+            for c in args:
+                term.factor(c, n - 1)
+            term.factor(1, 2 * n - 1, divide=True)
+            term.factor(1, 2 * n, divide=True)
+        term.scale(s)
+        acc.add(term, power * n)
         n += 1
-    return pref * acc
+    for e in range(1, prec - power):  # the sum starts at q^power: higher factors act as 1
+        acc.factor(1, e)
+        for c in args:
+            acc.factor(c, e, divide=True)
+    return acc.series(prec)
 
 
 def eval_f(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int) -> LaurentSeries:
@@ -197,34 +223,52 @@ def eval_g(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _bivariate(power: int, prec: int) -> LaurentSeries:
-    ring = ZPOLY
-    one = ring.one
-    z = ZLaurentPoly.monomial(1)
-    z2 = ZLaurentPoly.monomial(2)
-    z2i = ZLaurentPoly.monomial(-2)
-    acc = LaurentSeries.zero(ring, prec)
-    n = 1
-    while power * n < prec:
+    """RU(z, q) (power 1) or RV(z, q) (power 2) over QQ[z, 1/z], by the smallest part n of p1.
+
+    The terms with p4 empty are q^(power*n) E_n, E_n = 1/(z q^n, z^2 q^n,
+    z^-2 q^n; q)_inf; one running block holds E_n from the largest n down,
+    and E_(n-1) is E_n divided by the three factors at q^(n-1).  p4 with m
+    parts, each in [n, 2n], contributes
+
+        z^-m q^(power*n + n*m) [n+m choose m]_q / ((1 - z q^n) (q^(n+1);q)_m
+            (z q^(n+m+1), z^2 q^n, z^-2 q^n; q)_inf),
+
+    and [n+m choose m]_q / (q^(n+1);q)_m = 1/(q;q)_m, because
+    (q^(n+1);q)_m = (q;q)_(n+m) / (q;q)_n.  The term is therefore
+    z^-m q^(power*n + n*m) W_(n,m) with W_(n,0) = E_n and
+    W_(n,m) = W_(n,m-1) (1 - z q^(n+m))/(1 - q^m): a copy of the head block
+    carries z^-m W_(n,m), two factors and a shift of z per term.
+
+    Every block has non-negative coefficients, and at z = 1 each term is at
+    most q^(n(power+m)) / (q;q)_inf^4 coefficientwise; summed over n and m
+    that is at most q/(1-q)^2 (q;q)_inf^-4 <= q (q;q)_inf^-6, whose
+    coefficient of q^i, the count of 6-coloured partitions of i - 1, is below
+    exp(2 pi sqrt(i - 1)) (Apostol, Thm 14.5, with 6 colours).  That bounds
+    every coefficient of the sum, and sizes the packed z-digits.
+    """
+    bound = 1 << (int(2 * math.pi * math.sqrt(max(prec - 2, 0)) / math.log(2)) + 2)
+    z, z2, z2i, zinv = (ZLaurentPoly.monomial(k) for k in (1, 2, -2, -1))
+    acc = FactorBlock(ZPOLY, prec, 0, bound)
+    top = (prec - 1) // power
+    head = FactorBlock(ZPOLY, prec - power, 1, bound)
+    for e in range(top, prec - power):
+        for c in (z, z2, z2i):
+            head.factor(c, e, divide=True)
+    for n in range(top, 0, -1):
+        if n < top:
+            for c in (z, z2, z2i):
+                head.factor(c, n, divide=True)
         base = power * n
-        rel = prec - base
-        # p4 empty: q^(power n) / (z q^n, z^2 q^n, z^-2 q^n; q)_inf
-        head = poch(ring, z, n, 1, INF, rel) * poch(ring, z2, n, 1, INF, rel) \
-            * poch(ring, z2i, n, 1, INF, rel)
-        acc = acc + head.inverse().shift(base)
-        # p4 with m parts, each in [n, 2n]: the z^-m q^(nm) Gaussian-binomial block
+        acc.add(head, base)
+        term = head.copy(prec - base - n)
         m = 1
         while base + n * m < prec:
-            rel2 = prec - base - n * m
-            den = LaurentSeries.from_items(ring, [(0, one), (n, ZLaurentPoly.monomial(1, -1))], rel2)
-            den = den * poch(QQ, 1, n + 1, 1, m, rel2)
-            den = den * poch(ring, z, n + m + 1, 1, INF, rel2)
-            den = den * poch(ring, z2, n, 1, INF, rel2)
-            den = den * poch(ring, z2i, n, 1, INF, rel2)
-            term = den.inverse() * gauss_binomial(n, m)
-            acc = acc + term.scale(ZLaurentPoly.monomial(-m)).shift(base + n * m)
+            term.factor(z, n + m)
+            term.factor(1, m, divide=True)
+            term.scale(zinv)
+            acc.add(term, base + n * m)
             m += 1
-        n += 1
-    return acc
+    return acc.series(prec)
 
 
 # -- the route table ------------------------------------------------------------

@@ -34,7 +34,13 @@ All dense arithmetic runs on integers:
 * ``geometric`` runs no Newton iteration: it writes the integer coordinates
   of c^k directly, and once c^k = 1 tiles the period into the block;
 * ``specialize_z`` substitutes z -> zeta_l or z -> 1 by adding the z-columns
-  of a QQ[z, 1/z] block into their residues mod l.
+  of a QQ[z, 1/z] block into their residues mod l;
+* ``FactorBlock`` is a mutable block that is multiplied or divided in place
+  by one factor (1 - c q^e) at a time, O(n) integer additions each: a plain
+  add over QQ, a rotation of residue vectors for c = zeta^k over Q(zeta_l),
+  a digit shift of packed per-slot z-integers for c = z^k over QQ[z, 1/z],
+  and in general the lifted integer coordinates of c.  Generating functions
+  whose terms differ by a few such factors keep one running block.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ import sys
 from array import array
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, count, repeat
+from functools import lru_cache
+from itertools import accumulate, compress, count, repeat
 from operator import add, and_, floordiv, lshift, mul, neg, or_, rshift, sub
 
 from .cyclotomic import QQ, CycQ, as_rational, cyclotomic_field, rational_str
@@ -526,10 +533,6 @@ class LaurentSeries:
             if any(data[i * w:(i + 1) * w]):
                 yield self.valuation + i, self._view(i)
 
-    def coefficient_range(self, lo: int, hi: int) -> list:
-        """Coefficients of q^lo .. q^(hi-1); all must be below prec."""
-        return [self.coefficient(e) for e in range(lo, hi)]
-
     # -- ring operations --------------------------------------------------
 
     def _layout(self, ring):
@@ -951,6 +954,212 @@ def _pochhammer(ring, c, exps, n: int, prec) -> LaurentSeries:
     if fold:
         return _make(ring, 0, den ** factors, _reduce_residues(raw, ell, stride), ell - 1, 0, prec)
     return _make(ring, 0, den ** factors, raw, stride, -base, prec)
+
+
+# -- the in-place factor kernel ----------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _factor_terms(ring, c, bits: int):
+    """(d, clo, [(k, m), ...]) with c = z^clo sum m x^k / d over the integers m.
+
+    x is the rotation zeta over Q(zeta_l), acting on residue vectors, with
+    the lifted coordinates of c; over QQ[z, 1/z] there is one term, the
+    coordinates of c packed in base 2^bits; over QQ, the numerator of c.
+    """
+    den, coords, clo = ring.split(c)
+    if ring is ZPOLY:
+        coords = [sum(x << (j * bits) for j, x in enumerate(coords))]
+    elif ring is not QQ:
+        coords = _cyclic_lift(coords)
+    return den, clo, [(k, m) for k, m in enumerate(coords) if m]
+
+
+def _rotated(src: list, width: int, k: int) -> list:
+    """src with coordinate j of every slot of ``width`` moved to (j + k) mod width.
+
+    One roll of the whole list moves every coordinate but the min(k, width - k)
+    that wrap into the neighbouring slot; those columns are then copied in.
+    """
+    if k == 0:
+        return src
+    if 2 * k <= width:
+        out = src[-k:] + src[:-k]
+        for j in range(k):
+            out[j::width] = src[width - k + j::width]
+    else:
+        out = src[width - k:] + src[:width - k]
+        for j in range(k, width):
+            out[j::width] = src[j - k::width]
+    return out
+
+
+def _apply(data: list, width: int, start: int, src: list, terms, shift: int, op) -> None:
+    """data[start:start + len(src)] op= c times src, slot by slot, c given by ``terms``.
+
+    A term (k, m) moves coordinate j of a slot to coordinate (j + k) mod
+    width, times m, and shifts left by ``shift`` bits (the packed z-digits).
+    A target running past the end of data is cut there.
+    """
+    target = slice(start, start + len(src))
+    for k, m in terms:
+        part = _rotated(src, width, k)
+        if m != 1:
+            part = map(mul, part, repeat(m))
+        if shift:
+            part = map(lshift, part, repeat(shift))
+        data[target] = map(op, data[target], part)
+
+
+class FactorBlock:
+    """A power series in q to n terms as a mutable integer block, changed in place
+    by one factor (1 - c q^e) at a time.
+
+    The block holds ``n`` slots, one per power q^0 .. q^(n-1), over one
+    common denominator ``den``:
+
+    * over QQ a slot is one integer;
+    * over Q(zeta_l) a slot is a residue vector of l integers, the
+      coefficients of 1, zeta, ..., zeta^(l-1), so multiplying by zeta^k
+      rotates it; ``series`` reduces it to the power basis once;
+    * over QQ[z, 1/z] a slot is one integer, the Laurent polynomial P_i in z
+      evaluated at X = 2^bits times X^(tilt*i + base), so multiplying by z^k
+      shifts its digits.  Evaluation at X is a ring map, so the packed slots
+      stay exact whatever sizes they pass through; only ``series`` unpacks
+      them, and ``bound`` must bound every integer coordinate it reads.
+      ``scale`` by z^k lowers base by k; tilt and base grow on demand so
+      that every stored power of X stays non-negative and no shift runs
+      right.
+
+    Multiplying by (1 - c q^e), c = C/d, sets slot i to d slot_i - C slot_(i-e)
+    and multiplies den by d.  Dividing solves slot_i = x_i + c slot_(i-e)
+    from the low slots up, e slots at a time: with the block first scaled by
+    d^K, K = (n-1)//e, the slots of the k-th group are divisible by d^(K-k),
+    so each group adds C (previous group // d) exactly.  Every operation is
+    exact in the power series ring truncated at q^n, so factors may be
+    applied in any order.
+    """
+
+    __slots__ = ("ring", "width", "den", "data", "bits", "tilt", "base")
+
+    def __init__(self, ring, n: int, value: int = 1, bound: int = 1):
+        """The constant ``value`` to n terms; ``bound`` matters only over QQ[z, 1/z]."""
+        self.ring = ring
+        self.width = 1 if ring is QQ or ring is ZPOLY else ring.ell
+        self.den = 1
+        self.data = [0] * (max(n, 0) * self.width)
+        if self.data:
+            self.data[0] = value
+        self.bits = 8 * _digit_bytes(bound) if ring is ZPOLY else 0
+        self.tilt = self.base = 0
+
+    def copy(self, n: int) -> "FactorBlock":
+        """The first n terms as a new block."""
+        out = object.__new__(FactorBlock)
+        for name in FactorBlock.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.data = self.data[:max(n, 0) * self.width]
+        return out
+
+    def _lift(self, tilt: int, base: int) -> None:
+        """Re-lay a QQ[z, 1/z] block with at least this tilt and base."""
+        tilt, base = max(tilt, self.tilt), max(base, self.base)
+        if (tilt, base) != (self.tilt, self.base):
+            dt, db, bits = tilt - self.tilt, base - self.base, self.bits
+            self.data = [x << ((dt * i + db) * bits) for i, x in enumerate(self.data)]
+            self.tilt, self.base = tilt, base
+
+    def factor(self, c, e: int, divide: bool = False) -> None:
+        """Multiply the block by (1 - c q^e), or divide it by that factor, for e >= 1."""
+        if e < 1:
+            raise ValueError(f"factor exponent must be >= 1, got {e}")
+        w = self.width
+        n = len(self.data) // w
+        d, clo, terms = _factor_terms(self.ring, c, self.bits)
+        if e >= n or not terms:
+            return
+        shift = 0
+        if self.bits:
+            self._lift(-(clo // e), self.base)
+            shift = (clo + self.tilt * e) * self.bits
+        data = self.data
+        if not divide:
+            prev = data[:(n - e) * w]
+            if d != 1:
+                data = self.data = list(map(mul, data, repeat(d)))
+                self.den *= d
+            _apply(data, w, e * w, prev, terms, shift, sub)
+            return
+        step = e * w
+        if d == 1 and len(terms) == 1 and terms[0][0] == 0 and e * step < n:
+            # c = m or m z^clo, and fewer residue classes mod e than groups
+            # of e slots: each class is one running sum, in one C-level pass
+            m = terms[0][1]
+            running = add if m == 1 and not shift else (lambda a, x: x + (a * m << shift))
+            for j in range(step):
+                data[j::step] = accumulate(data[j::step], running)
+            return
+        if d != 1:
+            scale = d ** ((n - 1) // e)
+            data = self.data = list(map(mul, data, repeat(scale)))
+            self.den *= scale
+        for lo in range(step, len(data), step):
+            prev = data[lo - step:lo]
+            if d != 1:
+                prev = [x // d for x in prev]
+            _apply(data, w, lo, prev, terms, shift, add)
+
+    def scale(self, c) -> None:
+        """Multiply the block in place by the scalar c."""
+        d, clo, terms = _factor_terms(self.ring, c, self.bits)
+        if terms != [(0, 1)]:
+            src = self.data
+            self.data = [0] * len(src)
+            _apply(self.data, self.width, 0, src, terms, 0, add)
+        self.den *= d
+        self.base -= clo
+
+    def add(self, other: "FactorBlock", shift: int = 0) -> None:
+        """Add q^shift times ``other`` (same ring and bound) to this block's terms."""
+        w = self.width
+        count = min(len(other.data) // w, len(self.data) // w - shift)
+        if count <= 0:
+            return
+        den = math.lcm(self.den, other.den)
+        if den != self.den:
+            self.data = list(map(mul, self.data, repeat(den // self.den)))
+            self.den = den
+        terms = [(0, den // other.den)]
+        bits = 0
+        if self.bits:
+            tilt = max(self.tilt, other.tilt)
+            other._lift(tilt, other.base)
+            self._lift(tilt, other.base - tilt * shift)
+            bits = (tilt * shift + self.base - other.base) * self.bits
+        _apply(self.data, w, shift * w, other.data[:count * w], terms, bits, add)
+
+    def series(self, prec) -> "LaurentSeries":
+        """The block as a LaurentSeries from q^0, exact below prec."""
+        ring, w, data = self.ring, self.width, self.data
+        if ring is QQ:
+            return _make(QQ, 0, self.den, data[:], 1, 0, prec)
+        if ring is not ZPOLY:
+            return _make(ring, 0, self.den, _reduce_residues(data, w, w), w - 1, 0, prec)
+        k, rows = self.bits // 8, []
+        for i, x in enumerate(data):
+            if x:
+                digits = _unpack(x, abs(x).bit_length() // self.bits + 2, k)
+                lo, hi = _first_nonzero(digits), len(digits) - _first_nonzero(digits[::-1])
+                rows.append((i, lo - self.tilt * i - self.base, digits[lo:hi]))
+        if not rows:
+            return LaurentSeries.zero(ZPOLY, prec)
+        zlo = min(z for _, z, _ in rows)
+        width = max(z + len(digits) for _, z, digits in rows) - zlo
+        flat = [0] * (len(data) * width)
+        for i, z, digits in rows:
+            start = i * width + z - zlo
+            flat[start:start + len(digits)] = digits
+        return _make(ZPOLY, 0, self.den, flat, width, zlo, prec)
 
 
 # -- product and sum builders ------------------------------------------------

@@ -129,19 +129,17 @@ def _identity_check(name):
 
 
 def _bivariate_agreement(prec):
-    n_max = min(12, prec - 1)
-    spez_bound = min(prec, 15)
     for kind in ("u", "v"):
         formal = rank_series(kind, "QBINOMIAL", prec)
-        mismatch = rank_series(kind, "ENUMERATION", n_max + 1).equal_upto(formal)
+        mismatch = rank_series(kind, "ENUMERATION", prec).equal_upto(formal)
         if mismatch is not None:
             e, lc, rc = mismatch
             return "FAIL", (e, str(lc), str(rc)), f"{kind}-rank histogram at n={e}"
-        mismatch = formal.specialize_z(QQ).equal_upto(rank_series(kind, "DEFINITION", prec), spez_bound)
+        mismatch = formal.specialize_z(QQ).equal_upto(rank_series(kind, "DEFINITION", prec))
         if mismatch is not None:
             e, lc, rc = mismatch
             return "FAIL", (e, str(lc), str(rc)), f"z->1 against the {kind} counting series"
-    return "PASS", None, f"rank histograms to n={n_max}; z->1 to order {spez_bound}"
+    return "PASS", None, f"rank histograms to n={prec - 1}; z->1 to order {prec}"
 
 
 def _class_equality_check(key):
@@ -310,7 +308,8 @@ def _build_registry() -> dict[str, _Check]:
         registry[f"THM11:{key}"] = _Check(_congruence_check(family, mod, residue), 105, 40)
     for name in ("RU3", "RV3", "RU5", "RV5", "RU7"):
         registry[f"THM12:{name}"] = _Check(_identity_check(name), 120 if name == "RU7" else 60, 40)
-    registry["THM13:bivariate-agreement"] = _Check(_bivariate_agreement, 21, 9, max_prec=23)
+    registry["THM13:bivariate-agreement"] = _Check(_bivariate_agreement, 21, 9,
+                                                   max_prec=CLASSES_MAX_N)
     for key in CLASS_FAMILIES:
         registry[f"THM13:classes-{key}"] = _Check(_class_equality_check(key), 14, 8,
                                                    max_prec=CLASSES_MAX_N)
@@ -326,7 +325,7 @@ def _build_registry() -> dict[str, _Check]:
     registry["INFRA:PartialFractions-V"] = _Check(_partial_fractions("v"), 60, 40)
     registry["INFRA:Prefactor-5"] = _Check(_prefactor(5), 60, 40)
     registry["INFRA:Prefactor-7"] = _Check(_prefactor(7), 60, 40)
-    registry["INFRA:three-routes"] = _Check(_three_routes, 21, 11, max_prec=23)
+    registry["INFRA:three-routes"] = _Check(_three_routes, 21, 11, max_prec=120)
     registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14)
     registry["SEC5:F13-grid-q13-nonzero"] = _Check(_f13_grid, 14, 14, long=True)
     return registry

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.quadruples import enumerate_quadruples
-from qrank.series import LaurentSeries
+from qrank.series import INF, ZPOLY, LaurentSeries, ZLaurentPoly, gauss_binomial, geometric, poch
 
 
 def pentagonal_coeffs(prec: int) -> dict[int, int]:
@@ -238,6 +238,85 @@ def ref_bilateral_rank_sum(ell: int, prec: int, offset: int):
     while j * (j + offset) // 2 + 2 * (-j) < prec:
         add_term(j)
         j -= 1
+    return acc
+
+
+# -- reference generating functions --------------------------------------------
+#
+# The builders that qrank.rankgen rebuilt on the in-place FactorBlock kernel:
+# every term's Pochhammer denominator is a forward product from ``poch``
+# inverted by Newton iteration, with the Gaussian binomial of each bivariate
+# term expanded on its own.
+
+
+def ref_counting_series(power: int, prec: int):
+    """sum_n q^(power*n) / ((q^n;q)_inf^3 (q^n;q)_{n+1}), one Newton inverse per n."""
+    acc = LaurentSeries.zero(QQ, prec)
+    n = 1
+    while power * n < prec:
+        base = power * n
+        rel = prec - base
+        block = poch(QQ, 1, n, 1, INF, rel)
+        den = block * block * block * poch(QQ, 1, n, 1, n + 1, rel)
+        acc = acc + den.inverse().shift(base)
+        n += 1
+    return acc
+
+
+def ref_fg_series(rho1, rho2, z, prec: int, power: int):
+    """(q;q)_inf/(z,1/z,rho1,rho2;q)_inf sum_n (rho1 rho2)^-n q^(power*n)
+    prod_c (c;q)_n/(q;q)_{2n}, the numerator and denominator of each term as
+    running products and the prefactor as one Newton inverse."""
+    field = cyclotomic_field(z.ell)
+    one = field.one
+    zinv = z.inverse()
+    pref_den = poch(field, z, 0, 1, INF, prec) * poch(field, zinv, 0, 1, INF, prec) \
+        * poch(field, rho1, 0, 1, INF, prec) * poch(field, rho2, 0, 1, INF, prec)
+    pref = poch(QQ, 1, 1, 1, INF, prec) * pref_den.inverse()
+    s = (rho1 * rho2).inverse()
+    num = LaurentSeries.const(field, one, prec)
+    inv_den = LaurentSeries.const(QQ, 1, prec)
+    spow = one
+    acc = LaurentSeries.zero(field, prec)
+    n = 1
+    while power * n < prec:
+        for c in (z, zinv, rho1, rho2):
+            num = num * LaurentSeries.from_items(field, [(0, one), (n - 1, -c)], prec)
+        inv_den = inv_den * geometric(QQ, 1, 2 * n - 1, prec) * geometric(QQ, 1, 2 * n, prec)
+        spow = spow * s
+        acc = acc + (num * inv_den).scale(spow).shift(power * n)
+        n += 1
+    return pref * acc
+
+
+def ref_bivariate(power: int, prec: int):
+    """The exact bivariate rank series: per n the head 1/(z q^n, z^2 q^n, z^-2 q^n; q)_inf,
+    and per (n, m) a Gaussian binomial over its full Pochhammer denominator."""
+    ring = ZPOLY
+    one = ring.one
+    z = ZLaurentPoly.monomial(1)
+    z2 = ZLaurentPoly.monomial(2)
+    z2i = ZLaurentPoly.monomial(-2)
+    acc = LaurentSeries.zero(ring, prec)
+    n = 1
+    while power * n < prec:
+        base = power * n
+        rel = prec - base
+        head = poch(ring, z, n, 1, INF, rel) * poch(ring, z2, n, 1, INF, rel) \
+            * poch(ring, z2i, n, 1, INF, rel)
+        acc = acc + head.inverse().shift(base)
+        m = 1
+        while base + n * m < prec:
+            rel2 = prec - base - n * m
+            den = LaurentSeries.from_items(ring, [(0, one), (n, ZLaurentPoly.monomial(1, -1))], rel2)
+            den = den * poch(QQ, 1, n + 1, 1, m, rel2)
+            den = den * poch(ring, z, n + m + 1, 1, INF, rel2)
+            den = den * poch(ring, z2, n, 1, INF, rel2)
+            den = den * poch(ring, z2i, n, 1, INF, rel2)
+            term = den.inverse() * gauss_binomial(n, m)
+            acc = acc + term.scale(ZLaurentPoly.monomial(-m)).shift(base + n * m)
+            m += 1
+        n += 1
     return acc
 
 

@@ -59,6 +59,14 @@ def test_coeffs_bad_expression_is_usage_error():
     assert "offset" in err
 
 
+def test_coeffs_precision_shortfall_is_usage_error():
+    # 1/E(1) is known to q^3, so q^-3/E(1) only below q^0
+    code, out, err = run_cli("coeffs", "--expr", "q^-3/E(1)", "--prec", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "below q^0" in err and "precision 3" in err
+
+
 def test_ranktable_matches_worked_example():
     code, out, _ = run_cli("ranktable", "3", "--kind", "u", "--format", "json")
     assert code == 0

@@ -3,11 +3,13 @@
 Every property builds random series over QQ, Q(zeta_l) for l in {3, 5, 7, 13}
 and QQ[z, 1/z], runs one kernel operation, and compares the result with the
 schoolbook product, the inverse recurrence, the in-place Pochhammer loop or
-the term-by-term z substitution run on plain coefficient lists.  Fixed cases
-take ``poch`` and ``geometric`` to 60-120 terms, past the sizes Hypothesis
-draws, and ``specialize_z`` across a z-span wider than every l.  Equality is
-canonical series equality, so valuation, precision and every coefficient
-must agree.
+the term-by-term z substitution run on plain coefficient lists;
+``FactorBlock`` applies random sequences of factors (1 - c q^e) and their
+inverses, checked against products of the in-place loop and the inverse
+recurrence.  Fixed cases take ``poch`` and ``geometric`` to 60-120 terms,
+past the sizes Hypothesis draws, and ``specialize_z`` across a z-span wider
+than every l.  Equality is canonical series equality, so valuation,
+precision and every coefficient must agree.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
-from qrank.series import (INF, LaurentSeries, ZLaurentPoly, ZPOLY, _digit_bytes,
+from qrank.series import (INF, FactorBlock, LaurentSeries, ZLaurentPoly, ZPOLY, _digit_bytes,
                           _pack, _unpack, geometric, poch)
 
 import oracles
@@ -245,6 +247,79 @@ NON_ROOTS = [
 @pytest.mark.parametrize("ring, c", ROOTS_OF_UNITY + NON_ROOTS)
 def test_geometric_to_higher_precision(ring, c, step, prec):
     assert geometric(ring, c, step, prec) == expected_geometric(ring, c, step, prec)
+
+
+# -- the in-place factor kernel -------------------------------------------------
+
+
+def factor_scalars(ring):
+    """The c of the factors (1 - c q^e) drawn over each ring."""
+    base = [1, -1, 2]
+    if ring is QQ:
+        return base + [Fraction(1, 2)]
+    if ring is ZPOLY:
+        return base + [ZLaurentPoly.monomial(k) for k in (-3, -2, -1, 1, 2, 3)]
+    return base + [ring.zeta(k) for k in range(1, ring.ell)] + [ring.one + ring.zeta(3),
+                                                               ring.zeta(2) / 3]
+
+
+@st.composite
+def factor_case(draw):
+    ring = draw(rings)
+    scalars = st.sampled_from(factor_scalars(ring))
+    n = draw(st.integers(min_value=1, max_value=14))
+    ops = draw(st.lists(st.tuples(scalars, st.sampled_from((1, 2, 5)), st.booleans()),
+                        min_size=1, max_size=4))
+    return ring, n, ops, draw(scalars), draw(st.integers(min_value=0, max_value=4))
+
+
+def expected_factors(ring, n, ops):
+    """prod (1 - c q^e)^(-1 if divide else 1) to n terms, from the reference loops."""
+    coeffs = [ring.one] + [ring.zero] * (n - 1)
+    for c, e, divide in ops:
+        factor = oracles.ref_poch(ring.of(c), e, 1, 1, n, ring.one, ring.zero)
+        if divide:
+            factor = oracles.ref_inverse(factor, n, ring.one, ring.zero)
+        coeffs = oracles.ref_mul(coeffs, factor, n, ring.zero)
+    return LaurentSeries(ring, 0, coeffs, n)
+
+
+def coordinate_bound(*series):
+    # every c drawn over ZPOLY is integral, so the coordinates are the coefficients
+    return max([abs(x) for s in series for x in s.data], default=1)
+
+
+@given(factor_case())
+@example((ZPOLY, 12, [(ZLaurentPoly.monomial(-3), 1, True), (ZLaurentPoly.monomial(2), 2, False)],
+          ZLaurentPoly.monomial(-2), 0))
+@example((cyclotomic_field(13), 14, [(cyclotomic_field(13).zeta(12), 1, True),
+                                     (cyclotomic_field(13).zeta(2) / 3, 2, True)], 2, 3))
+def test_factor_block_matches_poch_and_inverse(case):
+    ring, n, ops, _, _ = case
+    expected = expected_factors(ring, n, ops)
+    block = FactorBlock(ring, n, 1, coordinate_bound(expected))
+    for c, e, divide in ops:
+        block.factor(c, e, divide)
+    assert block.series(n) == expected
+
+
+@given(factor_case())
+def test_factor_block_scale_copy_and_add(case):
+    ring, n, ops, c, shift = case
+    expected = expected_factors(ring, n, ops)
+    one = LaurentSeries.const(ring, ring.one, n)
+    part = (expected.truncate(max(n - shift, 0)).scale(c).shift(shift)
+            if shift < n else LaurentSeries.zero(ring, n))
+    total = (one + part).truncate(n)
+    bound = coordinate_bound(expected, total)
+    block = FactorBlock(ring, n, 1, bound)
+    for f, e, divide in ops:
+        block.factor(f, e, divide)
+    acc = FactorBlock(ring, n, 1, bound)
+    block.scale(c)
+    acc.add(block.copy(n - shift), shift)
+    assert acc.series(n) == total
+    assert FactorBlock(ring, n, 0, bound).series(n) == LaurentSeries.zero(ring, n)
 
 
 # -- structural operations ------------------------------------------------------

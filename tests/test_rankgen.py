@@ -4,8 +4,8 @@ import pytest
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.quadruples import rank_counts
-from qrank.rankgen import (ROUTES, _bilateral_rank_sum, eval_f, eval_g,
-                           partial_fraction_residual, prefactor_residual,
+from qrank.rankgen import (ROUTES, _bilateral_rank_sum, _bivariate, _counting_series,
+                           _fg_series, eval_f, eval_g, partial_fraction_residual, prefactor_residual,
                            prod_dissection_residual, rank_series, rhs_identity,
                            root_prefactor, ru_at_root, rv_at_root, u_series,
                            v_series)
@@ -38,6 +38,48 @@ def test_u_minus_v_at_q1():
 @pytest.mark.parametrize("ell", (3, 5, 7, 13))
 def test_bilateral_sum_matches_term_by_term(ell, offset, prec):
     assert _bilateral_rank_sum(ell, prec, offset) == oracles.ref_bilateral_rank_sum(ell, prec, offset)
+
+
+# The running-block builders against the per-term Newton references they
+# replaced; the cached builders are called through __wrapped__ so each case
+# builds afresh.
+
+
+@pytest.mark.parametrize("prec", (-1, 0, 1, 2, 3, 30, 60))
+@pytest.mark.parametrize("power", (1, 2))
+def test_counting_series_matches_newton_reference(power, prec):
+    assert _counting_series.__wrapped__(power, prec) == oracles.ref_counting_series(power, prec)
+
+
+@pytest.mark.parametrize("prec", (1, 2, 3, 14, 60))
+@pytest.mark.parametrize("ell", (3, 7, 13))
+def test_fg_series_matches_newton_reference(ell, prec):
+    f = cyclotomic_field(ell)
+    args = (f.zeta(2), f.zeta(-2), f.zeta(1))
+    for power in (1, 2):
+        assert _fg_series(*args, prec, power) == oracles.ref_fg_series(*args, prec, power)
+
+
+def test_eval_f_and_g_match_newton_reference_off_the_route():
+    # rho1 rho2 != 1, and arguments with denominators 3 and 2
+    f5 = cyclotomic_field(5)
+    for rho1, rho2, z in ((f5.zeta(1), f5.zeta(3), f5.zeta(2)),
+                          (f5.zeta(1) / 3, f5.one + f5.zeta(3), f5.zeta(2) * Fraction(1, 2))):
+        for prec in (1, 9, 30):
+            assert eval_f(rho1, rho2, z, prec) == oracles.ref_fg_series(rho1, rho2, z, prec, 1)
+            assert eval_g(rho1, rho2, z, prec) == oracles.ref_fg_series(rho1, rho2, z, prec, 2)
+
+
+@pytest.mark.parametrize("prec", (-1, 0, 1, 2, 3, 9, 21, 40))
+@pytest.mark.parametrize("power", (1, 2))
+def test_bivariate_matches_newton_reference(power, prec):
+    assert _bivariate.__wrapped__(power, prec) == oracles.ref_bivariate(power, prec)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("power", (1, 2))
+def test_bivariate_matches_newton_reference_deep(power):
+    assert _bivariate.__wrapped__(power, 60) == oracles.ref_bivariate(power, 60)
 
 
 def test_eval_f_is_ru_at_root():
