@@ -3,9 +3,10 @@
 The base scalar is ``fractions.Fraction``.  ``CycQ`` is an element of Q(zeta_l)
 for a prime l >= 3, stored in the power basis 1, zeta, ..., zeta^(l-2).  The
 top power is eliminated through 1 + zeta + ... + zeta^(l-1) = 0, so equality
-is a plain coordinate comparison.  Inverses are computed by solving the
-(l-1) x (l-1) linear system of multiplication-by-a over the rationals, which
-is exact and entirely adequate at degree <= 12.
+is a plain coordinate comparison.  A unit monomial c zeta^k inverts to
+(1/c) zeta^-k directly; any other element by solving the (l-1) x (l-1)
+linear system of multiplication-by-a over the rationals, which is exact and
+entirely adequate at degree <= 12.
 
 The coefficient-ring adapters (``QQ``, ``cyclotomic_field(l)``) also translate
 between single elements and the integer form that ``LaurentSeries`` stores:
@@ -192,9 +193,28 @@ class CycQ:
         return CycQ(self.ell, shifted)
 
     def inverse(self) -> "CycQ":
-        """Multiplicative inverse via an exact linear solve."""
+        """Multiplicative inverse: (1/c) zeta^-k for a unit monomial c zeta^k, else a linear solve.
+
+        c zeta^k has one nonzero coordinate for k <= l-2; for k = l-1 every
+        coordinate equals -c, since zeta^(l-1) = -(1 + zeta + ... + zeta^(l-2)).
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
+        ell, coeffs = self.ell, self.coeffs
+        support = [k for k, c in enumerate(coeffs) if c]
+        if len(support) == 1:
+            k, inv = support[0], 1 / coeffs[support[0]]
+        elif len(support) == ell - 1 and len(set(coeffs)) == 1:
+            k, inv = ell - 1, -1 / coeffs[0]
+        else:
+            return self._solve_inverse()
+        k = -k % ell
+        if k < ell - 1:
+            return CycQ(ell, tuple(inv if i == k else _ZERO for i in range(ell - 1)))
+        return CycQ(ell, (-inv,) * (ell - 1))
+
+    def _solve_inverse(self) -> "CycQ":
+        """Multiplicative inverse via an exact linear solve."""
         n = self.ell - 1
         # Augmented system M x = e0 where column j of M is self * zeta^j.
         col = self

@@ -8,7 +8,7 @@ formal, at z = zeta_ell, or at z = 1.
   (rho1, rho2, z) = (zeta^2, zeta^-2, zeta), or at z = 1 the counting series
   computed directly from its smallest-part decomposition;
 * LAMBERT: ``ru_at_root`` / ``rv_at_root``, a bilateral Lambert-form sum over
-  Q(zeta_l) divided by the prefactor (1+z)(q, z, 1/z; q)_inf;
+  Q(zeta_l) divided in place by the prefactor (1+z)(q, z, 1/z; q)_inf;
 * QBINOMIAL: ``_bivariate``, an exact expansion in both z and q built from a
   single sum plus a Gaussian-binomial double sum;
 * ENUMERATION: the rank histograms of ``quadruples.rank_counts``.
@@ -76,15 +76,28 @@ def v_series(prec: int) -> LaurentSeries:
 # -- route 1: the bilateral Lambert form at z = zeta_l ------------------------
 
 
+def _prefactor(block: FactorBlock, ell: int, prec: int, divide: bool) -> None:
+    """Multiply ``block`` (prec terms) in place by (1+z)(q, z, 1/z; q)_inf at z = zeta_ell,
+    or divide it by that product.
+
+    The product is (1+z)(1-z)(1-1/z) times the factors (1 - q^k),
+    (1 - z q^k) and (1 - z^-1 q^k) for every k >= 1.
+    """
+    field = cyclotomic_field(ell)
+    z, zinv = field.zeta(1), field.zeta(-1)
+    exps = range(1, prec)
+    for c in (1, z, zinv):
+        block.factor(c, exps, divide)
+    scalar = (field.one + z) * (field.one - z) * (field.one - zinv)
+    block.scale(scalar.inverse() if divide else scalar)
+
+
 @lru_cache(maxsize=None)
 def root_prefactor(ell: int, prec: int) -> LaurentSeries:
     """(1+z)(q, z, 1/z; q)_inf at z = zeta_ell, over Q(zeta_ell)."""
-    field = cyclotomic_field(ell)
-    z = field.zeta(1)
-    prod = poch(QQ, 1, 1, 1, INF, prec) \
-        * poch(field, z, 0, 1, INF, prec) \
-        * poch(field, field.zeta(-1), 0, 1, INF, prec)
-    return prod.scale(field.one + z)
+    block = FactorBlock(cyclotomic_field(ell), prec)
+    _prefactor(block, ell, prec, divide=False)
+    return block.series(prec)
 
 
 def _rotate(u: list, k: int) -> list:
@@ -93,7 +106,7 @@ def _rotate(u: list, k: int) -> list:
     return u[cut:] + u[:cut]
 
 
-def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> LaurentSeries:
+def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
     """sum_j (1-z^j)(1-z^(j-1)) z^(1-j) (-1)^j q^(j(j+offset)/2) / ((1-z^2 q^j)(1-z^-2 q^j)).
 
     offset is 3 for the u-family and 1 for the v-family.  Terms with
@@ -111,16 +124,17 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> LaurentSeries:
     * c_j = (1-zeta^j)(1-zeta^(j-1)) zeta^(1-j) (-1)^j
           = (-1)^j (zeta^(1-j) + zeta^j - zeta - 1).
 
-    Term j adds c_j U_m to the coefficient of q^(eff + m|j|).
+    Term j adds c_j U_m to the coefficient of q^(eff + m|j|).  The block
+    holds residue vectors, so the prefactor can be divided out in place.
     """
-    field = cyclotomic_field(ell)
+    block = FactorBlock(cyclotomic_field(ell), prec, 0)
     periods = []
     for m in range(ell):
         u = [0] * ell
         for i in range(m + 1):
             u[2 * (2 * i - m) % ell] += 1
         periods.append(u)
-    raw = [0] * (max(prec, 0) * ell)
+    raw = block.data
 
     def add_term(j: int):
         e = j * (j + offset) // 2
@@ -144,23 +158,28 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> LaurentSeries:
     while j * (j + offset) // 2 + 2 * (-j) < prec:
         add_term(j)
         j -= 1
-    return LaurentSeries.from_residues(field, 0, raw, prec)
+    return block
+
+
+def _at_root(ell: int, prec: int, offset: int) -> LaurentSeries:
+    """The bilateral rank sum divided in place by the prefactor."""
+    if ell < 3 or not is_prime(ell):
+        raise ValueError(f"ell must be a prime >= 3, got {ell}")
+    block = _bilateral_rank_sum(ell, prec, offset)
+    _prefactor(block, ell, prec, divide=True)
+    return block.series(prec)
 
 
 @lru_cache(maxsize=None)
 def ru_at_root(ell: int, prec: int) -> LaurentSeries:
     """RU(zeta_ell, q): coefficients are the rank-class sums over Q(zeta_ell)."""
-    if ell < 3 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 3, got {ell}")
-    return _bilateral_rank_sum(ell, prec, 3) * root_prefactor(ell, prec).inverse()
+    return _at_root(ell, prec, 3)
 
 
 @lru_cache(maxsize=None)
 def rv_at_root(ell: int, prec: int) -> LaurentSeries:
     """RV(zeta_ell, q), the v-family analog of ru_at_root."""
-    if ell < 3 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 3, got {ell}")
-    return _bilateral_rank_sum(ell, prec, 1) * root_prefactor(ell, prec).inverse()
+    return _at_root(ell, prec, 1)
 
 
 # -- route 2: the two-parameter transform -------------------------------------
@@ -201,10 +220,10 @@ def _fg_series(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int, power: int) -> Lauren
         term.scale(s)
         acc.add(term, power * n)
         n += 1
-    for e in range(1, prec - power):  # the sum starts at q^power: higher factors act as 1
-        acc.factor(1, e)
-        for c in args:
-            acc.factor(c, e, divide=True)
+    exps = range(1, prec - power)  # the sum starts at q^power: higher factors act as 1
+    acc.factor(1, exps)
+    for c in args:
+        acc.factor(c, exps, divide=True)
     return acc.series(prec)
 
 
@@ -251,9 +270,8 @@ def _bivariate(power: int, prec: int) -> LaurentSeries:
     acc = FactorBlock(ZPOLY, prec, 0, bound)
     top = (prec - 1) // power
     head = FactorBlock(ZPOLY, prec - power, 1, bound)
-    for e in range(top, prec - power):
-        for c in (z, z2, z2i):
-            head.factor(c, e, divide=True)
+    for c in (z, z2, z2i):
+        head.factor(c, range(top, prec - power), divide=True)
     for n in range(top, 0, -1):
         if n < top:
             for c in (z, z2, z2i):

@@ -24,23 +24,17 @@ All dense arithmetic runs on integers:
   product is unpacked into signed digits and reduced mod the cyclotomic
   polynomial;
 * ``inverse`` runs Newton iteration on that product;
-* ``poch`` keeps the running product in one packed integer and multiplies in
-  each factor (1 - c q^e) with a shift, a subtraction and a mask.  Its digit
-  width comes from min((d + A)^k, d^(k-t) max(d, A)^(t+1) P(n)) for c = C/d,
-  A = |C|_1 and k factors: a coefficient of q^i sums d^(k-|T|) C^|T| over
-  the sets T of factors with exponent sum i, of which there are at most
-  p(i) < P(n), a power of two above exp(pi sqrt(2(n-1)/3)), and none holds
-  more than t factors (the full proof is at ``_pochhammer``);
-* ``geometric`` runs no Newton iteration: it writes the integer coordinates
-  of c^k directly, and once c^k = 1 tiles the period into the block;
 * ``specialize_z`` substitutes z -> zeta_l or z -> 1 by adding the z-columns
   of a QQ[z, 1/z] block into their residues mod l;
-* ``FactorBlock`` is a mutable block that is multiplied or divided in place
-  by one factor (1 - c q^e) at a time, O(n) integer additions each: a plain
-  add over QQ, a rotation of residue vectors for c = zeta^k over Q(zeta_l),
-  a digit shift of packed per-slot z-integers for c = z^k over QQ[z, 1/z],
-  and in general the lifted integer coordinates of c.  Generating functions
-  whose terms differ by a few such factors keep one running block.
+* ``FactorBlock`` is the one kernel that multiplies or divides by a factor
+  (1 - c q^e): a mutable block changed in place, O(n) integer additions per
+  factor: a plain add over QQ, a rotation of residue vectors for c = zeta^k
+  over Q(zeta_l), a digit shift of packed per-slot z-integers for c = z^k
+  over QQ[z, 1/z], and in general the lifted integer coordinates of c.
+  Every Pochhammer product (``poch``, ``jacprod``, ``gauss_binomial``),
+  every geometric series (one division of the constant 1) and the RU/RV
+  prefactor division is one pass of it, and generating functions whose
+  terms differ by a few factors keep one running block.
 """
 
 from __future__ import annotations
@@ -491,16 +485,6 @@ class LaurentSeries:
         """Series from (exponent, coefficient) pairs; duplicate exponents add."""
         return _assemble(ring, items, prec)
 
-    @staticmethod
-    def from_residues(field, valuation: int, raw: list, prec=INF) -> "LaurentSeries":
-        """Series over Q(zeta_l) from an integer block, l entries per power of q.
-
-        The entries for q^(valuation + i) are raw[i*l:(i+1)*l], the integer
-        coefficients of 1, zeta, ..., zeta^(l-1).
-        """
-        ell = field.ell
-        return _make(field, valuation, 1, _reduce_residues(raw, ell, ell), ell - 1, 0, prec)
-
     # -- inspection -----------------------------------------------------
 
     @property
@@ -873,89 +857,6 @@ def _reduce_residues(raw: list, ell: int, stride: int) -> list:
     return data
 
 
-def _pochhammer(ring, c, exps, n: int, prec) -> LaurentSeries:
-    """prod over e in exps (ascending, all >= 1) of (1 - c q^e), truncated to n terms.
-
-    The running product P lives in one integer: digit (i*W + j) holds the
-    coordinate j of q^i.  Multiplying in a factor is d P - (P C) << e*W digits,
-    where c = C/d.  Over Q(zeta_l) the coordinates run over 1..zeta^(l-1) and
-    after each factor the digits zeta^l..zeta^(2l-2) fold back onto 1..zeta^(l-2);
-    over QQ[z, 1/z] the W digits cover every z-degree the product can reach.
-
-    Digit bound.  Let A = |C|_1 (of the lifted C over Q(zeta_l)) and k the
-    number of factors.  The product of (d - C q^e) over the factors has as
-    coefficient of q^i the sum, over the sets T of factors whose exponents
-    sum to i, of d^(k-|T|) (-C)^|T|.  The l1 norm is submultiplicative, and
-    folding in Z[x]/(x^l - 1) adds digits together, which does not raise it,
-    so every digit of q^i is at most that sum with C^|T| replaced by A^|T|.
-    There are at most 2^k sets, which gives (d + A)^k.  The exponents in T
-    are distinct, so there are at most p(i) sets, and for i <= n - 1,
-    p(i) <= exp(pi sqrt(2(n-1)/3)) <= P(n), a power of two (Apostol, Thm
-    14.5).  No T holds more than t factors, t the most whose smallest
-    exponents sum to <= n - 1, and d^(k-m) A^m <= d^(k-t) max(d, A)^t for
-    m <= t.  Every digit is therefore at most
-    min((d + A)^k, d^(k-t) max(d, A)^t P(n)) for the final product and for
-    every partial one (d >= 1), and the extra factor max(d, A) covers d P
-    and P C before the subtraction, and the digits of C itself.  Digits of
-    q^n and above may overflow; their carries only run upward and the mask
-    drops them.
-    """
-    den, coords, clo = ring.split(c)
-    factors = len(exps)
-    fold = ring is not QQ and ring is not ZPOLY
-    if fold:
-        ell = ring.ell
-        coords, stride, base, clo = _cyclic_lift(coords), 2 * ell - 1, 0, 0
-    elif ring is ZPOLY:
-        zmin = factors * min(0, clo)
-        stride = factors * max(0, clo + len(coords) - 1) - zmin + 1
-        base = -zmin
-    else:
-        stride, base = 1, 0
-    norm = sum(map(abs, coords))
-    bound = (den + norm) ** max(factors, 1)
-    # log2 of a power of two above exp(pi sqrt(2(n-1)/3)), with float slack
-    pbits = int(math.pi * math.sqrt(2 * (n - 1) / 3) / math.log(2)) + 2
-    if bound.bit_length() > pbits:
-        # below 2^pbits the count bound cannot win, so t is only found here
-        t, total = 0, 0
-        for e in exps:
-            total += e
-            if total > n - 1:
-                break
-            t += 1
-        big = max(den, norm)
-        bound = min(bound, den ** (factors - t) * big ** (t + 1) << pbits)
-    k = _digit_bytes(bound)
-    bits = 8 * k
-    digits = n * stride
-    packed_c = _pack(coords, k)
-    shift_c = packed_c.bit_length() - 1 if packed_c > 0 and not packed_c & (packed_c - 1) else None
-    offset = _offset(k, digits)
-    if fold:
-        # per slot: digits 0..l-1 stay, digits l..2l-2 move down by l digits
-        ones, half = b"\xff" * k, bytes(k - 1) + b"\x80"
-        low_mask = int.from_bytes((ones * ell + bytes(k * (ell - 1))) * n, "little")
-        high_mask = int.from_bytes((bytes(k * ell) + ones * (ell - 1)) * n, "little")
-        fix = (int.from_bytes((half * ell + bytes(k * (ell - 1))) * n, "little")
-               + int.from_bytes((half * (ell - 1) + bytes(k * ell)) * n, "little"))
-    else:
-        mask = (1 << (bits * digits)) - 1
-    p = 1 << (base * bits)
-    for e in exps:
-        term = p << shift_c if shift_c is not None else p * packed_c
-        p = (p * den if den != 1 else p) - (term << ((e * stride + clo) * bits))
-        p += offset
-        if fold:
-            p = (p & low_mask) + ((p & high_mask) >> (ell * bits)) - fix
-        else:
-            p = (p & mask) - offset
-    raw = _unpack(p, digits, k)
-    if fold:
-        return _make(ring, 0, den ** factors, _reduce_residues(raw, ell, stride), ell - 1, 0, prec)
-    return _make(ring, 0, den ** factors, raw, stride, -base, prec)
-
-
 # -- the in-place factor kernel ----------------------------------------------------
 
 
@@ -1069,45 +970,50 @@ class FactorBlock:
             self.data = [x << ((dt * i + db) * bits) for i, x in enumerate(self.data)]
             self.tilt, self.base = tilt, base
 
-    def factor(self, c, e: int, divide: bool = False) -> None:
-        """Multiply the block by (1 - c q^e), or divide it by that factor, for e >= 1."""
-        if e < 1:
-            raise ValueError(f"factor exponent must be >= 1, got {e}")
+    def factor(self, c, exps, divide: bool = False) -> None:
+        """Multiply the block by (1 - c q^e) for each e in ``exps``, or divide it by those factors.
+
+        ``exps`` is one exponent >= 1 or an iterable of them; c is resolved
+        into integer terms once for all of them.
+        """
         w = self.width
         n = len(self.data) // w
         d, clo, terms = _factor_terms(self.ring, c, self.bits)
-        if e >= n or not terms:
-            return
-        shift = 0
-        if self.bits:
-            self._lift(-(clo // e), self.base)
-            shift = (clo + self.tilt * e) * self.bits
-        data = self.data
-        if not divide:
-            prev = data[:(n - e) * w]
+        for e in (exps,) if isinstance(exps, int) else exps:
+            if e < 1:
+                raise ValueError(f"factor exponent must be >= 1, got {e}")
+            if e >= n or not terms:
+                continue
+            shift = 0
+            if self.bits:
+                self._lift(-(clo // e), self.base)
+                shift = (clo + self.tilt * e) * self.bits
+            data = self.data
+            if not divide:
+                prev = data[:(n - e) * w]
+                if d != 1:
+                    data = self.data = list(map(mul, data, repeat(d)))
+                    self.den *= d
+                _apply(data, w, e * w, prev, terms, shift, sub)
+                continue
+            step = e * w
+            if d == 1 and len(terms) == 1 and terms[0][0] == 0 and e * step < n:
+                # c = m or m z^clo, and fewer residue classes mod e than groups
+                # of e slots: each class is one running sum, in one C-level pass
+                m = terms[0][1]
+                running = add if m == 1 and not shift else (lambda a, x: x + (a * m << shift))
+                for j in range(step):
+                    data[j::step] = accumulate(data[j::step], running)
+                continue
             if d != 1:
-                data = self.data = list(map(mul, data, repeat(d)))
-                self.den *= d
-            _apply(data, w, e * w, prev, terms, shift, sub)
-            return
-        step = e * w
-        if d == 1 and len(terms) == 1 and terms[0][0] == 0 and e * step < n:
-            # c = m or m z^clo, and fewer residue classes mod e than groups
-            # of e slots: each class is one running sum, in one C-level pass
-            m = terms[0][1]
-            running = add if m == 1 and not shift else (lambda a, x: x + (a * m << shift))
-            for j in range(step):
-                data[j::step] = accumulate(data[j::step], running)
-            return
-        if d != 1:
-            scale = d ** ((n - 1) // e)
-            data = self.data = list(map(mul, data, repeat(scale)))
-            self.den *= scale
-        for lo in range(step, len(data), step):
-            prev = data[lo - step:lo]
-            if d != 1:
-                prev = [x // d for x in prev]
-            _apply(data, w, lo, prev, terms, shift, add)
+                scale = d ** ((n - 1) // e)
+                data = self.data = list(map(mul, data, repeat(scale)))
+                self.den *= scale
+            for lo in range(step, len(data), step):
+                prev = data[lo - step:lo]
+                if d != 1:
+                    prev = [x // d for x in prev]
+                _apply(data, w, lo, prev, terms, shift, add)
 
     def scale(self, c) -> None:
         """Multiply the block in place by the scalar c."""
@@ -1165,16 +1071,51 @@ class FactorBlock:
 # -- product and sum builders ------------------------------------------------
 
 
-def geometric(ring, c, step: int, prec) -> "LaurentSeries":
-    """1/(1 - c*q^step) = sum_{k>=0} c^k q^(k*step), step >= 1.
+def _poch_bound(ring, c, exps, n: int) -> int:
+    """The ``bound`` of a FactorBlock for prod over e in exps of (1 - c q^e) to n terms.
 
-    With c = C/d and K the last power below prec, entry k of the block is
-    C^k d^(K-k) over the common denominator d^K: each entry is the one
-    before times C, divided exactly by d.  Over Q(zeta_l) the product is
-    taken in Z[x]/(x^l - 1) on the lifted C and reduced to the power basis;
-    over QQ[z, 1/z] each entry carries its own z-offset.  Entry k equals
-    entry 0 exactly when c^k = 1 (a root of unity: k <= 2l; c = 1: k = 1),
-    and from there the entries found so far repeat.
+    Only QQ[z, 1/z] blocks need one; it bounds the l1 norm over z of every
+    coefficient, and so every integer coordinate that ``series`` unpacks.
+    Let c = C/d with C integral, A = |C|_1, and k the number of exponents,
+    ascending and >= 1.  Over the denominator d^k the product is
+    prod (d - C q^e), whose coefficient of q^i sums d^(k-|T|) (-C)^|T| over
+    the sets T of factors whose exponents sum to i.  The l1 norm is
+    submultiplicative, so the norm of that coefficient is at most the same
+    sum with C^|T| replaced by A^|T|.  There are at most 2^k sets, which
+    gives (d + A)^k.  The exponents in T are distinct, so there are at most
+    p(i) sets, and for i <= n - 1, p(i) <= exp(pi sqrt(2(n-1)/3)) <= P(n), a
+    power of two (Apostol, Thm 14.5).  No T holds more than t factors, t the
+    most whose smallest exponents sum to <= n - 1, and
+    d^(k-m) A^m <= d^(k-t) max(d, A)^t for m <= t.  The norm is therefore at
+    most min((d + A)^k, d^(k-t) max(d, A)^t P(n)).
+    """
+    if ring is not ZPOLY:
+        return 1
+    den, coords, _ = ring.split(c)
+    norm = sum(map(abs, coords))
+    k = len(exps)
+    bound = (den + norm) ** k
+    # log2 of a power of two above exp(pi sqrt(2(n-1)/3)), with float slack
+    pbits = int(math.pi * math.sqrt(2 * (n - 1) / 3) / math.log(2)) + 2
+    if bound.bit_length() > pbits:
+        # below 2^pbits the count bound cannot win, so t is only found here
+        t, total = 0, 0
+        for e in exps:
+            total += e
+            if total > n - 1:
+                break
+            t += 1
+        bound = min(bound, den ** (k - t) * max(den, norm) ** t << pbits)
+    return bound
+
+
+def geometric(ring, c, step: int, prec) -> "LaurentSeries":
+    """1/(1 - c*q^step) = sum_{k>=0} c^k q^(k*step), step >= 1: the constant 1
+    divided in place by that one factor.
+
+    With c = C/d and K the last power below prec, the block holds
+    C^k d^(K-k) at q^(k*step) over the denominator d^K, so over QQ[z, 1/z]
+    max(d, |C|_1)^K bounds its z-digits.
     """
     if step < 1:
         raise ValueError(f"geometric step must be >= 1, got {step}")
@@ -1182,41 +1123,13 @@ def geometric(ring, c, step: int, prec) -> "LaurentSeries":
         raise PrecisionError("geometric expansion needs a finite precision")
     if prec <= 0:
         return LaurentSeries.zero(ring, prec)
-    terms = (int(prec) - 1) // step + 1
-    den, coords, clo = ring.split(c)
-    fold = ring is not QQ and ring is not ZPOLY
-    if fold:
-        ell = ring.ell
-        coords = _cyclic_lift(coords)
-    entries = [(0, [den ** (terms - 1)] + [0] * ((ring.width or 1) - 1))]
-    while len(entries) < terms:
-        zoff, p = entries[-1]
-        if fold:
-            p = p + [0]
-        size = len(p)
-        prod = [0] * (size + len(coords) - 1)
-        for j, cj in enumerate(coords):
-            if cj:
-                prod[j:j + size] = map(add, prod[j:j + size],
-                                       p if cj == 1 else map(mul, p, repeat(cj)))
-        if fold:
-            prod = _reduce_residues(list(map(add, prod[:ell], prod[ell:] + [0])), ell, ell)
-        if den != 1:
-            prod = [x // den for x in prod]
-        entry = (zoff + clo, prod)
-        if entry == entries[0]:
-            break
-        entries.append(entry)
-    zlo = min(z for z, _ in entries)
-    width = max(z + len(p) for z, p in entries) - zlo
-    flat = []
-    for z, p in entries:
-        flat += [0] * (z - zlo) + p + [0] * (zlo + width - z - len(p))
-    flat = (flat * -(-terms // len(entries)))[:terms * width]
-    data = [0] * (((terms - 1) * step + 1) * width)
-    for j in range(width):
-        data[j::step * width] = flat[j::width]
-    return _make(ring, 0, den ** (terms - 1), data, width, zlo, prec)
+    bound = 1
+    if ring is ZPOLY:
+        den, coords, _ = ring.split(c)
+        bound = max(den, sum(map(abs, coords))) ** ((int(prec) - 1) // step)
+    block = FactorBlock(ring, int(prec), 1, bound)
+    block.factor(c, step, divide=True)
+    return block.series(prec)
 
 
 def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
@@ -1224,6 +1137,8 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
 
     ``count`` is a non-negative integer or INF.  Infinite products require
     a >= 1, or a = 0 with c != 1 (the leading factor is then the scalar 1-c).
+    The factors with exponent >= 1 are one FactorBlock; the rest multiply
+    the result.
     """
     if b < 1:
         raise ValueError(f"Pochhammer step must be >= 1, got {b}")
@@ -1235,17 +1150,18 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
             raise ValueError("infinite product (1;q)_inf vanishes identically; handle the z=1 case separately")
         if prec == INF:
             raise PrecisionError("infinite product needs a finite precision")
-        size = max(int(prec), 1)
-        out = _pochhammer(ring, c, range(a if a >= 1 else b, size, b), size, prec)
-        return out.scale(ring.one - c) if a == 0 else out
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"Pochhammer count must be a non-negative integer or INF, got {count}")
-    exps = [a + j * b for j in range(count)]
-    if prec != INF:
-        exps = [e for e in exps if e < prec or e <= 0]
+        exps = range(a, max(int(prec), 1), b)
+    else:
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"Pochhammer count must be a non-negative integer or INF, got {count}")
+        exps = [a + j * b for j in range(count)]
+        if prec != INF:
+            exps = [e for e in exps if e < prec or e <= 0]
     positive = [e for e in exps if e > 0]
-    size = int(prec) if prec != INF else sum(positive) + 1
-    result = _pochhammer(ring, c, positive, max(size, 1), prec)
+    size = max(int(prec) if prec != INF else sum(positive) + 1, 1)
+    block = FactorBlock(ring, size, 1, _poch_bound(ring, c, positive, size))
+    block.factor(c, positive)
+    result = block.series(prec)
     for e in exps:
         if e <= 0:
             result = _mul(result, LaurentSeries.from_items(ring, [(0, ring.one), (e, -c)], prec))
@@ -1253,11 +1169,26 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
 
 
 def jacprod(ring, c, a: int, b: int, prec) -> "LaurentSeries":
-    """Theta-style product (c*q^a; q^b)_inf * (q^(b-a)/c; q^b)_inf, 0 < a < b."""
+    """Theta-style product (c*q^a; q^b)_inf * (q^(b-a)/c; q^b)_inf, 0 < a < b.
+
+    Both factor sets go into one block.  Over QQ[z, 1/z] the l1 norm of a
+    coefficient of q^i of the product is at most the sum over i1 + i2 = i
+    of the norms of the two factors' coefficients, so n times the product
+    of their ``_poch_bound`` bounds it.
+    """
     if not 0 < a < b:
         raise ValueError(f"jacprod needs 0 < a < b, got a={a}, b={b}")
+    if prec == INF:
+        raise PrecisionError("infinite product needs a finite precision")
+    c = ring.of(c)
     cinv = ring.invert(c)
-    return poch(ring, c, a, b, INF, prec) * poch(ring, cinv, b - a, b, INF, prec)
+    size = max(int(prec), 1)
+    first, second = range(a, size, b), range(b - a, size, b)
+    bound = size * _poch_bound(ring, c, first, size) * _poch_bound(ring, cinv, second, size)
+    block = FactorBlock(ring, size, 1, bound)
+    block.factor(c, first)
+    block.factor(cinv, second)
+    return block.series(prec)
 
 
 def theta_jtp_sum(ring, c, prec) -> "LaurentSeries":
@@ -1283,14 +1214,14 @@ def theta_jtp_sum(ring, c, prec) -> "LaurentSeries":
 
 
 def gauss_binomial(n: int, m: int) -> "LaurentSeries":
-    """Gaussian binomial (q;q)_{n+m} / ((q;q)_n (q;q)_m) as an exact polynomial."""
+    """Gaussian binomial (q;q)_{n+m} / ((q;q)_n (q;q)_m) = (q^(n+1);q)_m / (q;q)_m.
+
+    It is a polynomial of degree exactly n*m, so n*m + 1 terms of the
+    in-place quotient are the whole of it.
+    """
     if n < 0 or m < 0:
         raise ValueError("Gaussian binomial needs non-negative arguments")
-    if n == 0 or m == 0:
-        return LaurentSeries.const(QQ, 1)
-    work = n * m + 1
-    num = poch(QQ, 1, 1, 1, n + m, work)
-    den = poch(QQ, 1, 1, 1, n, work) * poch(QQ, 1, 1, 1, m, work)
-    quot = num * den.inverse()
-    # The quotient is a polynomial of degree exactly n*m, so it is exact.
-    return quot.with_prec(INF)
+    block = FactorBlock(QQ, n * m + 1)
+    block.factor(1, range(n + 1, n + m + 1))
+    block.factor(1, range(1, m + 1), divide=True)
+    return block.series(INF)

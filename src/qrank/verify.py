@@ -279,6 +279,7 @@ def _three_routes(prec):
 
 
 def _ru13_nonzero(prec):
+    # the one coefficient read is q^13, so the check runs at prec 14 (its max_prec)
     c = rank_series("u", "LAMBERT", max(prec, 14), 13).coefficient(13)
     if c.is_zero():
         return "FAIL", (13, "0", "a nonzero element"), ""
@@ -326,7 +327,7 @@ def _build_registry() -> dict[str, _Check]:
     registry["INFRA:Prefactor-5"] = _Check(_prefactor(5), 60, 40)
     registry["INFRA:Prefactor-7"] = _Check(_prefactor(7), 60, 40)
     registry["INFRA:three-routes"] = _Check(_three_routes, 21, 11, max_prec=120)
-    registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14)
+    registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14, max_prec=14)
     registry["SEC5:F13-grid-q13-nonzero"] = _Check(_f13_grid, 14, 14, long=True)
     return registry
 

@@ -6,10 +6,11 @@ stay naive so they can arbitrate against the fast paths they check.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.quadruples import enumerate_quadruples
-from qrank.series import INF, ZPOLY, LaurentSeries, ZLaurentPoly, gauss_binomial, geometric, poch
+from qrank.series import ZPOLY, LaurentSeries, ZLaurentPoly
 
 
 def pentagonal_coeffs(prec: int) -> dict[int, int]:
@@ -165,6 +166,23 @@ def ref_poch(c, a: int, b: int, count, size: int, one, zero) -> list:
     return arr
 
 
+@lru_cache(maxsize=None)
+def ref_poch_series(ring, c, a: int, b: int, count, prec: int):
+    """(c q^a; q^b)_count (count None means infinite) as a series exact below prec, from ref_poch.
+
+    Cached, because the reference builders ask for the same products many times.
+    """
+    return LaurentSeries(ring, 0, ref_poch(ring.of(c), a, b, count, prec, ring.one, ring.zero), prec)
+
+
+def ref_gauss_binomial(n: int, m: int):
+    """[n+m choose m]_q: q^|p| summed over the partitions p with at most m parts, each at most n."""
+    counts: dict[int, int] = {}
+    for p in partitions_in_box(m, n):
+        counts[sum(p)] = counts.get(sum(p), 0) + 1
+    return LaurentSeries.from_items(QQ, counts.items())
+
+
 def ref_substitute(coeffs: list, k: int, zero) -> list:
     """Coefficient list of q -> q^k."""
     if not coeffs:
@@ -241,12 +259,21 @@ def ref_bilateral_rank_sum(ell: int, prec: int, offset: int):
     return acc
 
 
+def ref_root_prefactor(ell: int, prec: int):
+    """(1+z)(q, z, 1/z; q)_inf at z = zeta_ell, as three ref_poch products."""
+    field = cyclotomic_field(ell)
+    z = field.zeta(1)
+    return (ref_poch_series(QQ, 1, 1, 1, None, prec) * ref_poch_series(field, z, 0, 1, None, prec)
+            * ref_poch_series(field, field.zeta(-1), 0, 1, None, prec)).scale(field.one + z)
+
+
 # -- reference generating functions --------------------------------------------
 #
 # The builders that qrank.rankgen rebuilt on the in-place FactorBlock kernel:
-# every term's Pochhammer denominator is a forward product from ``poch``
+# every term's Pochhammer denominator is a forward product from ``ref_poch``
 # inverted by Newton iteration, with the Gaussian binomial of each bivariate
-# term expanded on its own.
+# term counted from the partitions in its box.  None of them calls the
+# FactorBlock-based ``poch``, ``geometric`` or ``gauss_binomial``.
 
 
 def ref_counting_series(power: int, prec: int):
@@ -256,8 +283,8 @@ def ref_counting_series(power: int, prec: int):
     while power * n < prec:
         base = power * n
         rel = prec - base
-        block = poch(QQ, 1, n, 1, INF, rel)
-        den = block * block * block * poch(QQ, 1, n, 1, n + 1, rel)
+        block = ref_poch_series(QQ, 1, n, 1, None, rel)
+        den = block * block * block * ref_poch_series(QQ, 1, n, 1, n + 1, rel)
         acc = acc + den.inverse().shift(base)
         n += 1
     return acc
@@ -270,9 +297,10 @@ def ref_fg_series(rho1, rho2, z, prec: int, power: int):
     field = cyclotomic_field(z.ell)
     one = field.one
     zinv = z.inverse()
-    pref_den = poch(field, z, 0, 1, INF, prec) * poch(field, zinv, 0, 1, INF, prec) \
-        * poch(field, rho1, 0, 1, INF, prec) * poch(field, rho2, 0, 1, INF, prec)
-    pref = poch(QQ, 1, 1, 1, INF, prec) * pref_den.inverse()
+    pref_den = LaurentSeries.const(field, one, prec)
+    for c in (z, zinv, rho1, rho2):
+        pref_den = pref_den * ref_poch_series(field, c, 0, 1, None, prec)
+    pref = ref_poch_series(QQ, 1, 1, 1, None, prec) * pref_den.inverse()
     s = (rho1 * rho2).inverse()
     num = LaurentSeries.const(field, one, prec)
     inv_den = LaurentSeries.const(QQ, 1, prec)
@@ -282,7 +310,7 @@ def ref_fg_series(rho1, rho2, z, prec: int, power: int):
     while power * n < prec:
         for c in (z, zinv, rho1, rho2):
             num = num * LaurentSeries.from_items(field, [(0, one), (n - 1, -c)], prec)
-        inv_den = inv_den * geometric(QQ, 1, 2 * n - 1, prec) * geometric(QQ, 1, 2 * n, prec)
+        inv_den = inv_den * ref_geometric(QQ, 1, 2 * n - 1, prec) * ref_geometric(QQ, 1, 2 * n, prec)
         spow = spow * s
         acc = acc + (num * inv_den).scale(spow).shift(power * n)
         n += 1
@@ -302,18 +330,18 @@ def ref_bivariate(power: int, prec: int):
     while power * n < prec:
         base = power * n
         rel = prec - base
-        head = poch(ring, z, n, 1, INF, rel) * poch(ring, z2, n, 1, INF, rel) \
-            * poch(ring, z2i, n, 1, INF, rel)
+        head = ref_poch_series(ring, z, n, 1, None, rel) * ref_poch_series(ring, z2, n, 1, None, rel) \
+            * ref_poch_series(ring, z2i, n, 1, None, rel)
         acc = acc + head.inverse().shift(base)
         m = 1
         while base + n * m < prec:
             rel2 = prec - base - n * m
             den = LaurentSeries.from_items(ring, [(0, one), (n, ZLaurentPoly.monomial(1, -1))], rel2)
-            den = den * poch(QQ, 1, n + 1, 1, m, rel2)
-            den = den * poch(ring, z, n + m + 1, 1, INF, rel2)
-            den = den * poch(ring, z2, n, 1, INF, rel2)
-            den = den * poch(ring, z2i, n, 1, INF, rel2)
-            term = den.inverse() * gauss_binomial(n, m)
+            den = den * ref_poch_series(QQ, 1, n + 1, 1, m, rel2)
+            den = den * ref_poch_series(ring, z, n + m + 1, 1, None, rel2)
+            den = den * ref_poch_series(ring, z2, n, 1, None, rel2)
+            den = den * ref_poch_series(ring, z2i, n, 1, None, rel2)
+            term = den.inverse() * ref_gauss_binomial(n, m)
             acc = acc + term.scale(ZLaurentPoly.monomial(-m)).shift(base + n * m)
             m += 1
         n += 1

@@ -60,6 +60,16 @@ def test_cyc_invert_examples():
         f5.zero.inverse()
 
 
+@pytest.mark.parametrize("c", (1, -1, Fraction(3, 2)))
+@pytest.mark.parametrize("ell", (3, 5, 7, 13))
+def test_unit_monomial_inverse_matches_linear_solve(ell, c):
+    field = cyclotomic_field(ell)
+    for k in range(ell):
+        x = field.zeta(k) * c
+        assert x.inverse() == x._solve_inverse()
+        assert x * x.inverse() == field.one
+
+
 def test_residue_vector_is_constant():
     assert residue_vector_is_constant(5, [3, 3, 3, 3, 3])
     assert not residue_vector_is_constant(3, [5, 5, 4])

@@ -19,7 +19,7 @@ from hypothesis import example, given, strategies as st
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.series import (INF, FactorBlock, LaurentSeries, ZLaurentPoly, ZPOLY, _digit_bytes,
-                          _pack, _unpack, geometric, poch)
+                          _pack, _unpack, geometric, jacprod, poch)
 
 import oracles
 
@@ -190,8 +190,9 @@ def test_poch_matches_in_place_loop(case):
 
 F5, F7 = cyclotomic_field(5), cyclotomic_field(7)
 
-# (ring, c, prec) with enough factors that the partition-count digit bound
-# is smaller than (d + |C|_1)^factors; the Hypothesis cases above stay below it.
+# (ring, c, prec) with enough factors that, over QQ[z, 1/z], the partition-count
+# digit bound is smaller than (d + |C|_1)^factors; the Hypothesis cases above
+# stay below it.  The other rings need no bound and run to the same length.
 MANY_FACTORS = [
     pytest.param(QQ, 1, 120, id="QQ-1"),
     pytest.param(QQ, -1, 120, id="QQ-minus1"),
@@ -209,6 +210,22 @@ def test_poch_with_many_factors_matches_in_place_loop(ring, c, prec):
     c = ring.of(c)
     coeffs = oracles.ref_poch(c, 1, 1, None, prec, ring.one, ring.zero)
     assert poch(ring, c, 1, 1, INF, prec) == LaurentSeries(ring, 0, coeffs, prec)
+
+
+@pytest.mark.parametrize("a, b, prec", [(1, 2, 40), (2, 5, 41), (3, 4, 1)])
+@pytest.mark.parametrize("ring, c", [
+    pytest.param(QQ, 2, id="QQ-2"),
+    pytest.param(F7, F7.zeta(3), id="Q7-zeta3"),
+    pytest.param(F7, F7.zeta(6) * Fraction(-2, 3), id="Q7-scaled-zeta6"),
+    pytest.param(ZPOLY, ZLaurentPoly.monomial(2, Fraction(3, 2)), id="ZPOLY-3half-z2"),
+    pytest.param(ZPOLY, ZLaurentPoly.monomial(-1, -1), id="ZPOLY-minus-zinv"),
+])
+def test_jacprod_matches_two_in_place_loops(ring, c, a, b, prec):
+    c = ring.of(c)
+    first = oracles.ref_poch(c, a, b, None, prec, ring.one, ring.zero)
+    second = oracles.ref_poch(ring.invert(c), b - a, b, None, prec, ring.one, ring.zero)
+    expected = oracles.ref_mul(first, second, prec, ring.zero)
+    assert jacprod(ring, c, a, b, prec) == LaurentSeries(ring, 0, expected, prec)
 
 
 def expected_geometric(ring, c, step, prec):

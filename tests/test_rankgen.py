@@ -37,7 +37,18 @@ def test_u_minus_v_at_q1():
 @pytest.mark.parametrize("offset", (3, 1))
 @pytest.mark.parametrize("ell", (3, 5, 7, 13))
 def test_bilateral_sum_matches_term_by_term(ell, offset, prec):
-    assert _bilateral_rank_sum(ell, prec, offset) == oracles.ref_bilateral_rank_sum(ell, prec, offset)
+    got = _bilateral_rank_sum(ell, prec, offset).series(prec)
+    assert got == oracles.ref_bilateral_rank_sum(ell, prec, offset)
+
+
+@pytest.mark.parametrize("prec", (1, 2, 14, 61))
+@pytest.mark.parametrize("ell", (3, 5, 7, 13))
+def test_prefactor_division_matches_newton_reference(ell, prec):
+    prefactor = oracles.ref_root_prefactor(ell, prec)
+    assert root_prefactor.__wrapped__(ell, prec) == prefactor
+    inverse = prefactor.inverse()
+    assert ru_at_root.__wrapped__(ell, prec) == oracles.ref_bilateral_rank_sum(ell, prec, 3) * inverse
+    assert rv_at_root.__wrapped__(ell, prec) == oracles.ref_bilateral_rank_sum(ell, prec, 1) * inverse
 
 
 # The running-block builders against the per-term Newton references they

@@ -78,6 +78,11 @@ def test_explicit_prec_override():
     assert report.prec == 25 and report.status == "PASS"
 
 
+def test_ru13_check_reports_its_capped_precision():
+    report = run_check("SEC5:RU13-q13-nonzero", prec=1000)
+    assert report.prec == 14 and report.status == "PASS"
+
+
 def test_class_checks_reach_past_enumeration_scale():
     report = run_check("THM13:classes-u5", prec=25)
     assert report.prec == 25 and report.status == "PASS"
