@@ -68,27 +68,31 @@ class _Check:
     default_prec: int
     fast_prec: int
     long: bool = field(default=False)
-    # rank-count- and bivariate-backed checks stay desk-scale however large
+    # rank-count-, bivariate- and mod-13 checks stay desk-scale however large
     # a --prec override is; the report carries the precision actually used
     max_prec: int | None = field(default=None)
 
 
-def _series_pair(lhs, rhs, prec):
-    mismatch = lhs.equal_upto(rhs, prec)
-    if mismatch is None:
-        return "PASS", None, ""
-    e, lc, rc = mismatch
-    return "FAIL", (e, str(lc), str(rc)), ""
+def _compare(prec, cases, passed=""):
+    """Judge series comparisons below q^prec, stopping at the first failing case.
 
-
-def _zero_residual(residual, prec, context=""):
-    if residual.prec < prec:
-        raise ValueError(f"residual precision {residual.prec} below requested {prec}")
-    hit = residual.first_nonzero_below(prec)
-    if hit is None:
-        return "PASS", None, context
-    e, c = hit
-    return "FAIL", (e, str(c), "0"), context
+    ``cases`` yields (detail, lhs, rhs); rhs None means lhs must vanish.
+    Returns PASS with ``passed``, or FAIL with (exponent, lhs, rhs) at the
+    first nonzero coefficient of lhs - rhs and the case's detail (called with
+    the exponent when it is callable).  A difference exact below fewer than
+    prec terms raises ValueError, so a PASS covers every coefficient below
+    q^prec.
+    """
+    for detail, lhs, rhs in cases:
+        diff = lhs if rhs is None else lhs - rhs
+        if diff.prec < prec:
+            raise ValueError(f"residual precision {diff.prec} below requested {prec}")
+        hit = diff.first_nonzero_below(prec)
+        if hit is not None:
+            e = hit[0]
+            failure = (e, str(lhs.coefficient(e)), "0" if rhs is None else str(rhs.coefficient(e)))
+            return "FAIL", failure, detail(e) if callable(detail) else detail
+    return "PASS", None, passed
 
 
 def congruence_scan(family: str, mod: int, residue: int, top: int):
@@ -124,22 +128,19 @@ def _congruence_check(family, mod, residue):
 def _identity_check(name):
     kind, ell = name[1].lower(), int(name[2:])
     def run(prec):
-        return _series_pair(rank_series(kind, "LAMBERT", prec, ell), rhs_identity(name, prec), prec)
+        return _compare(prec, [("", rank_series(kind, "LAMBERT", prec, ell), rhs_identity(name, prec))])
     return run
 
 
 def _bivariate_agreement(prec):
-    for kind in ("u", "v"):
-        formal = rank_series(kind, "QBINOMIAL", prec)
-        mismatch = rank_series(kind, "ENUMERATION", prec).equal_upto(formal)
-        if mismatch is not None:
-            e, lc, rc = mismatch
-            return "FAIL", (e, str(lc), str(rc)), f"{kind}-rank histogram at n={e}"
-        mismatch = formal.specialize_z(QQ).equal_upto(rank_series(kind, "DEFINITION", prec))
-        if mismatch is not None:
-            e, lc, rc = mismatch
-            return "FAIL", (e, str(lc), str(rc)), f"z->1 against the {kind} counting series"
-    return "PASS", None, f"rank histograms to n={prec - 1}; z->1 to order {prec}"
+    def cases():
+        for kind in ("u", "v"):
+            formal = rank_series(kind, "QBINOMIAL", prec)
+            yield (lambda e: f"{kind}-rank histogram at n={e}",
+                   rank_series(kind, "ENUMERATION", prec), formal)
+            yield (f"z->1 against the {kind} counting series",
+                   formal.specialize_z(QQ), rank_series(kind, "DEFINITION", prec))
+    return _compare(prec, cases(), f"rank histograms to n={prec - 1}; z->1 to order {prec}")
 
 
 def _class_equality_check(key):
@@ -169,66 +170,51 @@ def _t_symmetry(prec):
                 continue
             cases.append((a, b, ell))
             picked += 1
-    for a, b, ell in cases:
-        residual = lambert_t(-a, b, ell, prec) + lambert_t(a, -b, ell, prec).shift(ell * a)
-        hit = residual.first_nonzero_below(prec)
-        if hit is not None:
-            e, c = hit
-            return "FAIL", (e, str(c), "0"), f"T(-a,b,l) + q^(la) T(a,-b,l) at (a,b,l)={(a,b,ell)}"
-    return "PASS", None, f"{len(cases)} sampled (a,b,l) triples"
+    # T(a,-b,l) is built to prec - la so that after the shift by q^(la) both
+    # terms, and the residual, are exact below q^prec
+    return _compare(prec, ((f"T(-a,b,l) + q^(la) T(a,-b,l) at (a,b,l)={(a,b,ell)}",
+                            lambert_t(-a, b, ell, prec)
+                            + lambert_t(a, -b, ell, prec - ell * a).shift(ell * a), None)
+                           for a, b, ell in cases), f"{len(cases)} sampled (a,b,l) triples")
 
 
 def _chan_suite(variant):
     def run(prec):
-        for params in chan_suite_parameters():
-            v, ell, a, b1, b2 = params
-            if v != variant:
-                continue
-            residual = chan_identity_residual(v, ell, a, b1, b2, prec)
-            hit = residual.first_nonzero_below(prec)
-            if hit is not None:
-                e, c = hit
-                return "FAIL", (e, str(c), "0"), f"parameters {params}"
-        count = sum(1 for p in chan_suite_parameters() if p[0] == variant)
-        return "PASS", None, f"{count} parameter tuples"
+        suite = [params for params in chan_suite_parameters() if params[0] == variant]
+        return _compare(prec, ((f"parameters {params}", chan_identity_residual(*params, prec), None)
+                               for params in suite), f"{len(suite)} parameter tuples")
     return run
 
 
 def _jtp_check(prec):
-    from .cyclotomic import QQ
     from .series import INF, poch, theta_jtp_sum
     specials = [(cyclotomic_field(3), cyclotomic_field(3).zeta(1), "zeta_3"),
                 (cyclotomic_field(5), cyclotomic_field(5).zeta(1), "zeta_5"),
                 (cyclotomic_field(7), cyclotomic_field(7).zeta(1), "zeta_7"),
                 (QQ, QQ.of(2), "2"), (QQ, QQ.of(-1), "-1")]
-    for ring, c, label in specials:
-        theta = theta_jtp_sum(ring, c, prec)
-        prod = poch(ring, c, 1, 1, INF, prec) \
-            * poch(ring, ring.invert(c), 0, 1, INF, prec) \
-            * poch(QQ, 1, 1, 1, INF, prec)
-        mismatch = theta.equal_upto(prod, prec)
-        if mismatch is not None:
-            e, lc, rc = mismatch
-            return "FAIL", (e, str(lc), str(rc)), f"triple product at z = {label}"
-    return "PASS", None, "z in {zeta_3, zeta_5, zeta_7, 2, -1}"
+    return _compare(prec, ((f"triple product at z = {label}", theta_jtp_sum(ring, c, prec),
+                            poch(ring, c, 1, 1, INF, prec)
+                            * poch(ring, ring.invert(c), 0, 1, INF, prec)
+                            * poch(QQ, 1, 1, 1, INF, prec))
+                           for ring, c, label in specials), "z in {zeta_3, zeta_5, zeta_7, 2, -1}")
 
 
 def _prod_dissection(ell):
     def run(prec):
-        return _zero_residual(prod_dissection_residual(ell, prec), prec)
+        return _compare(prec, [("", prod_dissection_residual(ell, prec), None)])
     return run
 
 
 def _prefactor(ell):
     def run(prec):
-        return _zero_residual(prefactor_residual(ell, prec), prec)
+        return _compare(prec, [("", prefactor_residual(ell, prec), None)])
     return run
 
 
 def _as_lemma(prec):
     p1, p2, p3 = (P_series(a, 7, prec) for a in (1, 2, 3))
-    residual = p3 ** 3 * p1 - p2 ** 3 * p3 + (p1 ** 3 * p2).shift(7)
-    return _zero_residual(residual, prec, "P(3)^3 P(1) - P(2)^3 P(3) + q^7 P(1)^3 P(2)")
+    label = "P(3)^3 P(1) - P(2)^3 P(3) + q^7 P(1)^3 P(2)"
+    return _compare(prec, [(label, p3 ** 3 * p1 - p2 ** 3 * p3 + (p1 ** 3 * p2).shift(7), None)], label)
 
 
 def _q7_rewrites(prec):
@@ -236,46 +222,35 @@ def _q7_rewrites(prec):
     rewrites = [
         ("q P(2)/P(1)^2 - q^8 P(1)/(P(2)P(3)) = q P(3)^2/(P(1)P(2)^2)",
          (p2 * (p1 * p1).inverse()).shift(1) - (p1 * (p2 * p3).inverse()).shift(8)
-         - (p3 * p3 * (p1 * p2 * p2).inverse()).shift(1)),
+         - (p3 * p3 * (p1 * p2 * p2).inverse()).shift(1), None),
         ("q^11 P(1)^2/(P(2)P(3)^2) = q^4 P(2)/(P(1)P(3)) - q^4 P(3)/P(2)^2",
          (p1 * p1 * (p2 * p3 * p3).inverse()).shift(11)
-         - (p2 * (p1 * p3).inverse()).shift(4) + (p3 * (p2 * p2).inverse()).shift(4)),
+         - (p2 * (p1 * p3).inverse()).shift(4) + (p3 * (p2 * p2).inverse()).shift(4), None),
         ("q^14 P(1)^3/(P(2)P(3)^3) = -q^7 P(1)/P(2)^2 + q^7 P(2)/P(3)^2",
          (p1 ** 3 * (p2 * p3 ** 3).inverse()).shift(14)
-         + (p1 * (p2 * p2).inverse()).shift(7) - (p2 * (p3 * p3).inverse()).shift(7)),
+         + (p1 * (p2 * p2).inverse()).shift(7) - (p2 * (p3 * p3).inverse()).shift(7), None),
     ]
-    for label, residual in rewrites:
-        status, failure, _ = _zero_residual(residual, prec)
-        if status != "PASS":
-            return status, failure, label
-    return "PASS", None, "three rewrites"
+    return _compare(prec, rewrites, "three rewrites")
 
 
 def _partial_fractions(which):
     def run(prec):
-        for ell in (3, 5, 7):
-            z = cyclotomic_field(ell).zeta(1)
-            for j in (1, 2, 3):
-                residual = partial_fraction_residual(which, z, j, prec)
-                hit = residual.first_nonzero_below(prec)
-                if hit is not None:
-                    e, c = hit
-                    return "FAIL", (e, str(c), "0"), f"z = zeta_{ell}, j = {j}"
-        return "PASS", None, "z in {zeta_3, zeta_5, zeta_7}, j in {1, 2, 3}"
+        return _compare(prec, ((f"z = zeta_{ell}, j = {j}",
+                                partial_fraction_residual(which, cyclotomic_field(ell).zeta(1), j, prec), None)
+                               for ell in (3, 5, 7) for j in (1, 2, 3)),
+                        "z in {zeta_3, zeta_5, zeta_7}, j in {1, 2, 3}")
     return run
 
 
 def _three_routes(prec):
-    for kind in ("u", "v"):
-        for ell in (3, 5, 7):
-            base = rank_series(kind, "LAMBERT", prec, ell)
-            for route in ("DEFINITION", "QBINOMIAL"):
-                mismatch = base.equal_upto(rank_series(kind, route, prec, ell), prec)
-                if mismatch is not None:
-                    e, lc, rc = mismatch
-                    return ("FAIL", (e, str(lc), str(rc)),
-                            f"R{kind.upper()} at zeta_{ell}, {route} route")
-    return "PASS", None, "RU and RV, ell in {3, 5, 7}, both alternate routes"
+    def cases():
+        for kind in ("u", "v"):
+            for ell in (3, 5, 7):
+                base = rank_series(kind, "LAMBERT", prec, ell)
+                for route in ("DEFINITION", "QBINOMIAL"):
+                    yield (f"R{kind.upper()} at zeta_{ell}, {route} route",
+                           base, rank_series(kind, route, prec, ell))
+    return _compare(prec, cases(), "RU and RV, ell in {3, 5, 7}, both alternate routes")
 
 
 def _ru13_nonzero(prec):
@@ -287,6 +262,7 @@ def _ru13_nonzero(prec):
 
 
 def _f13_grid(prec):
+    # the one coefficient read is q^13, so the grid runs at prec 14 (its max_prec)
     field = cyclotomic_field(13)
     prec = max(prec, 14)
     skipped = checked = 0
@@ -328,7 +304,7 @@ def _build_registry() -> dict[str, _Check]:
     registry["INFRA:Prefactor-7"] = _Check(_prefactor(7), 60, 40)
     registry["INFRA:three-routes"] = _Check(_three_routes, 21, 11, max_prec=120)
     registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14, max_prec=14)
-    registry["SEC5:F13-grid-q13-nonzero"] = _Check(_f13_grid, 14, 14, long=True)
+    registry["SEC5:F13-grid-q13-nonzero"] = _Check(_f13_grid, 14, 14, long=True, max_prec=14)
     return registry
 
 

@@ -42,7 +42,8 @@ def test_lambert_negation_symmetry_example():
 def test_lambert_negation_symmetry(ell, a, b):
     if a == 0 or a % ell == 0:
         return
-    residual = lambert_t(-a, b, ell, 80) + lambert_t(a, -b, ell, 80).shift(ell * a)
+    residual = lambert_t(-a, b, ell, 80) + lambert_t(a, -b, ell, 80 - ell * a).shift(ell * a)
+    assert residual.prec >= 80
     assert residual.first_nonzero_below(80) is None
 
 

@@ -1,5 +1,9 @@
 import pytest
 
+from qrank import verify
+from qrank.cyclotomic import cyclotomic_field
+from qrank.rankgen import rank_series
+from qrank.series import LaurentSeries
 from qrank.verify import (CheckReport, check_names, run_all, run_check)
 
 # every check the registry must expose
@@ -87,3 +91,83 @@ def test_class_checks_reach_past_enumeration_scale():
     report = run_check("THM13:classes-u5", prec=25)
     assert report.prec == 25 and report.status == "PASS"
     assert "25" in report.detail
+
+
+def _bump(series, k):
+    """series + q^k"""
+    return series + LaurentSeries.monomial(series.ring, k)
+
+
+def _bump_ru5_rhs(monkeypatch, prec, k):
+    rhs_identity = verify.rhs_identity
+    monkeypatch.setattr(verify, "rhs_identity", lambda name, prec: _bump(rhs_identity(name, prec), k))
+    c = rank_series("u", "LAMBERT", prec, 5).coefficient(k)
+    return (k, str(c), str(c + 1)), ""
+
+
+def _bump_prefactor_residual(monkeypatch, prec, k):
+    residual = verify.prefactor_residual
+    monkeypatch.setattr(verify, "prefactor_residual", lambda ell, prec: _bump(residual(ell, prec), k))
+    return (k, "1", "0"), ""
+
+
+def _bump_rank_series(monkeypatch, k, kind, route, *ell):
+    def bumped(*args):
+        series = rank_series(*args)
+        return _bump(series, k) if args[:2] == (kind, route) and args[3:] == ell else series
+    monkeypatch.setattr(verify, "rank_series", bumped)
+
+
+def _bump_rv5_qbinomial(monkeypatch, prec, k):
+    _bump_rank_series(monkeypatch, k, "v", "QBINOMIAL", 5)
+    c = rank_series("v", "LAMBERT", prec, 5).coefficient(k)
+    return (k, str(c), str(c + 1)), "RV at zeta_5, QBINOMIAL route"
+
+
+def _bump_v_enumeration(monkeypatch, prec, k):
+    _bump_rank_series(monkeypatch, k, "v", "ENUMERATION")
+    c = rank_series("v", "QBINOMIAL", prec).coefficient(k)
+    return (k, str(c + 1), str(c)), f"v-rank histogram at n={k}"
+
+
+@pytest.mark.parametrize("name, prec, k, perturb", [
+    ("THM12:RU5", 60, 41, _bump_ru5_rhs),
+    ("INFRA:Prefactor-5", 60, 59, _bump_prefactor_residual),
+    ("INFRA:three-routes", 21, 17, _bump_rv5_qbinomial),
+    ("THM13:bivariate-agreement", 21, 12, _bump_v_enumeration),
+])
+def test_perturbed_side_reports_its_first_failure(monkeypatch, name, prec, k, perturb):
+    failure, detail = perturb(monkeypatch, prec, k)
+    report = run_check(name, prec=prec)
+    assert (report.status, report.first_failure, report.detail) == ("FAIL", failure, detail)
+
+
+def test_comparison_short_of_the_requested_precision_is_an_error(monkeypatch):
+    rhs_identity = verify.rhs_identity
+    monkeypatch.setattr(verify, "rhs_identity", lambda name, prec: rhs_identity(name, prec).truncate(prec - 5))
+    with pytest.raises(ValueError, match="below requested 60"):
+        run_check("THM12:RU5", prec=60)
+
+
+def test_t_symmetry_compares_every_triple_below_the_requested_precision(monkeypatch):
+    # (-7, 10, 3) is a sampled triple; q^(la) = q^-21 shifts T(-7, -10, 3)
+    # down, so it must be built to prec + 21 for the residual to reach q^79
+    lambert_t = verify.lambert_t
+    def bumped(a, b, ell, prec):
+        t = lambert_t(a, b, ell, prec)
+        return _bump(t, 79) if (a, b, ell) == (7, 10, 3) else t
+    monkeypatch.setattr(verify, "lambert_t", bumped)
+    report = run_check("INFRA:T-symmetry", prec=80)
+    assert (report.status, report.first_failure) == ("FAIL", (79, "1", "0"))
+    assert report.detail.endswith("at (a,b,l)=(-7, 10, 3)")
+
+
+def test_f13_grid_runs_at_its_capped_precision(monkeypatch):
+    seen = []
+    def fake_eval_f(x, y, z, prec):
+        seen.append(prec)
+        return LaurentSeries.monomial(cyclotomic_field(13), 13, prec=prec)
+    monkeypatch.setattr(verify, "eval_f", fake_eval_f)
+    report = run_check("SEC5:F13-grid-q13-nonzero", prec=1000)
+    assert (report.prec, report.status) == (14, "PASS")
+    assert seen and set(seen) == {14}
