@@ -3,10 +3,11 @@
 Every command writes an OutputDoc: a stable JSON envelope with the schema
 version, an echo of the command, and the payload.  Plain and CSV formats
 render the payload only.  Exit status: 0 on success or PASS, 1 on any FAIL,
-2 on usage errors.  The environment variable QRANK_PREC overrides the default
-precision.  Precisions (``coeffs --prec``, QRANK_PREC, ``verify --prec``) and
-``congruence --max`` above PREC_MAX, and a ``verify --prec`` below 1, are
-refused with exit 2 before any work.
+2 on usage errors or, with no FAIL, a check that raised (ERROR).  The
+environment variable QRANK_PREC overrides the default precision.  Precisions
+(``coeffs --prec``, QRANK_PREC, ``verify --prec``) and ``congruence --max``
+above PREC_MAX, and a ``verify --prec`` below 1, are refused with exit 2
+before any work.
 """
 
 from __future__ import annotations
@@ -232,8 +233,11 @@ def _cmd_verify(args, out, err) -> int:
         err.write(f"qrank verify: --prec must be between 1 and {PREC_MAX}, got {args.prec}\n")
         return 2
     only = None
-    if args.only:
+    if args.only is not None:
         only = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not only:
+            err.write("qrank verify: --only names no check\n")
+            return 2
     try:
         reports = run_all(profile=args.profile, only=only, prec=args.prec)
     except KeyError as exc:
@@ -245,14 +249,15 @@ def _cmd_verify(args, out, err) -> int:
 
     def plain():
         for r in reports:
-            line = f"{r.status:<4}  {r.name:<32} prec={r.prec:<4} {r.runtime_ms:9.1f} ms"
+            line = f"{r.status:<5}  {r.name:<32} prec={r.prec:<4} {r.runtime_ms:9.1f} ms"
             if r.detail:
                 line += f"  [{r.detail}]"
             if r.first_failure:
                 line += f"  first failure: {r.first_failure}"
             yield line
         fails = sum(1 for r in reports if r.status == "FAIL")
-        yield f"{len(reports)} checks, {fails} failures"
+        errors = sum(1 for r in reports if r.status == "ERROR")
+        yield f"{len(reports)} checks, {fails} failures" + (f", {errors} errors" if errors else "")
 
     def csv():
         yield "name,prec,status,runtime_ms,detail"
@@ -260,7 +265,8 @@ def _cmd_verify(args, out, err) -> int:
             yield f"{r.name},{r.prec},{r.status},{r.runtime_ms:.1f},\"{r.detail}\""
 
     _emit(doc, args.format, plain, csv, out)
-    return 1 if any(r.status == "FAIL" for r in reports) else 0
+    statuses = {r.status for r in reports}
+    return 1 if "FAIL" in statuses else 2 if "ERROR" in statuses else 0
 
 
 def main(argv=None) -> int:

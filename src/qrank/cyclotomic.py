@@ -1,12 +1,12 @@
 """Exact scalars: arbitrary-precision rationals and the cyclotomic fields Q(zeta_l).
 
 The base scalar is ``fractions.Fraction``.  ``CycQ`` is an element of Q(zeta_l)
-for a prime l >= 3, stored in the power basis 1, zeta, ..., zeta^(l-2).  The
-top power is eliminated through 1 + zeta + ... + zeta^(l-1) = 0, so equality
-is a plain coordinate comparison.  A unit monomial c zeta^k inverts to
-(1/c) zeta^-k directly; any other element by solving the (l-1) x (l-1)
-linear system of multiplication-by-a over the rationals, which is exact and
-entirely adequate at degree <= 12.
+for a prime l >= 3, stored in the power basis 1, zeta, ..., zeta^(l-2), so
+equality is a plain coordinate comparison.  Products run on residue vectors,
+the coefficients of 1, zeta, ..., zeta^(l-1) (``_cyclic_product``), and
+``_reduce_residues`` is the one reduction back to the power basis.  A unit
+monomial c zeta^k inverts to (1/c) zeta^-k directly, any other element by
+its norm: a^-1 = P / N(a), P the product of the other conjugates of a.
 
 The coefficient-ring adapters (``QQ``, ``cyclotomic_field(l)``) also translate
 between single elements and the integer form that ``LaurentSeries`` stores:
@@ -20,6 +20,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 Rational = Fraction
 
@@ -53,6 +54,39 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _cyclic_product(x, y, ell: int, zero=0) -> list:
+    """The l coefficients of 1, zeta, ..., zeta^(l-1) in (sum x_i zeta^i)(sum y_j zeta^j).
+
+    x and y hold at most l coefficients each; exponents are taken mod l.
+    Coefficients no product reaches stay ``zero``.
+    """
+    raw = [zero] * ell
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if yj:
+                k = i + j
+                if k >= ell:
+                    k -= ell
+                raw[k] += xi * yj
+    return raw
+
+
+def _reduce_residues(raw: list, ell: int, stride: int) -> list:
+    """Power-basis coordinates of slots of ``stride`` digits, the first l of each
+    the coefficients of 1, zeta, ..., zeta^(l-1): zeta^(l-1) = -(1 + ... + zeta^(l-2))
+    subtracts the top coefficient from the others."""
+    width = ell - 1
+    if len(raw) == stride == ell and not raw[-1]:
+        return raw[:-1]      # one vector, already reduced: no l-1 Fraction subtractions
+    data = [0] * (len(raw) // stride * width)
+    top = raw[width::stride]
+    for j in range(width):
+        data[j::width] = map(sub, raw[j::stride], top)
+    return data
+
+
 class CycQ:
     """An element of Q(zeta_l) as l-1 rational coordinates in the power basis."""
 
@@ -70,10 +104,7 @@ class CycQ:
         raw = [as_rational(c) for c in raw]
         if len(raw) != ell:
             raise ValueError(f"need {ell} coefficients, got {len(raw)}")
-        top = raw[-1]
-        if top:
-            return CycQ(ell, tuple(c - top for c in raw[:-1]))
-        return CycQ(ell, tuple(raw[:-1]))
+        return CycQ(ell, _reduce_residues(raw, ell, ell))
 
     def _coerce(self, other):
         if isinstance(other, CycQ):
@@ -144,22 +175,8 @@ class CycQ:
         if other is None:
             return NotImplemented
         ell = self.ell
-        raw = [_ZERO] * ell
-        b = other.coeffs
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                k = i + j
-                if k >= ell:
-                    k -= ell
-                raw[k] += ai * bj
-        top = raw[-1]
-        if top:
-            return CycQ(ell, tuple(c - top for c in raw[:-1]))
-        return CycQ(ell, tuple(raw[:-1]))
+        raw = _cyclic_product(self.coeffs, other.coeffs, ell, _ZERO)
+        return CycQ(ell, _reduce_residues(raw, ell, ell))
 
     __rmul__ = __mul__
 
@@ -183,20 +200,14 @@ class CycQ:
             return NotImplemented
         return self * other.inverse()
 
-    def _times_zeta(self) -> "CycQ":
-        # (c0, ..., c_{n-1}) * zeta, reducing zeta^n = -(1 + ... + zeta^(n-1))
-        c = self.coeffs
-        top = c[-1]
-        shifted = (_ZERO,) + c[:-1]
-        if top:
-            return CycQ(self.ell, tuple(s - top for s in shifted))
-        return CycQ(self.ell, shifted)
-
     def inverse(self) -> "CycQ":
-        """Multiplicative inverse: (1/c) zeta^-k for a unit monomial c zeta^k, else a linear solve.
+        """Multiplicative inverse: (1/c) zeta^-k for a unit monomial c zeta^k, else by the norm.
 
         c zeta^k has one nonzero coordinate for k <= l-2; for k = l-1 every
         coordinate equals -c, since zeta^(l-1) = -(1 + zeta + ... + zeta^(l-2)).
+        Any other a = A / den, A integral, has P = sigma_2(A) ... sigma_(l-1)(A),
+        sigma_k: zeta -> zeta^k; the residue vector of A P = N(A) is rational,
+        N(A) + t in coordinate 0 and t elsewhere, and a^-1 = den P / N(A).
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
@@ -207,36 +218,20 @@ class CycQ:
         elif len(support) == ell - 1 and len(set(coeffs)) == 1:
             k, inv = ell - 1, -1 / coeffs[0]
         else:
-            return self._solve_inverse()
+            den, a, _ = cyclotomic_field(ell).split(self)
+            conj = [1]
+            for k in range(2, ell):
+                sigma = [0] * ell
+                for i, x in enumerate(a):
+                    sigma[i * k % ell] = x
+                conj = _cyclic_product(conj, sigma, ell)
+            prod = _cyclic_product(a, conj, ell)
+            norm = prod[0] - prod[1]
+            return CycQ(ell, [Fraction(den * c, norm) for c in _reduce_residues(conj, ell, ell)])
         k = -k % ell
         if k < ell - 1:
             return CycQ(ell, tuple(inv if i == k else _ZERO for i in range(ell - 1)))
         return CycQ(ell, (-inv,) * (ell - 1))
-
-    def _solve_inverse(self) -> "CycQ":
-        """Multiplicative inverse via an exact linear solve."""
-        n = self.ell - 1
-        # Augmented system M x = e0 where column j of M is self * zeta^j.
-        col = self
-        rows = [[_ZERO] * (n + 1) for _ in range(n)]
-        for j in range(n):
-            for i in range(n):
-                rows[i][j] = col.coeffs[i]
-            if j + 1 < n:
-                col = col._times_zeta()
-        rows[0][n] = _ONE
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if rows[r][c]), None)
-            if pivot is None:
-                raise ArithmeticError("singular multiplication matrix")
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            inv = 1 / rows[c][c]
-            rows[c] = [v * inv for v in rows[c]]
-            for r in range(n):
-                if r != c and rows[r][c]:
-                    f = rows[r][c]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-        return CycQ(self.ell, tuple(rows[i][n] for i in range(n)))
 
     # -- comparison / hashing ------------------------------------------
 

@@ -48,7 +48,8 @@ from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from operator import add, and_, floordiv, lshift, mul, neg, or_, rshift, sub
 
-from .cyclotomic import QQ, CycQ, as_rational, cyclotomic_field, rational_str
+from .cyclotomic import (QQ, CycQ, _reduce_residues, as_rational, cyclotomic_field,
+                         rational_str)
 
 INF = math.inf
 
@@ -342,22 +343,16 @@ def _kron_mul(a: list, wa: int, b: list, wb: int, n: int) -> list:
     return _unpack(pa * pb, n * stride, k)
 
 
-def _fold_cyclotomic(raw: list, ell: int, n: int) -> list:
-    """Reduce n slots of 2l-3 raw coordinates (powers zeta^0..zeta^(2l-4)) to the power basis.
+def _fold_cyclotomic(raw: list, ell: int) -> list:
+    """Reduce slots of 2l-3 raw coordinates (powers zeta^0..zeta^(2l-4)) to the power basis.
 
-    zeta^(l+k) folds onto zeta^k, then zeta^(l-1) = -(1 + zeta + ... + zeta^(l-2))
-    subtracts the top coordinate from the others.
+    zeta^(l+k) folds onto zeta^k in place; ``_reduce_residues`` then
+    eliminates zeta^(l-1).
     """
     stride = 2 * ell - 3
-    width = ell - 1
-    out = [0] * (n * width)
-    top = raw[ell - 1::stride]
-    for j in range(width):
-        col = raw[j::stride]
-        if j + ell < stride:
-            col = map(add, col, raw[j + ell::stride])
-        out[j::width] = map(sub, col, top)
-    return out
+    for k in range(ell - 3):
+        raw[k::stride] = map(add, raw[k::stride], raw[ell + k::stride])
+    return _reduce_residues(raw, ell, stride)
 
 
 def _first_nonzero(data: list):
@@ -791,7 +786,7 @@ def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     raw = _kron_mul(a.data, wa, b.data, wb, n)
     width = wa + wb - 1
     if wa > 1 and wb > 1 and ring is not ZPOLY:
-        raw, width = _fold_cyclotomic(raw, ring.ell, n), ring.width
+        raw, width = _fold_cyclotomic(raw, ring.ell), ring.width
     return _make(ring, val, a.den * b.den, raw, width, a.zlo + b.zlo, prec)
 
 
@@ -840,21 +835,6 @@ def _cyclic_lift(coords) -> list:
     full = list(coords) + [0]
     t = sorted(full)[len(full) // 2]
     return [x - t for x in full]
-
-
-def _reduce_residues(raw: list, ell: int, stride: int) -> list:
-    """Power-basis coordinates of slots of ``stride`` digits, the first l of each
-    the coefficients of 1, zeta, ..., zeta^(l-1).
-
-    zeta^(l-1) = -(1 + zeta + ... + zeta^(l-2)) subtracts the top coefficient
-    from the others.
-    """
-    width = ell - 1
-    data = [0] * (len(raw) // stride * width)
-    top = raw[width::stride]
-    for j in range(width):
-        data[j::width] = map(sub, raw[j::stride], top)
-    return data
 
 
 # -- the in-place factor kernel ----------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each check produces a CheckReport: PASS, or FAIL with the first offending
 exponent and both coefficient values.  ``run_all`` executes the registry for a
-precision profile; the exit status of the CLI wrapper reflects any FAIL.
+precision profile and reports a check that raises as ERROR, with the
+exception text, while the other checks still run; the exit status of the CLI
+wrapper reflects any FAIL or ERROR.
 
 Check identifiers are grouped by family:
 
@@ -45,7 +47,7 @@ CLASS_FAMILIES = {
 class CheckReport:
     name: str
     prec: int
-    status: str                  # PASS | FAIL | SKIPPED
+    status: str                  # PASS | FAIL | ERROR (the check raised)
     first_failure: tuple | None  # (exponent, lhs, rhs)
     runtime_ms: float
     detail: str = ""
@@ -316,30 +318,41 @@ def check_names(include_long: bool = True) -> list[str]:
     return sorted(names)
 
 
-def run_check(name: str, prec: int | None = None, profile: str = "default") -> CheckReport:
-    """Execute one named check; ``prec`` overrides the profile precision."""
+def _used_prec(name: str, prec: int | None, profile: str) -> int:
+    """``prec``, else the profile's precision for the check, capped by its max_prec."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     if name not in _REGISTRY:
         raise KeyError(f"unknown check {name!r}")
     check = _REGISTRY[name]
-    used_prec = prec if prec is not None else (
-        check.fast_prec if profile == "fast" else check.default_prec)
-    if check.max_prec is not None:
-        used_prec = min(used_prec, check.max_prec)
+    if prec is None:
+        prec = check.fast_prec if profile == "fast" else check.default_prec
+    return prec if check.max_prec is None else min(prec, check.max_prec)
+
+
+def run_check(name: str, prec: int | None = None, profile: str = "default") -> CheckReport:
+    """Execute one named check; ``prec`` overrides the profile precision."""
+    used_prec = _used_prec(name, prec, profile)
     start = time.perf_counter()
-    status, failure, detail = check.run(used_prec)
+    status, failure, detail = _REGISTRY[name].run(used_prec)
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(name, used_prec, status, failure, elapsed, detail)
 
 
 def run_all(profile: str = "default", only=None, prec: int | None = None) -> list[CheckReport]:
-    """Run the registry (long checks only under the deep profile), in name order."""
-    if only is not None:
-        names = list(only)
-        for n in names:
-            if n not in _REGISTRY:
-                raise KeyError(f"unknown check {n!r}")
-    else:
-        names = check_names(include_long=(profile == "deep"))
-    return [run_check(n, prec=prec, profile=profile) for n in sorted(names)]
+    """Run the registry (long checks only under the deep profile), each name once, in name order.
+
+    A check that raises is reported as ERROR with the exception text; the others still run.
+    """
+    names = check_names(include_long=(profile == "deep")) if only is None else set(only)
+    used = {n: _used_prec(n, prec, profile) for n in sorted(names)}
+    reports = []
+    for n in used:
+        start = time.perf_counter()
+        try:
+            reports.append(run_check(n, prec=prec, profile=profile))
+        except Exception as exc:
+            elapsed = (time.perf_counter() - start) * 1000.0
+            reports.append(CheckReport(n, used[n], "ERROR", None, elapsed,
+                                       f"{type(exc).__name__}: {exc}"))
+    return reports

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qrank import verify
 from qrank.cli import PREC_MAX, main
 from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
 
@@ -126,6 +127,33 @@ def test_verify_unknown_check_is_usage_error():
     code, _, err = run_cli("verify", "--only", "NOPE:missing")
     assert code == 2
     assert "NOPE:missing" in err
+
+
+def test_verify_only_must_name_a_check():
+    for only in (",", " "):
+        code, out, err = run_cli("verify", "--only", only)
+        assert code == 2 and out == ""
+        assert "names no check" in err
+
+
+def test_verify_runs_a_repeated_name_once():
+    code, out, _ = run_cli("verify", "--only", "THM11:u3,THM11:u3", "--profile", "fast",
+                           "--format", "json")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["payload"]] == ["THM11:u3"]
+
+
+def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    rhs_identity = verify.rhs_identity
+    monkeypatch.setattr(verify, "rhs_identity", lambda name, prec: (
+        rhs_identity(name, prec).truncate(prec - 5) if name == "RU5" else rhs_identity(name, prec)))
+    code = main(["verify", "--only", "THM12:RU3,THM12:RU5", "--prec", "60", "--format", "json"])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert [(r["name"], r["status"]) for r in payload] == [("THM12:RU3", "PASS"),
+                                                          ("THM12:RU5", "ERROR")]
+    assert payload[1]["detail"] == "ValueError: residual precision 55 below requested 60"
+    assert payload[1]["first_failure"] is None and payload[1]["prec"] == 60
 
 
 def test_verify_list():

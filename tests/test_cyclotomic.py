@@ -58,16 +58,31 @@ def test_cyc_invert_examples():
     assert f5.one.inverse() == f5.one
     with pytest.raises(ZeroDivisionError):
         f5.zero.inverse()
+    # (1 + zeta)(1 - zeta)(1 - zeta^-1), which every RU/RV at zeta divides by
+    for field in map(cyclotomic_field, (5, 7, 13)):
+        z = field.zeta(1)
+        a = (1 + z) * (1 - z) * (1 - field.zeta(-1))
+        assert a * a.inverse() == field.one
 
 
 @pytest.mark.parametrize("c", (1, -1, Fraction(3, 2)))
 @pytest.mark.parametrize("ell", (3, 5, 7, 13))
 def test_unit_monomial_inverse_matches_linear_solve(ell, c):
+    # the read-off gives (1/c) zeta^-k
     field = cyclotomic_field(ell)
     for k in range(ell):
         x = field.zeta(k) * c
-        assert x.inverse() == x._solve_inverse()
+        assert x.inverse() == field.zeta(-k) * (1 / Fraction(c))
         assert x * x.inverse() == field.one
+
+
+@given(st.sampled_from([3, 5, 7, 13]), st.data())
+def test_inverse_by_the_norm(ell, data):
+    a = data.draw(elements(ell).filter(lambda a: not a.is_zero()))
+    field = cyclotomic_field(ell)
+    assert a * a.inverse() == field.one
+    assert a.inverse().inverse() == a
+
 
 
 def test_residue_vector_is_constant():
