@@ -6,8 +6,8 @@ render the payload only.  Exit status: 0 on success or PASS, 1 on any FAIL,
 2 on usage errors or, with no FAIL, a check that raised (ERROR).  The
 environment variable QRANK_PREC overrides the default precision.  Precisions
 (``coeffs --prec``, QRANK_PREC, ``verify --prec``) and ``congruence --max``
-above PREC_MAX, and a ``verify --prec`` below 1, are refused with exit 2
-before any work.
+above PREC_MAX, a ``verify --prec`` below 1, ``coeffs --ell`` above ELL_MAX
+and ``classes --mod`` above MOD_MAX are refused with exit 2 before any work.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ SCHEMA_VERSION = 1
 # (6.8 s) and INFRA:JTP (5.4 s); `coeffs` of RHS(RU7) - RU(7) 2.5 s, of U()
 # 0.34 s, of E(1) 0.13 s; the u(5n) congruence scan 0.32 s.
 PREC_MAX = 1000
+# ELL_MAX is the largest order the paper uses; `coeffs` of 1/(1+zeta+q) to
+# q^1000 takes 1.9 s at ell = 13, 13.6 s at 31.  Every rank at n <= 40 lies in
+# [-78, 78], so a modulus past 157 only adds empty classes.
+ELL_MAX, MOD_MAX = 13, 1000
 
 
 def _default_prec() -> int:
@@ -54,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="evaluate a series expression")
     p.add_argument("--expr", required=True, help="expression, e.g. 'q*E(25)/P(1)^2'")
-    p.add_argument("--ell", type=int, default=5, help="ambient cyclotomic order (default 5)")
+    p.add_argument("--ell", type=int, default=5, help=f"ambient cyclotomic order (default 5, at most {ELL_MAX})")
     p.add_argument("--prec", type=int, default=None,
                    help=f"working precision (default 60, at most {PREC_MAX})")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
@@ -67,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="rank residue-class totals mod ell")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=("u", "v"), default="u")
-    p.add_argument("--mod", type=int, required=True)
+    p.add_argument("--mod", type=int, required=True, help=f"modulus (2 to {MOD_MAX})")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
 
     p = sub.add_parser("congruence", help="scan a coefficient congruence family")
@@ -114,6 +118,9 @@ def _cmd_coeffs(args, out, err) -> int:
         return 2
     if prec > PREC_MAX:
         err.write(f"qrank coeffs: --prec must be at most {PREC_MAX}, got {prec}\n")
+        return 2
+    if args.ell > ELL_MAX:
+        err.write(f"qrank coeffs: --ell must be at most {ELL_MAX}, got {args.ell}\n")
         return 2
     # imported here so the other commands do not pay for the parser's import
     from .qexpr import EvalCtx, QExprEvalError, QExprSyntaxError, evaluate
@@ -168,8 +175,8 @@ def _cmd_ranktable(args, out, err) -> int:
 
 
 def _cmd_classes(args, out, err) -> int:
-    if not 1 <= args.n <= CLASSES_MAX_N or args.mod < 2:
-        err.write(f"qrank classes: need 1 <= n <= {CLASSES_MAX_N} and --mod >= 2\n")
+    if not 1 <= args.n <= CLASSES_MAX_N or not 2 <= args.mod <= MOD_MAX:
+        err.write(f"qrank classes: need 1 <= n <= {CLASSES_MAX_N} and 2 <= --mod <= {MOD_MAX}\n")
         return 2
     counts = class_counts(args.n, args.kind, args.mod)
     payload = {"n": args.n, "kind": args.kind, "mod": args.mod,

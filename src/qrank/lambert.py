@@ -6,6 +6,10 @@ P(a) = (q^(l a); q^(l^2))_inf (q^(l^2 - l a); q^(l^2))_inf for 0 < a < l; out
 of that range the symmetries P(-a) = -q^(-l a) P(a) and P(l + a) = P(-a)
 reduce the argument first, producing honest Laurent series with negative
 valuation where identities demand them.
+
+``theta_sum`` evaluates tables of terms c q^s T(a, b, l) prod E(x)^k P(x)^k,
+each E/P product one in-place FactorBlock with no Newton inverse;
+``P_series`` and the two transformation residuals are such tables.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import QQ, is_prime
-from .series import INF, LaurentSeries, jacprod, poch
+from .cyclotomic import QQ, cyclotomic_field, is_prime
+from .series import INF, FactorBlock, LaurentSeries, poch
 
 
 @dataclass(frozen=True)
@@ -51,33 +55,19 @@ def _t_term_exponents(spec: TSpec, n: int):
 @lru_cache(maxsize=None)
 def lambert_T(spec: TSpec, prec: int) -> LaurentSeries:
     """The bilateral sum T(a,b,ell) truncated below prec, over the rationals."""
-    ell = spec.ell
     # Term valuations are quadratics in n with positive leading coefficient
     # l^2/2; stop a direction only once past the vertex of both branch
     # quadratics, guarding against early non-monotonicity for large |b|.
-    vertex_hi = abs(spec.b) // ell + 2
+    vertex_hi = abs(spec.b) // spec.ell + 2
     items = []
-
-    def emit(n: int) -> int:
-        sign, val, step = _t_term_exponents(spec, n)
-        e = val
-        while e < prec:
-            items.append((e, QQ.one if sign > 0 else -QQ.one))
-            e += step
-        return val
-
-    n = 0
-    while True:
-        val = emit(n)
-        if val >= prec and n > vertex_hi:
-            break
-        n += 1
-    n = -1
-    while True:
-        val = emit(n)
-        if val >= prec and -n > vertex_hi:
-            break
-        n -= 1
+    for n, step in ((0, 1), (-1, -1)):
+        while True:
+            sign, val, m = _t_term_exponents(spec, n)
+            c = QQ.one if sign > 0 else -QQ.one
+            items += [(e, c) for e in range(val, prec, m)]
+            if val >= prec and abs(n) > vertex_hi:
+                break
+            n += step
     return LaurentSeries.from_items(QQ, items, prec)
 
 
@@ -117,20 +107,54 @@ def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
         raise ValueError(f"ell must be a prime >= 3, got {ell}")
     if a % ell == 0:
         raise ValueError(f"P({a}) is degenerate for ell = {ell} (argument divisible by ell)")
-    sign, shift, a0 = _reduce_p_argument(a, ell)
-    base = jacprod(QQ, 1, ell * a0, ell * ell, prec - shift)
-    if sign < 0:
-        base = -base
-    return base.shift(shift)
+    return theta_sum(ell, [(1, 0, (("P", a, 1),), None)], prec)
 
 
-def _p_or_zero(a: int, ell: int, prec: int) -> LaurentSeries:
-    # P(a) with the vanishing convention for arguments divisible by ell: the
-    # second jacprod factor acquires (1 - q^0) = 0.  Only identity residual
-    # builders use this; the public P_series rejects such arguments.
-    if a % ell == 0:
-        return LaurentSeries.zero(QQ, prec)
-    return P_series(a, ell, prec)
+def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
+    """sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over the terms, exact below q^prec.
+
+    A term is (c, s, ((kind, x, k), ...), (a, b) or None for T = 1), kind "E"
+    or "P"; c is a rational or a tuple of (rational, j) pairs for sum c_j zeta^j,
+    which puts the sum over Q(zeta_ell).  A P(x) with ell | x zeroes its term at
+    k > 0 and raises at k < 0; any other is reduced to 0 < x < ell, its sign and
+    q-shift folded into the term.  The E/P product is built over the rationals
+    to prec - s - val(T) terms: a term with s >= prec counts when val(T) < 0.
+    """
+    if ell < 3 or not is_prime(ell):
+        raise ValueError(f"ell must be a prime >= 3, got {ell}")
+    ring = cyclotomic_field(ell) if any(isinstance(t[0], tuple) for t in terms) else QQ
+    total = LaurentSeries.zero(ring, prec)
+    for coeff, shift, factors, lam in terms:
+        sign, ranges, vanishes = 1, [], False
+        for kind, x, power in factors:
+            if kind == "E":
+                if x < 1:
+                    raise ValueError(f"E(a) needs a >= 1, got {x}")
+                ranges.append((x, x, power))
+            elif x % ell == 0:
+                if power < 0:
+                    raise ValueError(f"P({x}) is degenerate for ell = {ell} (argument divisible by ell)")
+                vanishes = True
+            else:
+                p_sign, p_shift, x = _reduce_p_argument(x, ell)
+                sign *= p_sign ** abs(power)
+                shift += p_shift * power
+                ranges += [(ell * x, ell * ell, power), (ell * (ell - x), ell * ell, power)]
+        t = None if lam is None else lambert_T(TSpec(*lam, ell), prec - shift)
+        n = prec - shift - (0 if t is None else t.valuation)
+        if vanishes or n <= 0 or (t is not None and t.is_zero()):
+            continue
+        block = FactorBlock(QQ, n)
+        for start, step, power in ranges:
+            for _ in range(abs(power)):
+                block.factor(1, range(start, n, step), divide=power < 0)
+        term = block.series(n) if t is None else t * block.series(n)
+        if isinstance(coeff, tuple):
+            coeff = sum((ring.zeta(j) * c for c, j in coeff), ring.zero)
+        total = total + term.scale(coeff * sign).shift(shift)
+    if total.prec < prec:
+        raise ValueError(f"internal precision shortfall: {total.prec} < {prec}")
+    return total.truncate(prec)
 
 
 def chan_identity_residual(variant: int, ell: int, a: int, b1: int, b2=None, prec: int = 60) -> LaurentSeries:
@@ -143,33 +167,23 @@ def chan_identity_residual(variant: int, ell: int, a: int, b1: int, b2=None, pre
         T(b, a+b, l) = -q^(-l b) P(a+b)/P(a-b) T(b, b-a, l)
                        + q^(-l b) P(a) P(2b) E(l^2)^2 / (P(b)^2 P(a-b))
     """
-    pad = 4 * ell * ell
-    work = prec + pad
-    e2 = E_series(ell * ell, work)
-    e2sq = e2 * e2
+    e2 = ("E", ell * ell, 2)
     if variant == 1:
         if b2 is None:
             raise ValueError("variant 1 needs both b1 and b2")
-        lhs = lambert_t(b2, a - b1, ell, work)
-        main = _p_or_zero(a - b1, ell, work) * lambert_t(b1, a - b2, ell, work) \
-            * P_series(a - b2, ell, work).inverse()
-        corr = _p_or_zero(a, ell, work) * _p_or_zero(b2 - b1, ell, work) * e2sq \
-            * (P_series(b1, ell, work) * P_series(b2, ell, work) * P_series(a - b2, ell, work)).inverse()
-        rhs = (main - corr).shift(ell * (b1 - b2))
+        s = ell * (b1 - b2)
+        terms = [(1, 0, (), (b2, a - b1)),
+                 (-1, s, (("P", a - b1, 1), ("P", a - b2, -1)), (b1, a - b2)),
+                 (1, s, (("P", a, 1), ("P", b2 - b1, 1), e2,
+                         ("P", b1, -1), ("P", b2, -1), ("P", a - b2, -1)), None)]
     elif variant == 2:
         b = b1
-        lhs = lambert_t(b, a + b, ell, work)
-        main = _p_or_zero(a + b, ell, work) * lambert_t(b, b - a, ell, work) \
-            * P_series(a - b, ell, work).inverse()
-        corr = _p_or_zero(a, ell, work) * _p_or_zero(2 * b, ell, work) * e2sq \
-            * (P_series(b, ell, work) ** 2 * P_series(a - b, ell, work)).inverse()
-        rhs = (corr - main).shift(-ell * b)
+        terms = [(1, 0, (), (b, a + b)),
+                 (1, -ell * b, (("P", a + b, 1), ("P", a - b, -1)), (b, b - a)),
+                 (-1, -ell * b, (("P", a, 1), ("P", 2 * b, 1), e2, ("P", b, -2), ("P", a - b, -1)), None)]
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
-    residual = (lhs - rhs).truncate(prec)
-    if residual.prec < prec:
-        raise ValueError(f"internal precision shortfall: {residual.prec} < {prec}")
-    return residual
+    return theta_sum(ell, terms, prec)
 
 
 def chan_suite_parameters():

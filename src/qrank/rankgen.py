@@ -18,8 +18,9 @@ formal, at z = zeta_ell, or at z = 1.
 smallest part n (and, in ``_bivariate``, the p4 count m) changes, so no term
 builds or inverts its own Pochhammer denominator.
 
-``rhs_identity`` assembles the E/P/T product forms the five root-of-unity
-identities equate RU and RV at zeta_l to.
+``rhs_identity`` evaluates the E/P/T forms of the five root-of-unity identities,
+and the prefactor and dissection residuals their right-hand sides, as term
+tables for ``lambert.theta_sum``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from functools import lru_cache
 from operator import add
 
 from .cyclotomic import QQ, CycQ, cyclotomic_field, is_prime
-from .lambert import E_series, P_series, lambert_t
+from .lambert import theta_sum
 from .series import INF, FactorBlock, LaurentSeries, ZPOLY, ZLaurentPoly, geometric, poch
 
-IDENTITY_NAMES = ("RU3", "RV3", "RU5", "RV5", "RU7")
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
 
@@ -328,61 +328,37 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Lau
 
 # -- the right-hand sides of the five root-of-unity identities ----------------
 
-
-def _zeta_combo(field, pairs) -> CycQ:
-    acc = field.zero
-    for coeff, power in pairs:
-        acc = acc + field.zeta(power) * QQ.of(coeff)
-    return acc
+# each identity as (ell, theta_sum terms)
+_IDENTITIES = {
+    "RU3": (3, [(1, 7, (("E", 3, -1),), (2, 3)),
+                (-1, 5, (("E", 3, -1),), (2, 2))]),
+    "RV3": (3, [(1, 5, (("E", 3, -1),), (2, 2)),
+                (-1, 3, (("E", 3, -1),), (2, 1))]),
+    "RU5": (5, [(1, 1, (("E", 25, 1), ("P", 1, -2)), None),
+                (-1, 7, (("E", 25, -1), ("P", 2, -1)), (2, 2)),
+                (-1, 4, (("E", 25, -1), ("P", 1, -1)), (2, 1))]),
+    "RV5": (5, [(1, 12, (("E", 25, -1), ("P", 2, -1)), (3, 3)),
+                (-1, 5, (("E", 25, -1), ("P", 1, -1)), (3, 1)),
+                (1, 2, (("E", 25, 1), ("P", 1, -1), ("P", 2, -1)), None),
+                (-1, 3, (("E", 25, 1), ("P", 2, -2)), None)]),
+    "RU7": (7, [(1, 1, (("E", 49, 1), ("P", 3, 1), ("P", 1, -1), ("P", 2, -2)), None),
+                (((-1, 2), (-1, 5)), 15, (("E", 49, -1), ("P", 3, -1)), (3, 3)),
+                (((-1, 3), (-1, 4)), 2, (("E", 49, 1), ("P", 1, -1), ("P", 2, -1)), None),
+                (1, 3, (("E", 49, 1), ("P", 1, -1), ("P", 3, -1)), None),
+                (((1, 1), (1, 6)), 4, (("E", 49, 1), ("P", 2, -2)), None),
+                (((1, 1), (1, 6)), 11, (("E", 49, -1), ("P", 2, -1)), (3, 2)),
+                (((1, 0), (1, 3), (1, 4)), 6, (("E", 49, 1), ("P", 3, -2)), None),
+                (((-1, 0), (-1, 3), (-1, 4)), 6, (("E", 49, -1), ("P", 1, -1)), (3, 1))]),
+}
+IDENTITY_NAMES = tuple(_IDENTITIES)
 
 
 @lru_cache(maxsize=None)
 def rhs_identity(name: str, prec: int) -> LaurentSeries:
     """The E/P/T product-and-Lambert form equated to RU/RV at zeta_ell."""
-    if name == "RU3":
-        e3inv = E_series(3, prec).inverse()
-        out = (lambert_t(2, 3, 3, prec).shift(7) - lambert_t(2, 2, 3, prec).shift(5)) * e3inv
-    elif name == "RV3":
-        e3inv = E_series(3, prec).inverse()
-        out = (lambert_t(2, 2, 3, prec).shift(5) - lambert_t(2, 1, 3, prec).shift(3)) * e3inv
-    elif name == "RU5":
-        e25 = E_series(25, prec)
-        e25inv = e25.inverse()
-        p1, p2 = P_series(1, 5, prec), P_series(2, 5, prec)
-        out = (e25 * (p1 * p1).inverse()).shift(1) \
-            - (lambert_t(2, 2, 5, prec) * e25inv * p2.inverse()).shift(7) \
-            - (lambert_t(2, 1, 5, prec) * e25inv * p1.inverse()).shift(4)
-    elif name == "RV5":
-        e25 = E_series(25, prec)
-        e25inv = e25.inverse()
-        p1, p2 = P_series(1, 5, prec), P_series(2, 5, prec)
-        out = (lambert_t(3, 3, 5, prec) * e25inv * p2.inverse()).shift(12) \
-            - (lambert_t(3, 1, 5, prec) * e25inv * p1.inverse()).shift(5) \
-            + (e25 * (p1 * p2).inverse()).shift(2) \
-            - (e25 * (p2 * p2).inverse()).shift(3)
-    elif name == "RU7":
-        field = cyclotomic_field(7)
-        c25 = _zeta_combo(field, [(1, 2), (1, 5)])          # zeta^2 + zeta^5
-        c34 = _zeta_combo(field, [(1, 3), (1, 4)])          # zeta^3 + zeta^4
-        c16 = _zeta_combo(field, [(1, 1), (1, 6)])          # zeta + zeta^6
-        c134 = _zeta_combo(field, [(1, 0), (1, 3), (1, 4)])  # 1 + zeta^3 + zeta^4
-        e49 = E_series(49, prec)
-        e49inv = e49.inverse()
-        p1, p2, p3 = (P_series(a, 7, prec) for a in (1, 2, 3))
-        out = (e49 * p3 * (p1 * p2 * p2).inverse()).shift(1) \
-            - (lambert_t(3, 3, 7, prec) * e49inv * p3.inverse()).shift(15).scale(c25) \
-            - (e49 * (p1 * p2).inverse()).shift(2).scale(c34) \
-            + (e49 * (p1 * p3).inverse()).shift(3) \
-            + (e49 * (p2 * p2).inverse()).shift(4).scale(c16) \
-            + (lambert_t(3, 2, 7, prec) * e49inv * p2.inverse()).shift(11).scale(c16) \
-            + (e49 * (p3 * p3).inverse()).shift(6).scale(c134) \
-            - (lambert_t(3, 1, 7, prec) * e49inv * p1.inverse()).shift(6).scale(c134)
-    else:
+    if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
-    out = out.truncate(prec)
-    if out.prec < prec:
-        raise ValueError(f"internal precision shortfall building {name}: {out.prec} < {prec}")
-    return out
+    return theta_sum(*_IDENTITIES[name], prec)
 
 
 # -- supporting identities ----------------------------------------------------
@@ -428,34 +404,34 @@ def partial_fraction_residual(which: str, z: CycQ, j: int, prec: int) -> Laurent
 
 
 def prod_dissection_residual(ell: int, prec: int) -> LaurentSeries:
-    """(q, zeta, 1/zeta; q)_inf minus its E(l^2)/P dissection; contract: zero."""
+    """(q, zeta, 1/zeta; q)_inf minus its E(l^2)/P dissection; contract: zero.
+
+    The dissection is (1 - zeta) E(l^2) sum_k (-1)^k (zeta^k - zeta^(-k-1))
+    q^(k(k+1)/2) P((l-1)/2 - k) over 0 <= k <= (l-3)/2.
+    """
     field = cyclotomic_field(ell)
-    z = field.zeta(1)
-    lhs = poch(QQ, 1, 1, 1, INF, prec) * poch(field, z, 0, 1, INF, prec) \
+    lhs = poch(QQ, 1, 1, 1, INF, prec) * poch(field, field.zeta(1), 0, 1, INF, prec) \
         * poch(field, field.zeta(-1), 0, 1, INF, prec)
-    acc = LaurentSeries.zero(field, prec)
-    for k in range((ell - 3) // 2 + 1):
-        c = field.zeta(k) - field.zeta(-k - 1)
-        if k % 2:
-            c = -c
-        acc = acc + P_series((ell - 1) // 2 - k, ell, prec).shift(k * (k + 1) // 2).scale(c)
-    rhs = (E_series(ell * ell, prec) * acc).scale(field.one - z)
-    return (lhs - rhs).truncate(prec)
+    terms = []
+    for k in range((ell - 1) // 2):
+        s = (-1) ** k
+        terms.append((((s, k), (-s, k + 1), (-s, -k - 1), (s, -k)), k * (k + 1) // 2,
+                      (("E", ell * ell, 1), ("P", (ell - 1) // 2 - k, 1)), None))
+    return (lhs - theta_sum(ell, terms, prec)).truncate(prec)
+
+
+# (1+zeta)(q, zeta, 1/zeta; q)_inf as theta_sum terms, for ell = 5 and 7
+_PREFACTORS = {
+    5: [(((2, 0), (2, 1), (1, 3)), 0, (("E", 25, 1), ("P", 2, 1)), None),
+        (((-1, 0), (-1, 1), (2, 3)), 1, (("E", 25, 1), ("P", 1, 1)), None)],
+    7: [(((2, 0), (2, 1), (1, 3), (1, 4), (1, 5)), 0, (("E", 49, 1), ("P", 3, 1)), None),
+        (((-1, 0), (-1, 1), (1, 3), (1, 5)), 1, (("E", 49, 1), ("P", 2, 1)), None),
+        (((-1, 0), (-1, 1), (-1, 3), (-3, 4), (-1, 5)), 3, (("E", 49, 1), ("P", 1, 1)), None)],
+}
 
 
 def prefactor_residual(ell: int, prec: int) -> LaurentSeries:
     """(1+zeta)(q, zeta, 1/zeta; q)_inf minus its closed E/P combination."""
-    field = cyclotomic_field(ell)
-    lhs = root_prefactor(ell, prec)
-    if ell == 5:
-        rhs = (P_series(2, 5, prec).scale(_zeta_combo(field, [(2, 0), (2, 1), (1, 3)]))
-               - P_series(1, 5, prec).shift(1).scale(_zeta_combo(field, [(1, 0), (1, 1), (-2, 3)])))
-        rhs = rhs * E_series(25, prec)
-    elif ell == 7:
-        rhs = (P_series(3, 7, prec).scale(_zeta_combo(field, [(2, 0), (2, 1), (1, 3), (1, 4), (1, 5)]))
-               + P_series(2, 7, prec).shift(1).scale(_zeta_combo(field, [(-1, 0), (-1, 1), (1, 3), (1, 5)]))
-               - P_series(1, 7, prec).shift(3).scale(_zeta_combo(field, [(1, 0), (1, 1), (1, 3), (3, 4), (1, 5)])))
-        rhs = rhs * E_series(49, prec)
-    else:
+    if ell not in _PREFACTORS:
         raise ValueError(f"closed prefactor forms exist for ell in (5, 7), got {ell}")
-    return (lhs - rhs).truncate(prec)
+    return (root_prefactor(ell, prec) - theta_sum(ell, _PREFACTORS[ell], prec)).truncate(prec)

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import QQ, cyclotomic_field
-from .lambert import P_series, chan_identity_residual, chan_suite_parameters, lambert_t
+from .lambert import chan_identity_residual, chan_suite_parameters, theta_sum
 from .quadruples import CLASSES_MAX_N, class_counts
 from .rankgen import (eval_f, partial_fraction_residual, prefactor_residual,
                       prod_dissection_residual, rank_series, rhs_identity)
@@ -70,9 +70,10 @@ class _Check:
     default_prec: int
     fast_prec: int
     long: bool = field(default=False)
-    # rank-count-, bivariate- and mod-13 checks stay desk-scale however large
-    # a --prec override is; the report carries the precision actually used
+    # --prec is clamped to [min_prec, max_prec]: rank-count and bivariate checks
+    # stay desk-scale, mod-13 checks read q^13; the report carries the prec used
     max_prec: int | None = field(default=None)
+    min_prec: int = field(default=1)
 
 
 def _compare(prec, cases, passed=""):
@@ -163,20 +164,13 @@ def _class_equality_check(key):
 def _t_symmetry(prec):
     rng = random.Random(1789)
     cases = []
-    for ell in (3, 5, 7):
-        picked = 0
-        while picked < 4:
-            a = rng.randint(-10, 10)
-            b = rng.randint(-10, 10)
-            if a == 0 or a % ell == 0:
-                continue
-            cases.append((a, b, ell))
-            picked += 1
-    # T(a,-b,l) is built to prec - la so that after the shift by q^(la) both
-    # terms, and the residual, are exact below q^prec
+    for count, ell in enumerate((3, 5, 7), 1):
+        while len(cases) < 4 * count:
+            a, b = rng.randint(-10, 10), rng.randint(-10, 10)
+            if a % ell:
+                cases.append((a, b, ell))
     return _compare(prec, ((f"T(-a,b,l) + q^(la) T(a,-b,l) at (a,b,l)={(a,b,ell)}",
-                            lambert_t(-a, b, ell, prec)
-                            + lambert_t(a, -b, ell, prec - ell * a).shift(ell * a), None)
+                            theta_sum(ell, [(1, 0, (), (-a, b)), (1, ell * a, (), (a, -b))], prec), None)
                            for a, b, ell in cases), f"{len(cases)} sampled (a,b,l) triples")
 
 
@@ -213,26 +207,31 @@ def _prefactor(ell):
     return run
 
 
-def _as_lemma(prec):
-    p1, p2, p3 = (P_series(a, 7, prec) for a in (1, 2, 3))
-    label = "P(3)^3 P(1) - P(2)^3 P(3) + q^7 P(1)^3 P(2)"
-    return _compare(prec, [(label, p3 ** 3 * p1 - p2 ** 3 * p3 + (p1 ** 3 * p2).shift(7), None)], label)
+# P-quotient identities at ell = 7 as (label, theta_sum terms that sum to zero)
+_AS_LEMMA = ("P(3)^3 P(1) - P(2)^3 P(3) + q^7 P(1)^3 P(2)",
+             [(1, 0, (("P", 3, 3), ("P", 1, 1)), None),
+              (-1, 0, (("P", 2, 3), ("P", 3, 1)), None),
+              (1, 7, (("P", 1, 3), ("P", 2, 1)), None)])
+_Q7_REWRITES = [
+    ("q P(2)/P(1)^2 - q^8 P(1)/(P(2)P(3)) = q P(3)^2/(P(1)P(2)^2)",
+     [(1, 1, (("P", 2, 1), ("P", 1, -2)), None),
+      (-1, 8, (("P", 1, 1), ("P", 2, -1), ("P", 3, -1)), None),
+      (-1, 1, (("P", 3, 2), ("P", 1, -1), ("P", 2, -2)), None)]),
+    ("q^11 P(1)^2/(P(2)P(3)^2) = q^4 P(2)/(P(1)P(3)) - q^4 P(3)/P(2)^2",
+     [(1, 11, (("P", 1, 2), ("P", 2, -1), ("P", 3, -2)), None),
+      (-1, 4, (("P", 2, 1), ("P", 1, -1), ("P", 3, -1)), None),
+      (1, 4, (("P", 3, 1), ("P", 2, -2)), None)]),
+    ("q^14 P(1)^3/(P(2)P(3)^3) = -q^7 P(1)/P(2)^2 + q^7 P(2)/P(3)^2",
+     [(1, 14, (("P", 1, 3), ("P", 2, -1), ("P", 3, -3)), None),
+      (1, 7, (("P", 1, 1), ("P", 2, -2)), None),
+      (-1, 7, (("P", 2, 1), ("P", 3, -2)), None)]),
+]
 
 
-def _q7_rewrites(prec):
-    p1, p2, p3 = (P_series(a, 7, prec) for a in (1, 2, 3))
-    rewrites = [
-        ("q P(2)/P(1)^2 - q^8 P(1)/(P(2)P(3)) = q P(3)^2/(P(1)P(2)^2)",
-         (p2 * (p1 * p1).inverse()).shift(1) - (p1 * (p2 * p3).inverse()).shift(8)
-         - (p3 * p3 * (p1 * p2 * p2).inverse()).shift(1), None),
-        ("q^11 P(1)^2/(P(2)P(3)^2) = q^4 P(2)/(P(1)P(3)) - q^4 P(3)/P(2)^2",
-         (p1 * p1 * (p2 * p3 * p3).inverse()).shift(11)
-         - (p2 * (p1 * p3).inverse()).shift(4) + (p3 * (p2 * p2).inverse()).shift(4), None),
-        ("q^14 P(1)^3/(P(2)P(3)^3) = -q^7 P(1)/P(2)^2 + q^7 P(2)/P(3)^2",
-         (p1 ** 3 * (p2 * p3 ** 3).inverse()).shift(14)
-         + (p1 * (p2 * p2).inverse()).shift(7) - (p2 * (p3 * p3).inverse()).shift(7), None),
-    ]
-    return _compare(prec, rewrites, "three rewrites")
+def _p7_sums(cases, passed):
+    def run(prec):
+        return _compare(prec, ((label, theta_sum(7, terms, prec), None) for label, terms in cases), passed)
+    return run
 
 
 def _partial_fractions(which):
@@ -256,17 +255,14 @@ def _three_routes(prec):
 
 
 def _ru13_nonzero(prec):
-    # the one coefficient read is q^13, so the check runs at prec 14 (its max_prec)
-    c = rank_series("u", "LAMBERT", max(prec, 14), 13).coefficient(13)
+    c = rank_series("u", "LAMBERT", prec, 13).coefficient(13)
     if c.is_zero():
         return "FAIL", (13, "0", "a nonzero element"), ""
     return "PASS", None, f"coefficient of q^13 is {c}"
 
 
 def _f13_grid(prec):
-    # the one coefficient read is q^13, so the grid runs at prec 14 (its max_prec)
     field = cyclotomic_field(13)
-    prec = max(prec, 14)
     skipped = checked = 0
     for a in range(13):
         for b in range(13):
@@ -298,15 +294,17 @@ def _build_registry() -> dict[str, _Check]:
     registry["INFRA:JTP"] = _Check(_jtp_check, 60, 40)
     for ell in (3, 5, 7):
         registry[f"INFRA:ProdDissection-{ell}"] = _Check(_prod_dissection(ell), 60, 40)
-    registry["INFRA:AS-Lemma4"] = _Check(_as_lemma, 120, 40)
-    registry["INFRA:q7-rewrites"] = _Check(_q7_rewrites, 120, 40)
+    registry["INFRA:AS-Lemma4"] = _Check(_p7_sums([_AS_LEMMA], _AS_LEMMA[0]), 120, 40)
+    registry["INFRA:q7-rewrites"] = _Check(_p7_sums(_Q7_REWRITES, "three rewrites"), 120, 40)
     registry["INFRA:PartialFractions-U"] = _Check(_partial_fractions("u"), 60, 40)
     registry["INFRA:PartialFractions-V"] = _Check(_partial_fractions("v"), 60, 40)
     registry["INFRA:Prefactor-5"] = _Check(_prefactor(5), 60, 40)
     registry["INFRA:Prefactor-7"] = _Check(_prefactor(7), 60, 40)
     registry["INFRA:three-routes"] = _Check(_three_routes, 21, 11, max_prec=120)
-    registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14, max_prec=14)
-    registry["SEC5:F13-grid-q13-nonzero"] = _Check(_f13_grid, 14, 14, long=True, max_prec=14)
+    # the one coefficient either mod-13 check reads is q^13, so both run at prec 14
+    registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14, max_prec=14, min_prec=14)
+    registry["SEC5:F13-grid-q13-nonzero"] = _Check(_f13_grid, 14, 14, long=True, max_prec=14,
+                                                   min_prec=14)
     return registry
 
 
@@ -319,7 +317,7 @@ def check_names(include_long: bool = True) -> list[str]:
 
 
 def _used_prec(name: str, prec: int | None, profile: str) -> int:
-    """``prec``, else the profile's precision for the check, capped by its max_prec."""
+    """``prec``, else the profile's precision for the check, clamped to its min_prec and max_prec."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
     if name not in _REGISTRY:
@@ -327,6 +325,7 @@ def _used_prec(name: str, prec: int | None, profile: str) -> int:
     check = _REGISTRY[name]
     if prec is None:
         prec = check.fast_prec if profile == "fast" else check.default_prec
+    prec = max(prec, check.min_prec)
     return prec if check.max_prec is None else min(prec, check.max_prec)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from qrank import verify
-from qrank.cli import PREC_MAX, main
+from qrank.cli import ELL_MAX, MOD_MAX, PREC_MAX, main
 from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -179,13 +179,16 @@ def test_oversized_inputs_refused_before_any_work(monkeypatch, capsys):
     assert f"n <= {RANKTABLE_MAX_N}" in capsys.readouterr().err
     assert main(["classes", str(CLASSES_MAX_N + 1), "--mod", "5"]) == 2
     assert f"n <= {CLASSES_MAX_N}" in capsys.readouterr().err
+    assert main(["classes", "5", "--mod", str(MOD_MAX + 1)]) == 2
+    assert f"--mod <= {MOD_MAX}" in capsys.readouterr().err
 
 
 def test_oversized_precision_refused_before_any_work(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the cap must be checked first")
 
-    for target in ("qrank.cli.congruence_scan", "qrank.cli.run_all", "qrank.qexpr.evaluate"):
+    for target in ("qrank.cli.congruence_scan", "qrank.cli.run_all", "qrank.qexpr.evaluate",
+                   "qrank.qexpr.is_prime"):
         monkeypatch.setattr(target, no_work)
     over = str(PREC_MAX + 1)
     for argv in (["coeffs", "--expr", "U()", "--prec", over],
@@ -194,6 +197,8 @@ def test_oversized_precision_refused_before_any_work(monkeypatch, capsys):
                  ["verify", "--only", "THM12:RU3", "--prec", "0"]):
         assert main(argv) == 2
         assert str(PREC_MAX) in capsys.readouterr().err
+    assert main(["coeffs", "--expr", "1/(1+zeta+q)", "--ell", "401", "--prec", "10"]) == 2
+    assert f"--ell must be at most {ELL_MAX}" in capsys.readouterr().err
     monkeypatch.setenv("QRANK_PREC", over)
     assert main(["coeffs", "--expr", "U()"]) == 2
     assert f"QRANK_PREC must be at most {PREC_MAX}" in capsys.readouterr().err

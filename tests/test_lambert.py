@@ -120,10 +120,13 @@ def test_chan_variant1_examples():
 
 
 def test_chan_full_suite():
+    # the small precisions include terms whose q-shift is at least prec
+    # but whose T has negative valuation, e.g. (1, 5, 5, 3, 2)
     for variant, ell, a, b1, b2 in chan_suite_parameters():
-        prec = 100 if ell == 7 else 60
-        residual = chan_identity_residual(variant, ell, a, b1, b2, prec)
-        assert residual.first_nonzero_below(prec) is None, (variant, ell, a, b1, b2)
+        for prec in (1, 2, 3, 5, 13, 100 if ell == 7 else 60):
+            residual = chan_identity_residual(variant, ell, a, b1, b2, prec)
+            assert residual.prec >= prec, (variant, ell, a, b1, b2, prec)
+            assert residual.first_nonzero_below(prec) is None, (variant, ell, a, b1, b2, prec)
 
 
 def test_chan_rejects_bad_variant():

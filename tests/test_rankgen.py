@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
+from qrank.qexpr import EvalCtx, evaluate
 from qrank.quadruples import rank_counts
 from qrank.rankgen import (ROUTES, _bilateral_rank_sum, _bivariate, _counting_series,
                            _fg_series, eval_f, eval_g, partial_fraction_residual, prefactor_residual,
@@ -213,6 +214,31 @@ def test_three_routes_agree(ell):
 def test_main_identities(name, prec):
     lhs = rank_series(name[1].lower(), "LAMBERT", prec, int(name[2:]))
     assert lhs.equal_upto(rhs_identity(name, prec), prec) is None
+
+
+# each identity's right-hand side as qexpr text: the product/Newton route
+RHS_TEXTS = {
+    "RU3": "(q^7*T(2,3,3) - q^5*T(2,2,3))/E(3)",
+    "RV3": "(q^5*T(2,2,3) - q^3*T(2,1,3))/E(3)",
+    "RU5": "q*E(25)/P(1)^2 - q^7*T(2,2,5)/(E(25)*P(2)) - q^4*T(2,1,5)/(E(25)*P(1))",
+    "RV5": "q^12*T(3,3,5)/(E(25)*P(2)) - q^5*T(3,1,5)/(E(25)*P(1))"
+           " + q^2*E(25)/(P(1)*P(2)) - q^3*E(25)/P(2)^2",
+    "RU7": "q*E(49)*P(3)/(P(1)*P(2)^2) - (zeta^2 + zeta^5)*q^15*T(3,3,7)/(E(49)*P(3))"
+           " - (zeta^3 + zeta^4)*q^2*E(49)/(P(1)*P(2)) + q^3*E(49)/(P(1)*P(3))"
+           " + (zeta + zeta^6)*q^4*E(49)/P(2)^2 + (zeta + zeta^6)*q^11*T(3,2,7)/(E(49)*P(2))"
+           " + (1 + zeta^3 + zeta^4)*q^6*E(49)/P(3)^2"
+           " - (1 + zeta^3 + zeta^4)*q^6*T(3,1,7)/(E(49)*P(1))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHS_TEXTS))
+def test_rhs_identity_table_matches_the_expression_route(name):
+    ell = int(name[2:])
+    field = cyclotomic_field(ell)
+    for prec in (1, 2, 3, 60, 121):
+        rhs = rhs_identity(name, prec)
+        assert rhs.ring is (field if name == "RU7" else QQ), prec
+        assert rhs.promote(field) == evaluate(RHS_TEXTS[name], EvalCtx(ell=ell, prec=prec)), prec
 
 
 def test_rhs_rv5_vanishing_families():

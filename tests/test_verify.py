@@ -1,7 +1,8 @@
 import pytest
 
-from qrank import verify
+from qrank import lambert, verify
 from qrank.cyclotomic import cyclotomic_field
+from qrank.lambert import TSpec
 from qrank.rankgen import rank_series
 from qrank.series import LaurentSeries
 from qrank.verify import (CheckReport, check_names, run_all, run_check)
@@ -152,14 +153,15 @@ def test_comparison_short_of_the_requested_precision_is_an_error(monkeypatch):
 def test_t_symmetry_compares_every_triple_below_the_requested_precision(monkeypatch):
     # (-7, 10, 3) is a sampled triple; q^(la) = q^-21 shifts T(-7, -10, 3)
     # down, so it must be built to prec + 21 for the residual to reach q^79
-    lambert_t = verify.lambert_t
-    def bumped(a, b, ell, prec):
-        t = lambert_t(a, b, ell, prec)
-        return _bump(t, 79) if (a, b, ell) == (7, 10, 3) else t
-    monkeypatch.setattr(verify, "lambert_t", bumped)
-    report = run_check("INFRA:T-symmetry", prec=80)
-    assert (report.status, report.first_failure) == ("FAIL", (79, "1", "0"))
-    assert report.detail.endswith("at (a,b,l)=(-7, 10, 3)")
+    lambert_T = lambert.lambert_T
+    for target, k in ((TSpec(7, 10, 3), 79), (TSpec(-7, -10, 3), 100)):
+        def bumped(spec, prec):
+            t = lambert_T(spec, prec)
+            return _bump(t, k) if spec == target else t
+        monkeypatch.setattr(lambert, "lambert_T", bumped)
+        report = run_check("INFRA:T-symmetry", prec=80)
+        assert (report.status, report.first_failure) == ("FAIL", (79, "1", "0"))
+        assert report.detail.endswith("at (a,b,l)=(-7, 10, 3)")
 
 
 def test_f13_grid_runs_at_its_capped_precision(monkeypatch):
@@ -168,6 +170,8 @@ def test_f13_grid_runs_at_its_capped_precision(monkeypatch):
         seen.append(prec)
         return LaurentSeries.monomial(cyclotomic_field(13), 13, prec=prec)
     monkeypatch.setattr(verify, "eval_f", fake_eval_f)
-    report = run_check("SEC5:F13-grid-q13-nonzero", prec=1000)
-    assert (report.prec, report.status) == (14, "PASS")
-    assert seen and set(seen) == {14}
+    for prec in (1000, 5):
+        seen.clear()
+        report = run_check("SEC5:F13-grid-q13-nonzero", prec=prec)
+        assert (report.prec, report.status) == (14, "PASS")
+        assert seen and set(seen) == {14}
