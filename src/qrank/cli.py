@@ -4,10 +4,11 @@ Every command writes an OutputDoc: a stable JSON envelope with the schema
 version, an echo of the command, and the payload.  Plain and CSV formats
 render the payload only.  Exit status: 0 on success or PASS, 1 on any FAIL,
 2 on usage errors or, with no FAIL, a check that raised (ERROR).  The
-environment variable QRANK_PREC overrides the default precision.  Precisions
-(``coeffs --prec``, QRANK_PREC, ``verify --prec``) and ``congruence --max``
-above PREC_MAX, a ``verify --prec`` below 1, ``coeffs --ell`` above ELL_MAX
-and ``classes --mod`` above MOD_MAX are refused with exit 2 before any work.
+environment variable QRANK_PREC overrides the default precision.  Refused with
+exit 2 before any work: a precision (``coeffs --prec``, QRANK_PREC, ``verify
+--prec``) above PREC_MAX or below 1, a ``congruence --max`` above PREC_MAX or
+below ``--residue``, ``coeffs --ell`` above ELL_MAX, ``classes --mod`` above
+MOD_MAX, and a ``coeffs`` P or T needing more than ``qexpr.TERMS_MAX`` terms.
 """
 
 from __future__ import annotations
@@ -199,9 +200,9 @@ def _cmd_classes(args, out, err) -> int:
 
 
 def _cmd_congruence(args, out, err) -> int:
-    if args.mod < 2 or not 0 <= args.residue < args.mod or not 0 <= args.max <= PREC_MAX:
+    if args.mod < 2 or not 0 <= args.residue < args.mod or not args.residue <= args.max <= PREC_MAX:
         err.write("qrank congruence: need --mod >= 2, 0 <= --residue < --mod, "
-                  f"0 <= --max <= {PREC_MAX}\n")
+                  f"--residue <= --max <= {PREC_MAX}\n")
         return 2
     failure, checked = congruence_scan(args.family, args.mod, args.residue, args.max)
     if failure is not None:

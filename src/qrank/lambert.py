@@ -9,7 +9,8 @@ valuation where identities demand them.
 
 ``theta_sum`` evaluates tables of terms c q^s T(a, b, l) prod E(x)^k P(x)^k,
 each E/P product one in-place FactorBlock with no Newton inverse;
-``P_series`` and the two transformation residuals are such tables.
+``P_series`` is such a table, and so is every identity in
+``rankgen.IDENTITY_CATALOGUE``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ def _t_term_exponents(spec: TSpec, n: int):
     return -sign, e - m, -m
 
 
+def t_valuation(spec: TSpec) -> int:
+    """The least term valuation of T(a, b, ell): the term valuations are
+    l^2 n(n+1)/2 + l b n for n > -a/l and l^2 n(n-1)/2 + l b n - l a below, two
+    convex quadratics, least beside a vertex (-1/2 - b/l, 1/2 - b/l) or where
+    the branches meet."""
+    ell, b = spec.ell, spec.b
+    first = (-spec.a) // ell + 1
+    candidates = (first - 1, first, (-ell - 2 * b) // (2 * ell), (ell - 2 * b) // (2 * ell))
+    return min(_t_term_exponents(spec, n + d)[1] for n in candidates for d in (0, 1))
+
+
 @lru_cache(maxsize=None)
 def lambert_T(spec: TSpec, prec: int) -> LaurentSeries:
     """The bilateral sum T(a,b,ell) truncated below prec, over the rationals."""
@@ -84,27 +96,19 @@ def E_series(a: int, prec: int) -> LaurentSeries:
 
 
 def _reduce_p_argument(a: int, ell: int):
-    """Fold a into (0, ell) via the P symmetries; returns (sign, q-shift, a)."""
-    sign, shift = 1, 0
-    while not 0 < a < ell:
-        if a >= ell:
-            # P(a) = -q^(-l(a-l)) P(a-l)
-            a -= ell
-            sign = -sign
-            shift -= ell * a
-        else:
-            # P(a) = -q^(l a) P(-a) for a < 0
-            sign = -sign
-            shift += ell * a
-            a = -a
-    return sign, shift, a
+    """Fold a into (0, ell) via the P symmetries; returns (sign, q-shift, a).
+
+    P(r + k l) = (-1)^k q^(-l(k r + l k(k-1)/2)) P(r) for every integer k (the
+    theta quasi-periodicity P(a + l) = -q^(-l a) P(a)), and P(l - r) = P(r);
+    a negative a folds to l - r.
+    """
+    k, r = divmod(a, ell)
+    return (-1) ** (k % 2), -ell * (k * r + ell * k * (k - 1) // 2), r if a > 0 else ell - r
 
 
 @lru_cache(maxsize=None)
 def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
     """The theta block P(a) over the rationals, argument reduced by symmetry."""
-    if ell < 3 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 3, got {ell}")
     if a % ell == 0:
         raise ValueError(f"P({a}) is degenerate for ell = {ell} (argument divisible by ell)")
     return theta_sum(ell, [(1, 0, (("P", a, 1),), None)], prec)
@@ -155,48 +159,3 @@ def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
     if total.prec < prec:
         raise ValueError(f"internal precision shortfall: {total.prec} < {prec}")
     return total.truncate(prec)
-
-
-def chan_identity_residual(variant: int, ell: int, a: int, b1: int, b2=None, prec: int = 60) -> LaurentSeries:
-    """LHS minus RHS of the two T/P transformation identities; contract: zero.
-
-    variant 1 (three-parameter form):
-        T(b2, a-b1, l) = q^(l(b1-b2)) P(a-b1)/P(a-b2) T(b1, a-b2, l)
-                         - q^(l(b1-b2)) P(a) P(b2-b1) E(l^2)^2 / (P(b1) P(b2) P(a-b2))
-    variant 2 (b1 = -b, b2 = b collapsed):
-        T(b, a+b, l) = -q^(-l b) P(a+b)/P(a-b) T(b, b-a, l)
-                       + q^(-l b) P(a) P(2b) E(l^2)^2 / (P(b)^2 P(a-b))
-    """
-    e2 = ("E", ell * ell, 2)
-    if variant == 1:
-        if b2 is None:
-            raise ValueError("variant 1 needs both b1 and b2")
-        s = ell * (b1 - b2)
-        terms = [(1, 0, (), (b2, a - b1)),
-                 (-1, s, (("P", a - b1, 1), ("P", a - b2, -1)), (b1, a - b2)),
-                 (1, s, (("P", a, 1), ("P", b2 - b1, 1), e2,
-                         ("P", b1, -1), ("P", b2, -1), ("P", a - b2, -1)), None)]
-    elif variant == 2:
-        b = b1
-        terms = [(1, 0, (), (b, a + b)),
-                 (1, -ell * b, (("P", a + b, 1), ("P", a - b, -1)), (b, b - a)),
-                 (-1, -ell * b, (("P", a, 1), ("P", 2 * b, 1), e2, ("P", b, -2), ("P", a - b, -1)), None)]
-    else:
-        raise ValueError(f"variant must be 1 or 2, got {variant}")
-    return theta_sum(ell, terms, prec)
-
-
-def chan_suite_parameters():
-    """Parameter tuples (variant, ell, a, b1, b2) exercised by the identity suite."""
-    tuples = []
-    for k in (3, 4):
-        for c in (-1, 0, 1, 2):
-            tuples.append((1, 5, 2 + k + c, 2, k))
-    for k in (2, 4):
-        for c in (-2, -1, 0, 1):
-            tuples.append((1, 5, 3 + k + c, 3, k))
-    for k in (2, 4, 5, 6):
-        for c in (-2, -1, 0, 1, 2, 3):
-            tuples.append((1, 7, 3 + k + c, 3, k))
-    tuples += [(2, 5, 1, 2, None), (2, 5, 1, 3, None), (2, 7, 1, 3, None), (2, 7, 2, 3, None)]
-    return tuples

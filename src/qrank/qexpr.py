@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import QQ, cyclotomic_field, is_prime
-from .lambert import E_series, P_series, lambert_t
+from .lambert import E_series, P_series, TSpec, _reduce_p_argument, lambert_T, t_valuation
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .series import INF, LaurentSeries, jacprod, poch
 
@@ -335,6 +335,19 @@ class EvalCtx:
             raise ValueError(f"ell must be a prime >= 3, got {self.ell}")
 
 
+# P(x) and T(a, b, l) start near q^(-x^2 / 2) and q^(-b^2 / 2); one needing more
+# than TERMS_MAX terms below the precision is refused before it is built (at
+# ell = 5, P(201) has 19,710 terms and takes 0.9 s, P(451) 100,585 and 25 s).
+TERMS_MAX = 10_000
+
+
+def _refuse_oversized(node: Call, valuation: int, ctx: EvalCtx) -> None:
+    count = ctx.prec - valuation
+    if count > TERMS_MAX:
+        raise QExprEvalError(f"{render(node)} needs {count} terms below q^{ctx.prec}, "
+                             f"more than the cap of {TERMS_MAX}", node.pos)
+
+
 def _int_args(node, args, count=None):
     vals = args if count is None else args[:count]
     for a in vals:
@@ -352,10 +365,13 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
             return E_series(a, ctx.prec)
         if name == "P":
             (a,) = _int_args(node, args)
+            if a % ctx.ell:
+                _refuse_oversized(node, _reduce_p_argument(a, ctx.ell)[1], ctx)
             return P_series(a, ctx.ell, ctx.prec)
         if name == "T":
-            a, b, ell = _int_args(node, args)
-            return lambert_t(a, b, ell, ctx.prec)
+            spec = TSpec(*_int_args(node, args))
+            _refuse_oversized(node, t_valuation(spec), ctx)
+            return lambert_T(spec, ctx.prec)
         if name == "poch":
             zpow, qpow, step = _int_args(node, args, 3)
             count = args[3]

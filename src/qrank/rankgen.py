@@ -18,9 +18,9 @@ formal, at z = zeta_ell, or at z = 1.
 smallest part n (and, in ``_bivariate``, the p4 count m) changes, so no term
 builds or inverts its own Pochhammer denominator.
 
-``rhs_identity`` evaluates the E/P/T forms of the five root-of-unity identities,
-and the prefactor and dissection residuals their right-hand sides, as term
-tables for ``lambert.theta_sum``.
+``IDENTITY_CATALOGUE`` holds every E/P/T identity the program checks as rows
+of ``lambert.theta_sum`` terms, each row beside the builder of its other side;
+``rhs_identity`` evaluates the five root-of-unity identities among them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import add
 
 from .cyclotomic import QQ, CycQ, cyclotomic_field, is_prime
 from .lambert import theta_sum
-from .series import INF, FactorBlock, LaurentSeries, ZPOLY, ZLaurentPoly, geometric, poch
+from .series import FactorBlock, LaurentSeries, ZPOLY, ZLaurentPoly, geometric
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
@@ -326,39 +326,137 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Lau
     return series if ell is None else series.specialize_z(cyclotomic_field(ell))
 
 
-# -- the right-hand sides of the five root-of-unity identities ----------------
+# -- the identity catalogue ---------------------------------------------------
 
-# each identity as (ell, theta_sum terms)
-_IDENTITIES = {
-    "RU3": (3, [(1, 7, (("E", 3, -1),), (2, 3)),
-                (-1, 5, (("E", 3, -1),), (2, 2))]),
-    "RV3": (3, [(1, 5, (("E", 3, -1),), (2, 2)),
-                (-1, 3, (("E", 3, -1),), (2, 1))]),
-    "RU5": (5, [(1, 1, (("E", 25, 1), ("P", 1, -2)), None),
-                (-1, 7, (("E", 25, -1), ("P", 2, -1)), (2, 2)),
-                (-1, 4, (("E", 25, -1), ("P", 1, -1)), (2, 1))]),
-    "RV5": (5, [(1, 12, (("E", 25, -1), ("P", 2, -1)), (3, 3)),
-                (-1, 5, (("E", 25, -1), ("P", 1, -1)), (3, 1)),
-                (1, 2, (("E", 25, 1), ("P", 1, -1), ("P", 2, -1)), None),
-                (-1, 3, (("E", 25, 1), ("P", 2, -2)), None)]),
-    "RU7": (7, [(1, 1, (("E", 49, 1), ("P", 3, 1), ("P", 1, -1), ("P", 2, -2)), None),
-                (((-1, 2), (-1, 5)), 15, (("E", 49, -1), ("P", 3, -1)), (3, 3)),
-                (((-1, 3), (-1, 4)), 2, (("E", 49, 1), ("P", 1, -1), ("P", 2, -1)), None),
-                (1, 3, (("E", 49, 1), ("P", 1, -1), ("P", 3, -1)), None),
-                (((1, 1), (1, 6)), 4, (("E", 49, 1), ("P", 2, -2)), None),
-                (((1, 1), (1, 6)), 11, (("E", 49, -1), ("P", 2, -1)), (3, 2)),
-                (((1, 0), (1, 3), (1, 4)), 6, (("E", 49, 1), ("P", 3, -2)), None),
-                (((-1, 0), (-1, 3), (-1, 4)), 6, (("E", 49, -1), ("P", 1, -1)), (3, 1))]),
+# Every E/P/T identity the program checks, as check name -> (PASS detail,
+# rows); a row is (label, ell, left side, theta_sum terms), and the label names
+# a failing row.  The left side is the independent route to compare with: "RU"
+# or "RV" at zeta_ell (LAMBERT route; the terms go through ``rhs_identity``),
+# "prefactor" (``root_prefactor``), "product" ((q, zeta, 1/zeta; q)_inf as
+# three ``poch``s), or None when the terms sum to zero.
+
+
+def _one(ell, lhs, terms, label=""):
+    """A check of one row, which its label names on PASS too."""
+    return label, [(label, ell, lhs, terms)]
+
+
+def _family(noun, row, params):
+    """A check of one row per parameter tuple, counted on PASS."""
+    rows = [row(*p) for p in params]
+    return f"{len(rows)} {noun}", rows
+
+
+def _dissection_terms(ell):
+    """(q, zeta, 1/zeta; q)_inf = (1 - zeta) E(l^2) sum_k (-1)^k (zeta^k - zeta^(-k-1))
+    q^(k(k+1)/2) P((l-1)/2 - k) over 0 <= k <= (l-3)/2."""
+    return [(((s, k), (-s, k + 1), (-s, -k - 1), (s, -k)), k * (k + 1) // 2,
+             (("E", ell * ell, 1), ("P", (ell - 1) // 2 - k, 1)), None)
+            for k in range((ell - 1) // 2) for s in [(-1) ** k]]
+
+
+def _chan_row(variant, ell, a, b1, b2=None):
+    """One of the two T/P transformation identities as a zero sum.
+
+    variant 1 (three-parameter form):
+        T(b2, a-b1, l) = q^(l(b1-b2)) P(a-b1)/P(a-b2) T(b1, a-b2, l)
+                         - q^(l(b1-b2)) P(a) P(b2-b1) E(l^2)^2 / (P(b1) P(b2) P(a-b2))
+    variant 2 (b1 = -b, b2 = b collapsed):
+        T(b, a+b, l) = -q^(-l b) P(a+b)/P(a-b) T(b, b-a, l)
+                       + q^(-l b) P(a) P(2b) E(l^2)^2 / (P(b)^2 P(a-b))
+    """
+    e2 = ("E", ell * ell, 2)
+    if variant == 1:
+        s = ell * (b1 - b2)
+        terms = [(1, 0, (), (b2, a - b1)),
+                 (-1, s, (("P", a - b1, 1), ("P", a - b2, -1)), (b1, a - b2)),
+                 (1, s, (("P", a, 1), ("P", b2 - b1, 1), e2,
+                         ("P", b1, -1), ("P", b2, -1), ("P", a - b2, -1)), None)]
+    else:
+        b = b1
+        terms = [(1, 0, (), (b, a + b)),
+                 (1, -ell * b, (("P", a + b, 1), ("P", a - b, -1)), (b, b - a)),
+                 (-1, -ell * b, (("P", a, 1), ("P", 2 * b, 1), e2, ("P", b, -2), ("P", a - b, -1)), None)]
+    return f"parameters {(variant, ell, a, b1, b2)}", ell, None, terms
+
+
+def _t_symmetry_row(a, b, ell):
+    """T(-a, b, l) + q^(l a) T(a, -b, l) = 0."""
+    return (f"T(-a,b,l) + q^(la) T(a,-b,l) at (a,b,l)={(a, b, ell)}", ell, None,
+            [(1, 0, (), (-a, b)), (1, ell * a, (), (a, -b))])
+
+
+IDENTITY_CATALOGUE = {
+    # the five root-of-unity identities: RU or RV at zeta_ell as E/P/T terms
+    "THM12:RU3": _one(3, "RU", [(1, 7, (("E", 3, -1),), (2, 3)),
+                                (-1, 5, (("E", 3, -1),), (2, 2))]),
+    "THM12:RV3": _one(3, "RV", [(1, 5, (("E", 3, -1),), (2, 2)),
+                                (-1, 3, (("E", 3, -1),), (2, 1))]),
+    "THM12:RU5": _one(5, "RU", [(1, 1, (("E", 25, 1), ("P", 1, -2)), None),
+                                (-1, 7, (("E", 25, -1), ("P", 2, -1)), (2, 2)),
+                                (-1, 4, (("E", 25, -1), ("P", 1, -1)), (2, 1))]),
+    "THM12:RV5": _one(5, "RV", [(1, 12, (("E", 25, -1), ("P", 2, -1)), (3, 3)),
+                                (-1, 5, (("E", 25, -1), ("P", 1, -1)), (3, 1)),
+                                (1, 2, (("E", 25, 1), ("P", 1, -1), ("P", 2, -1)), None),
+                                (-1, 3, (("E", 25, 1), ("P", 2, -2)), None)]),
+    "THM12:RU7": _one(7, "RU", [
+        (1, 1, (("E", 49, 1), ("P", 3, 1), ("P", 1, -1), ("P", 2, -2)), None),
+        (((-1, 2), (-1, 5)), 15, (("E", 49, -1), ("P", 3, -1)), (3, 3)),
+        (((-1, 3), (-1, 4)), 2, (("E", 49, 1), ("P", 1, -1), ("P", 2, -1)), None),
+        (1, 3, (("E", 49, 1), ("P", 1, -1), ("P", 3, -1)), None),
+        (((1, 1), (1, 6)), 4, (("E", 49, 1), ("P", 2, -2)), None),
+        (((1, 1), (1, 6)), 11, (("E", 49, -1), ("P", 2, -1)), (3, 2)),
+        (((1, 0), (1, 3), (1, 4)), 6, (("E", 49, 1), ("P", 3, -2)), None),
+        (((-1, 0), (-1, 3), (-1, 4)), 6, (("E", 49, -1), ("P", 1, -1)), (3, 1))]),
+    # (1+zeta)(q, zeta, 1/zeta; q)_inf as E/P terms
+    "INFRA:Prefactor-5": _one(5, "prefactor", [
+        (((2, 0), (2, 1), (1, 3)), 0, (("E", 25, 1), ("P", 2, 1)), None),
+        (((-1, 0), (-1, 1), (2, 3)), 1, (("E", 25, 1), ("P", 1, 1)), None)]),
+    "INFRA:Prefactor-7": _one(7, "prefactor", [
+        (((2, 0), (2, 1), (1, 3), (1, 4), (1, 5)), 0, (("E", 49, 1), ("P", 3, 1)), None),
+        (((-1, 0), (-1, 1), (1, 3), (1, 5)), 1, (("E", 49, 1), ("P", 2, 1)), None),
+        (((-1, 0), (-1, 1), (-1, 3), (-3, 4), (-1, 5)), 3, (("E", 49, 1), ("P", 1, 1)), None)]),
+    **{f"INFRA:ProdDissection-{ell}": _one(ell, "product", _dissection_terms(ell)) for ell in (3, 5, 7)},
+    # P-quotient identities at ell = 7
+    "INFRA:AS-Lemma4": _one(7, None, [(1, 0, (("P", 3, 3), ("P", 1, 1)), None),
+                                      (-1, 0, (("P", 2, 3), ("P", 3, 1)), None),
+                                      (1, 7, (("P", 1, 3), ("P", 2, 1)), None)],
+                            "P(3)^3 P(1) - P(2)^3 P(3) + q^7 P(1)^3 P(2)"),
+    "INFRA:q7-rewrites": ("three rewrites", [
+        ("q P(2)/P(1)^2 - q^8 P(1)/(P(2)P(3)) = q P(3)^2/(P(1)P(2)^2)", 7, None,
+         [(1, 1, (("P", 2, 1), ("P", 1, -2)), None),
+          (-1, 8, (("P", 1, 1), ("P", 2, -1), ("P", 3, -1)), None),
+          (-1, 1, (("P", 3, 2), ("P", 1, -1), ("P", 2, -2)), None)]),
+        ("q^11 P(1)^2/(P(2)P(3)^2) = q^4 P(2)/(P(1)P(3)) - q^4 P(3)/P(2)^2", 7, None,
+         [(1, 11, (("P", 1, 2), ("P", 2, -1), ("P", 3, -2)), None),
+          (-1, 4, (("P", 2, 1), ("P", 1, -1), ("P", 3, -1)), None),
+          (1, 4, (("P", 3, 1), ("P", 2, -2)), None)]),
+        ("q^14 P(1)^3/(P(2)P(3)^3) = -q^7 P(1)/P(2)^2 + q^7 P(2)/P(3)^2", 7, None,
+         [(1, 14, (("P", 1, 3), ("P", 2, -1), ("P", 3, -3)), None),
+          (1, 7, (("P", 1, 1), ("P", 2, -2)), None),
+          (-1, 7, (("P", 2, 1), ("P", 3, -2)), None)])]),
+    # the transformation identities and the T symmetry, as parameter families
+    "INFRA:EqChan1-suite": _family("parameter tuples", _chan_row, [
+        *((1, 5, 2 + k + c, 2, k) for k in (3, 4) for c in (-1, 0, 1, 2)),
+        *((1, 5, 3 + k + c, 3, k) for k in (2, 4) for c in (-2, -1, 0, 1)),
+        *((1, 7, 3 + k + c, 3, k) for k in (2, 4, 5, 6) for c in (-2, -1, 0, 1, 2, 3))]),
+    "INFRA:EqChan2-suite": _family("parameter tuples", _chan_row,
+                                   [(2, 5, 1, 2), (2, 5, 1, 3), (2, 7, 1, 3), (2, 7, 2, 3)]),
+    # four triples at each l, once drawn at random from -10 <= a, b <= 10 with l not dividing a
+    "INFRA:T-symmetry": _family("sampled (a,b,l) triples", _t_symmetry_row, [
+        (10, 5, 3), (10, -9, 3), (-7, 10, 3), (5, -7, 3), (9, -5, 5), (-9, -3, 5),
+        (9, 7, 5), (-7, 9, 5), (3, -6, 7), (-1, -3, 7), (10, 6, 7), (-6, -10, 7)]),
 }
-IDENTITY_NAMES = tuple(_IDENTITIES)
+IDENTITY_NAMES = tuple(name[6:] for name in IDENTITY_CATALOGUE if name.startswith("THM12:"))
 
 
 @lru_cache(maxsize=None)
 def rhs_identity(name: str, prec: int) -> LaurentSeries:
     """The E/P/T product-and-Lambert form equated to RU/RV at zeta_ell."""
-    if name not in _IDENTITIES:
+    if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
-    return theta_sum(*_IDENTITIES[name], prec)
+    (_, ell, _, terms), = IDENTITY_CATALOGUE["THM12:" + name][1]
+    return theta_sum(ell, terms, prec)
 
 
 # -- supporting identities ----------------------------------------------------
@@ -401,37 +499,3 @@ def partial_fraction_residual(which: str, z: CycQ, j: int, prec: int) -> Laurent
             field, [(0, one), (1, -one), (2 * j - 1, -one), (2 * j, one)], prec)
         rhs = lower - upper.shift(1)
     return (num * lower * upper - rhs).truncate(prec)
-
-
-def prod_dissection_residual(ell: int, prec: int) -> LaurentSeries:
-    """(q, zeta, 1/zeta; q)_inf minus its E(l^2)/P dissection; contract: zero.
-
-    The dissection is (1 - zeta) E(l^2) sum_k (-1)^k (zeta^k - zeta^(-k-1))
-    q^(k(k+1)/2) P((l-1)/2 - k) over 0 <= k <= (l-3)/2.
-    """
-    field = cyclotomic_field(ell)
-    lhs = poch(QQ, 1, 1, 1, INF, prec) * poch(field, field.zeta(1), 0, 1, INF, prec) \
-        * poch(field, field.zeta(-1), 0, 1, INF, prec)
-    terms = []
-    for k in range((ell - 1) // 2):
-        s = (-1) ** k
-        terms.append((((s, k), (-s, k + 1), (-s, -k - 1), (s, -k)), k * (k + 1) // 2,
-                      (("E", ell * ell, 1), ("P", (ell - 1) // 2 - k, 1)), None))
-    return (lhs - theta_sum(ell, terms, prec)).truncate(prec)
-
-
-# (1+zeta)(q, zeta, 1/zeta; q)_inf as theta_sum terms, for ell = 5 and 7
-_PREFACTORS = {
-    5: [(((2, 0), (2, 1), (1, 3)), 0, (("E", 25, 1), ("P", 2, 1)), None),
-        (((-1, 0), (-1, 1), (2, 3)), 1, (("E", 25, 1), ("P", 1, 1)), None)],
-    7: [(((2, 0), (2, 1), (1, 3), (1, 4), (1, 5)), 0, (("E", 49, 1), ("P", 3, 1)), None),
-        (((-1, 0), (-1, 1), (1, 3), (1, 5)), 1, (("E", 49, 1), ("P", 2, 1)), None),
-        (((-1, 0), (-1, 1), (-1, 3), (-3, 4), (-1, 5)), 3, (("E", 49, 1), ("P", 1, 1)), None)],
-}
-
-
-def prefactor_residual(ell: int, prec: int) -> LaurentSeries:
-    """(1+zeta)(q, zeta, 1/zeta; q)_inf minus its closed E/P combination."""
-    if ell not in _PREFACTORS:
-        raise ValueError(f"closed prefactor forms exist for ell in (5, 7), got {ell}")
-    return (root_prefactor(ell, prec) - theta_sum(ell, _PREFACTORS[ell], prec)).truncate(prec)

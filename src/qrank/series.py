@@ -1130,13 +1130,13 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
             raise ValueError("infinite product (1;q)_inf vanishes identically; handle the z=1 case separately")
         if prec == INF:
             raise PrecisionError("infinite product needs a finite precision")
-        exps = range(a, max(int(prec), 1), b)
+        stop = max(int(prec), 1)
     else:
         if not isinstance(count, int) or count < 0:
             raise ValueError(f"Pochhammer count must be a non-negative integer or INF, got {count}")
-        exps = [a + j * b for j in range(count)]
-        if prec != INF:
-            exps = [e for e in exps if e < prec or e <= 0]
+        # factors at or past q^prec act as 1, but those with exponent <= 0 stay
+        stop = a + count * b if prec == INF else min(a + count * b, max(int(prec), 1))
+    exps = range(a, stop, b)
     positive = [e for e in exps if e > 0]
     size = max(int(prec) if prec != INF else sum(positive) + 1, 1)
     block = FactorBlock(ring, size, 1, _poch_bound(ring, c, positive, size))

@@ -17,15 +17,15 @@ Check identifiers are grouped by family:
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import QQ, cyclotomic_field
-from .lambert import chan_identity_residual, chan_suite_parameters, theta_sum
+from .lambert import theta_sum
 from .quadruples import CLASSES_MAX_N, class_counts
-from .rankgen import (eval_f, partial_fraction_residual, prefactor_residual,
-                      prod_dissection_residual, rank_series, rhs_identity)
+from .rankgen import (IDENTITY_CATALOGUE, eval_f, partial_fraction_residual, rank_series,
+                      rhs_identity, root_prefactor)
+from .series import INF, poch, theta_jtp_sum
 
 PROFILES = ("fast", "default", "deep")
 
@@ -71,7 +71,8 @@ class _Check:
     fast_prec: int
     long: bool = field(default=False)
     # --prec is clamped to [min_prec, max_prec]: rank-count and bivariate checks
-    # stay desk-scale, mod-13 checks read q^13; the report carries the prec used
+    # stay desk-scale, mod-13 checks read q^13, scans and class checks at least
+    # one nonzero coefficient or non-empty class; the report carries the prec used
     max_prec: int | None = field(default=None)
     min_prec: int = field(default=1)
 
@@ -128,13 +129,6 @@ def _congruence_check(family, mod, residue):
     return run
 
 
-def _identity_check(name):
-    kind, ell = name[1].lower(), int(name[2:])
-    def run(prec):
-        return _compare(prec, [("", rank_series(kind, "LAMBERT", prec, ell), rhs_identity(name, prec))])
-    return run
-
-
 def _bivariate_agreement(prec):
     def cases():
         for kind in ("u", "v"):
@@ -161,29 +155,7 @@ def _class_equality_check(key):
     return run
 
 
-def _t_symmetry(prec):
-    rng = random.Random(1789)
-    cases = []
-    for count, ell in enumerate((3, 5, 7), 1):
-        while len(cases) < 4 * count:
-            a, b = rng.randint(-10, 10), rng.randint(-10, 10)
-            if a % ell:
-                cases.append((a, b, ell))
-    return _compare(prec, ((f"T(-a,b,l) + q^(la) T(a,-b,l) at (a,b,l)={(a,b,ell)}",
-                            theta_sum(ell, [(1, 0, (), (-a, b)), (1, ell * a, (), (a, -b))], prec), None)
-                           for a, b, ell in cases), f"{len(cases)} sampled (a,b,l) triples")
-
-
-def _chan_suite(variant):
-    def run(prec):
-        suite = [params for params in chan_suite_parameters() if params[0] == variant]
-        return _compare(prec, ((f"parameters {params}", chan_identity_residual(*params, prec), None)
-                               for params in suite), f"{len(suite)} parameter tuples")
-    return run
-
-
 def _jtp_check(prec):
-    from .series import INF, poch, theta_jtp_sum
     specials = [(cyclotomic_field(3), cyclotomic_field(3).zeta(1), "zeta_3"),
                 (cyclotomic_field(5), cyclotomic_field(5).zeta(1), "zeta_5"),
                 (cyclotomic_field(7), cyclotomic_field(7).zeta(1), "zeta_7"),
@@ -195,42 +167,27 @@ def _jtp_check(prec):
                            for ring, c, label in specials), "z in {zeta_3, zeta_5, zeta_7, 2, -1}")
 
 
-def _prod_dissection(ell):
+def _row_sides(row, prec):
+    """(label, left side by its own route, right side by theta_sum) of a catalogue
+    row below q^prec, or (label, the terms' sum, None) for a row with no left side."""
+    label, ell, lhs, terms = row
+    if lhs is None:
+        return label, theta_sum(ell, terms, prec), None
+    if lhs in ("RU", "RV"):
+        return label, rank_series(lhs[1].lower(), "LAMBERT", prec, ell), rhs_identity(f"{lhs}{ell}", prec)
+    if lhs == "prefactor":
+        left = root_prefactor(ell, prec)
+    else:
+        field = cyclotomic_field(ell)
+        left = poch(QQ, 1, 1, 1, INF, prec) * poch(field, field.zeta(1), 0, 1, INF, prec) \
+            * poch(field, field.zeta(-1), 0, 1, INF, prec)
+    return label, left, theta_sum(ell, terms, prec)
+
+
+def _catalogue_check(name):
     def run(prec):
-        return _compare(prec, [("", prod_dissection_residual(ell, prec), None)])
-    return run
-
-
-def _prefactor(ell):
-    def run(prec):
-        return _compare(prec, [("", prefactor_residual(ell, prec), None)])
-    return run
-
-
-# P-quotient identities at ell = 7 as (label, theta_sum terms that sum to zero)
-_AS_LEMMA = ("P(3)^3 P(1) - P(2)^3 P(3) + q^7 P(1)^3 P(2)",
-             [(1, 0, (("P", 3, 3), ("P", 1, 1)), None),
-              (-1, 0, (("P", 2, 3), ("P", 3, 1)), None),
-              (1, 7, (("P", 1, 3), ("P", 2, 1)), None)])
-_Q7_REWRITES = [
-    ("q P(2)/P(1)^2 - q^8 P(1)/(P(2)P(3)) = q P(3)^2/(P(1)P(2)^2)",
-     [(1, 1, (("P", 2, 1), ("P", 1, -2)), None),
-      (-1, 8, (("P", 1, 1), ("P", 2, -1), ("P", 3, -1)), None),
-      (-1, 1, (("P", 3, 2), ("P", 1, -1), ("P", 2, -2)), None)]),
-    ("q^11 P(1)^2/(P(2)P(3)^2) = q^4 P(2)/(P(1)P(3)) - q^4 P(3)/P(2)^2",
-     [(1, 11, (("P", 1, 2), ("P", 2, -1), ("P", 3, -2)), None),
-      (-1, 4, (("P", 2, 1), ("P", 1, -1), ("P", 3, -1)), None),
-      (1, 4, (("P", 3, 1), ("P", 2, -2)), None)]),
-    ("q^14 P(1)^3/(P(2)P(3)^3) = -q^7 P(1)/P(2)^2 + q^7 P(2)/P(3)^2",
-     [(1, 14, (("P", 1, 3), ("P", 2, -1), ("P", 3, -3)), None),
-      (1, 7, (("P", 1, 1), ("P", 2, -2)), None),
-      (-1, 7, (("P", 2, 1), ("P", 3, -2)), None)]),
-]
-
-
-def _p7_sums(cases, passed):
-    def run(prec):
-        return _compare(prec, ((label, theta_sum(7, terms, prec), None) for label, terms in cases), passed)
+        passed, rows = IDENTITY_CATALOGUE[name]
+        return _compare(prec, (_row_sides(row, prec) for row in rows), passed)
     return run
 
 
@@ -277,29 +234,33 @@ def _f13_grid(prec):
     return "PASS", None, f"{checked} triples nonzero, {skipped} degenerate triples skipped"
 
 
+def _first_nonempty(kind, mod, residues):
+    """The least n in ``residues`` mod ``mod`` with u(n) > 0 (n >= 1) or v(n) > 0 (n >= 2)."""
+    start = 1 if kind == "u" else 2
+    return min(start + (r - start) % mod for r in residues)
+
+
+# default precisions of the catalogue checks other than 60; the fast profile runs each at 40
+_CATALOGUE_PRECS = {"THM12:RU7": 120, "INFRA:T-symmetry": 80, "INFRA:EqChan1-suite": 100,
+                    "INFRA:EqChan2-suite": 100, "INFRA:AS-Lemma4": 120, "INFRA:q7-rewrites": 120}
+
+
 def _build_registry() -> dict[str, _Check]:
     registry: dict[str, _Check] = {}
     for key, (family, mod, residue) in CONGRUENCES.items():
-        registry[f"THM11:{key}"] = _Check(_congruence_check(family, mod, residue), 105, 40)
-    for name in ("RU3", "RV3", "RU5", "RV5", "RU7"):
-        registry[f"THM12:{name}"] = _Check(_identity_check(name), 120 if name == "RU7" else 60, 40)
+        registry[f"THM11:{key}"] = _Check(_congruence_check(family, mod, residue), 105, 40,
+                                          min_prec=_first_nonempty(family, mod, (residue,)) + 1)
+    for name in IDENTITY_CATALOGUE:
+        registry[name] = _Check(_catalogue_check(name), _CATALOGUE_PRECS.get(name, 60), 40)
     registry["THM13:bivariate-agreement"] = _Check(_bivariate_agreement, 21, 9,
                                                    max_prec=CLASSES_MAX_N)
-    for key in CLASS_FAMILIES:
+    for key, (kind, ell, residues) in CLASS_FAMILIES.items():
         registry[f"THM13:classes-{key}"] = _Check(_class_equality_check(key), 14, 8,
-                                                   max_prec=CLASSES_MAX_N)
-    registry["INFRA:T-symmetry"] = _Check(_t_symmetry, 80, 40)
-    registry["INFRA:EqChan1-suite"] = _Check(_chan_suite(1), 100, 40)
-    registry["INFRA:EqChan2-suite"] = _Check(_chan_suite(2), 100, 40)
+                                                   max_prec=CLASSES_MAX_N,
+                                                   min_prec=_first_nonempty(kind, ell, residues))
     registry["INFRA:JTP"] = _Check(_jtp_check, 60, 40)
-    for ell in (3, 5, 7):
-        registry[f"INFRA:ProdDissection-{ell}"] = _Check(_prod_dissection(ell), 60, 40)
-    registry["INFRA:AS-Lemma4"] = _Check(_p7_sums([_AS_LEMMA], _AS_LEMMA[0]), 120, 40)
-    registry["INFRA:q7-rewrites"] = _Check(_p7_sums(_Q7_REWRITES, "three rewrites"), 120, 40)
     registry["INFRA:PartialFractions-U"] = _Check(_partial_fractions("u"), 60, 40)
     registry["INFRA:PartialFractions-V"] = _Check(_partial_fractions("v"), 60, 40)
-    registry["INFRA:Prefactor-5"] = _Check(_prefactor(5), 60, 40)
-    registry["INFRA:Prefactor-7"] = _Check(_prefactor(7), 60, 40)
     registry["INFRA:three-routes"] = _Check(_three_routes, 21, 11, max_prec=120)
     # the one coefficient either mod-13 check reads is q^13, so both run at prec 14
     registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14, max_prec=14, min_prec=14)

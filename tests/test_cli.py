@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from qrank import verify
 from qrank.cli import ELL_MAX, MOD_MAX, PREC_MAX, main
+from qrank.qexpr import TERMS_MAX
 from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -112,6 +114,10 @@ def test_congruence_usage_error():
     code, _, err = run_cli("congruence", "--family", "u", "--mod", "5",
                            "--residue", "7", "--max", "20")
     assert code == 2 and "residue" in err
+    # a --max below --residue scans no coefficient
+    code, _, err = run_cli("congruence", "--family", "v", "--mod", "13",
+                           "--residue", "10", "--max", "5")
+    assert code == 2 and "--residue <= --max" in err
 
 
 def test_verify_only_selected_checks():
@@ -202,6 +208,16 @@ def test_oversized_precision_refused_before_any_work(monkeypatch, capsys):
     monkeypatch.setenv("QRANK_PREC", over)
     assert main(["coeffs", "--expr", "U()"]) == 2
     assert f"QRANK_PREC must be at most {PREC_MAX}" in capsys.readouterr().err
+
+
+def test_oversized_theta_arguments_refused_at_once(capsys):
+    for expr, count in (("P(1000000000001)", 499999999998500000000010),
+                        ("T(1,1000000000000,3)", 499999999998500000000014)):
+        start = time.perf_counter()
+        assert main(["coeffs", "--expr", expr, "--ell", "5", "--prec", "10"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"needs {count} terms" in err and f"cap of {TERMS_MAX}" in err
 
 
 def test_verify_does_not_import_the_expression_parser():

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qrank.lambert import (E_series, P_series, TSpec, chan_identity_residual,
-                           chan_suite_parameters, lambert_T, lambert_t)
+from qrank.lambert import (E_series, P_series, TSpec, _reduce_p_argument, _t_term_exponents,
+                           lambert_T, lambert_t, t_valuation)
+from qrank.rankgen import IDENTITY_CATALOGUE
 
 import oracles
 
@@ -88,6 +89,23 @@ def test_p_series_negative_arguments():
     assert lhs.valuation == -5
 
 
+def test_p_reduction_matches_the_symmetry_steps():
+    def stepwise(a, ell):
+        sign, shift = 1, 0
+        while not 0 < a < ell:
+            if a >= ell:   # P(a) = -q^(-l(a-l)) P(a-l)
+                a -= ell
+                sign, shift = -sign, shift - ell * a
+            else:          # P(a) = -q^(l a) P(-a)
+                sign, shift, a = -sign, shift + ell * a, -a
+        return sign, shift, a
+
+    for ell in (3, 5, 7, 13):
+        for a in range(-80, 81):
+            if a % ell:
+                assert _reduce_p_argument(a, ell) == stepwise(a, ell), (a, ell)
+
+
 def test_p_series_rejects_degenerate():
     with pytest.raises(ValueError):
         P_series(5, 5, 30)
@@ -106,31 +124,36 @@ def test_e_series():
         E_series(0, 10)
 
 
-def test_chan_variant2_examples():
+def test_chan_variant2_examples(catalogue_residual):
     # the T(2,3,5) relation used in the RU5 argument
-    assert chan_identity_residual(2, 5, 1, 2, None, 60).first_nonzero_below(60) is None
-    assert chan_identity_residual(2, 5, 1, 3, None, 60).first_nonzero_below(60) is None
+    for label in ("parameters (2, 5, 1, 2, None)", "parameters (2, 5, 1, 3, None)"):
+        assert catalogue_residual("INFRA:EqChan2-suite", 60, label).first_nonzero_below(60) is None
 
 
-def test_chan_variant1_examples():
+def test_chan_variant1_examples(catalogue_residual):
     # ell=5, a=2+k+c, b1=2, b2=k at k=3, c=0
-    assert chan_identity_residual(1, 5, 5, 2, 3, 60).first_nonzero_below(60) is None
+    assert catalogue_residual("INFRA:EqChan1-suite", 60, "parameters (1, 5, 5, 2, 3)") \
+        .first_nonzero_below(60) is None
     # ell=7, a=3+k+c, b1=3, b2=k at k=2, c=-2
-    assert chan_identity_residual(1, 7, 3, 3, 2, 100).first_nonzero_below(100) is None
+    assert catalogue_residual("INFRA:EqChan1-suite", 100, "parameters (1, 7, 3, 3, 2)") \
+        .first_nonzero_below(100) is None
 
 
-def test_chan_full_suite():
+def test_chan_full_suite(catalogue_residual):
     # the small precisions include terms whose q-shift is at least prec
     # but whose T has negative valuation, e.g. (1, 5, 5, 3, 2)
-    for variant, ell, a, b1, b2 in chan_suite_parameters():
-        for prec in (1, 2, 3, 5, 13, 100 if ell == 7 else 60):
-            residual = chan_identity_residual(variant, ell, a, b1, b2, prec)
-            assert residual.prec >= prec, (variant, ell, a, b1, b2, prec)
-            assert residual.first_nonzero_below(prec) is None, (variant, ell, a, b1, b2, prec)
+    for check in ("INFRA:EqChan1-suite", "INFRA:EqChan2-suite"):
+        for label, ell, _, _ in IDENTITY_CATALOGUE[check][1]:
+            for prec in (1, 2, 3, 5, 13, 100 if ell == 7 else 60):
+                residual = catalogue_residual(check, prec, label)
+                assert residual.prec >= prec, (label, prec)
+                assert residual.first_nonzero_below(prec) is None, (label, prec)
 
 
-def test_chan_rejects_bad_variant():
-    with pytest.raises(ValueError):
-        chan_identity_residual(3, 5, 1, 2, None, 20)
-    with pytest.raises(ValueError):
-        chan_identity_residual(1, 5, 1, 2, None, 20)
+@pytest.mark.parametrize("a,b,ell", [(1, 1000, 3), (1, -1000, 3), (-2, 7, 5), (3, -40, 7),
+                                     (10**6 + 1, 2, 3), (4, 0, 13)])
+def test_t_valuation_is_the_least_term_valuation(a, b, ell):
+    spec = TSpec(a, b, ell)
+    least = min(_t_term_exponents(spec, n)[1] for n in range(-1000, 1000))
+    assert t_valuation(spec) == least
+    assert lambert_T(spec, 5).valuation >= least

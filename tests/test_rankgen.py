@@ -6,9 +6,8 @@ from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.qexpr import EvalCtx, evaluate
 from qrank.quadruples import rank_counts
 from qrank.rankgen import (ROUTES, _bilateral_rank_sum, _bivariate, _counting_series,
-                           _fg_series, eval_f, eval_g, partial_fraction_residual, prefactor_residual,
-                           prod_dissection_residual, rank_series, rhs_identity,
-                           root_prefactor, ru_at_root, rv_at_root, u_series,
+                           _fg_series, eval_f, eval_g, partial_fraction_residual, rank_series,
+                           rhs_identity, root_prefactor, ru_at_root, rv_at_root, u_series,
                            v_series)
 from qrank.series import ZPOLY
 
@@ -272,13 +271,13 @@ def test_partial_fraction_rejects_degenerate_z():
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
-def test_prod_dissection(ell):
-    assert prod_dissection_residual(ell, 60).first_nonzero_below(60) is None
+def test_prod_dissection(catalogue_residual, ell):
+    assert catalogue_residual(f"INFRA:ProdDissection-{ell}", 60).first_nonzero_below(60) is None
 
 
 @pytest.mark.parametrize("ell", [5, 7])
-def test_prefactor_closed_forms(ell):
-    assert prefactor_residual(ell, 60).first_nonzero_below(60) is None
+def test_prefactor_closed_forms(catalogue_residual, ell):
+    assert catalogue_residual(f"INFRA:Prefactor-{ell}", 60).first_nonzero_below(60) is None
 
 
 def test_routes_consistent_across_precisions():

@@ -154,6 +154,13 @@ def test_poch_examples():
     assert oracles.as_coeff_dict(e1, 0, 16) == oracles.pentagonal_coeffs(16)
 
 
+def test_poch_count_past_the_precision_costs_nothing():
+    # factors at or past q^prec are never listed, so a count of 10^12 is at once
+    # the INF-count product; factors with exponent <= 0 still count
+    assert poch(QQ, 1, 1, 1, 10**12, 10) == poch(QQ, 1, 1, 1, INF, 10)
+    assert poch(QQ, 3, -2, 1, 10**12, 10) == poch(QQ, 3, -2, 1, 3, 10) * poch(QQ, 3, 1, 1, INF, 10)
+
+
 def test_poch_rejects_divergent_products():
     with pytest.raises(ValueError):
         poch(QQ, 1, -1, 1, INF, 10)

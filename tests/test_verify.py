@@ -1,9 +1,10 @@
 import pytest
 
-from qrank import lambert, verify
+from qrank import lambert, rankgen, verify
 from qrank.cyclotomic import cyclotomic_field
 from qrank.lambert import TSpec
-from qrank.rankgen import rank_series
+from qrank.quadruples import class_counts
+from qrank.rankgen import IDENTITY_CATALOGUE, rank_series, root_prefactor
 from qrank.series import LaurentSeries
 from qrank.verify import (CheckReport, check_names, run_all, run_check)
 
@@ -106,10 +107,10 @@ def _bump_ru5_rhs(monkeypatch, prec, k):
     return (k, str(c), str(c + 1)), ""
 
 
-def _bump_prefactor_residual(monkeypatch, prec, k):
-    residual = verify.prefactor_residual
-    monkeypatch.setattr(verify, "prefactor_residual", lambda ell, prec: _bump(residual(ell, prec), k))
-    return (k, "1", "0"), ""
+def _bump_prefactor_side(monkeypatch, prec, k):
+    monkeypatch.setattr(verify, "root_prefactor", lambda ell, prec: _bump(root_prefactor(ell, prec), k))
+    c = root_prefactor(5, prec).coefficient(k)
+    return (k, str(c + 1), str(c)), ""
 
 
 def _bump_rank_series(monkeypatch, k, kind, route, *ell):
@@ -133,7 +134,7 @@ def _bump_v_enumeration(monkeypatch, prec, k):
 
 @pytest.mark.parametrize("name, prec, k, perturb", [
     ("THM12:RU5", 60, 41, _bump_ru5_rhs),
-    ("INFRA:Prefactor-5", 60, 59, _bump_prefactor_residual),
+    ("INFRA:Prefactor-5", 60, 59, _bump_prefactor_side),
     ("INFRA:three-routes", 21, 17, _bump_rv5_qbinomial),
     ("THM13:bivariate-agreement", 21, 12, _bump_v_enumeration),
 ])
@@ -141,6 +142,36 @@ def test_perturbed_side_reports_its_first_failure(monkeypatch, name, prec, k, pe
     failure, detail = perturb(monkeypatch, prec, k)
     report = run_check(name, prec=prec)
     assert (report.status, report.first_failure, report.detail) == ("FAIL", failure, detail)
+
+
+@pytest.mark.parametrize("check, index", [(check, i) for check, (_, rows) in IDENTITY_CATALOGUE.items()
+                                           for i in range(len(rows))])
+def test_moving_one_term_shift_fails_its_row(monkeypatch, check, index):
+    passed, rows = IDENTITY_CATALOGUE[check]
+    label, ell, lhs, ((c, shift, factors, lam), *rest) = rows[index]
+    moved = (label, ell, lhs, [(c, shift + 1, factors, lam), *rest])
+    monkeypatch.setitem(IDENTITY_CATALOGUE, check, (passed, rows[:index] + [moved] + rows[index + 1:]))
+    rankgen.rhs_identity.cache_clear()
+    try:
+        report = run_check(check)
+    finally:
+        rankgen.rhs_identity.cache_clear()
+    assert (report.status, report.detail) == ("FAIL", label)
+
+
+@pytest.mark.parametrize("name", [n for n in check_names() if n.startswith(("THM11:", "THM13:classes-"))])
+def test_scan_and_class_checks_read_something_at_any_precision(name):
+    report = run_check(name, prec=1)
+    assert report.status == "PASS"
+    if name.startswith("THM11:"):
+        kind, mod, residue = verify.CONGRUENCES[name[6:]]
+        assert "at 0 coefficients" not in report.detail
+        assert rank_series(kind, "DEFINITION", report.prec).coefficient(report.prec - 1) != 0
+        assert (report.prec - 1) % mod == residue
+    else:
+        kind, ell, residues = verify.CLASS_FAMILIES[name[14:]]
+        assert report.prec % ell in residues and sum(class_counts(report.prec, kind, ell)) > 0
+        assert str(report.prec) in report.detail
 
 
 def test_comparison_short_of_the_requested_precision_is_an_error(monkeypatch):
