@@ -8,7 +8,8 @@ environment variable QRANK_PREC overrides the default precision.  Refused with
 exit 2 before any work: a precision (``coeffs --prec``, QRANK_PREC, ``verify
 --prec``) above PREC_MAX or below 1, a ``congruence --max`` above PREC_MAX or
 below ``--residue``, ``coeffs --ell`` above ELL_MAX, ``classes --mod`` above
-MOD_MAX, and a ``coeffs`` P or T needing more than ``qexpr.TERMS_MAX`` terms.
+MOD_MAX, a ``coeffs`` P, T or finite poch needing more than ``qexpr.TERMS_MAX``
+terms, and a ``coeffs`` T whose own l is above ELL_MAX.
 """
 
 from __future__ import annotations

@@ -114,6 +114,35 @@ def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
     return theta_sum(ell, [(1, 0, (("P", a, 1),), None)], prec)
 
 
+def _reduced_factors(ell: int, shift: int, factors):
+    """(sign, shift, ranges, vanishes) of a term's E/P product, each P(x) reduced to 0 < x < ell
+    and the product as factor ranges (start, step, power), (q^start; q^step)_inf^power."""
+    sign, ranges, vanishes = 1, [], False
+    for kind, x, power in factors:
+        if kind == "E":
+            if x < 1:
+                raise ValueError(f"E(a) needs a >= 1, got {x}")
+            ranges.append((x, x, power))
+        elif x % ell == 0:
+            if power < 0:
+                raise ValueError(f"P({x}) is degenerate for ell = {ell} (argument divisible by ell)")
+            vanishes = True
+        else:
+            p_sign, p_shift, x = _reduce_p_argument(x, ell)
+            sign *= p_sign ** abs(power)
+            shift += p_shift * power
+            ranges += [(ell * x, ell * ell, power), (ell * (ell - x), ell * ell, power)]
+    return sign, shift, ranges, vanishes
+
+
+def term_valuation(ell: int, term) -> int:
+    """The least exponent of q in a ``theta_sum`` term: its shift, plus its
+    P-reduction shifts, plus the ``t_valuation`` of its T."""
+    _, shift, factors, lam = term
+    shift = _reduced_factors(ell, shift, factors)[1]
+    return shift + (0 if lam is None else t_valuation(TSpec(*lam, ell)))
+
+
 def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
     """sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over the terms, exact below q^prec.
 
@@ -129,21 +158,7 @@ def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
     ring = cyclotomic_field(ell) if any(isinstance(t[0], tuple) for t in terms) else QQ
     total = LaurentSeries.zero(ring, prec)
     for coeff, shift, factors, lam in terms:
-        sign, ranges, vanishes = 1, [], False
-        for kind, x, power in factors:
-            if kind == "E":
-                if x < 1:
-                    raise ValueError(f"E(a) needs a >= 1, got {x}")
-                ranges.append((x, x, power))
-            elif x % ell == 0:
-                if power < 0:
-                    raise ValueError(f"P({x}) is degenerate for ell = {ell} (argument divisible by ell)")
-                vanishes = True
-            else:
-                p_sign, p_shift, x = _reduce_p_argument(x, ell)
-                sign *= p_sign ** abs(power)
-                shift += p_shift * power
-                ranges += [(ell * x, ell * ell, power), (ell * (ell - x), ell * ell, power)]
+        sign, shift, ranges, vanishes = _reduced_factors(ell, shift, factors)
         t = None if lam is None else lambert_T(TSpec(*lam, ell), prec - shift)
         n = prec - shift - (0 if t is None else t.valuation)
         if vanishes or n <= 0 or (t is not None and t.is_zero()):

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cli import ELL_MAX
 from .cyclotomic import QQ, cyclotomic_field, is_prime
 from .lambert import E_series, P_series, TSpec, _reduce_p_argument, lambert_T, t_valuation
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
-from .series import INF, LaurentSeries, jacprod, poch
+from .series import INF, LaurentSeries, _poch_shift, jacprod, poch
 
 
 class QExprSyntaxError(ValueError):
@@ -335,9 +336,11 @@ class EvalCtx:
             raise ValueError(f"ell must be a prime >= 3, got {self.ell}")
 
 
-# P(x) and T(a, b, l) start near q^(-x^2 / 2) and q^(-b^2 / 2); one needing more
-# than TERMS_MAX terms below the precision is refused before it is built (at
-# ell = 5, P(201) has 19,710 terms and takes 0.9 s, P(451) 100,585 and 25 s).
+# P(x), T(a, b, l) and a finite poch start near q^(-x^2 / 2), q^(-b^2 / 2) and
+# q^(sum of its negative exponents); one needing more than TERMS_MAX terms below
+# the precision is refused before it is built (at ell = 5, P(201) has 19,710
+# terms and takes 0.9 s, P(451) 100,585 and 25 s), and so is a T whose own l
+# is above ELL_MAX, before ``is_prime`` tries it.
 TERMS_MAX = 10_000
 
 
@@ -369,7 +372,10 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
                 _refuse_oversized(node, _reduce_p_argument(a, ctx.ell)[1], ctx)
             return P_series(a, ctx.ell, ctx.prec)
         if name == "T":
-            spec = TSpec(*_int_args(node, args))
+            a, b, ell = _int_args(node, args)
+            if ell > ELL_MAX:
+                raise QExprEvalError(f"{render(node)}: l must be at most {ELL_MAX}, got {ell}", node.pos)
+            spec = TSpec(a, b, ell)
             _refuse_oversized(node, t_valuation(spec), ctx)
             return lambert_T(spec, ctx.prec)
         if name == "poch":
@@ -379,6 +385,8 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
                 count = INF
             elif not isinstance(count, int):
                 raise QExprEvalError(f"poch count must be an integer or 'inf', got {count!r}", node.pos)
+            if step >= 1 and count != INF:
+                _refuse_oversized(node, _poch_shift(qpow, step, count), ctx)
             return poch(field, field.zeta(zpow), qpow, step, count, ctx.prec)
         if name == "jac":
             zpow, qpow, step = _int_args(node, args)

@@ -14,9 +14,11 @@ formal, at z = zeta_ell, or at z = 1.
 * ENUMERATION: the rank histograms of ``quadruples.rank_counts``.
 
 ``_counting_series``, ``_fg_series`` and ``_bivariate`` each keep one running
-``FactorBlock`` and change it by a few factors (1 - c q^e) whenever the
-smallest part n (and, in ``_bivariate``, the p4 count m) changes, so no term
-builds or inverts its own Pochhammer denominator.
+block and change it by a few factors (1 - c q^e) whenever the smallest part
+n (and, in ``_bivariate``, the p4 count m) changes, so no term builds or
+inverts its own Pochhammer denominator.  The first two are ``FactorBlock``s;
+``_bivariate``, the one builder over QQ[z, 1/z], keeps plain lists of packed
+z-digit integers, and sizes the digits by its own coefficient bound.
 
 ``IDENTITY_CATALOGUE`` holds every E/P/T identity the program checks as rows
 of ``lambert.theta_sum`` terms, each row beside the builder of its other side;
@@ -27,11 +29,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, lshift, sub
 
 from .cyclotomic import QQ, CycQ, cyclotomic_field, is_prime
 from .lambert import theta_sum
-from .series import FactorBlock, LaurentSeries, ZPOLY, ZLaurentPoly, geometric
+from .series import (FactorBlock, LaurentSeries, ZPOLY, ZLaurentPoly, _digit_bytes, _make, _unpack,
+                     geometric)
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
@@ -256,7 +260,7 @@ def _bivariate(power: int, prec: int) -> LaurentSeries:
     (q^(n+1);q)_m = (q;q)_(n+m) / (q;q)_n.  The term is therefore
     z^-m q^(power*n + n*m) W_(n,m) with W_(n,0) = E_n and
     W_(n,m) = W_(n,m-1) (1 - z q^(n+m))/(1 - q^m): a copy of the head block
-    carries z^-m W_(n,m), two factors and a shift of z per term.
+    carries W_(n,m), two factors per term.
 
     Every block has non-negative coefficients, and at z = 1 each term is at
     most q^(n(power+m)) / (q;q)_inf^4 coefficientwise; summed over n and m
@@ -264,29 +268,69 @@ def _bivariate(power: int, prec: int) -> LaurentSeries:
     coefficient of q^i, the count of 6-coloured partitions of i - 1, is below
     exp(2 pi sqrt(i - 1)) (Apostol, Thm 14.5, with 6 colours).  That bounds
     every coefficient of the sum, and sizes the packed z-digits.
+
+    A block is a plain list: slot j is its z-polynomial at q^j times
+    z^(tilt*j), evaluated at z = X = 2^bits, one integer whose digits are the
+    coefficients.  E_n and W_(n,m) hold z-degrees in [-2j/n, 2j/n] at q^j, so
+    tilt 1 keeps every power of X non-negative for n >= 2; at n = 1 the head
+    and the sum are re-laid once to tilt 2.  A factor (1 - z^c q^e) then
+    moves digits up by c + tilt*e >= 0, z^-m is adding a term at q^offset
+    m digits lower (tilt*offset > m), and the sum holds z-degrees in
+    [-2i, 2i] at q^i, so slot i decodes to 4i + 1 digits from z^-2i up.
     """
     bound = 1 << (int(2 * math.pi * math.sqrt(max(prec - 2, 0)) / math.log(2)) + 2)
-    z, z2, z2i, zinv = (ZLaurentPoly.monomial(k) for k in (1, 2, -2, -1))
-    acc = FactorBlock(ZPOLY, prec, 0, bound)
+    k = _digit_bytes(bound)
+    bits = 8 * k
+
+    def factor(block, zpow, e, tilt, divide=False):
+        """block times (1 - z^zpow q^e), or divided by it, in place."""
+        n = len(block)
+        if e >= n:
+            return
+        shift = (zpow + tilt * e) * bits
+        if not divide:
+            block[e:] = map(sub, block[e:], map(lshift, block[:n - e], repeat(shift)))
+        elif e * e < n:
+            # fewer residue classes mod e than groups of e slots: one running sum per class
+            for j in range(e):
+                block[j::e] = accumulate(block[j::e], lambda a, x: x + (a << shift))
+        else:
+            for lo in range(e, n, e):
+                block[lo:lo + e] = map(add, block[lo:lo + e], map(lshift, block[lo - e:lo], repeat(shift)))
+
+    def add_to_sum(block, offset, m, tilt):  # acc += z^-m q^offset block
+        count = min(len(block), prec - offset)
+        acc[offset:offset + count] = map(add, acc[offset:offset + count],
+                                         map(lshift, block[:count], repeat((tilt * offset - m) * bits)))
+
+    acc = [0] * max(prec, 0)
     top = (prec - 1) // power
-    head = FactorBlock(ZPOLY, prec - power, 1, bound)
-    for c in (z, z2, z2i):
-        head.factor(c, range(top, prec - power), divide=True)
+    head = [1] + [0] * (prec - power - 1)
+    tilt = 1
     for n in range(top, 0, -1):
-        if n < top:
-            for c in (z, z2, z2i):
-                head.factor(c, n, divide=True)
+        if n == 1:
+            head, acc = ([x << (i * bits) for i, x in enumerate(b)] for b in (head, acc))
+            tilt = 2
+        for zpow in (1, 2, -2):
+            for e in (range(n, prec - power) if n == top else (n,)):
+                factor(head, zpow, e, tilt, divide=True)
         base = power * n
-        acc.add(head, base)
-        term = head.copy(prec - base - n)
+        add_to_sum(head, base, 0, tilt)
+        term = head[:]
         m = 1
         while base + n * m < prec:
-            term.factor(z, n + m)
-            term.factor(1, m, divide=True)
-            term.scale(zinv)
-            acc.add(term, base + n * m)
+            del term[prec - base - n * m:]
+            factor(term, 1, n + m, tilt)
+            factor(term, 0, m, tilt, divide=True)
+            add_to_sum(term, base + n * m, m, tilt)
             m += 1
-    return acc.series(prec)
+    size = len(acc)
+    width = max(4 * size - 3, 1)  # z^(2-2 size) .. z^(2 size-2)
+    flat = [0] * (size * width)
+    for i, x in enumerate(acc):
+        start = i * width + 2 * (size - 1 - i)
+        flat[start:start + 4 * i + 1] = _unpack(x, 4 * i + 1, k)
+    return _make(ZPOLY, 0, 1, flat, width, 2 - 2 * size, prec)
 
 
 # -- the route table ------------------------------------------------------------

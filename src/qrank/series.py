@@ -27,14 +27,15 @@ All dense arithmetic runs on integers:
 * ``specialize_z`` substitutes z -> zeta_l or z -> 1 by adding the z-columns
   of a QQ[z, 1/z] block into their residues mod l;
 * ``FactorBlock`` is the one kernel that multiplies or divides by a factor
-  (1 - c q^e): a mutable block changed in place, O(n) integer additions per
-  factor: a plain add over QQ, a rotation of residue vectors for c = zeta^k
-  over Q(zeta_l), a digit shift of packed per-slot z-integers for c = z^k
-  over QQ[z, 1/z], and in general the lifted integer coordinates of c.
-  Every Pochhammer product (``poch``, ``jacprod``, ``gauss_binomial``),
-  every geometric series (one division of the constant 1) and the RU/RV
-  prefactor division is one pass of it, and generating functions whose
-  terms differ by a few factors keep one running block.
+  (1 - c q^e) over QQ or Q(zeta_l): a mutable block changed in place, O(n)
+  integer additions per factor: a plain add over QQ, a rotation of residue
+  vectors for c = zeta^k over Q(zeta_l), and in general the lifted integer
+  coordinates of c.  Every Pochhammer product (``poch``, ``jacprod``,
+  ``gauss_binomial``), every geometric series (one division of the constant
+  1) and the RU/RV prefactor division is one pass of it, and generating
+  functions whose terms differ by a few factors keep one running block.
+  Products over QQ[z, 1/z] are refused; the one route that needs them,
+  ``rankgen._bivariate``, packs its own z-digits with ``_unpack``'s codec.
 """
 
 from __future__ import annotations
@@ -841,19 +842,17 @@ def _cyclic_lift(coords) -> list:
 
 
 @lru_cache(maxsize=256)
-def _factor_terms(ring, c, bits: int):
-    """(d, clo, [(k, m), ...]) with c = z^clo sum m x^k / d over the integers m.
+def _factor_terms(ring, c):
+    """(d, [(k, m), ...]) with c = sum m x^k / d over the integers m.
 
     x is the rotation zeta over Q(zeta_l), acting on residue vectors, with
-    the lifted coordinates of c; over QQ[z, 1/z] there is one term, the
-    coordinates of c packed in base 2^bits; over QQ, the numerator of c.
+    the lifted coordinates of c; over QQ there is one term, the numerator
+    of c.
     """
-    den, coords, clo = ring.split(c)
-    if ring is ZPOLY:
-        coords = [sum(x << (j * bits) for j, x in enumerate(coords))]
-    elif ring is not QQ:
+    den, coords, _ = ring.split(c)
+    if ring is not QQ:
         coords = _cyclic_lift(coords)
-    return den, clo, [(k, m) for k, m in enumerate(coords) if m]
+    return den, [(k, m) for k, m in enumerate(coords) if m]
 
 
 def _rotated(src: list, width: int, k: int) -> list:
@@ -875,20 +874,17 @@ def _rotated(src: list, width: int, k: int) -> list:
     return out
 
 
-def _apply(data: list, width: int, start: int, src: list, terms, shift: int, op) -> None:
+def _apply(data: list, width: int, start: int, src: list, terms, op) -> None:
     """data[start:start + len(src)] op= c times src, slot by slot, c given by ``terms``.
 
     A term (k, m) moves coordinate j of a slot to coordinate (j + k) mod
-    width, times m, and shifts left by ``shift`` bits (the packed z-digits).
-    A target running past the end of data is cut there.
+    width, times m.  A target running past the end of data is cut there.
     """
     target = slice(start, start + len(src))
     for k, m in terms:
         part = _rotated(src, width, k)
         if m != 1:
             part = map(mul, part, repeat(m))
-        if shift:
-            part = map(lshift, part, repeat(shift))
         data[target] = map(op, data[target], part)
 
 
@@ -897,20 +893,10 @@ class FactorBlock:
     by one factor (1 - c q^e) at a time.
 
     The block holds ``n`` slots, one per power q^0 .. q^(n-1), over one
-    common denominator ``den``:
-
-    * over QQ a slot is one integer;
-    * over Q(zeta_l) a slot is a residue vector of l integers, the
-      coefficients of 1, zeta, ..., zeta^(l-1), so multiplying by zeta^k
-      rotates it; ``series`` reduces it to the power basis once;
-    * over QQ[z, 1/z] a slot is one integer, the Laurent polynomial P_i in z
-      evaluated at X = 2^bits times X^(tilt*i + base), so multiplying by z^k
-      shifts its digits.  Evaluation at X is a ring map, so the packed slots
-      stay exact whatever sizes they pass through; only ``series`` unpacks
-      them, and ``bound`` must bound every integer coordinate it reads.
-      ``scale`` by z^k lowers base by k; tilt and base grow on demand so
-      that every stored power of X stays non-negative and no shift runs
-      right.
+    common denominator ``den``: over QQ a slot is one integer; over
+    Q(zeta_l) it is a residue vector of l integers, the coefficients of 1,
+    zeta, ..., zeta^(l-1), so multiplying by zeta^k rotates it, and
+    ``series`` reduces it to the power basis once.
 
     Multiplying by (1 - c q^e), c = C/d, sets slot i to d slot_i - C slot_(i-e)
     and multiplies den by d.  Dividing solves slot_i = x_i + c slot_(i-e)
@@ -921,34 +907,18 @@ class FactorBlock:
     applied in any order.
     """
 
-    __slots__ = ("ring", "width", "den", "data", "bits", "tilt", "base")
+    __slots__ = ("ring", "width", "den", "data")
 
-    def __init__(self, ring, n: int, value: int = 1, bound: int = 1):
-        """The constant ``value`` to n terms; ``bound`` matters only over QQ[z, 1/z]."""
+    def __init__(self, ring, n: int, value: int = 1):
+        """The constant ``value`` to n terms."""
+        if ring is ZPOLY:
+            raise ValueError(f"FactorBlock works over QQ and Q(zeta_l), not over {ZPOLY.name}")
         self.ring = ring
-        self.width = 1 if ring is QQ or ring is ZPOLY else ring.ell
+        self.width = 1 if ring is QQ else ring.ell
         self.den = 1
         self.data = [0] * (max(n, 0) * self.width)
         if self.data:
             self.data[0] = value
-        self.bits = 8 * _digit_bytes(bound) if ring is ZPOLY else 0
-        self.tilt = self.base = 0
-
-    def copy(self, n: int) -> "FactorBlock":
-        """The first n terms as a new block."""
-        out = object.__new__(FactorBlock)
-        for name in FactorBlock.__slots__:
-            setattr(out, name, getattr(self, name))
-        out.data = self.data[:max(n, 0) * self.width]
-        return out
-
-    def _lift(self, tilt: int, base: int) -> None:
-        """Re-lay a QQ[z, 1/z] block with at least this tilt and base."""
-        tilt, base = max(tilt, self.tilt), max(base, self.base)
-        if (tilt, base) != (self.tilt, self.base):
-            dt, db, bits = tilt - self.tilt, base - self.base, self.bits
-            self.data = [x << ((dt * i + db) * bits) for i, x in enumerate(self.data)]
-            self.tilt, self.base = tilt, base
 
     def factor(self, c, exps, divide: bool = False) -> None:
         """Multiply the block by (1 - c q^e) for each e in ``exps``, or divide it by those factors.
@@ -958,30 +928,26 @@ class FactorBlock:
         """
         w = self.width
         n = len(self.data) // w
-        d, clo, terms = _factor_terms(self.ring, c, self.bits)
+        d, terms = _factor_terms(self.ring, c)
         for e in (exps,) if isinstance(exps, int) else exps:
             if e < 1:
                 raise ValueError(f"factor exponent must be >= 1, got {e}")
             if e >= n or not terms:
                 continue
-            shift = 0
-            if self.bits:
-                self._lift(-(clo // e), self.base)
-                shift = (clo + self.tilt * e) * self.bits
             data = self.data
             if not divide:
                 prev = data[:(n - e) * w]
                 if d != 1:
                     data = self.data = list(map(mul, data, repeat(d)))
                     self.den *= d
-                _apply(data, w, e * w, prev, terms, shift, sub)
+                _apply(data, w, e * w, prev, terms, sub)
                 continue
             step = e * w
             if d == 1 and len(terms) == 1 and terms[0][0] == 0 and e * step < n:
-                # c = m or m z^clo, and fewer residue classes mod e than groups
-                # of e slots: each class is one running sum, in one C-level pass
+                # c = m, and fewer residue classes mod e than groups of e
+                # slots: each class is one running sum, in one C-level pass
                 m = terms[0][1]
-                running = add if m == 1 and not shift else (lambda a, x: x + (a * m << shift))
+                running = add if m == 1 else (lambda a, x: x + a * m)
                 for j in range(step):
                     data[j::step] = accumulate(data[j::step], running)
                 continue
@@ -993,20 +959,19 @@ class FactorBlock:
                 prev = data[lo - step:lo]
                 if d != 1:
                     prev = [x // d for x in prev]
-                _apply(data, w, lo, prev, terms, shift, add)
+                _apply(data, w, lo, prev, terms, add)
 
     def scale(self, c) -> None:
         """Multiply the block in place by the scalar c."""
-        d, clo, terms = _factor_terms(self.ring, c, self.bits)
+        d, terms = _factor_terms(self.ring, c)
         if terms != [(0, 1)]:
             src = self.data
             self.data = [0] * len(src)
-            _apply(self.data, self.width, 0, src, terms, 0, add)
+            _apply(self.data, self.width, 0, src, terms, add)
         self.den *= d
-        self.base -= clo
 
     def add(self, other: "FactorBlock", shift: int = 0) -> None:
-        """Add q^shift times ``other`` (same ring and bound) to this block's terms."""
+        """Add q^shift times ``other`` (same ring) to this block's terms."""
         w = self.width
         count = min(len(other.data) // w, len(self.data) // w - shift)
         if count <= 0:
@@ -1015,110 +980,45 @@ class FactorBlock:
         if den != self.den:
             self.data = list(map(mul, self.data, repeat(den // self.den)))
             self.den = den
-        terms = [(0, den // other.den)]
-        bits = 0
-        if self.bits:
-            tilt = max(self.tilt, other.tilt)
-            other._lift(tilt, other.base)
-            self._lift(tilt, other.base - tilt * shift)
-            bits = (tilt * shift + self.base - other.base) * self.bits
-        _apply(self.data, w, shift * w, other.data[:count * w], terms, bits, add)
+        _apply(self.data, w, shift * w, other.data[:count * w], [(0, den // other.den)], add)
 
     def series(self, prec) -> "LaurentSeries":
         """The block as a LaurentSeries from q^0, exact below prec."""
         ring, w, data = self.ring, self.width, self.data
         if ring is QQ:
             return _make(QQ, 0, self.den, data[:], 1, 0, prec)
-        if ring is not ZPOLY:
-            return _make(ring, 0, self.den, _reduce_residues(data, w, w), w - 1, 0, prec)
-        k, rows = self.bits // 8, []
-        for i, x in enumerate(data):
-            if x:
-                digits = _unpack(x, abs(x).bit_length() // self.bits + 2, k)
-                lo, hi = _first_nonzero(digits), len(digits) - _first_nonzero(digits[::-1])
-                rows.append((i, lo - self.tilt * i - self.base, digits[lo:hi]))
-        if not rows:
-            return LaurentSeries.zero(ZPOLY, prec)
-        zlo = min(z for _, z, _ in rows)
-        width = max(z + len(digits) for _, z, digits in rows) - zlo
-        flat = [0] * (len(data) * width)
-        for i, z, digits in rows:
-            start = i * width + z - zlo
-            flat[start:start + len(digits)] = digits
-        return _make(ZPOLY, 0, self.den, flat, width, zlo, prec)
+        return _make(ring, 0, self.den, _reduce_residues(data, w, w), w - 1, 0, prec)
 
 
 # -- product and sum builders ------------------------------------------------
 
 
-def _poch_bound(ring, c, exps, n: int) -> int:
-    """The ``bound`` of a FactorBlock for prod over e in exps of (1 - c q^e) to n terms.
-
-    Only QQ[z, 1/z] blocks need one; it bounds the l1 norm over z of every
-    coefficient, and so every integer coordinate that ``series`` unpacks.
-    Let c = C/d with C integral, A = |C|_1, and k the number of exponents,
-    ascending and >= 1.  Over the denominator d^k the product is
-    prod (d - C q^e), whose coefficient of q^i sums d^(k-|T|) (-C)^|T| over
-    the sets T of factors whose exponents sum to i.  The l1 norm is
-    submultiplicative, so the norm of that coefficient is at most the same
-    sum with C^|T| replaced by A^|T|.  There are at most 2^k sets, which
-    gives (d + A)^k.  The exponents in T are distinct, so there are at most
-    p(i) sets, and for i <= n - 1, p(i) <= exp(pi sqrt(2(n-1)/3)) <= P(n), a
-    power of two (Apostol, Thm 14.5).  No T holds more than t factors, t the
-    most whose smallest exponents sum to <= n - 1, and
-    d^(k-m) A^m <= d^(k-t) max(d, A)^t for m <= t.  The norm is therefore at
-    most min((d + A)^k, d^(k-t) max(d, A)^t P(n)).
-    """
-    if ring is not ZPOLY:
-        return 1
-    den, coords, _ = ring.split(c)
-    norm = sum(map(abs, coords))
-    k = len(exps)
-    bound = (den + norm) ** k
-    # log2 of a power of two above exp(pi sqrt(2(n-1)/3)), with float slack
-    pbits = int(math.pi * math.sqrt(2 * (n - 1) / 3) / math.log(2)) + 2
-    if bound.bit_length() > pbits:
-        # below 2^pbits the count bound cannot win, so t is only found here
-        t, total = 0, 0
-        for e in exps:
-            total += e
-            if total > n - 1:
-                break
-            t += 1
-        bound = min(bound, den ** (k - t) * max(den, norm) ** t << pbits)
-    return bound
-
-
 def geometric(ring, c, step: int, prec) -> "LaurentSeries":
     """1/(1 - c*q^step) = sum_{k>=0} c^k q^(k*step), step >= 1: the constant 1
-    divided in place by that one factor.
-
-    With c = C/d and K the last power below prec, the block holds
-    C^k d^(K-k) at q^(k*step) over the denominator d^K, so over QQ[z, 1/z]
-    max(d, |C|_1)^K bounds its z-digits.
-    """
+    divided in place by that one factor."""
     if step < 1:
         raise ValueError(f"geometric step must be >= 1, got {step}")
     if prec == INF:
         raise PrecisionError("geometric expansion needs a finite precision")
-    if prec <= 0:
-        return LaurentSeries.zero(ring, prec)
-    bound = 1
-    if ring is ZPOLY:
-        den, coords, _ = ring.split(c)
-        bound = max(den, sum(map(abs, coords))) ** ((int(prec) - 1) // step)
-    block = FactorBlock(ring, int(prec), 1, bound)
+    block = FactorBlock(ring, max(int(prec), 0))
     block.factor(c, step, divide=True)
     return block.series(prec)
 
 
+def _poch_shift(a: int, b: int, count) -> int:
+    """The sum of the negative exponents a + j*b, j < count, of a Pochhammer product."""
+    k = 0 if a >= 0 else min((-a + b - 1) // b, count)
+    return k * a + b * k * (k - 1) // 2
+
+
 def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
-    """q-Pochhammer (c*q^a; q^b)_count = prod_{j<count} (1 - c*q^(a+j*b)).
+    """q-Pochhammer (c*q^a; q^b)_count = prod_{j<count} (1 - c*q^(a+j*b)), exact below prec.
 
     ``count`` is a non-negative integer or INF.  Infinite products require
     a >= 1, or a = 0 with c != 1 (the leading factor is then the scalar 1-c).
-    The factors with exponent >= 1 are one FactorBlock; the rest multiply
-    the result.
+    With (1 - c q^e) = -c q^e (1 - c^-1 q^-e) for e < 0, one FactorBlock holds
+    c at the positive exponents and 1/c at the negated negative ones, to
+    prec - shift terms, shift the sum of the negative exponents.
     """
     if b < 1:
         raise ValueError(f"Pochhammer step must be >= 1, got {b}")
@@ -1130,44 +1030,38 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
             raise ValueError("infinite product (1;q)_inf vanishes identically; handle the z=1 case separately")
         if prec == INF:
             raise PrecisionError("infinite product needs a finite precision")
-        stop = max(int(prec), 1)
+    elif not isinstance(count, int) or count < 0:
+        raise ValueError(f"Pochhammer count must be a non-negative integer or INF, got {count}")
+    shift = _poch_shift(a, b, count)
+    if prec == INF:
+        exps = range(a, a + count * b, b)
+        n = sum(map(abs, exps)) + 1
     else:
-        if not isinstance(count, int) or count < 0:
-            raise ValueError(f"Pochhammer count must be a non-negative integer or INF, got {count}")
-        # factors at or past q^prec act as 1, but those with exponent <= 0 stay
-        stop = a + count * b if prec == INF else min(a + count * b, max(int(prec), 1))
-    exps = range(a, stop, b)
-    positive = [e for e in exps if e > 0]
-    size = max(int(prec) if prec != INF else sum(positive) + 1, 1)
-    block = FactorBlock(ring, size, 1, _poch_bound(ring, c, positive, size))
-    block.factor(c, positive)
-    result = block.series(prec)
-    for e in exps:
-        if e <= 0:
-            result = _mul(result, LaurentSeries.from_items(ring, [(0, ring.one), (e, -c)], prec))
-    return result
+        # factors at or past q^n act as 1 on the block
+        n = max(int(prec) - shift, 1)
+        exps = range(a, min(a + count * b, n), b)
+    block = FactorBlock(ring, n)
+    if not c:
+        return block.series(prec)  # every factor is 1
+    flipped = [-e for e in exps if e < 0]
+    block.factor(c, [e for e in exps if e > 0])
+    block.factor(ring.invert(c), flipped)
+    block.scale((-c) ** len(flipped) * (ring.one - c) ** int(0 in exps))
+    return block.series(prec - shift).shift(shift)
 
 
 def jacprod(ring, c, a: int, b: int, prec) -> "LaurentSeries":
-    """Theta-style product (c*q^a; q^b)_inf * (q^(b-a)/c; q^b)_inf, 0 < a < b.
-
-    Both factor sets go into one block.  Over QQ[z, 1/z] the l1 norm of a
-    coefficient of q^i of the product is at most the sum over i1 + i2 = i
-    of the norms of the two factors' coefficients, so n times the product
-    of their ``_poch_bound`` bounds it.
-    """
+    """Theta-style product (c*q^a; q^b)_inf * (q^(b-a)/c; q^b)_inf, 0 < a < b,
+    both factor sets in one block."""
     if not 0 < a < b:
         raise ValueError(f"jacprod needs 0 < a < b, got a={a}, b={b}")
     if prec == INF:
         raise PrecisionError("infinite product needs a finite precision")
-    c = ring.of(c)
-    cinv = ring.invert(c)
     size = max(int(prec), 1)
-    first, second = range(a, size, b), range(b - a, size, b)
-    bound = size * _poch_bound(ring, c, first, size) * _poch_bound(ring, cinv, second, size)
-    block = FactorBlock(ring, size, 1, bound)
-    block.factor(c, first)
-    block.factor(cinv, second)
+    block = FactorBlock(ring, size)
+    c = ring.of(c)
+    block.factor(c, range(a, size, b))
+    block.factor(ring.invert(c), range(b - a, size, b))
     return block.series(prec)
 
 

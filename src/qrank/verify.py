@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import QQ, cyclotomic_field
-from .lambert import theta_sum
+from .lambert import term_valuation, theta_sum
 from .quadruples import CLASSES_MAX_N, class_counts
 from .rankgen import (IDENTITY_CATALOGUE, eval_f, partial_fraction_residual, rank_series,
                       rhs_identity, root_prefactor)
@@ -72,7 +72,8 @@ class _Check:
     long: bool = field(default=False)
     # --prec is clamped to [min_prec, max_prec]: rank-count and bivariate checks
     # stay desk-scale, mod-13 checks read q^13, scans and class checks at least
-    # one nonzero coefficient or non-empty class; the report carries the prec used
+    # one nonzero coefficient or non-empty class, catalogue checks at least one
+    # term of every row; the report carries the prec used
     max_prec: int | None = field(default=None)
     min_prec: int = field(default=1)
 
@@ -250,8 +251,11 @@ def _build_registry() -> dict[str, _Check]:
     for key, (family, mod, residue) in CONGRUENCES.items():
         registry[f"THM11:{key}"] = _Check(_congruence_check(family, mod, residue), 105, 40,
                                           min_prec=_first_nonempty(family, mod, (residue,)) + 1)
-    for name in IDENTITY_CATALOGUE:
-        registry[name] = _Check(_catalogue_check(name), _CATALOGUE_PRECS.get(name, 60), 40)
+    for name, (_, rows) in IDENTITY_CATALOGUE.items():
+        # below 1 + a row's least term valuation, that row would compare nothing
+        least = max(min(term_valuation(ell, t) for t in terms) for _, ell, _, terms in rows)
+        registry[name] = _Check(_catalogue_check(name), _CATALOGUE_PRECS.get(name, 60), 40,
+                                min_prec=least + 1)
     registry["THM13:bivariate-agreement"] = _Check(_bivariate_agreement, 21, 9,
                                                    max_prec=CLASSES_MAX_N)
     for key, (kind, ell, residues) in CLASS_FAMILIES.items():

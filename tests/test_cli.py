@@ -220,6 +220,22 @@ def test_oversized_theta_arguments_refused_at_once(capsys):
         assert f"needs {count} terms" in err and f"cap of {TERMS_MAX}" in err
 
 
+def test_long_finite_poch_and_large_t_order_refused_at_once(capsys):
+    for expr, message in (("poch(1,-10000,1,20000)", "needs 50005010 terms below q^10"),
+                          ("T(1,1,1000000000000000009)", f"l must be at most {ELL_MAX}")):
+        start = time.perf_counter()
+        assert main(["coeffs", "--expr", expr, "--ell", "5", "--prec", "10"]) == 2
+        assert time.perf_counter() - start < 1
+        assert message in capsys.readouterr().err
+
+
+def test_poch_with_exponents_at_or_below_zero_keeps_the_precision(capsys):
+    assert main(["coeffs", "--expr", "poch(1,-3,1,5)", "--ell", "5", "--prec", "10",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["valuation"], payload["prec"]) == (-6, 10)
+
+
 def test_verify_does_not_import_the_expression_parser():
     script = ("import sys; from qrank.cli import main; "
               "code = main(['verify', '--only', 'THM11:u3', '--format', 'json']); "

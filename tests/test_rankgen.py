@@ -81,7 +81,8 @@ def test_eval_f_and_g_match_newton_reference_off_the_route():
             assert eval_g(rho1, rho2, z, prec) == oracles.ref_fg_series(rho1, rho2, z, prec, 2)
 
 
-@pytest.mark.parametrize("prec", (-1, 0, 1, 2, 3, 9, 21, 40))
+# packed z-digits of 1 byte up to prec 2, 2 bytes at 3-4, 4 at 5-12, 8 at 13-47, 16 from 48
+@pytest.mark.parametrize("prec", (-1, 0, 1, 2, 3, 4, 5, 9, 12, 13, 21, 40))
 @pytest.mark.parametrize("power", (1, 2))
 def test_bivariate_matches_newton_reference(power, prec):
     assert _bivariate.__wrapped__(power, prec) == oracles.ref_bivariate(power, prec)

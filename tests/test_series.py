@@ -156,9 +156,13 @@ def test_poch_examples():
 
 def test_poch_count_past_the_precision_costs_nothing():
     # factors at or past q^prec are never listed, so a count of 10^12 is at once
-    # the INF-count product; factors with exponent <= 0 still count
+    # the INF-count product; factors with exponent <= 0 still count, and the
+    # product keeps the requested precision
     assert poch(QQ, 1, 1, 1, 10**12, 10) == poch(QQ, 1, 1, 1, INF, 10)
-    assert poch(QQ, 3, -2, 1, 10**12, 10) == poch(QQ, 3, -2, 1, 3, 10) * poch(QQ, 3, 1, 1, INF, 10)
+    lhs = poch(QQ, 3, -2, 1, 10**12, 10)
+    rhs = poch(QQ, 3, -2, 1, 3, 10) * poch(QQ, 3, 1, 1, INF, 10)
+    assert lhs.prec == 10 and rhs.prec == 7
+    assert lhs.equal_upto(rhs) is None
 
 
 def test_poch_rejects_divergent_products():

@@ -151,12 +151,13 @@ def test_moving_one_term_shift_fails_its_row(monkeypatch, check, index):
     label, ell, lhs, ((c, shift, factors, lam), *rest) = rows[index]
     moved = (label, ell, lhs, [(c, shift + 1, factors, lam), *rest])
     monkeypatch.setitem(IDENTITY_CATALOGUE, check, (passed, rows[:index] + [moved] + rows[index + 1:]))
-    rankgen.rhs_identity.cache_clear()
-    try:
-        report = run_check(check)
-    finally:
+    for profile in ("default", "fast"):
         rankgen.rhs_identity.cache_clear()
-    assert (report.status, report.detail) == ("FAIL", label)
+        try:
+            report = run_check(check, profile=profile)
+        finally:
+            rankgen.rhs_identity.cache_clear()
+        assert (report.status, report.detail) == ("FAIL", label), profile
 
 
 @pytest.mark.parametrize("name", [n for n in check_names() if n.startswith(("THM11:", "THM13:classes-"))])
