@@ -2,7 +2,7 @@
 
 from .cyclotomic import (CycQ, QQ, Rational, cyclotomic_field, is_prime,
                          residue_vector_is_constant)
-from .series import (INF, LaurentSeries, PrecisionError, ZLaurentPoly, ZPOLY,
+from .series import (INF, LaurentSeries, PrecisionError, ZLaurentPoly,
                      gauss_binomial, geometric, jacprod, poch, theta_jtp_sum)
 from .lambert import E_series, P_series, TSpec, lambert_T, lambert_t
 from .quadruples import (Partition, Quadruple, RankTableRow, class_counts,

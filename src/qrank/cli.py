@@ -3,7 +3,9 @@
 Every command writes an OutputDoc: a stable JSON envelope with the schema
 version, an echo of the command, and the payload.  Plain and CSV formats
 render the payload only.  Exit status: 0 on success or PASS, 1 on any FAIL,
-2 on usage errors or, with no FAIL, a check that raised (ERROR).  The
+2 on usage errors or, with no FAIL, a check that raised (ERROR); a reader
+that closes stdout early cuts the output but not the status, which is
+computed before anything is written.  The
 environment variable QRANK_PREC overrides the default precision.  Refused with
 exit 2 before any work: a precision (``coeffs --prec``, QRANK_PREC, ``verify
 --prec``) above PREC_MAX or below 1, a ``congruence --max`` above PREC_MAX or
@@ -101,15 +103,19 @@ def _doc(command: str, args: dict, payload) -> dict:
 
 
 def _emit(doc: dict, fmt: str, plain_lines, csv_lines, out) -> None:
-    if fmt == "json":
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        for line in csv_lines():
-            out.write(line + "\n")
-    else:
-        for line in plain_lines():
-            out.write(line + "\n")
+    """Write the document; a reader that closes the pipe early drops the rest,
+    and the caller's exit status stands."""
+    try:
+        if fmt == "json":
+            json.dump(doc, out, indent=2)
+            out.write("\n")
+        else:
+            for line in (csv_lines if fmt == "csv" else plain_lines)():
+                out.write(line + "\n")
+        out.flush()
+    except BrokenPipeError:
+        # the unwritten buffer would fail again at the flush on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 def _cmd_coeffs(args, out, err) -> int:
@@ -235,8 +241,7 @@ def _cmd_congruence(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     if args.list:
-        for name in check_names():
-            out.write(name + "\n")
+        _emit(None, "plain", check_names, None, out)
         return 0
     if args.prec is not None and not 1 <= args.prec <= PREC_MAX:
         err.write(f"qrank verify: --prec must be between 1 and {PREC_MAX}, got {args.prec}\n")

@@ -218,7 +218,7 @@ class CycQ:
         elif len(support) == ell - 1 and len(set(coeffs)) == 1:
             k, inv = ell - 1, -1 / coeffs[0]
         else:
-            den, a, _ = cyclotomic_field(ell).split(self)
+            den, a = cyclotomic_field(ell).split(self)
             conj = [1]
             for k in range(2, ell):
                 sigma = [0] * ell
@@ -293,12 +293,12 @@ class RationalField:
 
     @staticmethod
     def split(x):
-        """(denominator, integer coordinates, z offset) of x."""
+        """(denominator, integer coordinates) of x."""
         x = as_rational(x)
-        return x.denominator, (x.numerator,), 0
+        return x.denominator, (x.numerator,)
 
     @staticmethod
-    def view(den, coords, zlo=0) -> Fraction:
+    def view(den, coords) -> Fraction:
         return Fraction(coords[0], den)
 
     @staticmethod
@@ -353,12 +353,12 @@ class CyclotomicField:
         return self.of(x).inverse()
 
     def split(self, x):
-        """(denominator, l-1 integer power-basis coordinates, z offset) of x."""
+        """(denominator, l-1 integer power-basis coordinates) of x."""
         coords = self.of(x).coeffs
         den = math.lcm(*(c.denominator for c in coords))
-        return den, tuple(c.numerator * (den // c.denominator) for c in coords), 0
+        return den, tuple(c.numerator * (den // c.denominator) for c in coords)
 
-    def view(self, den, coords, zlo=0) -> CycQ:
+    def view(self, den, coords) -> CycQ:
         return CycQ(self.ell, tuple(Fraction(c, den) for c in coords))
 
     def encode(self, x):

@@ -1,8 +1,10 @@
 """The generating functions behind u(n) and v(n), by independent routes.
 
 ``rank_series(kind, route, prec, ell)`` is the one entry point: it returns
-RU(z, q) (kind "u") or RV(z, q) (kind "v") along the named route, with z
-formal, at z = zeta_ell, or at z = 1.
+RU(z, q) (kind "u") or RV(z, q) (kind "v") along the named route, at
+z = zeta_ell or at z = 1.  The two routes that keep z formal give one rank
+polynomial per n (``rank_histograms``), which ``rank_series`` folds at
+zeta_ell or at 1.
 
 * DEFINITION: the hypergeometric-style double product ``_fg_series`` with
   (rho1, rho2, z) = (zeta^2, zeta^-2, zeta), or at z = 1 the counting series
@@ -10,14 +12,14 @@ formal, at z = zeta_ell, or at z = 1.
 * LAMBERT: ``ru_at_root`` / ``rv_at_root``, a bilateral Lambert-form sum over
   Q(zeta_l) divided in place by the prefactor (1+z)(q, z, 1/z; q)_inf;
 * QBINOMIAL: ``_bivariate``, an exact expansion in both z and q built from a
-  single sum plus a Gaussian-binomial double sum;
+  single sum plus a Gaussian-binomial double sum, as rank polynomials;
 * ENUMERATION: the rank histograms of ``quadruples.rank_counts``.
 
 ``_counting_series``, ``_fg_series`` and ``_bivariate`` each keep one running
 block and change it by a few factors (1 - c q^e) whenever the smallest part
 n (and, in ``_bivariate``, the p4 count m) changes, so no term builds or
 inverts its own Pochhammer denominator.  The first two are ``FactorBlock``s;
-``_bivariate``, the one builder over QQ[z, 1/z], keeps plain lists of packed
+``_bivariate``, the one builder with z formal, keeps plain lists of packed
 z-digit integers, and sizes the digits by its own coefficient bound.
 
 ``IDENTITY_CATALOGUE`` holds every E/P/T identity the program checks as rows
@@ -32,10 +34,9 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, lshift, sub
 
-from .cyclotomic import QQ, CycQ, cyclotomic_field, is_prime
+from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field, is_prime
 from .lambert import theta_sum
-from .series import (FactorBlock, LaurentSeries, ZPOLY, ZLaurentPoly, _digit_bytes, _make, _unpack,
-                     geometric)
+from .series import FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack, geometric
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
@@ -245,8 +246,9 @@ def eval_g(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
-def _bivariate(power: int, prec: int) -> LaurentSeries:
-    """RU(z, q) (power 1) or RV(z, q) (power 2) over QQ[z, 1/z], by the smallest part n of p1.
+def _bivariate(power: int, prec: int) -> tuple:
+    """The rank polynomials of RU(z, q) (power 1) or RV(z, q) (power 2), one
+    ``ZLaurentPoly`` per power q^0 .. q^(prec-1), by the smallest part n of p1.
 
     The terms with p4 empty are q^(power*n) E_n, E_n = 1/(z q^n, z^2 q^n,
     z^-2 q^n; q)_inf; one running block holds E_n from the largest n down,
@@ -324,30 +326,61 @@ def _bivariate(power: int, prec: int) -> LaurentSeries:
             factor(term, 0, m, tilt, divide=True)
             add_to_sum(term, base + n * m, m, tilt)
             m += 1
-    size = len(acc)
-    width = max(4 * size - 3, 1)  # z^(2-2 size) .. z^(2 size-2)
-    flat = [0] * (size * width)
-    for i, x in enumerate(acc):
-        start = i * width + 2 * (size - 1 - i)
-        flat[start:start + 4 * i + 1] = _unpack(x, 4 * i + 1, k)
-    return _make(ZPOLY, 0, 1, flat, width, 2 - 2 * size, prec)
+    return tuple(ZLaurentPoly(-2 * i, _unpack(x, 4 * i + 1, k)) for i, x in enumerate(acc))
 
 
 # -- the route table ------------------------------------------------------------
+
+
+def rank_histograms(kind: str, route: str, prec: int) -> tuple:
+    """The rank polynomials sum_r N(r, n) z^r of RU (kind "u") or RV (kind "v")
+    for n < prec, by the QBINOMIAL or the ENUMERATION route."""
+    if kind not in ("u", "v") or route not in ("QBINOMIAL", "ENUMERATION"):
+        raise ValueError(f"rank histograms need kind 'u' or 'v' and route QBINOMIAL or ENUMERATION, "
+                         f"got {kind!r} and {route!r}")
+    if route == "QBINOMIAL":
+        return _bivariate(1 if kind == "u" else 2, prec)
+    # ENUMERATION: rank histograms counted by quadruples.rank_counts, a DP over
+    # the members, independent of the q-series routes
+    from .quadruples import rank_counts
+    polys = []
+    for n in range(max(prec, 0)):
+        counts = rank_counts(n, kind) if n else {}
+        lo = min(counts, default=0)
+        polys.append(ZLaurentPoly(lo, [counts.get(r, 0) for r in range(lo, max(counts, default=lo) + 1)]))
+    return tuple(polys)
+
+
+def _fold(polys, ell: int | None, prec: int) -> LaurentSeries:
+    """The integer rank polynomials at z = zeta_ell (Q(zeta_ell)) or at z = 1 (QQ, ell None).
+
+    The coefficients of z^r with r in one residue class mod ell are one
+    slice of a polynomial's coefficients; each adds into its residue's
+    coordinate, and ``_reduce_residues`` takes the vectors to the power basis.
+    """
+    size = 1 if ell is None else ell
+    raw = [0] * (len(polys) * size)
+    for i, p in enumerate(polys):
+        for j in range(min(size, len(p.coeffs))):
+            raw[i * size + (p.lowest + j) % size] += sum(p.coeffs[j::size])
+    if ell is None:
+        return _make(QQ, 0, 1, raw, prec)
+    return _make(cyclotomic_field(ell), 0, 1, _reduce_residues(raw, ell, ell), prec)
 
 
 def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> LaurentSeries:
     """RU (kind "u") or RV (kind "v") to precision prec by the named route.
 
     With ell a prime >= 3 every route gives the series at z = zeta_ell over
-    Q(zeta_ell).  With ell None, DEFINITION gives the plain counting series
-    U or V (z = 1) and QBINOMIAL and ENUMERATION keep z formal over
-    QQ[z, 1/z]; LAMBERT needs ell.
+    Q(zeta_ell).  With ell None, every route but LAMBERT, which needs ell,
+    gives the plain counting series U or V (z = 1) over QQ.
     """
     if kind not in ("u", "v"):
         raise ValueError(f"kind must be 'u' or 'v', got {kind!r}")
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if ell is not None and (ell < 3 or not is_prime(ell)):
+        raise ValueError(f"cyclotomic order must be a prime >= 3, got {ell}")
     power = 1 if kind == "u" else 2
     if route == "DEFINITION":
         if ell is None:
@@ -358,16 +391,7 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Lau
         if ell is None:
             raise ValueError("the bilateral route needs z specialized; pass ell")
         return ru_at_root(ell, prec) if kind == "u" else rv_at_root(ell, prec)
-    if route == "QBINOMIAL":
-        series = _bivariate(power, prec)
-    else:
-        # ENUMERATION: rank histograms counted by quadruples.rank_counts (a DP
-        # over the members, independent of the q-series routes) as a series
-        from .quadruples import rank_counts
-        items = [(n, ZLaurentPoly.monomial(rank, count))
-                 for n in range(1, prec) for rank, count in rank_counts(n, kind).items()]
-        series = LaurentSeries.from_items(ZPOLY, items, prec)
-    return series if ell is None else series.specialize_z(cyclotomic_field(ell))
+    return _fold(rank_histograms(kind, route, prec), ell, prec)
 
 
 # -- the identity catalogue ---------------------------------------------------

@@ -6,15 +6,13 @@ be ``INF`` for objects that are exact polynomials (monomials, Gaussian
 binomials).  Operations never claim coefficients they cannot know.
 
 The block is integer-first: one positive denominator ``den`` shared by every
-coefficient, and a flat list ``data`` of integer coordinates, ``width`` per
-exponent of q.  The width is 1 over the rationals (``QQ``), l-1 power-basis
-coordinates over Q(zeta_l) (``cyclotomic_field(l)``), and the z-span of the
-block, starting at z^zlo, for Laurent polynomials in z (``ZPOLY``).  A
-rational series combines freely with a series over a larger ring.  The ring
-adapters' ``split`` and ``view`` convert single coefficients; ``Fraction``,
-``CycQ`` and ``ZLaurentPoly`` values are built only where a caller reads
-coefficients (``coefficient``, ``nonzero_items``, ``to_json``, ``str``) or
-passes a scalar to ``scale``.
+coefficient, and a flat list ``data`` of integer coordinates, ``ring.width``
+per exponent of q: 1 over the rationals (``QQ``), l-1 power-basis
+coordinates over Q(zeta_l) (``cyclotomic_field(l)``).  A rational series
+combines freely with a series over Q(zeta_l).  The ring adapters' ``split``
+and ``view`` convert single coefficients; ``Fraction`` and ``CycQ`` values
+are built only where a caller reads coefficients (``coefficient``,
+``nonzero_items``, ``to_json``, ``str``) or passes a scalar to ``scale``.
 
 All dense arithmetic runs on integers:
 
@@ -24,18 +22,18 @@ All dense arithmetic runs on integers:
   product is unpacked into signed digits and reduced mod the cyclotomic
   polynomial;
 * ``inverse`` runs Newton iteration on that product;
-* ``specialize_z`` substitutes z -> zeta_l or z -> 1 by adding the z-columns
-  of a QQ[z, 1/z] block into their residues mod l;
 * ``FactorBlock`` is the one kernel that multiplies or divides by a factor
-  (1 - c q^e) over QQ or Q(zeta_l): a mutable block changed in place, O(n)
-  integer additions per factor: a plain add over QQ, a rotation of residue
-  vectors for c = zeta^k over Q(zeta_l), and in general the lifted integer
-  coordinates of c.  Every Pochhammer product (``poch``, ``jacprod``,
-  ``gauss_binomial``), every geometric series (one division of the constant
-  1) and the RU/RV prefactor division is one pass of it, and generating
-  functions whose terms differ by a few factors keep one running block.
-  Products over QQ[z, 1/z] are refused; the one route that needs them,
-  ``rankgen._bivariate``, packs its own z-digits with ``_unpack``'s codec.
+  (1 - c q^e): a mutable block changed in place, O(n) integer additions per
+  factor: a plain add over QQ, a rotation of residue vectors for c = zeta^k
+  over Q(zeta_l), and in general the lifted integer coordinates of c.  Every
+  Pochhammer product (``poch``, ``jacprod``, ``gauss_binomial``), every
+  geometric series (one division of the constant 1) and the RU/RV prefactor
+  division is one pass of it, and generating functions whose terms differ by
+  a few factors keep one running block.
+
+A formal z appears only in ``ZLaurentPoly``, the rank polynomial
+sum_r N(r, n) z^r of one n; ``rankgen._bivariate`` packs its own z-digits
+with ``_unpack``'s codec and decodes each q-slot into one.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from operator import add, and_, floordiv, lshift, mul, neg, or_, rshift, sub
 
-from .cyclotomic import (QQ, CycQ, _reduce_residues, as_rational, cyclotomic_field,
-                         rational_str)
+from .cyclotomic import QQ, CycQ, _reduce_residues, as_rational, cyclotomic_field
 
 INF = math.inf
 
@@ -70,7 +67,7 @@ def join_rings(r1, r2):
 
 
 class ZLaurentPoly:
-    """Laurent polynomial in the auxiliary variable z with rational coefficients."""
+    """Laurent polynomial in the auxiliary variable z with integer or rational coefficients."""
 
     __slots__ = ("lowest", "coeffs")
 
@@ -86,33 +83,16 @@ class ZLaurentPoly:
 
     @staticmethod
     def monomial(power: int, coeff=1) -> "ZLaurentPoly":
-        return ZLaurentPoly(power, (as_rational(coeff),))
-
-    @staticmethod
-    def constant(value) -> "ZLaurentPoly":
-        return ZLaurentPoly(0, (as_rational(value),))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return ZLaurentPoly(power, (coeff,))
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_constant(self) -> bool:
-        return not self.coeffs or (self.lowest == 0 and len(self.coeffs) == 1)
-
-    def constant_value(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.coeffs[0]
 
     def _coerce(self, other):
         if isinstance(other, ZLaurentPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return ZLaurentPoly.constant(other)
+            return ZLaurentPoly(0, (other,))
         return None
 
     def __add__(self, other):
@@ -125,7 +105,7 @@ class ZLaurentPoly:
             return self
         lo = min(self.lowest, other.lowest)
         hi = max(self.lowest + len(self.coeffs), other.lowest + len(other.coeffs))
-        acc = [Fraction(0)] * (hi - lo)
+        acc = [0] * (hi - lo)
         for i, c in enumerate(self.coeffs):
             acc[self.lowest - lo + i] += c
         for i, c in enumerate(other.coeffs):
@@ -143,9 +123,6 @@ class ZLaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -156,7 +133,7 @@ class ZLaurentPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return ZLaurentPoly(0, ())
-        acc = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        acc = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -171,9 +148,7 @@ class ZLaurentPoly:
         if isinstance(other, ZLaurentPoly):
             return self.lowest == other.lowest and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.coeffs
-            return self.is_constant() and bool(self.coeffs) and self.coeffs[0] == other
+            return self == ZLaurentPoly(0, (other,))
         return NotImplemented
 
     def __hash__(self):
@@ -201,56 +176,6 @@ class ZLaurentPoly:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-class ZPolyRing:
-    """Coefficient-ring adapter for Laurent polynomials in z."""
-
-    _rank = 1
-    name = "QQ[z, 1/z]"
-    width = None  # each series block carries its own z-span
-    zero = ZLaurentPoly(0, ())
-    one = ZLaurentPoly.constant(1)
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, ZLaurentPoly):
-            return x
-        return ZLaurentPoly.constant(as_rational(x))
-
-    @staticmethod
-    def invert(x):
-        if isinstance(x, (int, Fraction)):
-            return ZLaurentPoly.constant(1 / as_rational(x))
-        if x.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if len(x.coeffs) == 1:
-            # Unit monomials c*z^k invert exactly.
-            return ZLaurentPoly(-x.lowest, (1 / x.coeffs[0],))
-        raise ValueError("leading coefficient is a non-unit polynomial; clear denominators instead")
-
-    @staticmethod
-    def split(x):
-        """(denominator, integer coefficients of z^lowest.., lowest) of x."""
-        x = ZPolyRing.of(x)
-        if not x.coeffs:
-            return 1, (0,), 0
-        den = math.lcm(*(c.denominator for c in x.coeffs))
-        return den, tuple(c.numerator * (den // c.denominator) for c in x.coeffs), x.lowest
-
-    @staticmethod
-    def view(den, coords, zlo=0) -> ZLaurentPoly:
-        return ZLaurentPoly(zlo, [Fraction(c, den) for c in coords])
-
-    @staticmethod
-    def encode(x):
-        return {"lowest": x.lowest, "coeffs": [rational_str(c) for c in x.coeffs]}
-
-    def __repr__(self):
-        return self.name
-
-
-ZPOLY = ZPolyRing()
 
 
 # -- packed integers ------------------------------------------------------------
@@ -314,13 +239,13 @@ def _unpack(x: int, n: int, k: int) -> list:
     return list(map(sub, digits, repeat(1 << (8 * k - 1))))
 
 
-def _spread(data: list, width: int, stride: int, offset: int = 0) -> list:
-    """Re-lay slots of ``width`` coordinates into ``stride`` columns from column ``offset``."""
+def _spread(data: list, width: int, stride: int) -> list:
+    """Re-lay slots of ``width`` coordinates into the first columns of slots of ``stride``."""
     if width == stride:
         return data
     out = [0] * (len(data) // width * stride)
     for j in range(width):
-        out[offset + j::stride] = data[j::width]
+        out[j::stride] = data[j::width]
     return out
 
 
@@ -372,7 +297,7 @@ class _Coefficients(Sequence):
         self._series = series
 
     def __len__(self):
-        return len(self._series.data) // self._series.width
+        return len(self._series.data) // self._series.ring.width
 
     def __getitem__(self, i: int):
         n = len(self)
@@ -383,20 +308,20 @@ class _Coefficients(Sequence):
         return self._series._view(i)
 
 
-def _new(ring, valuation, den, data, width, zlo, prec) -> "LaurentSeries":
+def _new(ring, valuation, den, data, prec) -> "LaurentSeries":
     s = object.__new__(LaurentSeries)
-    s.ring, s.valuation, s.prec = ring, valuation, prec
-    s.den, s.data, s.width, s.zlo = den, data, width, zlo
+    s.ring, s.valuation, s.prec, s.den, s.data = ring, valuation, prec, den, data
     return s
 
 
-def _make(ring, valuation, den, data, width, zlo, prec) -> "LaurentSeries":
-    """A series in canonical form from any block.
+def _make(ring, valuation, den, data, prec) -> "LaurentSeries":
+    """A series in canonical form from any block of ``ring.width`` coordinates per slot.
 
-    Canonical: nothing at or above prec, no zero slot at either end, no zero
-    z-column at either end (ZPOLY), and gcd(den, data) = 1; the zero series
-    has an empty block, den 1 and valuation prec.
+    Canonical: nothing at or above prec, no zero slot at either end, and
+    gcd(den, data) = 1; the zero series has an empty block, den 1 and
+    valuation prec.
     """
+    width = ring.width
     if prec != INF and data:
         keep = (prec - valuation) * width
         if keep < len(data):
@@ -410,24 +335,12 @@ def _make(ring, valuation, den, data, width, zlo, prec) -> "LaurentSeries":
     if start or end * width < len(data):
         data = data[start * width:end * width]
         valuation += start
-    if ring is ZPOLY and width > 1:
-        lo = 0
-        while not any(data[lo::width]):
-            lo += 1
-        hi = width
-        while not any(data[hi - 1::width]):
-            hi -= 1
-        if lo or hi < width:
-            trimmed = [0] * (len(data) // width * (hi - lo))
-            for j in range(lo, hi):
-                trimmed[j - lo::hi - lo] = data[j::width]
-            data, width, zlo = trimmed, hi - lo, zlo + lo
     if den != 1:
         g = math.gcd(den, *data)
         if g != 1:
             den //= g
             data = list(map(floordiv, data, repeat(g)))
-    return _new(ring, valuation, den, data, width, zlo, prec)
+    return _new(ring, valuation, den, data, prec)
 
 
 def _assemble(ring, items, prec) -> "LaurentSeries":
@@ -437,25 +350,21 @@ def _assemble(ring, items, prec) -> "LaurentSeries":
         return LaurentSeries.zero(ring, prec)
     lo = min(p[0] for p in parts)
     den = math.lcm(*(p[1] for p in parts))
-    if ring is ZPOLY:
-        zlo = min(p[3] for p in parts)
-        width = max(p[3] + len(p[2]) for p in parts) - zlo
-    else:
-        zlo, width = 0, ring.width
+    width = ring.width
     data = [0] * ((max(p[0] for p in parts) - lo + 1) * width)
-    for e, d, coords, z in parts:
+    for e, d, coords in parts:
         f = den // d
-        base = (e - lo) * width + z - zlo
+        base = (e - lo) * width
         for j, x in enumerate(coords):
             if x:
                 data[base + j] += x * f
-    return _make(ring, lo, den, data, width, zlo, prec)
+    return _make(ring, lo, den, data, prec)
 
 
 class LaurentSeries:
     """Truncated Laurent series over an exact ring, exact below ``prec``."""
 
-    __slots__ = ("ring", "valuation", "prec", "den", "data", "width", "zlo")
+    __slots__ = ("ring", "valuation", "prec", "den", "data")
 
     def __init__(self, ring, valuation, coeffs, prec=INF):
         made = _assemble(ring, [(valuation + i, c) for i, c in enumerate(coeffs)], prec)
@@ -466,7 +375,7 @@ class LaurentSeries:
 
     @staticmethod
     def zero(ring, prec=INF) -> "LaurentSeries":
-        return _new(ring, prec, 1, [], ring.width or 1, 0, prec)
+        return _new(ring, prec, 1, [], prec)
 
     @staticmethod
     def const(ring, value, prec=INF) -> "LaurentSeries":
@@ -489,8 +398,8 @@ class LaurentSeries:
         return _Coefficients(self)
 
     def _view(self, i: int):
-        w = self.width
-        return self.ring.view(self.den, self.data[i * w:(i + 1) * w], self.zlo)
+        w = self.ring.width
+        return self.ring.view(self.den, self.data[i * w:(i + 1) * w])
 
     def is_zero(self) -> bool:
         return not self.data
@@ -499,12 +408,12 @@ class LaurentSeries:
         """Exact coefficient of q^e; raises PrecisionError for e >= prec."""
         if e >= self.prec:
             raise PrecisionError(f"coefficient of q^{e} is beyond precision {self.prec}")
-        if not self.data or e < self.valuation or e >= self.valuation + len(self.data) // self.width:
+        if not self.data or e < self.valuation or e >= self.valuation + len(self.data) // self.ring.width:
             return self.ring.zero
         return self._view(e - self.valuation)
 
     def nonzero_items(self):
-        data, w = self.data, self.width
+        data, w = self.data, self.ring.width
         if w == 1:
             for i in compress(count(), data):
                 yield self.valuation + i, self._view(i)
@@ -515,13 +424,9 @@ class LaurentSeries:
 
     # -- ring operations --------------------------------------------------
 
-    def _layout(self, ring):
-        """(data, width, zlo) of this block over ``ring``, a ring containing self.ring."""
-        if self.ring is ring or ring is ZPOLY:
-            return self.data, self.width, self.zlo
-        out = [0] * (len(self.data) * ring.width)
-        out[0::ring.width] = self.data
-        return out, ring.width, 0
+    def _layout(self, ring) -> list:
+        """This block over ``ring``, a ring containing self.ring."""
+        return _spread(self.data, self.ring.width, ring.width)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -534,8 +439,7 @@ class LaurentSeries:
         return _combine(self, other, sub)
 
     def __neg__(self):
-        return _new(self.ring, self.valuation, self.den, list(map(neg, self.data)),
-                    self.width, self.zlo, self.prec)
+        return _new(self.ring, self.valuation, self.den, list(map(neg, self.data)), self.prec)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -561,8 +465,6 @@ class LaurentSeries:
         ring = self.ring
         if isinstance(c, CycQ):
             ring = join_rings(ring, cyclotomic_field(c.ell))
-        elif isinstance(c, ZLaurentPoly):
-            ring = join_rings(ring, ZPOLY)
         else:
             c = as_rational(c)
         if not c:
@@ -571,14 +473,12 @@ class LaurentSeries:
             return self.promote(ring)
         if isinstance(c, Fraction):
             data = self.data if c.numerator == 1 else list(map(mul, self.data, repeat(c.numerator)))
-            return _make(ring, self.valuation, self.den * c.denominator, data,
-                         self.width, self.zlo, self.prec)
+            return _make(ring, self.valuation, self.den * c.denominator, data, self.prec)
         return _mul(self, LaurentSeries.const(ring, c))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q^k."""
-        return _new(self.ring, self.valuation + k, self.den, self.data,
-                    self.width, self.zlo, self.prec + k)
+        return _new(self.ring, self.valuation + k, self.den, self.data, self.prec + k)
 
     def inverse(self, prec=None) -> "LaurentSeries":
         """Multiplicative inverse to precision ``self.prec - 2*valuation``.
@@ -600,9 +500,9 @@ class LaurentSeries:
         """Assert a precision (used when a result is known to be exact)."""
         if not self.data:
             return LaurentSeries.zero(self.ring, prec)
-        if prec < self.valuation + len(self.data) // self.width:
-            return _make(self.ring, self.valuation, self.den, self.data, self.width, self.zlo, prec)
-        return _new(self.ring, self.valuation, self.den, self.data, self.width, self.zlo, prec)
+        if prec < self.valuation + len(self.data) // self.ring.width:
+            return _make(self.ring, self.valuation, self.den, self.data, prec)
+        return _new(self.ring, self.valuation, self.den, self.data, prec)
 
     def substitute_qk(self, k: int) -> "LaurentSeries":
         """q -> q^k; precision becomes k*(prec-1)+1."""
@@ -611,13 +511,13 @@ class LaurentSeries:
         prec = self.prec if self.prec == INF else k * (self.prec - 1) + 1
         if not self.data:
             return LaurentSeries.zero(self.ring, prec)
-        w = self.width
+        w = self.ring.width
         data = self.data
         if k > 1:
             data = [0] * (((len(data) // w - 1) * k + 1) * w)
             for j in range(w):
                 data[j::k * w] = self.data[j::w]
-        return _new(self.ring, self.valuation * k, self.den, data, w, self.zlo, prec)
+        return _new(self.ring, self.valuation * k, self.den, data, prec)
 
     def dissect(self, modulus: int, residue: int) -> "LaurentSeries":
         """Keep only the exponents congruent to residue mod modulus."""
@@ -625,38 +525,18 @@ class LaurentSeries:
             raise ValueError(f"need 0 <= residue < modulus, got {residue} mod {modulus}")
         if not self.data:
             return self
-        w = self.width
+        w = self.ring.width
         first = (residue - self.valuation) % modulus * w
         kept = [0] * len(self.data)
         for j in range(first, first + w):
             kept[j::modulus * w] = self.data[j::modulus * w]
-        return _make(self.ring, self.valuation, self.den, kept, w, self.zlo, self.prec)
-
-    def specialize_z(self, ring) -> "LaurentSeries":
-        """z -> 1 (ring QQ) or z -> zeta_l (ring Q(zeta_l)) in a series over QQ[z, 1/z].
-
-        Column j of the block holds the coefficients of z^(zlo + j); it adds
-        into those of zeta^((zlo + j) mod l), or for z -> 1 into the single
-        rational column.  The common denominator carries over unchanged.
-        """
-        if self.ring is not ZPOLY:
-            raise ValueError(f"specialize_z needs a series over {ZPOLY.name}, not {self.ring.name}")
-        size = 1 if ring is QQ else ring.ell
-        w = self.width
-        raw = [0] * (len(self.data) // w * size)
-        for j in range(w):
-            r = (self.zlo + j) % size
-            raw[r::size] = map(add, raw[r::size], self.data[j::w])
-        if ring is not QQ:
-            raw = _reduce_residues(raw, size, size)
-        return _make(ring, self.valuation, self.den, raw, ring.width, 0, self.prec)
+        return _make(self.ring, self.valuation, self.den, kept, self.prec)
 
     def promote(self, ring) -> "LaurentSeries":
         target = join_rings(self.ring, ring)
         if target is self.ring:
             return self
-        data, width, zlo = self._layout(target)
-        return _new(target, self.valuation, self.den, data, width, zlo, self.prec)
+        return _new(target, self.valuation, self.den, self._layout(target), self.prec)
 
     # -- comparison -------------------------------------------------------
 
@@ -685,7 +565,6 @@ class LaurentSeries:
             return NotImplemented
         return (self.ring is other.ring and self.prec == other.prec
                 and self.valuation == other.valuation and self.den == other.den
-                and self.width == other.width and self.zlo == other.zlo
                 and self.data == other.data)
 
     # -- output -----------------------------------------------------------
@@ -731,23 +610,13 @@ def _combine(a: LaurentSeries, b: LaurentSeries, op) -> LaurentSeries:
     ring = join_rings(a.ring, b.ring)
     prec = min(a.prec, b.prec)
     if not b.data:
-        data, width, zlo = a._layout(ring)
-        return _make(ring, a.valuation, a.den, data, width, zlo, prec)
+        return _make(ring, a.valuation, a.den, a._layout(ring), prec)
     if not a.data:
-        data, width, zlo = b._layout(ring)
+        data = b._layout(ring)
         if op is sub:
             data = list(map(neg, data))
-        return _make(ring, b.valuation, b.den, data, width, zlo, prec)
-    ad, aw, az = a._layout(ring)
-    bd, bw, bz = b._layout(ring)
-    if aw != bw or az != bz:
-        # ZPOLY blocks with different z-spans: re-lay both on the union span
-        zlo = min(az, bz)
-        width = max(az + aw, bz + bw) - zlo
-        ad = _spread(ad, aw, width, az - zlo)
-        bd = _spread(bd, bw, width, bz - zlo)
-    else:
-        width, zlo = aw, az
+        return _make(ring, b.valuation, b.den, data, prec)
+    ad, bd, width = a._layout(ring), b._layout(ring), ring.width
     den = math.lcm(a.den, b.den)
     if den != a.den:
         ad = list(map(mul, ad, repeat(den // a.den)))
@@ -768,7 +637,7 @@ def _combine(a: LaurentSeries, b: LaurentSeries, op) -> LaurentSeries:
     stop = min(start + len(bd), len(out))
     if stop > start:
         out[start:stop] = map(op, out[start:stop], bd)
-    return _make(ring, lo, den, out, width, zlo, prec)
+    return _make(ring, lo, den, out, prec)
 
 
 def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -778,17 +647,16 @@ def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     if not a.data or not b.data:
         return LaurentSeries.zero(ring, prec)
     val = a.valuation + b.valuation
-    wa, wb = a.width, b.width
+    wa, wb = a.ring.width, b.ring.width
     n = len(a.data) // wa + len(b.data) // wb - 1
     if prec != INF:
         n = min(n, int(prec - val))
         if n <= 0:
             return LaurentSeries.zero(ring, prec)
     raw = _kron_mul(a.data, wa, b.data, wb, n)
-    width = wa + wb - 1
-    if wa > 1 and wb > 1 and ring is not ZPOLY:
-        raw, width = _fold_cyclotomic(raw, ring.ell), ring.width
-    return _make(ring, val, a.den * b.den, raw, width, a.zlo + b.zlo, prec)
+    if wa > 1 and wb > 1:
+        raw = _fold_cyclotomic(raw, ring.ell)
+    return _make(ring, val, a.den * b.den, raw, prec)
 
 
 def _newton(f: LaurentSeries, n: int) -> LaurentSeries:
@@ -803,10 +671,9 @@ def _newton(f: LaurentSeries, n: int) -> LaurentSeries:
         step = min(2 * done, n)
         g = g.with_prec(step)
         fg = _mul(f.truncate(step), g)
-        w = fg.width
-        tail = fg.data[(done - fg.valuation) * w:]
+        tail = fg.data[(done - fg.valuation) * fg.ring.width:]
         if tail:
-            g = _combine(g, _mul(g, _new(fg.ring, done, fg.den, tail, w, fg.zlo, step)), sub)
+            g = _combine(g, _mul(g, _new(fg.ring, done, fg.den, tail, step)), sub)
         done = step
     return g
 
@@ -849,7 +716,7 @@ def _factor_terms(ring, c):
     the lifted coordinates of c; over QQ there is one term, the numerator
     of c.
     """
-    den, coords, _ = ring.split(c)
+    den, coords = ring.split(c)
     if ring is not QQ:
         coords = _cyclic_lift(coords)
     return den, [(k, m) for k, m in enumerate(coords) if m]
@@ -911,8 +778,6 @@ class FactorBlock:
 
     def __init__(self, ring, n: int, value: int = 1):
         """The constant ``value`` to n terms."""
-        if ring is ZPOLY:
-            raise ValueError(f"FactorBlock works over QQ and Q(zeta_l), not over {ZPOLY.name}")
         self.ring = ring
         self.width = 1 if ring is QQ else ring.ell
         self.den = 1
@@ -986,8 +851,8 @@ class FactorBlock:
         """The block as a LaurentSeries from q^0, exact below prec."""
         ring, w, data = self.ring, self.width, self.data
         if ring is QQ:
-            return _make(QQ, 0, self.den, data[:], 1, 0, prec)
-        return _make(ring, 0, self.den, _reduce_residues(data, w, w), w - 1, 0, prec)
+            return _make(QQ, 0, self.den, data[:], prec)
+        return _make(ring, 0, self.den, _reduce_residues(data, w, w), prec)
 
 
 # -- product and sum builders ------------------------------------------------

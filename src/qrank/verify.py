@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from .cyclotomic import QQ, cyclotomic_field
 from .lambert import term_valuation, theta_sum
 from .quadruples import CLASSES_MAX_N, class_counts
-from .rankgen import (IDENTITY_CATALOGUE, eval_f, partial_fraction_residual, rank_series,
-                      rhs_identity, root_prefactor)
+from .rankgen import (IDENTITY_CATALOGUE, eval_f, partial_fraction_residual, rank_histograms,
+                      rank_series, rhs_identity, root_prefactor)
 from .series import INF, poch, theta_jtp_sum
 
 PROFILES = ("fast", "default", "deep")
@@ -83,10 +83,9 @@ def _compare(prec, cases, passed=""):
 
     ``cases`` yields (detail, lhs, rhs); rhs None means lhs must vanish.
     Returns PASS with ``passed``, or FAIL with (exponent, lhs, rhs) at the
-    first nonzero coefficient of lhs - rhs and the case's detail (called with
-    the exponent when it is callable).  A difference exact below fewer than
-    prec terms raises ValueError, so a PASS covers every coefficient below
-    q^prec.
+    first nonzero coefficient of lhs - rhs and the case's detail.  A
+    difference exact below fewer than prec terms raises ValueError, so a PASS
+    covers every coefficient below q^prec.
     """
     for detail, lhs, rhs in cases:
         diff = lhs if rhs is None else lhs - rhs
@@ -96,7 +95,7 @@ def _compare(prec, cases, passed=""):
         if hit is not None:
             e = hit[0]
             failure = (e, str(lhs.coefficient(e)), "0" if rhs is None else str(rhs.coefficient(e)))
-            return "FAIL", failure, detail(e) if callable(detail) else detail
+            return "FAIL", failure, detail
     return "PASS", None, passed
 
 
@@ -131,14 +130,17 @@ def _congruence_check(family, mod, residue):
 
 
 def _bivariate_agreement(prec):
-    def cases():
-        for kind in ("u", "v"):
-            formal = rank_series(kind, "QBINOMIAL", prec)
-            yield (lambda e: f"{kind}-rank histogram at n={e}",
-                   rank_series(kind, "ENUMERATION", prec), formal)
-            yield (f"z->1 against the {kind} counting series",
-                   formal.specialize_z(QQ), rank_series(kind, "DEFINITION", prec))
-    return _compare(prec, cases(), f"rank histograms to n={prec - 1}; z->1 to order {prec}")
+    """The QBINOMIAL rank polynomials against the ENUMERATION histograms n by n, then
+    QBINOMIAL at z = 1 against the counting series."""
+    for kind in ("u", "v"):
+        formal = rank_histograms(kind, "QBINOMIAL", prec)
+        for n, counted in enumerate(rank_histograms(kind, "ENUMERATION", prec)):
+            if counted != formal[n]:
+                return "FAIL", (n, str(counted), str(formal[n])), f"{kind}-rank histogram at n={n}"
+    return _compare(prec, ((f"z->1 against the {kind} counting series",
+                            rank_series(kind, "QBINOMIAL", prec), rank_series(kind, "DEFINITION", prec))
+                           for kind in ("u", "v")),
+                    f"rank histograms to n={prec - 1}; z->1 to order {prec}")
 
 
 def _class_equality_check(key):

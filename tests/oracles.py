@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.quadruples import enumerate_quadruples
-from qrank.series import ZPOLY, LaurentSeries, ZLaurentPoly
+from qrank.series import LaurentSeries, ZLaurentPoly
 
 
 def pentagonal_coeffs(prec: int) -> dict[int, int]:
@@ -199,7 +199,7 @@ def ref_dissect(valuation: int, coeffs: list, modulus: int, residue: int, zero) 
 
 
 def ref_specialize_z(coeffs: list, ring) -> list:
-    """z -> 1 (ring QQ) or z -> zeta_l (ring Q(zeta_l)) in a list of Laurent polynomials in z,
+    """z -> 1 (ring QQ) or z -> zeta_l (ring Q(zeta_l)) in a list of ZLaurentPoly,
     one term at a time."""
     if ring is QQ:
         return [sum(c.coeffs, Fraction(0)) for c in coeffs]
@@ -317,32 +317,41 @@ def ref_fg_series(rho1, rho2, z, prec: int, power: int):
     return pref * acc
 
 
-def ref_bivariate(power: int, prec: int):
-    """The exact bivariate rank series: per n the head 1/(z q^n, z^2 q^n, z^-2 q^n; q)_inf,
-    and per (n, m) a Gaussian binomial over its full Pochhammer denominator."""
-    ring = ZPOLY
-    one = ring.one
-    z = ZLaurentPoly.monomial(1)
-    z2 = ZLaurentPoly.monomial(2)
-    z2i = ZLaurentPoly.monomial(-2)
-    acc = LaurentSeries.zero(ring, prec)
+def ref_bivariate(power: int, prec: int) -> list:
+    """The rank polynomials of RU(z, q) (power 1) or RV(z, q) (power 2) for n < prec, on
+    lists of ZLaurentPoly: per n the head 1/(z q^n, z^2 q^n, z^-2 q^n; q)_inf, and per
+    (n, m) a Gaussian binomial over its full Pochhammer denominator, each inverted by
+    the recurrence."""
+    zero, one = ZLaurentPoly(0, ()), ZLaurentPoly.monomial(0)
+    z, z2, z2i = (ZLaurentPoly.monomial(k) for k in (1, 2, -2))
+    acc = [zero] * max(prec, 0)
+
+    def product(size, factors):
+        """prod (c q^a; q)_count over (c, a, count) to size terms; count None is infinite."""
+        out = [one] + [zero] * (size - 1)
+        for c, a, count in factors:
+            out = ref_mul(out, ref_poch(c, a, 1, count, size, one, zero), size, zero)
+        return out
+
+    def add(coeffs, shift, scale):
+        for i, c in enumerate(coeffs):
+            acc[shift + i] = acc[shift + i] + scale * c
+
     n = 1
     while power * n < prec:
         base = power * n
         rel = prec - base
-        head = ref_poch_series(ring, z, n, 1, None, rel) * ref_poch_series(ring, z2, n, 1, None, rel) \
-            * ref_poch_series(ring, z2i, n, 1, None, rel)
-        acc = acc + head.inverse().shift(base)
+        head = product(rel, [(z, n, None), (z2, n, None), (z2i, n, None)])
+        add(ref_inverse(head, rel, one, zero), base, one)
         m = 1
         while base + n * m < prec:
             rel2 = prec - base - n * m
-            den = LaurentSeries.from_items(ring, [(0, one), (n, ZLaurentPoly.monomial(1, -1))], rel2)
-            den = den * ref_poch_series(QQ, 1, n + 1, 1, m, rel2)
-            den = den * ref_poch_series(ring, z, n + m + 1, 1, None, rel2)
-            den = den * ref_poch_series(ring, z2, n, 1, None, rel2)
-            den = den * ref_poch_series(ring, z2i, n, 1, None, rel2)
-            term = den.inverse() * ref_gauss_binomial(n, m)
-            acc = acc + term.scale(ZLaurentPoly.monomial(-m)).shift(base + n * m)
+            den = product(rel2, [(z, n, 1), (one, n + 1, m), (z, n + m + 1, None),
+                                 (z2, n, None), (z2i, n, None)])
+            gauss = ref_gauss_binomial(n, m)
+            gauss = [ZLaurentPoly.monomial(0, int(c)) for c in gauss.coeffs]
+            term = ref_mul(ref_inverse(den, rel2, one, zero), gauss, rel2, zero)
+            add(term, base + n * m, ZLaurentPoly.monomial(-m))
             m += 1
         n += 1
     return acc

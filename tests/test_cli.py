@@ -267,3 +267,25 @@ def test_env_precision_rejected_as_usage_error(monkeypatch, capsys, raw):
     monkeypatch.setenv("QRANK_PREC", raw)
     assert main(["coeffs", "--expr", "U()"]) == 2
     assert f"QRANK_PREC must be a positive integer, got {raw!r}" in capsys.readouterr().err
+
+
+# (argv, exit status, lines read before the reader closes): the first two print
+# far more than a pipe buffer holds, the others close before anything is written
+CLOSED_READERS = [
+    (("coeffs", "--expr", "U()", "--prec", "200", "--format", "json"), 0, 1),
+    (("ranktable", "12", "--format", "csv"), 0, 1),
+    (("verify", "--only", "THM11:u3"), 0, 0),
+    (("congruence", "--family", "u", "--mod", "2", "--residue", "0", "--max", "10"), 1, 0),
+]
+
+
+@pytest.mark.parametrize("argv, status, lines", CLOSED_READERS,
+                         ids=["coeffs-json", "ranktable-csv", "verify", "congruence-fail"])
+def test_a_closed_reader_keeps_the_exit_status(argv, status, lines):
+    proc = subprocess.Popen([sys.executable, "-m", "qrank", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={"PATH": "", "PYTHONPATH": SRC})
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (status, b"")

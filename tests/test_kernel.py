@@ -1,17 +1,14 @@
 """The integer series kernel against the reference algorithms in ``oracles``.
 
-Every property builds random series over QQ, Q(zeta_l) for l in {3, 5, 7, 13}
-and QQ[z, 1/z], runs one kernel operation, and compares the result with the
-schoolbook product, the inverse recurrence, the in-place Pochhammer loop or
-the term-by-term z substitution run on plain coefficient lists;
-``FactorBlock`` applies random sequences of factors (1 - c q^e) and their
-inverses, checked against products of the in-place loop and the inverse
-recurrence.  The factor kernel and the products built on it (``poch``,
-``jacprod``, ``geometric``) draw from QQ and Q(zeta_l) only, the rings they
-accept.  Fixed cases take ``poch`` and ``geometric`` to 60-120 terms,
-past the sizes Hypothesis draws, and ``specialize_z`` across a z-span wider
-than every l.  Equality is canonical series equality, so valuation,
-precision and every coefficient must agree.
+Every property builds random series over QQ and Q(zeta_l) for l in
+{3, 5, 7, 13}, runs one kernel operation, and compares the result with the
+schoolbook product, the inverse recurrence or the in-place Pochhammer loop
+run on plain coefficient lists; ``FactorBlock`` applies random sequences of
+factors (1 - c q^e) and their inverses, checked against products of the
+in-place loop and the inverse recurrence.  Fixed cases take ``poch`` and
+``geometric`` to 60-120 terms, past the sizes Hypothesis draws.  Equality is
+canonical series equality, so valuation, precision and every coefficient
+must agree.
 """
 
 from fractions import Fraction
@@ -20,8 +17,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
-from qrank.series import (INF, FactorBlock, LaurentSeries, ZLaurentPoly, ZPOLY, _digit_bytes,
-                          _pack, _unpack, geometric, jacprod, poch)
+from qrank.series import (INF, FactorBlock, LaurentSeries, _digit_bytes, _pack, _unpack, geometric,
+                          jacprod, poch)
 
 import oracles
 
@@ -41,15 +38,11 @@ rationals = st.one_of(
 def ring_elements(ring):
     if ring is QQ:
         return rationals
-    if ring is ZPOLY:
-        return st.builds(ZLaurentPoly, st.integers(min_value=-3, max_value=3),
-                         st.lists(rationals, min_size=0, max_size=4))
     return st.lists(rationals, min_size=ring.ell - 1, max_size=ring.ell - 1).map(
         lambda cs: CycQ(ring.ell, cs))
 
 
-factor_rings = st.one_of(st.just(QQ), st.sampled_from(ORDERS).map(cyclotomic_field))
-rings = st.one_of(factor_rings, st.just(ZPOLY))
+rings = st.one_of(st.just(QQ), st.sampled_from(ORDERS).map(cyclotomic_field))
 
 
 @st.composite
@@ -88,8 +81,6 @@ def expected_product(ring, a, b):
 @example((QQ, LaurentSeries.zero(QQ, 5), LaurentSeries(QQ, 0, [Fraction(3)], 5)))
 @example((cyclotomic_field(13), LaurentSeries(cyclotomic_field(13), -2, [cyclotomic_field(13).zeta(5)], INF),
           LaurentSeries(cyclotomic_field(13), -1, [cyclotomic_field(13).zeta(9)], INF)))
-@example((ZPOLY, LaurentSeries(ZPOLY, -1, [ZLaurentPoly(-2, [1, 0, 3])], INF),
-          LaurentSeries(ZPOLY, 0, [ZLaurentPoly(1, [Fraction(1, 2)]), ZPOLY.one], 4)))
 def test_mul_matches_schoolbook(case):
     ring, a, b = case
     assert a * b == expected_product(ring, a, b)
@@ -136,8 +127,6 @@ def invertible(draw):
     ring = draw(rings)
     valuation = draw(st.integers(min_value=-3, max_value=3))
     lead = draw(ring_elements(ring).filter(bool))
-    if ring is ZPOLY:
-        lead = ZLaurentPoly(lead.lowest, lead.coeffs[:1])  # only unit monomials invert
     tail = draw(st.lists(ring_elements(ring), min_size=0, max_size=6))
     prec = draw(st.one_of(st.just(INF), st.integers(min_value=valuation + 1,
                                                    max_value=valuation + 10)))
@@ -167,7 +156,7 @@ def test_inverse_matches_recurrence(a, requested):
 
 @st.composite
 def poch_case(draw):
-    ring = draw(factor_rings)
+    ring = draw(rings)
     c = draw(ring_elements(ring))
     b = draw(st.integers(min_value=1, max_value=3))
     count = draw(st.one_of(st.just(INF), st.integers(min_value=0, max_value=5)))
@@ -247,7 +236,7 @@ def expected_geometric(ring, c, step, prec):
     return LaurentSeries(ring, 0, oracles.ref_inverse(factor, prec, ring.one, ring.zero), prec)
 
 
-@given(factor_rings.flatmap(lambda r: st.tuples(st.just(r), ring_elements(r))),
+@given(rings.flatmap(lambda r: st.tuples(st.just(r), ring_elements(r))),
        st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=14))
 def test_geometric_matches_inverse_recurrence(case, step, prec):
     ring, c = case
@@ -292,7 +281,7 @@ def factor_scalars(ring):
 
 @st.composite
 def factor_case(draw):
-    ring = draw(factor_rings)
+    ring = draw(rings)
     scalars = st.sampled_from(factor_scalars(ring))
     n = draw(st.integers(min_value=1, max_value=14))
     ops = draw(st.lists(st.tuples(scalars, st.sampled_from((1, 2, 5)), st.booleans()),
@@ -341,40 +330,7 @@ def test_factor_block_scale_copy_and_add(case):
     assert FactorBlock(ring, n, 0).series(n) == LaurentSeries.zero(ring, n)
 
 
-def test_products_over_zpoly_are_refused():
-    z = ZLaurentPoly.monomial(1)
-    for build in (lambda: poch(ZPOLY, z, 1, 1, INF, 10), lambda: jacprod(ZPOLY, z, 1, 3, 10),
-                  lambda: geometric(ZPOLY, z, 1, 10), lambda: FactorBlock(ZPOLY, 10)):
-        with pytest.raises(ValueError, match=r"QQ\[z, 1/z\]"):
-            build()
-
-
 # -- structural operations ------------------------------------------------------
-
-
-SPECIALIZE_TARGETS = [QQ] + [cyclotomic_field(ell) for ell in ORDERS]
-
-# den 30, z^-17 .. z^9 across three slots: wider than every l, below z^0
-WIDE_BLOCK = LaurentSeries(ZPOLY, -2, [
-    ZLaurentPoly(-17, [Fraction(1, 3), 0, 2] + [0] * 20 + [Fraction(-5, 6)]),
-    ZPOLY.zero,
-    ZLaurentPoly(-4, [Fraction(7, 10), -1] + [0] * 11 + [Fraction(1, 2)]),
-], 5)
-
-
-@given(series_over(ZPOLY), st.sampled_from(SPECIALIZE_TARGETS))
-def test_specialize_z_matches_reference(a, ring):
-    coeffs = oracles.ref_specialize_z(list(a.coeffs), ring)
-    assert a.specialize_z(ring) == LaurentSeries(ring, a.valuation, coeffs, a.prec)
-
-
-@pytest.mark.parametrize("ring", SPECIALIZE_TARGETS, ids=repr)
-def test_specialize_z_folds_wide_block(ring):
-    assert WIDE_BLOCK.den == 30 and WIDE_BLOCK.zlo == -17
-    coeffs = oracles.ref_specialize_z(list(WIDE_BLOCK.coeffs), ring)
-    assert WIDE_BLOCK.specialize_z(ring) == LaurentSeries(ring, -2, coeffs, 5)
-    with pytest.raises(ValueError):
-        WIDE_BLOCK.specialize_z(QQ).specialize_z(ring)
 
 
 @given(rings.flatmap(series_over), st.integers(min_value=1, max_value=4))

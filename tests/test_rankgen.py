@@ -4,12 +4,13 @@ import pytest
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.qexpr import EvalCtx, evaluate
+from qrank import quadruples, rankgen
 from qrank.quadruples import rank_counts
 from qrank.rankgen import (ROUTES, _bilateral_rank_sum, _bivariate, _counting_series,
-                           _fg_series, eval_f, eval_g, partial_fraction_residual, rank_series,
-                           rhs_identity, root_prefactor, ru_at_root, rv_at_root, u_series,
-                           v_series)
-from qrank.series import ZPOLY
+                           _fg_series, eval_f, eval_g, partial_fraction_residual, rank_histograms,
+                           rank_series, rhs_identity, root_prefactor, ru_at_root, rv_at_root,
+                           u_series, v_series)
+from qrank.series import LaurentSeries
 
 import oracles
 
@@ -85,13 +86,25 @@ def test_eval_f_and_g_match_newton_reference_off_the_route():
 @pytest.mark.parametrize("prec", (-1, 0, 1, 2, 3, 4, 5, 9, 12, 13, 21, 40))
 @pytest.mark.parametrize("power", (1, 2))
 def test_bivariate_matches_newton_reference(power, prec):
-    assert _bivariate.__wrapped__(power, prec) == oracles.ref_bivariate(power, prec)
+    assert list(_bivariate.__wrapped__(power, prec)) == oracles.ref_bivariate(power, prec)
+
+
+def _assert_bivariate_matches_rank_counts(power, prec):
+    polys = _bivariate.__wrapped__(power, prec)
+    assert len(polys) == prec and not polys[0]
+    for n in range(1, prec):
+        assert dict(polys[n].items()) == rank_counts(n, "u" if power == 1 else "v"), n
+
+
+@pytest.mark.parametrize("power", (1, 2))
+def test_bivariate_matches_rank_counts(power):
+    _assert_bivariate_matches_rank_counts(power, 40)
 
 
 @pytest.mark.deep
 @pytest.mark.parametrize("power", (1, 2))
-def test_bivariate_matches_newton_reference_deep(power):
-    assert _bivariate.__wrapped__(power, 60) == oracles.ref_bivariate(power, 60)
+def test_bivariate_matches_rank_counts_deep(power):
+    _assert_bivariate_matches_rank_counts(power, 60)
 
 
 def test_eval_f_is_ru_at_root():
@@ -155,24 +168,25 @@ def test_ru13_matches_enumeration():
 
 
 def test_bivariate_rank_polynomial_at_q3():
-    biv = rank_series("u", "QBINOMIAL", 5)
-    poly = biv.coefficient(3)
-    assert dict(poly.items()) == {-4: 1, -3: 1, -2: 2, -1: 2, 0: 3,
-                                  1: 2, 2: 2, 3: 1, 4: 1}
-    assert biv.specialize_z(QQ).coefficient(3) == 15
-    assert biv.coefficient(1).constant_value() == 1
+    polys = rank_histograms("u", "QBINOMIAL", 5)
+    assert dict(polys[3].items()) == {-4: 1, -3: 1, -2: 2, -1: 2, 0: 3,
+                                      1: 2, 2: 2, 3: 1, 4: 1}
+    assert str(polys[2]) == "z^-2 + z^-1 + 1 + z + z^2"
+    assert rank_series("u", "QBINOMIAL", 5).coefficient(3) == 15
+    assert polys[1] == 1
 
 
 def test_bivariate_histograms():
-    biv_u, biv_v = rank_series("u", "QBINOMIAL", 13), rank_series("v", "QBINOMIAL", 13)
+    biv_u, biv_v = rank_histograms("u", "QBINOMIAL", 13), rank_histograms("v", "QBINOMIAL", 13)
     for n in range(1, 13):
-        assert {k: int(c) for k, c in biv_u.coefficient(n).items()} == rank_counts(n, "u")
-        assert {k: int(c) for k, c in biv_v.coefficient(n).items()} == rank_counts(n, "v")
+        assert dict(biv_u[n].items()) == rank_counts(n, "u")
+        assert dict(biv_v[n].items()) == rank_counts(n, "v")
 
 
 def test_specialize_one_recovers_counting_series():
-    assert rank_series("u", "QBINOMIAL", 15).specialize_z(QQ).equal_upto(u_series(15)) is None
-    assert rank_series("v", "QBINOMIAL", 15).specialize_z(QQ).equal_upto(v_series(15)) is None
+    for route in ("QBINOMIAL", "ENUMERATION"):
+        assert rank_series("u", route, 15) == u_series(15)
+        assert rank_series("v", route, 15) == v_series(15)
 
 
 def test_rank_series_routes_agree():
@@ -183,20 +197,45 @@ def test_rank_series_routes_agree():
             for other in others:
                 assert other.ring is cyclotomic_field(ell)
                 assert base.equal_upto(other, prec) is None
-        # formal-z routes agree with each other and specialize to z=1 counts
-        formal_q = rank_series(kind, "QBINOMIAL", prec)
-        formal_e = rank_series(kind, "ENUMERATION", prec)
-        assert formal_q.ring is ZPOLY
-        assert formal_q.equal_upto(formal_e, prec) is None
+        # the formal-z routes give the same rank polynomials, and every route
+        # but LAMBERT gives the counting series at z = 1
+        assert rank_histograms(kind, "QBINOMIAL", prec) == rank_histograms(kind, "ENUMERATION", prec)
         counts = rank_series(kind, "DEFINITION", prec)
         assert counts.ring is QQ
-        assert formal_q.specialize_z(QQ).equal_upto(counts, prec) is None
+        for route in ("QBINOMIAL", "ENUMERATION"):
+            assert rank_series(kind, route, prec) == counts
     with pytest.raises(ValueError):
         rank_series("u", "LAMBERT", 10)
+    for kind, route in (("u", "LAMBERT"), ("w", "QBINOMIAL")):
+        with pytest.raises(ValueError):
+            rank_histograms(kind, route, 10)
     with pytest.raises(ValueError):
         rank_series("u", "MAGIC", 10, 5)
     with pytest.raises(ValueError):
         rank_series("w", "LAMBERT", 10, 5)
+
+
+# at prec 21 the rank polynomials span z^-40 .. z^40, wider than every l
+@pytest.mark.parametrize("ell", [None, 3, 5, 7, 13])
+def test_rank_series_folds_rank_polynomials(ell):
+    ring = QQ if ell is None else cyclotomic_field(ell)
+    for kind in ("u", "v"):
+        for route in ("QBINOMIAL", "ENUMERATION"):
+            coeffs = oracles.ref_specialize_z(list(rank_histograms(kind, route, 21)), ring)
+            assert rank_series(kind, route, 21, ell) == LaurentSeries(ring, 0, coeffs, 21)
+
+
+@pytest.mark.parametrize("ell", [1, 4, 9])
+@pytest.mark.parametrize("route", ROUTES)
+def test_rank_series_refuses_ell_before_building(monkeypatch, route, ell):
+    def builder(*args):
+        raise AssertionError("a builder ran before ell was checked")
+    for name in ("_bivariate", "_counting_series", "_fg_series", "ru_at_root", "rv_at_root"):
+        monkeypatch.setattr(rankgen, name, builder)
+    monkeypatch.setattr(quadruples, "rank_counts", builder)
+    for kind in ("u", "v"):
+        with pytest.raises(ValueError, match="cyclotomic order must be a prime >= 3"):
+            rank_series(kind, route, 200, ell)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])

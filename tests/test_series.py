@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrank.cyclotomic import QQ, cyclotomic_field
-from qrank.series import (INF, LaurentSeries, PrecisionError, ZLaurentPoly,
-                          ZPOLY, gauss_binomial, geometric, jacprod, poch,
-                          theta_jtp_sum)
+from qrank.series import (INF, LaurentSeries, PrecisionError, gauss_binomial, geometric, jacprod,
+                          poch, theta_jtp_sum)
 
 import oracles
 
@@ -90,13 +89,6 @@ def test_invert_rejects_zero_and_infinite():
     exact = LaurentSeries.from_items(QQ, [(0, Fraction(1)), (1, Fraction(-1))])
     inv = exact.inverse(prec=8)
     assert all(inv.coefficient(e) == 1 for e in range(8))
-
-
-def test_invert_requires_unit_leading_coefficient():
-    z = ZLaurentPoly.monomial(1) + ZLaurentPoly.constant(1)
-    series = LaurentSeries(ZPOLY, 0, [z, ZPOLY.one], 6)
-    with pytest.raises(ValueError):
-        series.inverse()
 
 
 # -- substitute / dissect / coefficient ---------------------------------------

@@ -4,7 +4,7 @@ from qrank import lambert, rankgen, verify
 from qrank.cyclotomic import cyclotomic_field
 from qrank.lambert import TSpec
 from qrank.quadruples import class_counts
-from qrank.rankgen import IDENTITY_CATALOGUE, rank_series, root_prefactor
+from qrank.rankgen import IDENTITY_CATALOGUE, rank_histograms, rank_series, root_prefactor
 from qrank.series import LaurentSeries
 from qrank.verify import (CheckReport, check_names, run_all, run_check)
 
@@ -127,9 +127,20 @@ def _bump_rv5_qbinomial(monkeypatch, prec, k):
 
 
 def _bump_v_enumeration(monkeypatch, prec, k):
-    _bump_rank_series(monkeypatch, k, "v", "ENUMERATION")
-    c = rank_series("v", "QBINOMIAL", prec).coefficient(k)
+    def bumped(kind, route, prec):
+        polys = rank_histograms(kind, route, prec)
+        if (kind, route) == ("v", "ENUMERATION"):
+            polys = polys[:k] + (polys[k] + 1,) + polys[k + 1:]
+        return polys
+    monkeypatch.setattr(verify, "rank_histograms", bumped)
+    c = rank_histograms("v", "QBINOMIAL", prec)[k]
     return (k, str(c + 1), str(c)), f"v-rank histogram at n={k}"
+
+
+def _bump_v_definition(monkeypatch, prec, k):
+    _bump_rank_series(monkeypatch, k, "v", "DEFINITION")
+    c = rank_series("v", "QBINOMIAL", prec).coefficient(k)
+    return (k, str(c), str(c + 1)), "z->1 against the v counting series"
 
 
 @pytest.mark.parametrize("name, prec, k, perturb", [
@@ -137,6 +148,7 @@ def _bump_v_enumeration(monkeypatch, prec, k):
     ("INFRA:Prefactor-5", 60, 59, _bump_prefactor_side),
     ("INFRA:three-routes", 21, 17, _bump_rv5_qbinomial),
     ("THM13:bivariate-agreement", 21, 12, _bump_v_enumeration),
+    ("THM13:bivariate-agreement", 21, 20, _bump_v_definition),
 ])
 def test_perturbed_side_reports_its_first_failure(monkeypatch, name, prec, k, perturb):
     failure, detail = perturb(monkeypatch, prec, k)
