@@ -11,7 +11,8 @@ exit 2 before any work: a precision (``coeffs --prec``, QRANK_PREC, ``verify
 --prec``) above PREC_MAX or below 1, a ``congruence --max`` above PREC_MAX or
 below ``--residue``, ``coeffs --ell`` above ELL_MAX, ``classes --mod`` above
 MOD_MAX, a ``coeffs`` P, T or finite poch needing more than ``qexpr.TERMS_MAX``
-terms, and a ``coeffs`` T whose own l is above ELL_MAX.
+terms, a ``coeffs`` T whose own l is above ELL_MAX, and a ``coeffs`` power of
+an exact polynomial needing more than ``qexpr.POWER_BITS_MAX`` bits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 
-from .cyclotomic import cyclotomic_field
+from .cyclotomic import ELL_MAX, cyclotomic_field
 from .quadruples import (CLASSES_MAX_N, RANK_TABLE_COLUMNS, RANKTABLE_MAX_N, class_counts,
                          rank_table)
 from .verify import PROFILES, check_names, congruence_scan, run_all
@@ -33,10 +34,9 @@ SCHEMA_VERSION = 1
 # (6.8 s) and INFRA:JTP (5.4 s); `coeffs` of RHS(RU7) - RU(7) 2.5 s, of U()
 # 0.34 s, of E(1) 0.13 s; the u(5n) congruence scan 0.32 s.
 PREC_MAX = 1000
-# ELL_MAX is the largest order the paper uses; `coeffs` of 1/(1+zeta+q) to
-# q^1000 takes 1.9 s at ell = 13, 13.6 s at 31.  Every rank at n <= 40 lies in
-# [-78, 78], so a modulus past 157 only adds empty classes.
-ELL_MAX, MOD_MAX = 13, 1000
+# Every rank at n <= 40 lies in [-78, 78], so a modulus past 157 only adds
+# empty classes.
+MOD_MAX = 1000
 
 
 def _default_prec() -> int:

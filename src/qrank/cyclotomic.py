@@ -368,6 +368,12 @@ class CyclotomicField:
         return self.name
 
 
+# The largest order the paper uses, and the cap on `qrank coeffs --ell` and on
+# the l of a `coeffs` T(a, b, l): `coeffs` of 1/(1+zeta+q) to q^1000 takes
+# 1.9 s at ell = 13, 13.6 s at 31.
+ELL_MAX = 13
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_field(ell: int) -> CyclotomicField:
     return CyclotomicField(ell)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import QQ, cyclotomic_field, is_prime
+from .cyclotomic import QQ, cyclotomic_field
 from .series import INF, FactorBlock, LaurentSeries, poch
 
 
@@ -31,8 +31,7 @@ class TSpec:
     ell: int
 
     def __post_init__(self):
-        if self.ell < 3 or not is_prime(self.ell):
-            raise ValueError(f"ell must be a prime >= 3, got {self.ell}")
+        cyclotomic_field(self.ell)
         if self.a % self.ell == 0:
             raise ValueError(f"a = {self.a} is divisible by ell = {self.ell}; the denominator would vanish")
 
@@ -153,9 +152,8 @@ def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
     q-shift folded into the term.  The E/P product is built over the rationals
     to prec - s - val(T) terms: a term with s >= prec counts when val(T) < 0.
     """
-    if ell < 3 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 3, got {ell}")
-    ring = cyclotomic_field(ell) if any(isinstance(t[0], tuple) for t in terms) else QQ
+    field = cyclotomic_field(ell)
+    ring = field if any(isinstance(t[0], tuple) for t in terms) else QQ
     total = LaurentSeries.zero(ring, prec)
     for coeff, shift, factors, lam in terms:
         sign, shift, ranges, vanishes = _reduced_factors(ell, shift, factors)

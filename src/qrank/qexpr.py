@@ -4,12 +4,14 @@ Grammar::
 
     expr    := term (('+'|'-') term)*
     term    := factor (('*'|'/') factor)*
-    factor  := primary ('^' int)?
-    primary := int | rat | 'q' | 'zeta' ('^' int)? | ident '(' args ')' | '(' expr ')'
+    factor  := primary ('^' ['-'] int)?
+    primary := int | int '/' int | 'q' | 'zeta' ('^' ['-'] int)? | ident '(' args ')' | '(' expr ')'
     args    := (arg (',' arg)*)?      arg := ['-'] int | keyword
 
-A rational literal is a slash directly between digits ("3/4"); with spacing
-it parses as division, which evaluates identically.  Functions: E(a), P(a),
+A rational literal is two integers with a slash and nothing else between them
+("3/4").  It is one primary, so it binds before '^': "3/4^2" is (3/4)^2 = 9/16,
+while the spaced "3 / 4^2" is the division 3/(4^2) = 3/16.  An exponent is a
+bare integer, so "q^2/3" is (q^2)/3.  Functions: E(a), P(a),
 T(a,b,l), poch(zpow,qpow,step,count|inf), jac(zpow,qpow,step), U(), V(),
 RU(l), RV(l), RHS(id), F(a,b,c,l), G(a,b,c,l), where zpow and the F/G scalar
 arguments are powers of the ambient zeta.  Evaluation is exact, over
@@ -18,11 +20,12 @@ Q(zeta_ell) at the context precision; all errors carry a byte offset.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cli import ELL_MAX
-from .cyclotomic import QQ, cyclotomic_field, is_prime
+from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
 from .lambert import E_series, P_series, TSpec, _reduce_p_argument, lambert_T, t_valuation
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .series import INF, LaurentSeries, _poch_shift, jacprod, poch
@@ -44,15 +47,8 @@ class QExprEvalError(ValueError):
 
 
 @dataclass(frozen=True)
-class IntLit:
-    value: int
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class RatLit:
-    num: int
-    den: int
+class Num:
+    value: Fraction
     pos: int = 0
 
 
@@ -68,28 +64,8 @@ class Zeta:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-    pos: int = 0
-
-
-@dataclass(frozen=True)
-class Div:
+class BinOp:
+    op: str
     left: object
     right: object
     pos: int = 0
@@ -109,6 +85,20 @@ class Call:
     pos: int = 0
 
 
+# an integer, an identifier, an operator or any other character but a space
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
+_RATIONAL = re.compile(r"(\d+)/(\d+)")
+
+# operator -> (binding power, spelling, operation on two series at an EvalCtx);
+# "/" is spaced so that a rendered quotient of two integers is not read back as
+# a rational literal
+BINARY = {
+    "+": (1, " + ", lambda a, b, ctx: a + b),
+    "-": (1, " - ", lambda a, b, ctx: a - b),
+    "*": (2, "*", lambda a, b, ctx: a * b),
+    "/": (2, " / ", lambda a, b, ctx: a * _inverse_of(b, ctx)),
+}
+
 # name -> arity; args are integers except the keyword slots noted in eval
 FUNCTIONS = {
     "E": 1, "P": 1, "T": 3, "poch": 4, "jac": 3,
@@ -121,43 +111,13 @@ FUNCTIONS = {
 
 def _tokenize(text: str):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            # a slash directly between digits makes a rational literal
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                den = int(text[j + 1:k])
-                if den == 0:
-                    raise QExprSyntaxError(f"malformed number {text[i:k]!r}: zero denominator", i)
-                tokens.append(("RAT", (int(text[i:j]), den), i))
-                i = k
-            else:
-                tokens.append(("INT", int(text[i:j]), i))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise QExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", None, n))
+    for m in _TOKEN.finditer(text):
+        digits, ident, op, other = m.groups()
+        if other:
+            raise QExprSyntaxError(f"unexpected character {other!r}", m.start())
+        kind = "INT" if digits else "IDENT" if ident else op
+        tokens.append((kind, int(digits) if digits else m[0], m.start()))
+    tokens.append(("END", None, len(text)))
     return tokens
 
 
@@ -191,20 +151,13 @@ class _Parser:
             raise QExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
+    def expr(self, level: int = 1):
+        """Left-associated operands joined by the operators of binding power level."""
+        operand = self.factor if level == 2 else lambda: self.expr(level + 1)
+        node = operand()
+        while self.peek()[0] in BINARY and BINARY[self.peek()[0]][0] == level:
             op, _, pos = self.next()
-            rhs = self.term()
-            node = Add(node, rhs, pos) if op == "+" else Sub(node, rhs, pos)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.next()
-            rhs = self.factor()
-            node = Mul(node, rhs, pos) if op == "*" else Div(node, rhs, pos)
+            node = BinOp(op, node, operand(), pos)
         return node
 
     def factor(self):
@@ -225,9 +178,16 @@ class _Parser:
     def primary(self):
         kind, value, pos = self.next()
         if kind == "INT":
-            return IntLit(value, pos)
-        if kind == "RAT":
-            return RatLit(value[0], value[1], pos)
+            # a slash directly between two integers makes a rational literal,
+            # which takes the "/" and INT tokens after this one
+            rational = _RATIONAL.match(self.text, pos)
+            if not rational:
+                return Num(Fraction(value), pos)
+            self.i += 2
+            den = int(rational[2])
+            if not den:
+                raise QExprSyntaxError(f"malformed number {rational[0]!r}: zero denominator", pos)
+            return Num(Fraction(value, den), pos)
         if kind == "(":
             node = self.expr()
             self.expect(")")
@@ -280,37 +240,26 @@ def parse(text: str):
 def render(node) -> str:
     """Canonical text for an AST; reparsing yields an equal AST."""
     def prec_of(n):
-        if isinstance(n, (Add, Sub)):
-            return 1
-        if isinstance(n, (Mul, Div)):
-            return 2
-        if isinstance(n, Pow):
-            return 3
-        return 4
+        if isinstance(n, BinOp):
+            return BINARY[n.op][0]
+        return 3 if isinstance(n, Pow) else 4
 
     def wrap(n, minimum):
         text = render(n)
         return f"({text})" if prec_of(n) < minimum else text
 
-    if isinstance(node, IntLit):
+    if isinstance(node, Num):
         return str(node.value)
-    if isinstance(node, RatLit):
-        return f"{node.num}/{node.den}"
     if isinstance(node, Q):
         return "q"
     if isinstance(node, Zeta):
         return "zeta" if node.power == 1 else f"zeta^{node.power}"
-    if isinstance(node, Add):
-        return f"{wrap(node.left, 1)} + {wrap(node.right, 2)}"
-    if isinstance(node, Sub):
-        return f"{wrap(node.left, 1)} - {wrap(node.right, 2)}"
-    if isinstance(node, Mul):
-        return f"{wrap(node.left, 2)}*{wrap(node.right, 3)}"
-    if isinstance(node, Div):
-        return f"{wrap(node.left, 2)}/{wrap(node.right, 3)}"
+    if isinstance(node, BinOp):
+        level, spelling, _ = BINARY[node.op]
+        return f"{wrap(node.left, level)}{spelling}{wrap(node.right, level + 1)}"
     if isinstance(node, Pow):
-        base = render(node.base)
         # a bare zeta base would re-parse as Zeta(power); keep the Pow explicit
+        base = render(node.base)
         if prec_of(node.base) < 4 or isinstance(node.base, Zeta):
             base = f"({base})"
         return f"{base}^{node.exponent}"
@@ -332,23 +281,28 @@ class EvalCtx:
     def __post_init__(self):
         if self.prec < 1:
             raise ValueError(f"precision must be >= 1, got {self.prec}")
-        if self.ell < 3 or not is_prime(self.ell):
-            raise ValueError(f"ell must be a prime >= 3, got {self.ell}")
+        cyclotomic_field(self.ell)
 
 
 # P(x), T(a, b, l) and a finite poch start near q^(-x^2 / 2), q^(-b^2 / 2) and
 # q^(sum of its negative exponents); one needing more than TERMS_MAX terms below
 # the precision is refused before it is built (at ell = 5, P(201) has 19,710
 # terms and takes 0.9 s, P(451) 100,585 and 25 s), and so is a T whose own l
-# is above ELL_MAX, before ``is_prime`` tries it.
+# is above ELL_MAX, before ``cyclotomic_field`` tests that it is prime.
 TERMS_MAX = 10_000
+# A power b^k of an exact polynomial (and b^-k at positive valuation, which is
+# 1/b^|k|) is expanded in full, whatever the precision: k span + 1 slots of
+# ring.width coordinates, each of at most k log2 |b|_1 bits.  One above
+# POWER_BITS_MAX bits in all is refused before it is built.  Below the cap, on
+# a 2-core x86 machine, the slowest shapes measured are (q + q^2)^-1023 (2.1 s)
+# and 2^1048576 (1.9 s); (1 + q)^1023 takes 0.07 s and (1 + zeta + q)^406 at
+# ell = 5 0.19 s.  Above it, (1 + q)^2000 took 0.7 s and (1 + q)^8000 42 s.
+POWER_BITS_MAX = 1 << 20
 
 
-def _refuse_oversized(node: Call, valuation: int, ctx: EvalCtx) -> None:
-    count = ctx.prec - valuation
-    if count > TERMS_MAX:
-        raise QExprEvalError(f"{render(node)} needs {count} terms below q^{ctx.prec}, "
-                             f"more than the cap of {TERMS_MAX}", node.pos)
+def _refuse_oversized(node, need: int, cap: int, unit: str) -> None:
+    if need > cap:
+        raise QExprEvalError(f"{render(node)} needs {need} {unit}, more than the cap of {cap}", node.pos)
 
 
 def _int_args(node, args, count=None):
@@ -362,6 +316,15 @@ def _int_args(node, args, count=None):
 def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
     field = cyclotomic_field(ctx.ell)
     name, args = node.name, node.args
+    below = f"terms below q^{ctx.prec}"
+    # RU(l), RV(l), RHS(id) and F/G(..., l) are series over Q(zeta_l) at their own l
+    if name == "RHS" and args[0] not in IDENTITY_NAMES:
+        raise QExprEvalError(f"unknown identity {args[0]!r}; expected one of {IDENTITY_NAMES}", node.pos)
+    if name in ("RU", "RV", "RHS", "F", "G"):
+        ell = int(args[0][2:]) if name == "RHS" else _int_args(node, args)[-1]
+        if ell != ctx.ell:
+            raise QExprEvalError(f"{render(node)} needs the ambient ell to be {ell}; pass --ell {ell}",
+                                 node.pos)
     try:
         if name == "E":
             (a,) = _int_args(node, args)
@@ -369,14 +332,14 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
         if name == "P":
             (a,) = _int_args(node, args)
             if a % ctx.ell:
-                _refuse_oversized(node, _reduce_p_argument(a, ctx.ell)[1], ctx)
+                _refuse_oversized(node, ctx.prec - _reduce_p_argument(a, ctx.ell)[1], TERMS_MAX, below)
             return P_series(a, ctx.ell, ctx.prec)
         if name == "T":
             a, b, ell = _int_args(node, args)
             if ell > ELL_MAX:
                 raise QExprEvalError(f"{render(node)}: l must be at most {ELL_MAX}, got {ell}", node.pos)
             spec = TSpec(a, b, ell)
-            _refuse_oversized(node, t_valuation(spec), ctx)
+            _refuse_oversized(node, ctx.prec - t_valuation(spec), TERMS_MAX, below)
             return lambert_T(spec, ctx.prec)
         if name == "poch":
             zpow, qpow, step = _int_args(node, args, 3)
@@ -386,7 +349,7 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
             elif not isinstance(count, int):
                 raise QExprEvalError(f"poch count must be an integer or 'inf', got {count!r}", node.pos)
             if step >= 1 and count != INF:
-                _refuse_oversized(node, _poch_shift(qpow, step, count), ctx)
+                _refuse_oversized(node, ctx.prec - _poch_shift(qpow, step, count), TERMS_MAX, below)
             return poch(field, field.zeta(zpow), qpow, step, count, ctx.prec)
         if name == "jac":
             zpow, qpow, step = _int_args(node, args)
@@ -394,25 +357,11 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
         if name in ("U", "V"):
             return rank_series(name.lower(), "DEFINITION", ctx.prec)
         if name in ("RU", "RV"):
-            (ell,) = _int_args(node, args)
-            if ell != ctx.ell:
-                raise QExprEvalError(
-                    f"{name}({ell}) needs the ambient ell to be {ell}; pass --ell {ell}", node.pos)
-            return rank_series(name[1].lower(), "LAMBERT", ctx.prec, ell)
+            return rank_series(name[1].lower(), "LAMBERT", ctx.prec, ctx.ell)
         if name == "RHS":
-            (ident,) = args
-            if ident not in IDENTITY_NAMES:
-                raise QExprEvalError(f"unknown identity {ident!r}; expected one of {IDENTITY_NAMES}", node.pos)
-            ell = int(ident[2:])
-            if ell != ctx.ell:
-                raise QExprEvalError(
-                    f"RHS({ident}) needs the ambient ell to be {ell}; pass --ell {ell}", node.pos)
-            return rhs_identity(ident, ctx.prec)
+            return rhs_identity(args[0], ctx.prec)
         if name in ("F", "G"):
-            a, b, c, ell = _int_args(node, args)
-            if ell != ctx.ell:
-                raise QExprEvalError(
-                    f"{name}(...,{ell}) needs the ambient ell to be {ell}; pass --ell {ell}", node.pos)
+            a, b, c, _ = args
             fn = eval_f if name == "F" else eval_g
             return fn(field.zeta(a), field.zeta(b), field.zeta(c), ctx.prec)
     except QExprEvalError:
@@ -433,34 +382,36 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     field = cyclotomic_field(ctx.ell)
 
     def ev(n) -> LaurentSeries:
-        if isinstance(n, IntLit):
+        if isinstance(n, Num):
             return LaurentSeries.const(QQ, n.value)
-        if isinstance(n, RatLit):
-            return LaurentSeries.const(QQ, Fraction(n.num, n.den))
         if isinstance(n, Q):
             return LaurentSeries.monomial(QQ, 1)
         if isinstance(n, Zeta):
             return LaurentSeries.const(field, field.zeta(n.power))
-        if isinstance(n, Add):
-            return ev(n.left) + ev(n.right)
-        if isinstance(n, Sub):
-            return ev(n.left) - ev(n.right)
-        if isinstance(n, Mul):
-            return ev(n.left) * ev(n.right)
-        if isinstance(n, Div):
-            num, den = ev(n.left), ev(n.right)
+        if isinstance(n, BinOp):
+            left, right = ev(n.left), ev(n.right)
             try:
-                return num * _inverse_of(den, ctx)
+                return BINARY[n.op][2](left, right, ctx)
             except (ZeroDivisionError, ValueError) as exc:
+                # of the four operations only a division can fail
                 raise QExprEvalError(f"cannot divide: {exc}", n.pos) from exc
         if isinstance(n, Pow):
-            base = ev(n.base)
+            base, k = ev(n.base), n.exponent
+            # an exact b is expanded in full for b^k, and for b^-k at a positive
+            # valuation v, as 1/b^|k|: (1/b)^|k| would need (|k| - 1) v more terms
+            # of 1/b, and squaring those costs more than one inverse of b^|k|
+            expand = base.prec == INF and base.data and (k > 0 or base.valuation > 0)
+            if expand:
+                width, m = base.ring.width, abs(k)
+                bits = m * math.log2(sum(map(abs, base.data)))
+                need = math.ceil((m * (len(base.data) // width - 1) + 1) * width * bits)
+                _refuse_oversized(n, need, POWER_BITS_MAX, "bits")
             try:
-                if n.exponent < 0:
-                    return _inverse_of(base, ctx) ** (-n.exponent)
-                return base ** n.exponent
+                if k >= 0:
+                    return base ** k
+                return _inverse_of(base ** -k, ctx) if expand else _inverse_of(base, ctx) ** -k
             except (ZeroDivisionError, ValueError) as exc:
-                raise QExprEvalError(f"cannot raise to {n.exponent}: {exc}", n.pos) from exc
+                raise QExprEvalError(f"cannot raise to {k}: {exc}", n.pos) from exc
         if isinstance(n, Call):
             return _call(n, ctx)
         raise TypeError(f"not an AST node: {n!r}")

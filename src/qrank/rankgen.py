@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, lshift, sub
 
-from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field, is_prime
+from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
 from .series import FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack, geometric
 
@@ -168,8 +168,6 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
 
 def _at_root(ell: int, prec: int, offset: int) -> LaurentSeries:
     """The bilateral rank sum divided in place by the prefactor."""
-    if ell < 3 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 3, got {ell}")
     block = _bilateral_rank_sum(ell, prec, offset)
     _prefactor(block, ell, prec, divide=True)
     return block.series(prec)
@@ -379,8 +377,8 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Lau
         raise ValueError(f"kind must be 'u' or 'v', got {kind!r}")
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if ell is not None and (ell < 3 or not is_prime(ell)):
-        raise ValueError(f"cyclotomic order must be a prime >= 3, got {ell}")
+    if ell is not None:
+        cyclotomic_field(ell)  # refuses any other order before a builder runs
     power = 1 if kind == "u" else 2
     if route == "DEFINITION":
         if ell is None:
@@ -399,9 +397,9 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Lau
 # Every E/P/T identity the program checks, as check name -> (PASS detail,
 # rows); a row is (label, ell, left side, theta_sum terms), and the label names
 # a failing row.  The left side is the independent route to compare with: "RU"
-# or "RV" at zeta_ell (LAMBERT route; the terms go through ``rhs_identity``),
-# "prefactor" (``root_prefactor``), "product" ((q, zeta, 1/zeta; q)_inf as
-# three ``poch``s), or None when the terms sum to zero.
+# or "RV" at zeta_ell (LAMBERT route), "prefactor" (``root_prefactor``),
+# "product" ((q, zeta, 1/zeta; q)_inf as three ``poch``s), or None when the
+# terms sum to zero.
 
 
 def _one(ell, lhs, terms, label=""):

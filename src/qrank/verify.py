@@ -24,7 +24,7 @@ from .cyclotomic import QQ, cyclotomic_field
 from .lambert import term_valuation, theta_sum
 from .quadruples import CLASSES_MAX_N, class_counts
 from .rankgen import (IDENTITY_CATALOGUE, eval_f, partial_fraction_residual, rank_histograms,
-                      rank_series, rhs_identity, root_prefactor)
+                      rank_series, root_prefactor)
 from .series import INF, poch, theta_jtp_sum
 
 PROFILES = ("fast", "default", "deep")
@@ -177,8 +177,8 @@ def _row_sides(row, prec):
     if lhs is None:
         return label, theta_sum(ell, terms, prec), None
     if lhs in ("RU", "RV"):
-        return label, rank_series(lhs[1].lower(), "LAMBERT", prec, ell), rhs_identity(f"{lhs}{ell}", prec)
-    if lhs == "prefactor":
+        left = rank_series(lhs[1].lower(), "LAMBERT", prec, ell)
+    elif lhs == "prefactor":
         left = root_prefactor(ell, prec)
     else:
         field = cyclotomic_field(ell)

@@ -8,7 +8,7 @@ import pytest
 
 from qrank import verify
 from qrank.cli import ELL_MAX, MOD_MAX, PREC_MAX, main
-from qrank.qexpr import TERMS_MAX
+from qrank.qexpr import POWER_BITS_MAX, TERMS_MAX
 from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -150,9 +150,9 @@ def test_verify_runs_a_repeated_name_once():
 
 
 def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
-    rhs_identity = verify.rhs_identity
-    monkeypatch.setattr(verify, "rhs_identity", lambda name, prec: (
-        rhs_identity(name, prec).truncate(prec - 5) if name == "RU5" else rhs_identity(name, prec)))
+    theta_sum = verify.theta_sum
+    monkeypatch.setattr(verify, "theta_sum", lambda ell, terms, prec: (
+        theta_sum(ell, terms, prec).truncate(prec - 5) if ell == 5 else theta_sum(ell, terms, prec)))
     code = main(["verify", "--only", "THM12:RU3,THM12:RU5", "--prec", "60", "--format", "json"])
     assert code == 2
     payload = json.loads(capsys.readouterr().out)["payload"]
@@ -194,7 +194,7 @@ def test_oversized_precision_refused_before_any_work(monkeypatch, capsys):
         raise AssertionError("the cap must be checked first")
 
     for target in ("qrank.cli.congruence_scan", "qrank.cli.run_all", "qrank.qexpr.evaluate",
-                   "qrank.qexpr.is_prime"):
+                   "qrank.cyclotomic.is_prime"):
         monkeypatch.setattr(target, no_work)
     over = str(PREC_MAX + 1)
     for argv in (["coeffs", "--expr", "U()", "--prec", over],
@@ -227,6 +227,14 @@ def test_long_finite_poch_and_large_t_order_refused_at_once(capsys):
         assert main(["coeffs", "--expr", expr, "--ell", "5", "--prec", "10"]) == 2
         assert time.perf_counter() - start < 1
         assert message in capsys.readouterr().err
+
+
+def test_large_powers_of_exact_polynomials_refused_at_once(capsys):
+    for expr in ("(1+q)^8000", "(1+zeta+q)^2000"):
+        start = time.perf_counter()
+        assert main(["coeffs", "--expr", expr, "--ell", "5", "--prec", "10"]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"bits, more than the cap of {POWER_BITS_MAX}" in capsys.readouterr().err
 
 
 def test_poch_with_exponents_at_or_below_zero_keeps_the_precision(capsys):

@@ -1,28 +1,31 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from qrank.cyclotomic import cyclotomic_field
+from qrank.cyclotomic import QQ, cyclotomic_field
 from qrank.lambert import E_series, P_series, lambert_t
-from qrank.qexpr import (Add, Call, Div, EvalCtx, IntLit, Mul, Pow, Q,
-                         QExprEvalError, QExprSyntaxError, RatLit, Sub, Zeta,
-                         evaluate, parse, render)
+from qrank.qexpr import (BinOp, Call, EvalCtx, Num, Pow, Q, QExprEvalError,
+                         QExprSyntaxError, Zeta, evaluate, parse, render)
 from qrank.rankgen import ru_at_root, u_series
+from qrank.series import LaurentSeries
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def strip(node):
     """Positions aside, the structural content of an AST node."""
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return (type(node).__name__, strip(node.left), strip(node.right))
+    if isinstance(node, BinOp):
+        return (node.op, strip(node.left), strip(node.right))
     if isinstance(node, Pow):
         return ("Pow", strip(node.base), node.exponent)
     if isinstance(node, Call):
         return ("Call", node.name, node.args)
-    if isinstance(node, IntLit):
-        return ("Int", node.value)
-    if isinstance(node, RatLit):
-        return ("Rat", node.num, node.den)
+    if isinstance(node, Num):
+        return ("Num", node.value)
     if isinstance(node, Q):
         return ("q",)
     if isinstance(node, Zeta):
@@ -32,13 +35,13 @@ def strip(node):
 
 def test_parse_example_expression():
     ast = parse("q*E(25)/P(1)^2")
-    assert strip(ast) == ("Div", ("Mul", ("q",), ("Call", "E", (25,))),
+    assert strip(ast) == ("/", ("*", ("q",), ("Call", "E", (25,))),
                           ("Pow", ("Call", "P", (1,)), 2))
 
 
 def test_parse_rhs_minus_ru():
     ast = parse("RHS(RU5) - RU(5)")
-    assert strip(ast) == ("Sub", ("Call", "RHS", ("RU5",)), ("Call", "RU", (5,)))
+    assert strip(ast) == ("-", ("Call", "RHS", ("RU5",)), ("Call", "RU", (5,)))
 
 
 def test_parse_error_positions():
@@ -53,18 +56,42 @@ def test_parse_error_positions():
         parse("q +")
     with pytest.raises(QExprSyntaxError):
         parse("q $ 2")
-    with pytest.raises(QExprSyntaxError):
+    with pytest.raises(QExprSyntaxError) as info:
         parse("3/0")
+    assert info.value.pos == 0
 
 
 def test_rational_literal_lexing():
-    assert strip(parse("3/4")) == ("Rat", 3, 4)
-    assert strip(parse("3 / 4")) == ("Div", ("Int", 3), ("Int", 4))
+    assert strip(parse("3/4")) == ("Num", Fraction(3, 4))
+    assert strip(parse("3 / 4")) == ("/", ("Num", 3), ("Num", 4))
     ctx = EvalCtx(ell=5, prec=10)
     a = evaluate("3/4", ctx)
     b = evaluate("3 / 4", ctx)
     assert a.equal_upto(b) is None
     assert a.coefficient(0).rational_value() == Fraction(3, 4)
+
+
+def test_rational_literal_binds_before_an_exponent():
+    ctx = EvalCtx(ell=5, prec=10)
+    assert strip(parse("3/4^2")) == ("Pow", ("Num", Fraction(3, 4)), 2)
+    assert evaluate("3/4^2", ctx).coefficient(0).rational_value() == Fraction(9, 16)
+    assert evaluate("3 / 4^2", ctx).coefficient(0).rational_value() == Fraction(3, 16)
+
+
+def test_exponent_is_a_bare_integer():
+    ctx = EvalCtx(ell=5, prec=10)
+    field = cyclotomic_field(5)
+    e1 = E_series(1, 10)
+    for text, tree, expected in (
+            ("q^2/3", ("/", ("Pow", ("q",), 2), ("Num", 3)),
+             LaurentSeries.monomial(QQ, 2, Fraction(1, 3))),
+            ("E(1)^2/3", ("/", ("Pow", ("Call", "E", (1,)), 2), ("Num", 3)),
+             (e1 * e1).scale(Fraction(1, 3))),
+            ("zeta^2/3", ("/", ("zeta", 2), ("Num", 3)),
+             LaurentSeries.const(field, field.zeta(2) * Fraction(1, 3))),
+            ("2^3/4", ("/", ("Pow", ("Num", 2), 3), ("Num", 4)), LaurentSeries.const(QQ, 2))):
+        assert strip(parse(text)) == tree
+        assert evaluate(text, ctx).equal_upto(expected, 10) is None, text
 
 
 def test_negative_arguments_parse():
@@ -158,8 +185,8 @@ def test_eval_f_call():
 # -- round-trip and compositionality -------------------------------------------
 
 atoms = st.one_of(
-    st.integers(min_value=0, max_value=9).map(lambda v: IntLit(v)),
-    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: RatLit(*t)),
+    st.integers(min_value=0, max_value=9).map(lambda v: Num(Fraction(v))),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: Num(Fraction(*t))),
     st.just(Q()),
     st.integers(min_value=-6, max_value=6).map(lambda p: Zeta(p)),
     st.sampled_from([Call("E", (1,)), Call("P", (1,)), Call("P", (2,)),
@@ -167,19 +194,23 @@ atoms = st.one_of(
 )
 
 
-def combos(children):
-    return st.one_of(
-        st.tuples(children, children).map(lambda t: Add(*t)),
-        st.tuples(children, children).map(lambda t: Sub(*t)),
-        st.tuples(children, children).map(lambda t: Mul(*t)),
-        st.tuples(children, st.integers(1, 3)).map(lambda t: Pow(t[0], t[1])),
-    )
+def combos(ops):
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(ops), children, children).map(lambda t: BinOp(*t)),
+            st.tuples(children, st.integers(1, 3)).map(lambda t: Pow(t[0], t[1])),
+        )
+    return extend
 
 
-asts = st.recursive(atoms, combos, max_leaves=8)
+# evaluation draws no division, which can fail on a drawn zero or positive valuation
+asts = st.recursive(atoms, combos("+-*"), max_leaves=8)
+asts_with_division = st.recursive(atoms, combos("+-*/"), max_leaves=8)
 
 
-@given(asts)
+@given(asts_with_division)
+@example(BinOp("/", Num(Fraction(3)), Num(Fraction(4))))
+@example(BinOp("/", Zeta(2), Num(Fraction(3))))
 def test_render_parse_roundtrip(ast):
     assert strip(parse(render(ast))) == strip(ast)
 
@@ -188,11 +219,11 @@ def test_render_parse_roundtrip(ast):
 def test_eval_is_compositional(ast):
     ctx = EvalCtx(ell=5, prec=12)
     direct = evaluate(ast, ctx)
-    if isinstance(ast, (Add, Sub, Mul)):
+    if isinstance(ast, BinOp):
         left = evaluate(ast.left, ctx)
         right = evaluate(ast.right, ctx)
-        op = {Add: lambda a, b: a + b, Sub: lambda a, b: a - b,
-              Mul: lambda a, b: a * b}[type(ast)]
+        op = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+              "*": lambda a, b: a * b}[ast.op]
         assert direct.equal_upto(op(left, right), 12) is None
 
 
@@ -201,3 +232,18 @@ def test_evalctx_validation():
         EvalCtx(ell=4, prec=10)
     with pytest.raises(ValueError):
         EvalCtx(ell=5, prec=0)
+
+
+@pytest.mark.parametrize("base", ["q", "2*q", "q+q^2", "q^2", "1-q", "q^-1+1"])
+def test_negative_power_keeps_the_precision_of_a_quotient(base):
+    ctx = EvalCtx(ell=5, prec=10)
+    for k in range(1, 7):
+        assert evaluate(f"({base})^-{k}", ctx) == evaluate(f"1/({base})^{k}", ctx), k
+
+
+def test_import_loads_neither_the_cli_nor_the_check_registry():
+    script = "import sys, qrank.qexpr; print(sorted({'qrank.cli', 'qrank.verify'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PATH": "", "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
