@@ -8,9 +8,8 @@ from .lambert import E_series, P_series, TSpec, lambert_T, lambert_t
 from .quadruples import (Partition, Quadruple, RankTableRow, class_counts,
                          enumerate_quadruples, partitions_bounded, rank_counts,
                          rank_table)
-from .rankgen import (IDENTITY_NAMES, ROUTES, eval_f, eval_g,
-                      partial_fraction_residual, rank_series, rhs_identity,
-                      root_prefactor, ru_at_root, rv_at_root, u_series,
-                      v_series)
+from .rankgen import (IDENTITY_NAMES, ROUTES, eval_f, eval_g, rank_series,
+                      rhs_identity, root_prefactor, ru_at_root, rv_at_root,
+                      u_series, v_series)
 
 __version__ = "0.1.0"

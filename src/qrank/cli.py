@@ -11,8 +11,10 @@ exit 2 before any work: a precision (``coeffs --prec``, QRANK_PREC, ``verify
 --prec``) above PREC_MAX or below 1, a ``congruence --max`` above PREC_MAX or
 below ``--residue``, ``coeffs --ell`` above ELL_MAX, ``classes --mod`` above
 MOD_MAX, a ``coeffs`` P, T or finite poch needing more than ``qexpr.TERMS_MAX``
-terms, a ``coeffs`` T whose own l is above ELL_MAX, and a ``coeffs`` power of
-an exact polynomial needing more than ``qexpr.POWER_BITS_MAX`` bits.
+terms, a ``coeffs`` T whose own l is above ELL_MAX, a ``coeffs`` sum,
+difference, product or power of exact polynomials needing more than
+``qexpr.POWER_BITS_MAX`` bits, and a ``coeffs`` inverse of an exact polynomial
+needing more than ``qexpr.TERMS_MAX`` terms.
 """
 
 from __future__ import annotations
@@ -138,10 +140,6 @@ def _cmd_coeffs(args, out, err) -> int:
     except (QExprSyntaxError, QExprEvalError, ValueError) as exc:
         err.write(f"qrank coeffs: {exc}\n")
         return 2
-    dump = series.to_json()
-    dump["ell"] = args.ell
-    doc = _doc("coeffs", {"expr": args.expr, "ell": args.ell, "prec": prec,
-                          "format": args.format}, dump)
 
     def plain():
         yield str(series)
@@ -153,7 +151,20 @@ def _cmd_coeffs(args, out, err) -> int:
             field = cyclotomic_field(args.ell)
             yield f"{e}," + ",".join(field.encode(c))
 
-    _emit(doc, args.format, plain, csv, out)
+    # a coefficient may have more decimal digits than the interpreter converts by
+    # default (4,300, where it has a cap): lift the cap while the series is written
+    digits_cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits_cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        dump = series.to_json()
+        dump["ell"] = args.ell
+        doc = _doc("coeffs", {"expr": args.expr, "ell": args.ell, "prec": prec,
+                              "format": args.format}, dump)
+        _emit(doc, args.format, plain, csv, out)
+    finally:
+        if digits_cap is not None:
+            sys.set_int_max_str_digits(digits_cap)
     return 0
 
 

@@ -290,19 +290,27 @@ class EvalCtx:
 # terms and takes 0.9 s, P(451) 100,585 and 25 s), and so is a T whose own l
 # is above ELL_MAX, before ``cyclotomic_field`` tests that it is prime.
 TERMS_MAX = 10_000
-# A power b^k of an exact polynomial (and b^-k at positive valuation, which is
-# 1/b^|k|) is expanded in full, whatever the precision: k span + 1 slots of
-# ring.width coordinates, each of at most k log2 |b|_1 bits.  One above
-# POWER_BITS_MAX bits in all is refused before it is built.  Below the cap, on
-# a 2-core x86 machine, the slowest shapes measured are (q + q^2)^-1023 (2.1 s)
-# and 2^1048576 (1.9 s); (1 + q)^1023 takes 0.07 s and (1 + zeta + q)^406 at
-# ell = 5 0.19 s.  Above it, (1 + q)^2000 took 0.7 s and (1 + q)^8000 42 s.
+# An exact result of + - * on exact operands, or a power b^k (and b^-k at positive
+# valuation, which is 1/b^|k|) of an exact b, is laid out densely whatever the
+# precision: slots of ring.width coordinates of at most log2 |result|_1 bits,
+# where |a + b|_1 <= |a|_1 + |b|_1 and |a b|_1 <= |a|_1 |b|_1.  One above
+# POWER_BITS_MAX bits in all is refused before it is built.  Below the cap, on a
+# 2-core x86 machine, the slowest shapes measured are (q + q^2)^-1023 (2.1 s)
+# and 2^1048576 (1.9 s); (1 + q)^1023 takes 0.07 s, (1 + zeta + q)^406 at ell = 5
+# 0.19 s and 1 + q^1000000 0.12 s.  Above it, (1 + q)^8000 took 42 s and
+# 1 + q^10000000 peaked at 549 MB.
 POWER_BITS_MAX = 1 << 20
 
 
 def _refuse_oversized(node, need: int, cap: int, unit: str) -> None:
     if need > cap:
         raise QExprEvalError(f"{render(node)} needs {need} {unit}, more than the cap of {cap}", node.pos)
+
+
+def _refuse_large_layout(node, slots: int, width: int, norm: int, power: int = 1) -> None:
+    """Refuse an exact result of ``slots`` slots of ``width`` coordinates whose l1
+    norm is at most norm^power, when it needs more than POWER_BITS_MAX bits."""
+    _refuse_oversized(node, math.ceil(slots * width * power * math.log2(norm)), POWER_BITS_MAX, "bits")
 
 
 def _int_args(node, args, count=None):
@@ -390,6 +398,11 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
             return LaurentSeries.const(field, field.zeta(n.power))
         if isinstance(n, BinOp):
             left, right = ev(n.left), ev(n.right)
+            if n.op != "/" and left.prec == right.prec == INF and left.data and right.data:
+                (la, na), (lb, nb) = ((len(s.data) // s.ring.width, _norm(s)) for s in (left, right))
+                lo, hi = min(left.valuation, right.valuation), max(left.valuation + la, right.valuation + lb)
+                slots, norm = (la + lb - 1, na * nb) if n.op == "*" else (hi - lo, na + nb)
+                _refuse_large_layout(n, slots, max(left.ring.width, right.ring.width), norm)
             try:
                 return BINARY[n.op][2](left, right, ctx)
             except (ZeroDivisionError, ValueError) as exc:
@@ -403,9 +416,7 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
             expand = base.prec == INF and base.data and (k > 0 or base.valuation > 0)
             if expand:
                 width, m = base.ring.width, abs(k)
-                bits = m * math.log2(sum(map(abs, base.data)))
-                need = math.ceil((m * (len(base.data) // width - 1) + 1) * width * bits)
-                _refuse_oversized(n, need, POWER_BITS_MAX, "bits")
+                _refuse_large_layout(n, m * (len(base.data) // width - 1) + 1, width, _norm(base), m)
             try:
                 if k >= 0:
                     return base ** k
@@ -424,8 +435,17 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     return out
 
 
+def _norm(series: LaurentSeries) -> int:
+    """The l1 norm of a series' integer coordinates."""
+    return sum(map(abs, series.data))
+
+
 def _inverse_of(series: LaurentSeries, ctx: EvalCtx) -> LaurentSeries:
-    if series.prec == INF:
-        # exact polynomial: expand far enough that the final truncation is exact
-        return series.inverse(prec=ctx.prec + max(0, -2 * series.valuation) + 1)
-    return series.inverse()
+    if series.prec != INF:
+        return series.inverse()  # as many terms as the series knows
+    # an exact polynomial from q^v: prec + v terms, so that the final truncation is exact
+    prec = ctx.prec + max(0, -2 * series.valuation) + 1
+    if series.data and prec + series.valuation > TERMS_MAX:
+        raise ValueError(f"the inverse of an exact polynomial from q^{series.valuation} needs "
+                         f"{prec + series.valuation} terms, more than the cap of {TERMS_MAX}")
+    return series.inverse(prec=prec)

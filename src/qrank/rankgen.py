@@ -36,7 +36,7 @@ from operator import add, lshift, sub
 
 from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
-from .series import FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack, geometric
+from .series import FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
@@ -198,10 +198,9 @@ def _fg_series(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int, power: int) -> Lauren
     divided by (1 - q^(2n+1)) and (1 - q^(2n+2)).  The remaining prefactor
     (q;q)_inf/prod_c (cq;q)_inf is applied to the sum in place.
     """
-    ell = z.ell
-    if rho1.ell != ell or rho2.ell != ell:
+    if rho1.ell != z.ell or rho2.ell != z.ell:
         raise ValueError("rho1, rho2 and z must live in the same cyclotomic field")
-    field = cyclotomic_field(ell)
+    field = cyclotomic_field(z.ell)
     zinv = z.inverse()
     for label, c in (("z", z), ("1/z", zinv), ("rho1", rho1), ("rho2", rho2)):
         if c == field.one:
@@ -377,13 +376,11 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Lau
         raise ValueError(f"kind must be 'u' or 'v', got {kind!r}")
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if ell is not None:
-        cyclotomic_field(ell)  # refuses any other order before a builder runs
+    field = None if ell is None else cyclotomic_field(ell)  # refuses any other order before a builder runs
     power = 1 if kind == "u" else 2
     if route == "DEFINITION":
         if ell is None:
             return _counting_series(power, prec)
-        field = cyclotomic_field(ell)
         return _fg_series(field.zeta(2), field.zeta(-2), field.zeta(1), prec, power)
     if route == "LAMBERT":
         if ell is None:
@@ -523,45 +520,3 @@ def rhs_identity(name: str, prec: int) -> LaurentSeries:
         raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
     (_, ell, _, terms), = IDENTITY_CATALOGUE["THM12:" + name][1]
     return theta_sum(ell, terms, prec)
-
-
-# -- supporting identities ----------------------------------------------------
-
-
-def partial_fraction_residual(which: str, z: CycQ, j: int, prec: int) -> LaurentSeries:
-    """LHS minus RHS of the two denominator-splitting identities; contract: zero.
-
-    u-kind:  (1 - (z^2+z^-2)q^j + (z^2+z^-2)q^(3j-1) - q^(4j-2)) / D
-             = 1/((1-z^2 q^(j-1))(1-z^-2 q^(j-1))) - q^(2j)/((1-z^2 q^j)(1-z^-2 q^j))
-    v-kind:  (1-q)(1-q^(2j-1)) / D with q^(2j) replaced by q on the right,
-    where D is the product of all four denominator factors.
-    """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    if which not in ("u", "v"):
-        raise ValueError(f"kind must be 'u' or 'v', got {which!r}")
-    field = cyclotomic_field(z.ell)
-    one = field.one
-    z2 = z * z
-    if z2 == one or z2 == -one:
-        raise ValueError("z^4 = 1 makes the denominators degenerate")
-    z2i = z2.inverse()
-
-    def inv_factor(c, e):
-        if e == 0:
-            return LaurentSeries.const(field, (one - c).inverse(), prec)
-        return geometric(field, c, e, prec)
-
-    lower = inv_factor(z2, j - 1) * inv_factor(z2i, j - 1)
-    upper = inv_factor(z2, j) * inv_factor(z2i, j)
-    zsum = z2 + z2i
-    if which == "u":
-        num = LaurentSeries.from_items(
-            field,
-            [(0, one), (j, -zsum), (3 * j - 1, zsum), (4 * j - 2, -one)], prec)
-        rhs = lower - upper.shift(2 * j)
-    else:
-        num = LaurentSeries.from_items(
-            field, [(0, one), (1, -one), (2 * j - 1, -one), (2 * j, one)], prec)
-        rhs = lower - upper.shift(1)
-    return (num * lower * upper - rhs).truncate(prec)

@@ -45,7 +45,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
-from operator import add, and_, floordiv, lshift, mul, neg, or_, rshift, sub
+from operator import add, floordiv, lshift, mul, neg, or_, sub
 
 from .cyclotomic import QQ, CycQ, _reduce_residues, as_rational, cyclotomic_field
 
@@ -183,10 +183,11 @@ class ZLaurentPoly:
 # A list of signed digits d_i with |d_i| < 2^(8k-1) packs into the integer
 # sum d_i X^i, X = 2^(8k).  Adding 2^(8k-1) to every digit makes all of them
 # non-negative, so the bytes of (sum + offset) are the biased digits side by
-# side; ``array`` converts between those bytes and Python ints in C.
+# side.  ``array`` converts between those bytes and Python ints in C for digits
+# of one machine word or less (and two words when unpacking); wider digits
+# convert one int.to_bytes or int.from_bytes each, linear in k.
 
 _SMALL_CODES = {array(code).itemsize: code for code in "BHI"}
-_WORD_MASK = (1 << 64) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -206,37 +207,30 @@ def _offset(k: int, n: int) -> int:
 
 def _pack(vals, k: int) -> int:
     """sum(vals[i] * 2^(8k i)) for signed digits |vals[i]| < 2^(8k-1)."""
-    n = len(vals)
     biased = map(add, vals, repeat(1 << (8 * k - 1)))
-    if k in _SMALL_CODES:
-        words = array(_SMALL_CODES[k], biased)
-    elif k == 8:
-        words = array("Q", biased)
+    if k > 8:
+        raw = b"".join(map(int.to_bytes, biased, repeat(k), repeat("little")))
     else:
-        biased = list(biased)
-        t = k // 8
-        words = array("Q", bytes(k * n))
-        for j in range(t):
-            words[j::t] = array("Q", map(and_, map(rshift, biased, repeat(64 * j)), repeat(_WORD_MASK)))
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "little") - _offset(k, n)
+        words = array(_SMALL_CODES.get(k, "Q"), biased)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        raw = words.tobytes()
+    return int.from_bytes(raw, "little") - _offset(k, len(vals))
 
 
 def _unpack(x: int, n: int, k: int) -> list:
     """The n lowest signed digits of x in base 2^(8k), each of magnitude < 2^(8k-1)."""
+    half = 1 << (8 * k - 1)
     biased = ((x + _offset(k, n)) & ((1 << (8 * k * n)) - 1)).to_bytes(k * n, "little")
+    if k > 16:
+        view = memoryview(biased)
+        return [int.from_bytes(view[i:i + k], "little") - half for i in range(0, k * n, k)]
     words = array(_SMALL_CODES.get(k, "Q"))
     words.frombytes(biased)
     if _BIG_ENDIAN:
         words.byteswap()
-    digits = words
-    t = k // 8
-    if t > 1:
-        digits = words[0::t]
-        for j in range(1, t):
-            digits = map(or_, digits, map(lshift, words[j::t], repeat(64 * j)))
-    return list(map(sub, digits, repeat(1 << (8 * k - 1))))
+    digits = words if k <= 8 else map(or_, words[0::2], map(lshift, words[1::2], repeat(64)))
+    return list(map(sub, digits, repeat(half)))
 
 
 def _spread(data: list, width: int, stride: int) -> list:

@@ -18,13 +18,15 @@ Check identifiers are grouped by family:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import product
+from operator import add
 
 from .cyclotomic import QQ, cyclotomic_field
 from .lambert import term_valuation, theta_sum
 from .quadruples import CLASSES_MAX_N, class_counts
-from .rankgen import (IDENTITY_CATALOGUE, eval_f, partial_fraction_residual, rank_histograms,
-                      rank_series, root_prefactor)
+from .rankgen import IDENTITY_CATALOGUE, eval_f, rank_histograms, rank_series, root_prefactor
 from .series import INF, poch, theta_jtp_sum
 
 PROFILES = ("fast", "default", "deep")
@@ -48,15 +50,12 @@ class CheckReport:
     name: str
     prec: int
     status: str                  # PASS | FAIL | ERROR (the check raised)
-    first_failure: tuple | None  # (exponent, lhs, rhs)
+    first_failure: tuple | None  # (exponent, lhs text, rhs text)
     runtime_ms: float
     detail: str = ""
 
     def to_json(self) -> dict:
-        failure = None
-        if self.first_failure is not None:
-            e, lhs, rhs = self.first_failure
-            failure = {"exponent": e, "lhs": str(lhs), "rhs": str(rhs)}
+        failure = self.first_failure and dict(zip(("exponent", "lhs", "rhs"), self.first_failure))
         return {
             "name": self.name, "prec": self.prec, "status": self.status,
             "first_failure": failure, "runtime_ms": round(self.runtime_ms, 3),
@@ -69,13 +68,13 @@ class _Check:
     run: callable               # prec -> (status, first_failure, detail)
     default_prec: int
     fast_prec: int
-    long: bool = field(default=False)
+    long: bool = False
     # --prec is clamped to [min_prec, max_prec]: rank-count and bivariate checks
     # stay desk-scale, mod-13 checks read q^13, scans and class checks at least
     # one nonzero coefficient or non-empty class, catalogue checks at least one
     # term of every row; the report carries the prec used
-    max_prec: int | None = field(default=None)
-    min_prec: int = field(default=1)
+    max_prec: int | None = None
+    min_prec: int = 1
 
 
 def _compare(prec, cases, passed=""):
@@ -159,10 +158,8 @@ def _class_equality_check(key):
 
 
 def _jtp_check(prec):
-    specials = [(cyclotomic_field(3), cyclotomic_field(3).zeta(1), "zeta_3"),
-                (cyclotomic_field(5), cyclotomic_field(5).zeta(1), "zeta_5"),
-                (cyclotomic_field(7), cyclotomic_field(7).zeta(1), "zeta_7"),
-                (QQ, QQ.of(2), "2"), (QQ, QQ.of(-1), "-1")]
+    specials = [(cyclotomic_field(ell), cyclotomic_field(ell).zeta(1), f"zeta_{ell}") for ell in (3, 5, 7)]
+    specials += [(QQ, QQ.of(2), "2"), (QQ, QQ.of(-1), "-1")]
     return _compare(prec, ((f"triple product at z = {label}", theta_jtp_sum(ring, c, prec),
                             poch(ring, c, 1, 1, INF, prec)
                             * poch(ring, ring.invert(c), 0, 1, INF, prec)
@@ -194,13 +191,40 @@ def _catalogue_check(name):
     return run
 
 
-def _partial_fractions(which):
-    def run(prec):
-        return _compare(prec, ((f"z = zeta_{ell}, j = {j}",
-                                partial_fraction_residual(which, cyclotomic_field(ell).zeta(1), j, prec), None)
-                               for ell in (3, 5, 7) for j in (1, 2, 3)),
-                        "z in {zeta_3, zeta_5, zeta_7}, j in {1, 2, 3}")
-    return run
+# The partial-fraction lemmas that lead from RU/RV to the bilateral Lambert form,
+# times their denominator, as identities in Z[z, 1/z, q, 1/q, x], x = q^j, s = z^2 + z^-2:
+#   u: (1 - z^2 x)(1 - z^-2 x) - x^2 (1 - z^2 x/q)(1 - z^-2 x/q) = 1 - s x + s x^3/q - x^4/q^2,
+#   v: (1 - z^2 x)(1 - z^-2 x) - q (1 - z^2 x/q)(1 - z^-2 x/q) = (1 - q)(1 - x^2/q).
+# kind -> (left side, right side); a side sums terms (c, a, b, k, *binomials),
+# c z^a q^b x^k times the product of (1 - z^a' q^b' x^k') over its binomials (a', b', k').
+_UPPER, _LOWER = ((2, 0, 1), (-2, 0, 1)), ((2, -1, 1), (-2, -1, 1))
+PARTIAL_FRACTIONS = {
+    "u": ([(1, 0, 0, 0, *_UPPER), (-1, 0, 0, 2, *_LOWER)],
+          [(1, 0, 0, 0), (-1, 2, 0, 1), (-1, -2, 0, 1), (1, 2, -1, 3), (1, -2, -1, 3), (-1, 0, -2, 4)]),
+    "v": ([(1, 0, 0, 0, *_UPPER), (-1, 0, 1, 0, *_LOWER)], [(1, 0, 0, 0, (0, 1, 0), (0, -1, 2))]),
+}
+
+
+def _expand(side) -> Counter:
+    """{(a, b, k): coefficient of z^a q^b x^k} of a PARTIAL_FRACTIONS side."""
+    out = Counter()
+    for c, a, b, k, *binomials in side:
+        terms = Counter({(a, b, k): c})
+        for f in binomials:
+            for e, m in list(terms.items()):
+                terms[tuple(map(add, e, f))] -= m
+        out.update(terms)
+    return out
+
+
+def _partial_fractions(kind):
+    """The two sides of a lemma compared monomial by monomial; no precision enters."""
+    left, right = map(_expand, PARTIAL_FRACTIONS[kind])
+    for e in sorted(left.keys() | right.keys()):
+        if left[e] != right[e]:
+            monomial = " ".join(f"{v}^{p}" for v, p in zip("zqx", e) if p) or "1"
+            return "FAIL", (monomial, str(left[e]), str(right[e])), f"{kind}-lemma times its denominator"
+    return "PASS", None, "exact in Z[z, 1/z, q, 1/q, x], x = q^j: every j >= 1, every z with z^4 != 1"
 
 
 def _three_routes(prec):
@@ -224,16 +248,13 @@ def _ru13_nonzero(prec):
 def _f13_grid(prec):
     field = cyclotomic_field(13)
     skipped = checked = 0
-    for a in range(13):
-        for b in range(13):
-            for c in range(13):
-                if a == 0 or b == 0 or c == 0:
-                    skipped += 1  # an argument equals 1: prefactor degenerates
-                    continue
-                series = eval_f(field.zeta(a), field.zeta(b), field.zeta(c), prec)
-                if series.coefficient(13).is_zero():
-                    return "FAIL", (13, "0", f"nonzero at (a,b,c)=({a},{b},{c})"), ""
-                checked += 1
+    for a, b, c in product(range(13), repeat=3):
+        if a == 0 or b == 0 or c == 0:
+            skipped += 1  # an argument equals 1: prefactor degenerates
+            continue
+        if eval_f(field.zeta(a), field.zeta(b), field.zeta(c), prec).coefficient(13).is_zero():
+            return "FAIL", (13, "0", f"nonzero at (a,b,c)=({a},{b},{c})"), ""
+        checked += 1
     return "PASS", None, f"{checked} triples nonzero, {skipped} degenerate triples skipped"
 
 
@@ -265,8 +286,8 @@ def _build_registry() -> dict[str, _Check]:
                                                    max_prec=CLASSES_MAX_N,
                                                    min_prec=_first_nonempty(kind, ell, residues))
     registry["INFRA:JTP"] = _Check(_jtp_check, 60, 40)
-    registry["INFRA:PartialFractions-U"] = _Check(_partial_fractions("u"), 60, 40)
-    registry["INFRA:PartialFractions-V"] = _Check(_partial_fractions("v"), 60, 40)
+    registry["INFRA:PartialFractions-U"] = _Check(lambda prec: _partial_fractions("u"), 60, 40)
+    registry["INFRA:PartialFractions-V"] = _Check(lambda prec: _partial_fractions("v"), 60, 40)
     registry["INFRA:three-routes"] = _Check(_three_routes, 21, 11, max_prec=120)
     # the one coefficient either mod-13 check reads is q^13, so both run at prec 14
     registry["SEC5:RU13-q13-nonzero"] = _Check(_ru13_nonzero, 14, 14, max_prec=14, min_prec=14)
@@ -279,8 +300,7 @@ _REGISTRY = _build_registry()
 
 
 def check_names(include_long: bool = True) -> list[str]:
-    names = [n for n, c in _REGISTRY.items() if include_long or not c.long]
-    return sorted(names)
+    return sorted(n for n, c in _REGISTRY.items() if include_long or not c.long)
 
 
 def _used_prec(name: str, prec: int | None, profile: str) -> int:

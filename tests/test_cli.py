@@ -8,8 +8,10 @@ import pytest
 
 from qrank import verify
 from qrank.cli import ELL_MAX, MOD_MAX, PREC_MAX, main
+from qrank.cyclotomic import cyclotomic_field
 from qrank.qexpr import POWER_BITS_MAX, TERMS_MAX
 from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
+from qrank.series import LaurentSeries
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -235,6 +237,51 @@ def test_large_powers_of_exact_polynomials_refused_at_once(capsys):
         assert main(["coeffs", "--expr", expr, "--ell", "5", "--prec", "10"]) == 2
         assert time.perf_counter() - start < 1
         assert f"bits, more than the cap of {POWER_BITS_MAX}" in capsys.readouterr().err
+
+
+def test_large_exact_sums_products_and_inverses_refused_at_once(capsys):
+    for expr, cap in (("1 + q^2000000", f"bits, more than the cap of {POWER_BITS_MAX}"),
+                      ("(1 + q^600000)*(1 - q^600000)", f"bits, more than the cap of {POWER_BITS_MAX}"),
+                      ("1/(q^10050+2*q^10051)", f"terms, more than the cap of {TERMS_MAX}"),
+                      ("(q^10050+2*q^10051)^-2", f"terms, more than the cap of {TERMS_MAX}")):
+        start = time.perf_counter()
+        assert main(["coeffs", "--expr", expr, "--prec", "10"]) == 2, expr
+        assert time.perf_counter() - start < 1
+        assert cap in capsys.readouterr().err
+
+
+def test_exact_layouts_and_inverses_under_the_caps_keep_their_output(capsys):
+    for expr, out in (("1/q^5", "q^-5 + O(q^10)"), ("1 + q^1000000", "1 + O(q^10)"),
+                      ("(1 + q)*(1 - q) - 1", "-1*q^2 + O(q^10)")):
+        assert main(["coeffs", "--expr", expr, "--prec", "10"]) == 0
+        assert capsys.readouterr().out == out + "\n"
+    field = cyclotomic_field(13)
+    inverse = LaurentSeries(field, 0, [field.one + field.zeta(1), field.one]).inverse(prec=40)
+    assert main(["coeffs", "--expr", "1/(1 + zeta + q)", "--ell", "13", "--prec", "40"]) == 0
+    assert capsys.readouterr().out == f"{inverse}\n"
+
+
+def test_coefficients_past_the_int_to_str_digit_cap_are_written(capsys):
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        digits = str(2 ** 20000)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+    outputs = {}
+    for fmt in ("plain", "json", "csv"):
+        assert main(["coeffs", "--expr", "2^20000", "--prec", "10", "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    assert outputs["plain"] == f"{digits} + O(q^10)\n"
+    assert json.loads(outputs["json"])["payload"]["coeffs"] == [[f"{digits}/1", "0/1", "0/1", "0/1"]]
+    assert outputs["csv"].splitlines()[1] == f"0,{digits}/1,0/1,0/1,0/1"
+    if cap is not None:
+        # an --expr literal is read under the interpreter's cap, as before
+        assert main(["coeffs", "--expr", "1" * 5000, "--prec", "3"]) == 2
+        assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
 
 def test_poch_with_exponents_at_or_below_zero_keeps_the_precision(capsys):

@@ -111,7 +111,7 @@ def test_mul_at_digit_width_boundaries(magnitude):
 
 
 def test_digit_codec_round_trips_at_boundaries():
-    for k in (1, 2, 4, 8, 16, 24):
+    for k in (1, 2, 4, 8, 16, 24, 72, 4096):
         top = (1 << (8 * k - 1)) - 1
         vals = [top, -top, 0, 1, -1, top, -top]
         assert _unpack(_pack(vals, k), len(vals), k) == vals

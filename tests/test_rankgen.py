@@ -7,7 +7,7 @@ from qrank.qexpr import EvalCtx, evaluate
 from qrank import quadruples, rankgen
 from qrank.quadruples import rank_counts
 from qrank.rankgen import (ROUTES, _bilateral_rank_sum, _bivariate, _counting_series,
-                           _fg_series, eval_f, eval_g, partial_fraction_residual, rank_histograms,
+                           _fg_series, eval_f, eval_g, rank_histograms,
                            rank_series, rhs_identity, root_prefactor, ru_at_root, rv_at_root,
                            u_series, v_series)
 from qrank.series import LaurentSeries
@@ -291,23 +291,6 @@ def test_rhs_rv5_vanishing_families():
 def test_rhs_rejects_unknown_name():
     with pytest.raises(ValueError):
         rhs_identity("RU11", 20)
-
-
-@pytest.mark.parametrize("which,ell,j", [
-    ("u", 5, 1), ("v", 7, 2), ("u", 3, 3),
-    ("v", 3, 1), ("u", 7, 2), ("v", 5, 3),
-])
-def test_partial_fraction_identities(which, ell, j):
-    z = cyclotomic_field(ell).zeta(1)
-    assert partial_fraction_residual(which, z, j, 60).first_nonzero_below(60) is None
-
-
-def test_partial_fraction_rejects_degenerate_z():
-    f3 = cyclotomic_field(3)
-    with pytest.raises(ValueError):
-        partial_fraction_residual("u", f3.one, 1, 20)
-    with pytest.raises(ValueError):
-        partial_fraction_residual("u", f3.zeta(1), 0, 20)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])

@@ -5,8 +5,8 @@ from qrank.cyclotomic import cyclotomic_field
 from qrank.lambert import TSpec
 from qrank.quadruples import class_counts
 from qrank.rankgen import IDENTITY_CATALOGUE, rank_histograms, rank_series, root_prefactor
-from qrank.series import LaurentSeries
-from qrank.verify import (CheckReport, check_names, run_all, run_check)
+from qrank.series import LaurentSeries, geometric
+from qrank.verify import PARTIAL_FRACTIONS, CheckReport, _expand, check_names, run_all, run_check
 
 # every check the registry must expose
 REQUIRED_NAMES = [
@@ -215,3 +215,92 @@ def test_f13_grid_runs_at_its_capped_precision(monkeypatch):
         report = run_check("SEC5:F13-grid-q13-nonzero", prec=prec)
         assert (report.prec, report.status) == (14, "PASS")
         assert seen and set(seen) == {14}
+
+
+# -- the partial-fraction lemmas ------------------------------------------------
+
+PARTIAL_FRACTION_CHECKS = {"u": "INFRA:PartialFractions-U", "v": "INFRA:PartialFractions-V"}
+
+
+@pytest.mark.parametrize("kind", ["u", "v"])
+def test_partial_fraction_lemmas_pass_at_any_precision(kind):
+    for options in ({"profile": "fast"}, {"profile": "default"}, {"prec": 1}, {"prec": 1000}):
+        report = run_check(PARTIAL_FRACTION_CHECKS[kind], **options)
+        assert report.status == "PASS", options
+        assert "every j >= 1" in report.detail and "every z with z^4 != 1" in report.detail
+
+
+def test_expand_multiplies_out_the_binomials():
+    # 2 z q^-1 (1 - z x)(1 - q^2) - x^3
+    side = [(2, 1, -1, 0, (1, 0, 1), (0, 2, 0)), (-1, 0, 0, 3)]
+    assert {e: c for e, c in _expand(side).items() if c} == {
+        (1, -1, 0): 2, (2, -1, 1): -2, (1, 1, 0): -2, (2, 1, 1): 2, (0, 0, 3): -1}
+
+
+def _moved(term):
+    """Every copy of a term with one monomial changed: its sign flipped, or one
+    exponent of its head or of one of its binomials moved by one."""
+    yield (-term[0], *term[1:])
+    for i in range(1, 4):
+        for d in (-1, 1):
+            yield (*term[:i], term[i] + d, *term[i + 1:])
+    for i in range(4, len(term)):
+        for j in range(3):
+            for d in (-1, 1):
+                binomial = (*term[i][:j], term[i][j] + d, *term[i][j + 1:])
+                yield (*term[:i], binomial, *term[i + 1:])
+
+
+@pytest.mark.parametrize("kind", ["u", "v"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_changing_one_monomial_fails_the_lemma(monkeypatch, kind, side):
+    sides = PARTIAL_FRACTIONS[kind]
+    for index, term in enumerate(sides[side]):
+        for moved in _moved(term):
+            changed = list(sides)
+            changed[side] = sides[side][:index] + [moved] + sides[side][index + 1:]
+            monkeypatch.setitem(PARTIAL_FRACTIONS, kind, tuple(changed))
+            report = run_check(PARTIAL_FRACTION_CHECKS[kind])
+            assert (report.status, report.detail) == ("FAIL", f"{kind}-lemma times its denominator"), moved
+            monomial, lhs, rhs = report.first_failure
+            powers = dict(part.split("^") for part in monomial.split()) if monomial != "1" else {}
+            key = tuple(int(powers.pop(v, 0)) for v in "zqx")
+            assert not powers, monomial
+            left, right = map(_expand, changed)
+            assert (lhs, rhs) == (str(left[key]), str(right[key])) and lhs != rhs
+
+
+def test_a_flipped_sign_names_its_monomial_and_both_coefficients(monkeypatch):
+    left, right = PARTIAL_FRACTIONS["u"]
+    assert right[-1] == (-1, 0, -2, 4)
+    monkeypatch.setitem(PARTIAL_FRACTIONS, "u", (left, right[:-1] + [(1, 0, -2, 4)]))
+    report = run_check("INFRA:PartialFractions-U")
+    assert (report.status, report.first_failure) == ("FAIL", ("q^-2 x^4", "-1", "1"))
+
+
+@pytest.mark.parametrize("which,ell,j", [("u", 5, 1), ("v", 7, 2)])
+def test_partial_fraction_identities(which, ell, j):
+    """Both encoded sides at z = zeta_ell, x = q^j, divided by the denominator D, against
+    the lemma as stated: 1/((1 - z^2 q^(j-1))(1 - z^-2 q^(j-1))) minus q^(2j) (u) or
+    q (v) times 1/((1 - z^2 q^j)(1 - z^-2 q^j)), to q^60."""
+    field = cyclotomic_field(ell)
+
+    def inv_factor(c, e):  # 1/(1 - c q^e)
+        return LaurentSeries.const(field, (field.one - c).inverse(), 60) if e == 0 else geometric(field, c, e, 60)
+
+    def at_root(c, a, b, k):  # c z^a q^b x^k at z = zeta_ell, x = q^j
+        return LaurentSeries.monomial(field, b + j * k, field.zeta(a) * c)
+
+    z2, z2i = field.zeta(2), field.zeta(-2)
+    lower = inv_factor(z2, j - 1) * inv_factor(z2i, j - 1)
+    upper = inv_factor(z2, j) * inv_factor(z2i, j)
+    lemma = lower - upper.shift(2 * j if which == "u" else 1)
+    for side in PARTIAL_FRACTIONS[which]:
+        poly = LaurentSeries.zero(field)
+        for c, a, b, k, *binomials in side:
+            term = at_root(c, a, b, k)
+            for f in binomials:
+                term = term * (at_root(1, 0, 0, 0) - at_root(1, *f))
+            poly = poly + term
+        residual = poly * lower * upper - lemma
+        assert residual.prec >= 60 and residual.first_nonzero_below(60) is None
