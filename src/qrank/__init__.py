@@ -1,13 +1,10 @@
 """qrank: exact q-series engine and partition-quadruple rank toolkit."""
 
-from .cyclotomic import (CycQ, QQ, Rational, cyclotomic_field, is_prime,
-                         residue_vector_is_constant)
+from .cyclotomic import CycQ, QQ, cyclotomic_field, is_prime, residue_vector_is_constant
 from .series import (INF, LaurentSeries, PrecisionError, ZLaurentPoly,
                      gauss_binomial, geometric, jacprod, poch, theta_jtp_sum)
 from .lambert import E_series, P_series, TSpec, lambert_T, lambert_t
-from .quadruples import (Partition, Quadruple, RankTableRow, class_counts,
-                         enumerate_quadruples, partitions_bounded, rank_counts,
-                         rank_table)
+from .quadruples import class_counts, enumerate_quadruples, rank_counts, rank_table
 from .rankgen import (IDENTITY_NAMES, ROUTES, eval_f, eval_g, rank_series,
                       rhs_identity, root_prefactor, ru_at_root, rv_at_root,
                       u_series, v_series)

@@ -14,7 +14,9 @@ MOD_MAX, a ``coeffs`` P, T or finite poch needing more than ``qexpr.TERMS_MAX``
 terms, a ``coeffs`` T whose own l is above ELL_MAX, a ``coeffs`` sum,
 difference, product or power of exact polynomials needing more than
 ``qexpr.POWER_BITS_MAX`` bits, and a ``coeffs`` inverse of an exact polynomial
-needing more than ``qexpr.TERMS_MAX`` terms.
+needing more than ``qexpr.TERMS_MAX`` terms.  A ``coeffs`` power of a truncated
+series or inverse stops with exit 2 at the first of its products that needs
+more than ``qexpr.POWER_BITS_MAX`` bits.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def _cmd_ranktable(args, out, err) -> int:
         err.write(f"qrank ranktable: need 1 <= n <= {RANKTABLE_MAX_N} "
                   "(the table lists every quadruple)\n")
         return 2
-    rows = [r.as_dict() for r in rank_table(args.n, args.kind)]
+    rows = rank_table(args.n, args.kind)
     doc = _doc("ranktable", {"n": args.n, "kind": args.kind, "format": args.format},
                {"n": args.n, "kind": args.kind, "rows": rows})
 

@@ -294,11 +294,12 @@ TERMS_MAX = 10_000
 # valuation, which is 1/b^|k|) of an exact b, is laid out densely whatever the
 # precision: slots of ring.width coordinates of at most log2 |result|_1 bits,
 # where |a + b|_1 <= |a|_1 + |b|_1 and |a b|_1 <= |a|_1 |b|_1.  One above
-# POWER_BITS_MAX bits in all is refused before it is built.  Below the cap, on a
-# 2-core x86 machine, the slowest shapes measured are (q + q^2)^-1023 (2.1 s)
-# and 2^1048576 (1.9 s); (1 + q)^1023 takes 0.07 s, (1 + zeta + q)^406 at ell = 5
-# 0.19 s and 1 + q^1000000 0.12 s.  Above it, (1 + q)^8000 took 42 s and
-# 1 + q^10000000 peaked at 549 MB.
+# POWER_BITS_MAX bits in all is refused before it is built, as is each product of
+# a power of a truncated series or of an inverse's Newton steps, sized from its
+# factors' coordinates by ``_sized_product``.  Below the cap, on a 2-core
+# x86 machine, 2^1048576 takes 1.9-5 s, (2 + E(1))^60000 at prec 10 0.9 s and
+# (1 + q)^1023 0.07 s; above it, (1 + q)^8000 took 42 s, 1 + q^10000000 peaked at
+# 549 MB and 1/(q^9989 + 2 q^9990) at 101 MB.
 POWER_BITS_MAX = 1 << 20
 
 
@@ -418,11 +419,13 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
                 width, m = base.ring.width, abs(k)
                 _refuse_large_layout(n, m * (len(base.data) // width - 1) + 1, width, _norm(base), m)
             try:
-                if k >= 0:
-                    return base ** k
-                return _inverse_of(base ** -k, ctx) if expand else _inverse_of(base, ctx) ** -k
+                if expand:
+                    return base ** k if k > 0 else _inverse_of(base ** -k, ctx)
+                if k < 0:
+                    base, k = _inverse_of(base, ctx), -k
+                return base.power(k, _sized_product)
             except (ZeroDivisionError, ValueError) as exc:
-                raise QExprEvalError(f"cannot raise to {k}: {exc}", n.pos) from exc
+                raise QExprEvalError(f"cannot raise to {n.exponent}: {exc}", n.pos) from exc
         if isinstance(n, Call):
             return _call(n, ctx)
         raise TypeError(f"not an AST node: {n!r}")
@@ -440,12 +443,27 @@ def _norm(series: LaurentSeries) -> int:
     return sum(map(abs, series.data))
 
 
+def _sized_product(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """a * b, refused above POWER_BITS_MAX bits: its slots below the precision ×
+    ring.width × the bits of ``_kron_mul``'s digits for the two factors."""
+    la, lb = len(a.data) // a.ring.width, len(b.data) // b.ring.width
+    slots = min(la + lb - 1, a.prec - a.valuation, b.prec - b.valuation)
+    bits_a = max(map(abs, a.data), default=0).bit_length()
+    bits_b = bits_a if b is a else max(map(abs, b.data), default=0).bit_length()
+    need = slots * max(a.ring.width, b.ring.width) * (bits_a + bits_b + min(la, lb).bit_length())
+    if need > POWER_BITS_MAX:
+        raise ValueError(f"a product of {la} and {lb} terms needs {need} bits, "
+                         f"more than the cap of {POWER_BITS_MAX}")
+    return a * b
+
+
 def _inverse_of(series: LaurentSeries, ctx: EvalCtx) -> LaurentSeries:
+    """1/series, its Newton products sized by ``_sized_product``."""
     if series.prec != INF:
-        return series.inverse()  # as many terms as the series knows
+        return series.inverse(product=_sized_product)  # as many terms as the series knows
     # an exact polynomial from q^v: prec + v terms, so that the final truncation is exact
     prec = ctx.prec + max(0, -2 * series.valuation) + 1
     if series.data and prec + series.valuation > TERMS_MAX:
         raise ValueError(f"the inverse of an exact polynomial from q^{series.valuation} needs "
                          f"{prec + series.valuation} terms, more than the cap of {TERMS_MAX}")
-    return series.inverse(prec=prec)
+    return series.inverse(prec=prec, product=_sized_product)

@@ -1,11 +1,12 @@
 """The partition quadruples behind u(n) and v(n): enumeration and rank counts.
 
-A quadruple (p1, p2, p3, p4) of partitions belongs to the family U when p1 is
-non-empty, the smallest part of p1 is minimal among all four partitions, and
-the largest part of p4 is at most twice that smallest part.  V additionally
-requires the smallest part of p1 to repeat.  The omega statistic counts the
-parts of p1 that equal s(p1) or exceed s(p1) + #(p4); the u-rank and v-rank
-are omega - 1 (resp. omega - 2) + 2#(p2) - 2#(p3) - #(p4).
+A quadruple is a 4-tuple (p1, p2, p3, p4) of partitions, each a tuple of parts
+in non-increasing order.  It belongs to the family U (``in_family``) when p1 is
+non-empty, the smallest part s(p1) is minimal among all four partitions, and
+the largest part of p4 is at most 2 s(p1); V additionally requires s(p1) to
+repeat.  ``omega`` counts the parts of p1 that equal s(p1) or exceed s(p1) +
+#(p4); the u-rank and v-rank (``rank``) are omega - 1 (resp. omega - 2) +
+2#(p2) - 2#(p3) - #(p4).
 
 Two independent paths serve two jobs.  Enumeration lists every member and
 serves the rank tables (``enumerate_quadruples``, ``rank_table``); it grows
@@ -18,85 +19,40 @@ against the other.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-UNBOUNDED = math.inf  # smallest part of the empty partition
 RANKTABLE_MAX_N = 18   # u(18) = 380,475 rows
 CLASSES_MAX_N = 40
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    parts: tuple[int, ...]
-
-    @staticmethod
-    def of(parts) -> "Partition":
-        parts = tuple(parts)
-        if any(p < 1 for p in parts) or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be positive and non-increasing, got {parts}")
-        return Partition(parts)
-
-    def smallest(self):
-        return self.parts[-1] if self.parts else UNBOUNDED
-
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
-
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def count(self) -> int:
-        return len(self.parts)
-
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    def label(self) -> str:
-        return "+".join(str(p) for p in self.parts) if self.parts else "-"
-
-    def __str__(self):
-        return self.label()
+def in_family(quad, kind: str) -> bool:
+    """Whether the quadruple (p1, p2, p3, p4) belongs to U (kind "u") or V ("v")."""
+    p1, p2, p3, p4 = quad
+    if not p1:
+        return False
+    s = p1[-1]
+    if any(p and p[-1] < s for p in (p2, p3, p4)) or (p4 and p4[0] > 2 * s):
+        return False
+    return kind == "u" or (len(p1) >= 2 and p1[-2] == s)
 
 
-EMPTY = Partition(())
+def omega(quad) -> int:
+    """How many parts of p1 equal s(p1) or exceed s(p1) + #(p4)."""
+    p1, p4 = quad[0], quad[3]
+    s = p1[-1]
+    cutoff = s + len(p4)
+    return sum(1 for p in p1 if p == s or p > cutoff)
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    p1: Partition
-    p2: Partition
-    p3: Partition
-    p4: Partition
+def rank(quad, kind: str) -> int:
+    """The u-rank (kind "u") or v-rank ("v") of a family member."""
+    return omega(quad) + _rank_offset(quad, kind)
 
-    def total(self) -> int:
-        return self.p1.total() + self.p2.total() + self.p3.total() + self.p4.total()
 
-    def in_family(self, kind: str) -> bool:
-        if self.p1.is_empty():
-            return False
-        s = self.p1.smallest()
-        if not (s <= self.p2.smallest() and s <= self.p3.smallest() and s <= self.p4.smallest()):
-            return False
-        if self.p4.largest() > 2 * s:
-            return False
-        if kind == "v":
-            return self.p1.count() >= 2 and self.p1.parts[-2] == s
-        return True
-
-    def omega(self) -> int:
-        s = self.p1.smallest()
-        cutoff = s + self.p4.count()
-        return sum(1 for p in self.p1.parts if p == s or p > cutoff)
-
-    def rank(self, kind: str) -> int:
-        base = 1 if kind == "u" else 2
-        return (self.omega() - base + 2 * self.p2.count()
-                - 2 * self.p3.count() - self.p4.count())
-
-    def sort_key(self):
-        return (self.p1.smallest(), self.p1.parts, self.p2.parts, self.p3.parts, self.p4.parts)
+def _rank_offset(quad, kind: str) -> int:
+    """The rank less omega: 2#(p2) - 2#(p3) - #(p4), less 1 (u) or 2 (v)."""
+    _, p2, p3, p4 = quad
+    return 2 * len(p2) - 2 * len(p3) - len(p4) - (1 if kind == "u" else 2)
 
 
 def _check_kind(kind: str):
@@ -116,18 +72,7 @@ def _partitions(total: int, min_part: int, max_part) -> tuple:
     return tuple(out)
 
 
-def partitions_bounded(total: int, min_part: int = 1, max_part=None) -> list[Partition]:
-    """All partitions of ``total`` with parts in [min_part, max_part]."""
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if min_part < 1:
-        raise ValueError("min_part must be >= 1")
-    if max_part is not None and (max_part is UNBOUNDED or max_part == UNBOUNDED):
-        max_part = None
-    return [Partition(p) for p in _partitions(total, min_part, max_part)]
-
-
-def enumerate_quadruples(n: int, kind: str = "u") -> list[Quadruple]:
+def enumerate_quadruples(n: int, kind: str = "u") -> list[tuple]:
     """All family members with total part-sum n, in deterministic order.
 
     Members are generated by the smallest part s of p1: p1 runs over
@@ -144,16 +89,15 @@ def enumerate_quadruples(n: int, kind: str = "u") -> list[Quadruple]:
         anchor = (s,) * forced
         for t1 in range(forced * s, n + 1):
             for core in _partitions(t1 - forced * s, s, None):
-                p1 = Partition(core + anchor)
+                p1 = core + anchor
                 rem = n - t1
                 for t2 in range(rem + 1):
-                    for c2 in _partitions(t2, s, None):
+                    for p2 in _partitions(t2, s, None):
                         for t3 in range(rem - t2 + 1):
-                            for c3 in _partitions(t3, s, None):
-                                for c4 in _partitions(rem - t2 - t3, s, 2 * s):
-                                    quads.append(Quadruple(p1, Partition(c2),
-                                                           Partition(c3), Partition(c4)))
-    quads.sort(key=Quadruple.sort_key)
+                            for p3 in _partitions(t3, s, None):
+                                for p4 in _partitions(rem - t2 - t3, s, 2 * s):
+                                    quads.append((p1, p2, p3, p4))
+    quads.sort(key=lambda quad: (quad[0][-1], quad))
     return quads
 
 
@@ -262,32 +206,23 @@ def class_counts(n: int, kind: str, ell: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class RankTableRow:
-    quadruple: Quadruple
-    omega: int
-    rank: int
-    mod3: int
-    mod5: int
-    mod7: int
-
-    def as_dict(self) -> dict:
-        qd = self.quadruple
-        return {
-            "p1": qd.p1.label(), "p2": qd.p2.label(),
-            "p3": qd.p3.label(), "p4": qd.p4.label(),
-            "omega": self.omega, "rank": self.rank,
-            "mod3": self.mod3, "mod5": self.mod5, "mod7": self.mod7,
-        }
-
-
 RANK_TABLE_COLUMNS = ("p1", "p2", "p3", "p4", "omega", "rank", "mod3", "mod5", "mod7")
 
 
-def rank_table(n: int, kind: str = "u") -> list[RankTableRow]:
-    """Full rank table for the family members of n, in enumeration order."""
+def rank_table(n: int, kind: str = "u") -> list[dict]:
+    """One row per family member of n, in enumeration order, keyed by RANK_TABLE_COLUMNS.
+
+    A partition is labelled by its parts joined with "+", the empty one "-".
+    """
+    labels = {}
     rows = []
-    for qd in enumerate_quadruples(n, kind):
-        r = qd.rank(kind)
-        rows.append(RankTableRow(qd, qd.omega(), r, r % 3, r % 5, r % 7))
+    for quad in enumerate_quadruples(n, kind):
+        for p in quad:
+            if p not in labels:
+                labels[p] = "+".join(map(str, p)) or "-"
+        p1, p2, p3, p4 = quad
+        w = omega(quad)
+        r = w + _rank_offset(quad, kind)
+        rows.append({"p1": labels[p1], "p2": labels[p2], "p3": labels[p3], "p4": labels[p4],
+                     "omega": w, "rank": r, "mod3": r % 3, "mod5": r % 5, "mod7": r % 7})
     return rows

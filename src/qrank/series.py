@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from operator import add, floordiv, lshift, mul, neg, or_, sub
 
-from .cyclotomic import QQ, CycQ, _reduce_residues, as_rational, cyclotomic_field
+from .cyclotomic import QQ, CycQ, _reduce_residues, as_rational, cyclotomic_field, format_terms
 
 INF = math.inf
 
@@ -160,20 +160,7 @@ class ZLaurentPoly:
                 yield self.lowest + i, c
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in self.items():
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "z" if k == 1 else f"z^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(self.items(), "z")
 
     __repr__ = __str__
 
@@ -443,16 +430,23 @@ class LaurentSeries:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        return self.power(k)
+
+    def power(self, k: int, product=mul) -> "LaurentSeries":
+        """self^k by squarings and products, each taken by ``product`` (a * b by
+        default); k < 0 raises the inverse to -k."""
         if k < 0:
-            return self.inverse() ** (-k)
-        result = LaurentSeries.const(self.ring, self.ring.one, self.prec if k == 0 else INF)
-        base = self
-        while k:
+            return self.inverse(product=product).power(-k, product)
+        if k == 0:
+            return LaurentSeries.const(self.ring, self.ring.one, self.prec)
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else product(result, base)
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = product(base, base)
 
     def scale(self, c) -> "LaurentSeries":
         """Multiply every coefficient by the scalar c."""
@@ -474,14 +468,14 @@ class LaurentSeries:
         """Multiply by q^k."""
         return _new(self.ring, self.valuation + k, self.den, self.data, self.prec + k)
 
-    def inverse(self, prec=None) -> "LaurentSeries":
+    def inverse(self, prec=None, product=None) -> "LaurentSeries":
         """Multiplicative inverse to precision ``self.prec - 2*valuation``.
 
         Requires an invertible leading coefficient.  ``prec`` overrides the
         output precision (never upward past what the input supports unless the
-        input is exact).
+        input is exact); ``product`` takes the products of the Newton steps.
         """
-        return _inverse(self, prec)
+        return _inverse(self, prec, product or _mul)
 
     # -- structural operations ------------------------------------------
 
@@ -653,7 +647,7 @@ def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return _make(ring, val, a.den * b.den, raw, prec)
 
 
-def _newton(f: LaurentSeries, n: int) -> LaurentSeries:
+def _newton(f: LaurentSeries, n: int, product) -> LaurentSeries:
     """1/f to n terms, for f of valuation 0 with constant term exactly 1.
 
     Newton's step g -> g - g (f g - 1) doubles the number of correct terms;
@@ -664,15 +658,15 @@ def _newton(f: LaurentSeries, n: int) -> LaurentSeries:
     while done < n:
         step = min(2 * done, n)
         g = g.with_prec(step)
-        fg = _mul(f.truncate(step), g)
+        fg = product(f.truncate(step), g)
         tail = fg.data[(done - fg.valuation) * fg.ring.width:]
         if tail:
-            g = _combine(g, _mul(g, _new(fg.ring, done, fg.den, tail, step)), sub)
+            g = _combine(g, product(g, _new(fg.ring, done, fg.den, tail, step)), sub)
         done = step
     return g
 
 
-def _inverse(s: LaurentSeries, prec=None) -> LaurentSeries:
+def _inverse(s: LaurentSeries, prec, product) -> LaurentSeries:
     if not s.data:
         raise ZeroDivisionError("inverting a series with no known nonzero coefficient")
     v = s.valuation
@@ -685,7 +679,7 @@ def _inverse(s: LaurentSeries, prec=None) -> LaurentSeries:
     if terms <= 0:
         return LaurentSeries.zero(s.ring, out_prec)
     unit = s.shift(-v).scale(lead_inv)
-    return _newton(unit, terms).scale(lead_inv).shift(-v)
+    return _newton(unit, terms, product).scale(lead_inv).shift(-v)
 
 
 def _cyclic_lift(coords) -> list:

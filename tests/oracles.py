@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
-from qrank.quadruples import enumerate_quadruples
+from qrank.quadruples import enumerate_quadruples, rank
 from qrank.series import LaurentSeries, ZLaurentPoly
 
 
@@ -364,6 +364,6 @@ def ref_rank_counts(n: int, kind: str) -> dict[int, int]:
     """Rank histogram of the family members of n, by listing every member."""
     counts: dict[int, int] = {}
     for qd in enumerate_quadruples(n, kind):
-        r = qd.rank(kind)
+        r = rank(qd, kind)
         counts[r] = counts.get(r, 0) + 1
     return dict(sorted(counts.items()))

@@ -8,7 +8,7 @@ import pytest
 
 from qrank import verify
 from qrank.cli import ELL_MAX, MOD_MAX, PREC_MAX, main
-from qrank.cyclotomic import cyclotomic_field
+from qrank.cyclotomic import QQ, cyclotomic_field
 from qrank.qexpr import POWER_BITS_MAX, TERMS_MAX
 from qrank.quadruples import CLASSES_MAX_N, RANKTABLE_MAX_N
 from qrank.series import LaurentSeries
@@ -243,11 +243,21 @@ def test_large_exact_sums_products_and_inverses_refused_at_once(capsys):
     for expr, cap in (("1 + q^2000000", f"bits, more than the cap of {POWER_BITS_MAX}"),
                       ("(1 + q^600000)*(1 - q^600000)", f"bits, more than the cap of {POWER_BITS_MAX}"),
                       ("1/(q^10050+2*q^10051)", f"terms, more than the cap of {TERMS_MAX}"),
-                      ("(q^10050+2*q^10051)^-2", f"terms, more than the cap of {TERMS_MAX}")):
+                      ("(q^10050+2*q^10051)^-2", f"terms, more than the cap of {TERMS_MAX}"),
+                      # 1/(1 + 2q) to 10,000 terms would hold 2^9999-sized coefficients
+                      ("1/(q^9989+2*q^9990)", f"bits, more than the cap of {POWER_BITS_MAX}"),
+                      ("1/(q^1014+2*q^1015)", f"bits, more than the cap of {POWER_BITS_MAX}")):
         start = time.perf_counter()
         assert main(["coeffs", "--expr", expr, "--prec", "10"]) == 2, expr
         assert time.perf_counter() - start < 1
         assert cap in capsys.readouterr().err
+
+
+def test_large_powers_of_truncated_series_refused(capsys):
+    start = time.perf_counter()
+    assert main(["coeffs", "--expr", "(2+E(1))^200000", "--prec", "10"]) == 2
+    assert time.perf_counter() - start < 10
+    assert f"bits, more than the cap of {POWER_BITS_MAX}" in capsys.readouterr().err
 
 
 def test_exact_layouts_and_inverses_under_the_caps_keep_their_output(capsys):
@@ -259,6 +269,17 @@ def test_exact_layouts_and_inverses_under_the_caps_keep_their_output(capsys):
     inverse = LaurentSeries(field, 0, [field.one + field.zeta(1), field.one]).inverse(prec=40)
     assert main(["coeffs", "--expr", "1/(1 + zeta + q)", "--ell", "13", "--prec", "40"]) == 0
     assert capsys.readouterr().out == f"{inverse}\n"
+    # inverses whose coefficients grow slowly keep their output at the largest precision
+    field = cyclotomic_field(5)
+    for expr, ring, coeffs in (("1/(1-q)^2", QQ, [n + 1 for n in range(1000)]),
+                               ("1/((1-q)*(1-q^2)*(1-q^3))", QQ, [((n + 3) ** 2 + 6) // 12 for n in range(1000)]),
+                               ("1/(1-zeta*q)", field, [field.zeta(n) for n in range(1000)])):
+        assert main(["coeffs", "--expr", expr, "--ell", "5", "--prec", "1000"]) == 0, expr
+        assert capsys.readouterr().out == f"{LaurentSeries(ring, 0, coeffs, 1000)}\n", expr
+    # the largest 1/(q^m + 2 q^(m+1)) under the size cap at prec 10
+    inverse = LaurentSeries(QQ, 1013, [1, 2]).inverse(prec=11)
+    assert main(["coeffs", "--expr", "1/(q^1013+2*q^1014)", "--prec", "10"]) == 0
+    assert capsys.readouterr().out == f"{inverse.truncate(10)}\n"
 
 
 def test_coefficients_past_the_int_to_str_digit_cap_are_written(capsys):

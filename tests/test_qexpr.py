@@ -241,6 +241,16 @@ def test_negative_power_keeps_the_precision_of_a_quotient(base):
         assert evaluate(f"({base})^-{k}", ctx) == evaluate(f"1/({base})^{k}", ctx), k
 
 
+@pytest.mark.parametrize("expr, prec, const, k", [
+    ("E(1)^1000", 100, 0, 1000), ("E(1)^1000", 300, 0, 1000), ("E(1)^-1000", 100, 0, -1000),
+    ("E(1)^-1000", 300, 0, -1000), ("(2+E(1))^10000", 3, 2, 10000)])
+def test_sized_powers_of_truncated_series_equal_plain_powers(expr, prec, const, k):
+    base = LaurentSeries.const(QQ, const) + E_series(1, prec)
+    direct = base ** k if k > 0 else base.inverse() ** -k
+    ctx = EvalCtx(ell=5, prec=prec)
+    assert evaluate(expr, ctx) == direct.promote(cyclotomic_field(5)).truncate(prec)
+
+
 def test_import_loads_neither_the_cli_nor_the_check_registry():
     script = "import sys, qrank.qexpr; print(sorted({'qrank.cli', 'qrank.verify'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

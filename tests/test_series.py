@@ -243,12 +243,11 @@ def test_gauss_binomial_counts_boxes(n, m):
 
 def test_gauss_binomial_shifted_counts_banded_parts():
     # q^(nm) * gauss(n, m) counts partitions into exactly m parts in [n, 2n]
-    from qrank.quadruples import partitions_bounded
+    from qrank.quadruples import _partitions
     for n, m in [(2, 3), (3, 3), (4, 2), (5, 4), (6, 5)]:
         shifted = gauss_binomial(n, m).shift(n * m)
         for total in range(n * m, 2 * n * m + 1):
-            matching = [p for p in partitions_bounded(total, n, 2 * n)
-                        if p.count() == m]
+            matching = [p for p in _partitions(total, n, 2 * n) if len(p) == m]
             assert shifted.coefficient(total) == len(matching)
 
 
