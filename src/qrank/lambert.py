@@ -163,9 +163,9 @@ def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
             continue
         block = FactorBlock(QQ, n)
         for start, step, power in ranges:
-            for _ in range(abs(power)):
+            for _ in range(abs(power) if start < n else 0):
                 block.factor(1, range(start, n, step), divide=power < 0)
-        term = block.series(n) if t is None else t * block.series(n)
+        term = block.series(n) if t is None else t * block.series(n) if ranges else t
         if isinstance(coeff, tuple):
             coeff = sum((ring.zeta(j) * c for c, j in coeff), ring.zero)
         total = total + term.scale(coeff * sign).shift(shift)

@@ -15,7 +15,8 @@ bare integer, so "q^2/3" is (q^2)/3.  Functions: E(a), P(a),
 T(a,b,l), poch(zpow,qpow,step,count|inf), jac(zpow,qpow,step), U(), V(),
 RU(l), RV(l), RHS(id), F(a,b,c,l), G(a,b,c,l), where zpow and the F/G scalar
 arguments are powers of the ambient zeta.  Evaluation is exact, over
-Q(zeta_ell) at the context precision; all errors carry a byte offset.
+Q(zeta_ell) at the context precision; all errors carry a byte offset.  A sum of
+E/P/T monomials is one ``lambert.theta_sum`` table, exact whatever its q-shifts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
-from .lambert import E_series, P_series, TSpec, _reduce_p_argument, lambert_T, t_valuation
+from .lambert import TSpec, _reduced_factors, t_valuation, term_valuation, theta_sum
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .series import INF, LaurentSeries, _poch_shift, jacprod, poch
 
@@ -325,7 +326,6 @@ def _int_args(node, args, count=None):
 def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
     field = cyclotomic_field(ctx.ell)
     name, args = node.name, node.args
-    below = f"terms below q^{ctx.prec}"
     # RU(l), RV(l), RHS(id) and F/G(..., l) are series over Q(zeta_l) at their own l
     if name == "RHS" and args[0] not in IDENTITY_NAMES:
         raise QExprEvalError(f"unknown identity {args[0]!r}; expected one of {IDENTITY_NAMES}", node.pos)
@@ -335,34 +335,21 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
             raise QExprEvalError(f"{render(node)} needs the ambient ell to be {ell}; pass --ell {ell}",
                                  node.pos)
     try:
-        if name == "E":
-            (a,) = _int_args(node, args)
-            return E_series(a, ctx.prec)
-        if name == "P":
-            (a,) = _int_args(node, args)
-            if a % ctx.ell:
-                _refuse_oversized(node, ctx.prec - _reduce_p_argument(a, ctx.ell)[1], TERMS_MAX, below)
-            return P_series(a, ctx.ell, ctx.prec)
-        if name == "T":
-            a, b, ell = _int_args(node, args)
-            if ell > ELL_MAX:
-                raise QExprEvalError(f"{render(node)}: l must be at most {ELL_MAX}, got {ell}", node.pos)
-            spec = TSpec(a, b, ell)
-            _refuse_oversized(node, ctx.prec - t_valuation(spec), TERMS_MAX, below)
-            return lambert_T(spec, ctx.prec)
-        if name == "poch":
+        if name in ("poch", "jac"):
             zpow, qpow, step = _int_args(node, args, 3)
+            # at zeta^zpow = 1 the product is rational; ``evaluate`` promotes it
+            ring, c = (QQ, 1) if zpow % ctx.ell == 0 else (field, field.zeta(zpow))
+            if name == "jac":
+                return jacprod(ring, c, qpow, step, ctx.prec)
             count = args[3]
             if count == "inf":
                 count = INF
             elif not isinstance(count, int):
                 raise QExprEvalError(f"poch count must be an integer or 'inf', got {count!r}", node.pos)
             if step >= 1 and count != INF:
-                _refuse_oversized(node, ctx.prec - _poch_shift(qpow, step, count), TERMS_MAX, below)
-            return poch(field, field.zeta(zpow), qpow, step, count, ctx.prec)
-        if name == "jac":
-            zpow, qpow, step = _int_args(node, args)
-            return jacprod(field, field.zeta(zpow), qpow, step, ctx.prec)
+                _refuse_oversized(node, ctx.prec - _poch_shift(qpow, step, count), TERMS_MAX,
+                                  f"terms below q^{ctx.prec}")
+            return poch(ring, c, qpow, step, count, ctx.prec)
         if name in ("U", "V"):
             return rank_series(name.lower(), "DEFINITION", ctx.prec)
         if name in ("RU", "RV"):
@@ -380,6 +367,104 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
     raise QExprEvalError(f"unknown function {name!r}", node.pos)
 
 
+# -- sums of E/P/T monomials as one theta_sum table -----------------------------
+
+
+def _shape(node, shapes: dict):
+    """"theta": a monomial with an E, P or T call; "scalar": one without (a product, quotient
+    or power of rationals and q); "sum": a sum or difference of monomials; None otherwise.
+    Cached in ``shapes`` by id(node) beside the node, so no other node takes that id."""
+    if id(node) not in shapes:
+        shape = "scalar" if isinstance(node, (Num, Q)) else None
+        if isinstance(node, Call):
+            shape = "theta" if node.name in ("E", "P", "T") else None
+        elif isinstance(node, (BinOp, Pow)):
+            kids = (node.base,) if isinstance(node, Pow) else (node.left, node.right)
+            parts = set(map(_shape, kids, [shapes] * 2))  # one frame per level, as in ev
+            if isinstance(node, BinOp) and node.op in "+-":
+                shape = None if None in parts else "sum"
+            else:
+                shape = None if parts & {None, "sum"} else max(parts)  # "theta" > "scalar"
+        shapes[id(node)] = node, shape
+    return shapes[id(node)][1]
+
+
+def _summands(node, sign=1):
+    """[(sign, monomial), ...] of a node of shape "sum" or a monomial."""
+    if isinstance(node, BinOp) and node.op in "+-":
+        return _summands(node.left, sign) + _summands(node.right, sign if node.op == "+" else -sign)
+    return [(sign, node)]
+
+
+def _theta_call(node: Call, ctx: EvalCtx):
+    """The monomial of an E, P or T call, refused as the lone call always was."""
+    args, name = _int_args(node, node.args), node.name
+    if name == "T" and args[2] > ELL_MAX:
+        raise QExprEvalError(f"{render(node)}: l must be at most {ELL_MAX}, got {args[2]}", node.pos)
+    try:
+        # at power -1 a P(x) with ell | x raises, as it does alone, and the shift is negated
+        need = -t_valuation(TSpec(*args)) if name == "T" else _reduced_factors(ctx.ell, 0, ((name, *args, -1),))[1]
+    except ValueError as exc:
+        raise QExprEvalError(str(exc), node.pos) from exc
+    if name != "E":
+        _refuse_oversized(node, ctx.prec + need, TERMS_MAX, f"terms below q^{ctx.prec}")
+    return [Fraction(1), 0, {} if name == "T" else {(name, *args): 1}, args if name == "T" else None]
+
+
+def _monomial(node, ctx: EvalCtx, ev, shapes: dict):
+    """[c, s, {(kind, x): k}, (a, b, l) or None] for c q^s T(a, b, l) prod E(x)^k P(x)^k,
+    a node of some ``_shape``, its scalar parts evaluated by ``ev`` with all their
+    refusals; None leaves it to the generic path: a zero scalar, a T twice, divided
+    or raised, and a power but +-1 of a coefficient but +-1 (sized there)."""
+    if _shape(node, shapes) == "scalar":
+        value = ev(node)  # one term c q^s, or zero
+        return [value.coefficient(value.valuation), value.valuation, {}, None] if value.data else None
+    if isinstance(node, Call):
+        return _theta_call(node, ctx)
+    if isinstance(node, Pow):
+        base, k = _monomial(node.base, ctx, ev, shapes), node.exponent
+        if base is None or (base[3] and k != 1) or (abs(k) > 1 and abs(base[0]) != 1):
+            return None
+        return [base[0] ** k, base[1] * k, {f: p * k for f, p in base[2].items()}, base[3]]
+    left, right = _monomial(node.left, ctx, ev, shapes), node.right
+    if node.op == "/":  # 1/right is a scalar node if right is one, evaluated and refused as "/" is
+        scalar = _shape(right, shapes) == "scalar"
+        right = BinOp("/", Num(Fraction(1)), right, node.pos) if scalar else Pow(right, -1, node.pos)
+    right = None if left is None else _monomial(right, ctx, ev, shapes)
+    if right is None or (left[3] and right[3]):
+        return None
+    powers = {f: left[2].get(f, 0) + right[2].get(f, 0) for f in left[2] | right[2]}
+    return [left[0] * right[0], left[1] + right[1], powers, left[3] or right[3]]
+
+
+def _theta_table(node, ctx: EvalCtx, ev, shapes: dict):
+    """(ell, terms) for ``theta_sum`` of a sum of monomials with an E, P or T call, each term
+    one FactorBlock of n = ctx.prec - its valuation terms; None, leaving it to the generic
+    path, when a term needs more factor passes (|k| per range of an E(x)^k or P(x)^k) than
+    terms or more than max(TERMS_MAX, ctx.prec) terms, or its P's and T's ask for two l."""
+    summands = _summands(node) if _shape(node, shapes) else []
+    if all(_shape(m, shapes) == "scalar" for _, m in summands):
+        return None
+    terms, ells = [], set()
+    for sign, m in summands:
+        mono = _monomial(m, ctx, ev, shapes)
+        if mono is None:
+            return None
+        c, shift, powers, lam = mono
+        factors = tuple((kind, x, k) for (kind, x), k in powers.items() if k)
+        ells |= ({lam[2]} if lam else set()) | ({ctx.ell} if any(f[0] == "P" for f in factors) else set())
+        terms.append((sign * c, shift, factors, lam and lam[:2]))
+    if len(ells) > 1:
+        return None
+    ell = ells.pop() if ells else ctx.ell
+    for term in terms:
+        n = ctx.prec - term_valuation(ell, term)
+        passes = sum(abs(k) * len(range(a, n, e)) for a, e, k in _reduced_factors(ell, 0, term[2])[2])
+        if passes > max(n, 0) or n > max(TERMS_MAX, ctx.prec):
+            return None
+    return ell, terms
+
+
 def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     """Evaluate an AST (or expression text) to a series over Q(zeta_ell), exact below ctx.prec.
 
@@ -388,17 +473,22 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     """
     if isinstance(node, str):
         node = parse(node)
-    field = cyclotomic_field(ctx.ell)
+    field, shapes = cyclotomic_field(ctx.ell), {}
 
-    def ev(n) -> LaurentSeries:
+    def ev(n, lower: bool = True) -> LaurentSeries:
         if isinstance(n, Num):
             return LaurentSeries.const(QQ, n.value)
         if isinstance(n, Q):
             return LaurentSeries.monomial(QQ, 1)
         if isinstance(n, Zeta):
             return LaurentSeries.const(field, field.zeta(n.power))
+        if isinstance(n, Call) or (lower and isinstance(n, (BinOp, Pow))):
+            table = _theta_table(n, ctx, ev, shapes)
+            if table is not None:
+                return theta_sum(*table, ctx.prec)
+            lower = not _shape(n, shapes)  # a monomial sum left generic lowers only its calls
         if isinstance(n, BinOp):
-            left, right = ev(n.left), ev(n.right)
+            left, right = ev(n.left, lower), ev(n.right, lower)
             if n.op != "/" and left.prec == right.prec == INF and left.data and right.data:
                 (la, na), (lb, nb) = ((len(s.data) // s.ring.width, _norm(s)) for s in (left, right))
                 lo, hi = min(left.valuation, right.valuation), max(left.valuation + la, right.valuation + lb)
@@ -410,7 +500,7 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
                 # of the four operations only a division can fail
                 raise QExprEvalError(f"cannot divide: {exc}", n.pos) from exc
         if isinstance(n, Pow):
-            base, k = ev(n.base), n.exponent
+            base, k = ev(n.base, lower), n.exponent
             # an exact b is expanded in full for b^k, and for b^-k at a positive
             # valuation v, as 1/b^|k|: (1/b)^|k| would need (|k| - 1) v more terms
             # of 1/b, and squaring those costs more than one inverse of b^|k|

@@ -175,6 +175,48 @@ def ref_poch_series(ring, c, a: int, b: int, count, prec: int):
     return LaurentSeries(ring, 0, ref_poch(ring.of(c), a, b, count, prec, ring.one, ring.zero), prec)
 
 
+def ref_monomial_sum(ell: int, terms, prec: int):
+    """The sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over terms (c, s, ((kind, x, k), ...),
+    (a, b) or None), exact below at least q^prec, by the generic route of the
+    expression evaluator: E(x) and P(x) as q-Pochhammer products, T by lambert_T,
+    and LaurentSeries products, inverses and powers.
+
+    P(x) is its two factor sets (q^(ell x); q^(ell^2))_inf (q^(ell^2 - ell x); q^(ell^2))_inf
+    as written, with no reduction of x: the factors with exponent <= 0 are one
+    exact finite product.  Each E, P and T is built to ``rel`` terms past its
+    valuation, and rel is raised until the sum is exact below q^prec.
+    """
+    from qrank.lambert import TSpec, lambert_T
+    from qrank.series import INF, poch
+
+    def factor(kind, x, rel):
+        if kind == "E":
+            return poch(QQ, 1, x, x, INF, rel)
+        out, step = LaurentSeries.const(QQ, 1), ell * ell
+        for start in (ell * x, step - ell * x):
+            below = -start // step + 1 if start < 1 else 0
+            out = out * poch(QQ, 1, start, step, below, INF) * poch(QQ, 1, start + below * step, step, INF, rel)
+        return out
+
+    def total(rel):
+        out = LaurentSeries.zero(QQ)
+        for c, s, factors, lam in terms:
+            term = LaurentSeries.monomial(QQ, s, c)
+            if lam is not None:
+                term = term * lambert_T(TSpec(*lam, ell), rel)
+            for kind, x, k in factors:
+                if k:
+                    f = factor(kind, x, rel)
+                    term = term * (f ** k if k > 0 else f.inverse() ** -k)
+            out = out + term
+        return out
+
+    rel = prec
+    while (out := total(rel)).prec < prec:
+        rel += prec - out.prec
+    return out
+
+
 def ref_gauss_binomial(n: int, m: int):
     """[n+m choose m]_q: q^|p| summed over the partitions p with at most m parts, each at most n."""
     counts: dict[int, int] = {}

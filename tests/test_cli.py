@@ -65,11 +65,20 @@ def test_coeffs_bad_expression_is_usage_error():
 
 
 def test_coeffs_precision_shortfall_is_usage_error():
-    # 1/E(1) is known to q^3, so q^-3/E(1) only below q^0
-    code, out, err = run_cli("coeffs", "--expr", "q^-3/E(1)", "--prec", "3", "--format", "json")
+    # 1/(1+E(1)) is known to q^3, so q^-3/(1+E(1)) only below q^0
+    code, out, err = run_cli("coeffs", "--expr", "q^-3/(1+E(1))", "--prec", "3", "--format", "json")
     assert code == 2
     assert out == ""
     assert "below q^0" in err and "precision 3" in err
+
+
+def test_coeffs_monomial_with_a_negative_shift_is_exact_to_the_precision():
+    # q^-3/E(1) is one theta_sum term, built to prec + 3 terms
+    code, out, _ = run_cli("coeffs", "--expr", "q^-3/E(1)", "--prec", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert (payload["valuation"], payload["prec"]) == (-3, 3)
+    assert [c[0] for c in payload["coeffs"]] == ["1/1", "1/1", "2/1", "3/1", "5/1", "7/1"]
 
 
 def test_ranktable_matches_worked_example():
@@ -251,6 +260,34 @@ def test_large_exact_sums_products_and_inverses_refused_at_once(capsys):
         assert main(["coeffs", "--expr", expr, "--prec", "10"]) == 2, expr
         assert time.perf_counter() - start < 1
         assert cap in capsys.readouterr().err
+
+
+def test_large_theta_powers_are_taken_by_squaring(capsys):
+    # |k| factor passes per power would take minutes; the power of the truncated
+    # series takes a few squarings, as for any other base
+    from qrank.lambert import E_series, P_series
+    for expr, base, k in (("E(1)^200000", E_series(1, 10), 200000),
+                          ("P(1)^-100000", P_series(1, 5, 10).inverse(), 100000),
+                          ("E(1)^-3000000", E_series(1, 10).inverse(), 3000000)):
+        start = time.perf_counter()
+        assert main(["coeffs", "--expr", expr, "--prec", "10"]) == 0
+        assert time.perf_counter() - start < 10, expr
+        assert capsys.readouterr().out == f"{base ** k}\n", expr
+
+
+@pytest.mark.parametrize("expr, ell, message", [
+    ("P(7)", 7, "P(7) is degenerate for ell = 7 (argument divisible by ell) (at offset 0)"),
+    ("P(7)^-1", 7, "P(7) is degenerate for ell = 7 (argument divisible by ell) (at offset 0)"),
+    ("2*P(7)^-1", 7, "P(7) is degenerate for ell = 7 (argument divisible by ell) (at offset 2)"),
+    ("E(0)", 5, "E(a) needs a >= 1, got 0 (at offset 0)"),
+    ("q*E(0)", 5, "E(a) needs a >= 1, got 0 (at offset 2)"),
+    ("T(3,1,3)", 5, "a = 3 is divisible by ell = 3; the denominator would vanish (at offset 0)"),
+    ("P(100001)", 7, "P(100001) needs 4999750010 terms below q^10, more than the cap of 10000 (at offset 0)"),
+    ("T(1,1000000,3)", 5, "T(1,1000000,3) needs 499998500014 terms below q^10, more than the cap of 10000 (at offset 0)"),
+])
+def test_theta_calls_in_monomials_are_refused_as_alone(capsys, expr, ell, message):
+    assert main(["coeffs", "--expr", expr, "--ell", str(ell), "--prec", "10"]) == 2
+    assert capsys.readouterr().err == f"qrank coeffs: {message}\n"
 
 
 def test_large_powers_of_truncated_series_refused(capsys):

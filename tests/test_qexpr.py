@@ -13,6 +13,8 @@ from qrank.qexpr import (BinOp, Call, EvalCtx, Num, Pow, Q, QExprEvalError,
 from qrank.rankgen import ru_at_root, u_series
 from qrank.series import LaurentSeries
 
+from oracles import ref_monomial_sum
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -249,6 +251,57 @@ def test_sized_powers_of_truncated_series_equal_plain_powers(expr, prec, const, 
     direct = base ** k if k > 0 else base.inverse() ** -k
     ctx = EvalCtx(ell=5, prec=prec)
     assert evaluate(expr, ctx) == direct.promote(cyclotomic_field(5)).truncate(prec)
+
+
+@st.composite
+def monomial_sums(draw):
+    """(ell, prec, text, terms): a sum of up to 3 monomials c q^s T(a, b, ell) prod E(x)^k P(x)^k
+    as expression text and as ``ref_monomial_sum`` terms.  The factors after c come
+    in any order, half of them written as divisions by the opposite power; half the
+    time the q-power and E/P parts are one power -1; the first coefficient is positive."""
+    ell = draw(st.sampled_from([3, 5, 7]))
+    text, terms = "", []
+    for i in range(draw(st.integers(1, 3))):
+        c = Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 4)))
+        c *= 1 if i == 0 else draw(st.sampled_from((1, -1)))
+        s = draw(st.integers(-20, 20))
+        parts, factors = [f"/q^{-s}" if draw(st.booleans()) else f"*q^{s}"], []
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from("EP"))
+            x = draw(st.integers(1, 30) if kind == "E"
+                     else st.integers(-3 * ell, 3 * ell).filter(lambda v: v % ell))
+            k = draw(st.integers(-4, 4))
+            parts.append(f"/{kind}({x})^{-k}" if k < 0 and draw(st.booleans()) else f"*{kind}({x})^{k}")
+            factors.append((kind, x, k))
+        if draw(st.booleans()):  # the q-power and E/P parts as the -1 power of their product
+            parts = [f"*(1{''.join(draw(st.permutations(parts)))})^-1"]
+            s, factors = -s, [(kind, x, -k) for kind, x, k in factors]
+        lam = draw(st.none() | st.tuples(st.integers(-2 * ell, 2 * ell).filter(lambda v: v % ell),
+                                         st.integers(-ell, ell)))
+        if lam is not None:
+            parts.append(f"*T({lam[0]},{lam[1]},{ell})")
+        text += ("" if i == 0 else " - " if c < 0 else " + ") + str(abs(c)) + "".join(draw(st.permutations(parts)))
+        terms.append((c, s, tuple(factors), lam))
+    return ell, draw(st.integers(1, 40)), text, terms
+
+
+@given(monomial_sums())
+@example((7, 30, "q^11*P(1)^2/(P(2)*P(3)^2) - q^4*P(2)/(P(1)*P(3)) + q^4*P(3)/P(2)^2",
+          [(1, 11, (("P", 1, 2), ("P", 2, -1), ("P", 3, -2)), None),
+           (-1, 4, (("P", 2, 1), ("P", 1, -1), ("P", 3, -1)), None),
+           (1, 4, (("P", 3, 1), ("P", 2, -2)), None)]))
+@example((5, 12, "1/2*q^-7/E(3)*T(1,-2,5) - 3*q^2*P(-9)^-2", [
+    (Fraction(1, 2), -7, (("E", 3, -1),), (1, -2)), (-3, 2, (("P", -9, -2),), None)]))
+def test_monomial_sums_match_the_generic_route(case):
+    ell, prec, text, terms = case
+    try:
+        got = evaluate(text, EvalCtx(ell=ell, prec=prec))
+    except QExprEvalError as exc:
+        # a term with more factor passes than terms is left to the generic
+        # route, which knows a negative shift to less than the precision
+        assert "exact only below" in str(exc)
+        return
+    assert got.equal_upto(ref_monomial_sum(ell, terms, prec), prec) is None
 
 
 def test_import_loads_neither_the_cli_nor_the_check_registry():
