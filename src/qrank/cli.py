@@ -11,12 +11,12 @@ exit 2 before any work: a precision (``coeffs --prec``, QRANK_PREC, ``verify
 --prec``) above PREC_MAX or below 1, a ``congruence --max`` above PREC_MAX or
 below ``--residue``, ``coeffs --ell`` above ELL_MAX, ``classes --mod`` above
 MOD_MAX, a ``coeffs`` P, T or finite poch needing more than ``qexpr.TERMS_MAX``
-terms, a ``coeffs`` T whose own l is above ELL_MAX, a ``coeffs`` sum,
-difference, product or power of exact polynomials needing more than
-``qexpr.POWER_BITS_MAX`` bits, and a ``coeffs`` inverse of an exact polynomial
-needing more than ``qexpr.TERMS_MAX`` terms.  A ``coeffs`` power of a truncated
-series or inverse stops with exit 2 at the first of its products that needs
-more than ``qexpr.POWER_BITS_MAX`` bits.
+terms, a ``coeffs`` T whose own l is above ELL_MAX, and a ``coeffs`` inverse
+of an exact polynomial needing more than ``qexpr.TERMS_MAX`` terms.  ``coeffs``
+also stops with exit 2 at the first sum, difference or product (a power's
+squarings and an inverse's Newton steps included) or theta-table term that
+needs more than ``qexpr.POWER_BITS_MAX`` bits, and at an expression nested
+too deeply to parse or evaluate.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ E/P/T monomials is one ``lambert.theta_sum`` table, exact whatever its q-shifts.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
 from .lambert import TSpec, _reduced_factors, t_valuation, term_valuation, theta_sum
@@ -90,15 +90,9 @@ class Call:
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
 _RATIONAL = re.compile(r"(\d+)/(\d+)")
 
-# operator -> (binding power, spelling, operation on two series at an EvalCtx);
-# "/" is spaced so that a rendered quotient of two integers is not read back as
-# a rational literal
-BINARY = {
-    "+": (1, " + ", lambda a, b, ctx: a + b),
-    "-": (1, " - ", lambda a, b, ctx: a - b),
-    "*": (2, "*", lambda a, b, ctx: a * b),
-    "/": (2, " / ", lambda a, b, ctx: a * _inverse_of(b, ctx)),
-}
+# operator -> (binding power, spelling); "/" is spaced so that a rendered
+# quotient of two integers is not read back as a rational literal
+BINARY = {"+": (1, " + "), "-": (1, " - "), "*": (2, "*"), "/": (2, " / ")}
 
 # name -> arity; args are integers except the keyword slots noted in eval
 FUNCTIONS = {
@@ -146,7 +140,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise QExprSyntaxError("expression nested too deeply", self.peek()[2]) from None
         tok = self.peek()
         if tok[0] != "END":
             raise QExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
@@ -256,7 +253,7 @@ def render(node) -> str:
     if isinstance(node, Zeta):
         return "zeta" if node.power == 1 else f"zeta^{node.power}"
     if isinstance(node, BinOp):
-        level, spelling, _ = BINARY[node.op]
+        level, spelling = BINARY[node.op]
         return f"{wrap(node.left, level)}{spelling}{wrap(node.right, level + 1)}"
     if isinstance(node, Pow):
         # a bare zeta base would re-parse as Zeta(power); keep the Pow explicit
@@ -291,28 +288,44 @@ class EvalCtx:
 # terms and takes 0.9 s, P(451) 100,585 and 25 s), and so is a T whose own l
 # is above ELL_MAX, before ``cyclotomic_field`` tests that it is prime.
 TERMS_MAX = 10_000
-# An exact result of + - * on exact operands, or a power b^k (and b^-k at positive
-# valuation, which is 1/b^|k|) of an exact b, is laid out densely whatever the
-# precision: slots of ring.width coordinates of at most log2 |result|_1 bits,
-# where |a + b|_1 <= |a|_1 + |b|_1 and |a b|_1 <= |a|_1 |b|_1.  One above
-# POWER_BITS_MAX bits in all is refused before it is built, as is each product of
-# a power of a truncated series or of an inverse's Newton steps, sized from its
-# factors' coordinates by ``_sized_product``.  Below the cap, on a 2-core
-# x86 machine, 2^1048576 takes 1.9-5 s, (2 + E(1))^60000 at prec 10 0.9 s and
-# (1 + q)^1023 0.07 s; above it, (1 + q)^8000 took 42 s, 1 + q^10000000 peaked at
-# 549 MB and 1/(q^9989 + 2 q^9990) at 101 MB.
+# One size rule bounds every sum, difference and product, each product of a power's
+# squarings or an inverse's Newton steps (all taken by ``_sized``) and each theta-table
+# term before it is built: its slots below the precision (all of them for an exact
+# polynomial) × ring.width × the bits of a bound on its coordinates and denominator
+# (``_bits``) may not exceed POWER_BITS_MAX.  On a 2-core x86 machine 2^1000000 takes
+# 0.01 s and (1 + q)^1023 0.06 s; above the cap, (1 + q)^8000 took 42 s, 2^1000000 times
+# 30 factors E(1)^2 at prec 10 58-64 s and 1 + q^10000000 peaked at 549 MB.
 POWER_BITS_MAX = 1 << 20
+_OPERATIONS = {"+": ("a sum", add), "-": ("a difference", sub), "*": ("a product", mul)}
+
+
+def _bits(slots: int, width: int, bound: int) -> int:
+    return slots * width * bound.bit_length()
+
+
+def _sized(a: LaurentSeries, b: LaurentSeries, op: str = "*") -> LaurentSeries:
+    """a op b for op "+", "-" or "*", refused above POWER_BITS_MAX ``_bits``.  A coordinate of a * b
+    is at most max|a| max|b| min(len a, len b), times 2 width - 1 when reducing mod the cyclotomic
+    polynomial adds raw ones; of a ± b, max|a| den b or max|b| den a, or their sum if they overlap."""
+    if a.data and b.data:
+        (wa, la, ma), (wb, lb, mb) = ((s.ring.width, len(s.data) // s.ring.width,
+                                       max(s.den, max(map(abs, s.data)))) for s in (a, b))
+        if op == "*":
+            slots = min(la + lb - 1, a.prec - a.valuation, b.prec - b.valuation)
+            bound = ma * mb * min(la, lb) * (2 * min(wa, wb) - 1)
+        else:
+            lo, hi = min(a.valuation, b.valuation), max(a.valuation + la, b.valuation + lb)
+            slots, pair = min(hi, a.prec, b.prec) - lo, (ma * b.den, mb * a.den)
+            bound = sum(pair) if hi - lo < la + lb else max(pair)
+        if (need := _bits(slots, max(wa, wb), bound)) > POWER_BITS_MAX:
+            raise ValueError(f"{_OPERATIONS[op][0]} of {la} and {lb} terms needs {need} bits, "
+                             f"more than the cap of {POWER_BITS_MAX}")
+    return _OPERATIONS[op][1](a, b)
 
 
 def _refuse_oversized(node, need: int, cap: int, unit: str) -> None:
     if need > cap:
         raise QExprEvalError(f"{render(node)} needs {need} {unit}, more than the cap of {cap}", node.pos)
-
-
-def _refuse_large_layout(node, slots: int, width: int, norm: int, power: int = 1) -> None:
-    """Refuse an exact result of ``slots`` slots of ``width`` coordinates whose l1
-    norm is at most norm^power, when it needs more than POWER_BITS_MAX bits."""
-    _refuse_oversized(node, math.ceil(slots * width * power * math.log2(norm)), POWER_BITS_MAX, "bits")
 
 
 def _int_args(node, args, count=None):
@@ -457,11 +470,12 @@ def _theta_table(node, ctx: EvalCtx, ev, shapes: dict):
     if len(ells) > 1:
         return None
     ell = ells.pop() if ells else ctx.ell
-    for term in terms:
-        n = ctx.prec - term_valuation(ell, term)
+    for (_, m), term in zip(summands, terms):
+        n, c = ctx.prec - term_valuation(ell, term), term[0]
         passes = sum(abs(k) * len(range(a, n, e)) for a, e, k in _reduced_factors(ell, 0, term[2])[2])
         if passes > max(n, 0) or n > max(TERMS_MAX, ctx.prec):
             return None
+        _refuse_oversized(m, _bits(max(n, 0), 1, max(abs(c.numerator), c.denominator)), POWER_BITS_MAX, "bits")
     return ell, terms
 
 
@@ -489,38 +503,29 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
             lower = not _shape(n, shapes)  # a monomial sum left generic lowers only its calls
         if isinstance(n, BinOp):
             left, right = ev(n.left, lower), ev(n.right, lower)
-            if n.op != "/" and left.prec == right.prec == INF and left.data and right.data:
-                (la, na), (lb, nb) = ((len(s.data) // s.ring.width, _norm(s)) for s in (left, right))
-                lo, hi = min(left.valuation, right.valuation), max(left.valuation + la, right.valuation + lb)
-                slots, norm = (la + lb - 1, na * nb) if n.op == "*" else (hi - lo, na + nb)
-                _refuse_large_layout(n, slots, max(left.ring.width, right.ring.width), norm)
             try:
-                return BINARY[n.op][2](left, right, ctx)
+                return _sized(left, _inverse_of(right, ctx)) if n.op == "/" else _sized(left, right, n.op)
             except (ZeroDivisionError, ValueError) as exc:
-                # of the four operations only a division can fail
-                raise QExprEvalError(f"cannot divide: {exc}", n.pos) from exc
+                raise QExprEvalError(f"cannot divide: {exc}" if n.op == "/" else str(exc), n.pos) from exc
         if isinstance(n, Pow):
             base, k = ev(n.base, lower), n.exponent
-            # an exact b is expanded in full for b^k, and for b^-k at a positive
-            # valuation v, as 1/b^|k|: (1/b)^|k| would need (|k| - 1) v more terms
-            # of 1/b, and squaring those costs more than one inverse of b^|k|
-            expand = base.prec == INF and base.data and (k > 0 or base.valuation > 0)
-            if expand:
-                width, m = base.ring.width, abs(k)
-                _refuse_large_layout(n, m * (len(base.data) // width - 1) + 1, width, _norm(base), m)
             try:
-                if expand:
-                    return base ** k if k > 0 else _inverse_of(base ** -k, ctx)
+                # an exact b^-k at valuation v > 0 is 1/b^|k|, cheaper than (|k| - 1) v more terms of 1/b
+                if k < 0 and base.prec == INF and base.valuation > 0:
+                    return _inverse_of(base.power(-k, _sized), ctx)
                 if k < 0:
                     base, k = _inverse_of(base, ctx), -k
-                return base.power(k, _sized_product)
+                return base.power(k, _sized)
             except (ZeroDivisionError, ValueError) as exc:
                 raise QExprEvalError(f"cannot raise to {n.exponent}: {exc}", n.pos) from exc
         if isinstance(n, Call):
             return _call(n, ctx)
         raise TypeError(f"not an AST node: {n!r}")
 
-    out = ev(node).promote(field).truncate(ctx.prec)
+    try:
+        out = ev(node).promote(field).truncate(ctx.prec)
+    except RecursionError:
+        raise QExprEvalError("expression nested too deeply", node.pos) from None
     if out.prec < ctx.prec:
         raise QExprEvalError(
             f"the result is exact only below q^{int(out.prec)}, short of the requested "
@@ -528,32 +533,13 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     return out
 
 
-def _norm(series: LaurentSeries) -> int:
-    """The l1 norm of a series' integer coordinates."""
-    return sum(map(abs, series.data))
-
-
-def _sized_product(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """a * b, refused above POWER_BITS_MAX bits: its slots below the precision ×
-    ring.width × the bits of ``_kron_mul``'s digits for the two factors."""
-    la, lb = len(a.data) // a.ring.width, len(b.data) // b.ring.width
-    slots = min(la + lb - 1, a.prec - a.valuation, b.prec - b.valuation)
-    bits_a = max(map(abs, a.data), default=0).bit_length()
-    bits_b = bits_a if b is a else max(map(abs, b.data), default=0).bit_length()
-    need = slots * max(a.ring.width, b.ring.width) * (bits_a + bits_b + min(la, lb).bit_length())
-    if need > POWER_BITS_MAX:
-        raise ValueError(f"a product of {la} and {lb} terms needs {need} bits, "
-                         f"more than the cap of {POWER_BITS_MAX}")
-    return a * b
-
-
 def _inverse_of(series: LaurentSeries, ctx: EvalCtx) -> LaurentSeries:
-    """1/series, its Newton products sized by ``_sized_product``."""
+    """1/series, its Newton products taken by ``_sized``."""
     if series.prec != INF:
-        return series.inverse(product=_sized_product)  # as many terms as the series knows
+        return series.inverse(product=_sized)  # as many terms as the series knows
     # an exact polynomial from q^v: prec + v terms, so that the final truncation is exact
     prec = ctx.prec + max(0, -2 * series.valuation) + 1
     if series.data and prec + series.valuation > TERMS_MAX:
         raise ValueError(f"the inverse of an exact polynomial from q^{series.valuation} needs "
                          f"{prec + series.valuation} terms, more than the cap of {TERMS_MAX}")
-    return series.inverse(prec=prec, product=_sized_product)
+    return series.inverse(prec=prec, product=_sized)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,18 @@ def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "qrank", *argv],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def decimal(n: int) -> str:
+    """str(n), with the interpreter's int-to-str digit cap, where it has one, lifted meanwhile."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def test_coeffs_plain_v_series():
@@ -255,7 +268,11 @@ def test_large_exact_sums_products_and_inverses_refused_at_once(capsys):
                       ("(q^10050+2*q^10051)^-2", f"terms, more than the cap of {TERMS_MAX}"),
                       # 1/(1 + 2q) to 10,000 terms would hold 2^9999-sized coefficients
                       ("1/(q^9989+2*q^9990)", f"bits, more than the cap of {POWER_BITS_MAX}"),
-                      ("1/(q^1014+2*q^1015)", f"bits, more than the cap of {POWER_BITS_MAX}")):
+                      ("1/(q^1014+2*q^1015)", f"bits, more than the cap of {POWER_BITS_MAX}"),
+                      ("(1+q)^1024", f"bits, more than the cap of {POWER_BITS_MAX}"),
+                      # a plain product of truncated series, and a theta-table term's coefficient
+                      ("2^1000000" + "*E(1)^2" * 30, f"bits, more than the cap of {POWER_BITS_MAX}"),
+                      ("2^1000000*E(1)", f"bits, more than the cap of {POWER_BITS_MAX}")):
         start = time.perf_counter()
         assert main(["coeffs", "--expr", expr, "--prec", "10"]) == 2, expr
         assert time.perf_counter() - start < 1
@@ -313,21 +330,18 @@ def test_exact_layouts_and_inverses_under_the_caps_keep_their_output(capsys):
                                ("1/(1-zeta*q)", field, [field.zeta(n) for n in range(1000)])):
         assert main(["coeffs", "--expr", expr, "--ell", "5", "--prec", "1000"]) == 0, expr
         assert capsys.readouterr().out == f"{LaurentSeries(ring, 0, coeffs, 1000)}\n", expr
-    # the largest 1/(q^m + 2 q^(m+1)) under the size cap at prec 10
+    # the largest 1/(q^m + 2 q^(m+1)), (1 + q)^k and 2^k under the size cap at prec 10
     inverse = LaurentSeries(QQ, 1013, [1, 2]).inverse(prec=11)
-    assert main(["coeffs", "--expr", "1/(q^1013+2*q^1014)", "--prec", "10"]) == 0
-    assert capsys.readouterr().out == f"{inverse.truncate(10)}\n"
+    for expr, out in (("1/(q^1013+2*q^1014)", f"{inverse.truncate(10)}"),
+                      ("(1+q)^1023", f"{LaurentSeries(QQ, 0, [comb(1023, j) for j in range(10)], 10)}"),
+                      ("2^1000000", f"{decimal(2 ** 1000000)} + O(q^10)")):
+        assert main(["coeffs", "--expr", expr, "--prec", "10"]) == 0, expr
+        assert capsys.readouterr().out == out + "\n", expr
 
 
 def test_coefficients_past_the_int_to_str_digit_cap_are_written(capsys):
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        digits = str(2 ** 20000)
-    finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
+    digits = decimal(2 ** 20000)
     outputs = {}
     for fmt in ("plain", "json", "csv"):
         assert main(["coeffs", "--expr", "2^20000", "--prec", "10", "--format", fmt]) == 0

@@ -4,14 +4,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from qrank import qexpr
 from qrank.cyclotomic import QQ, cyclotomic_field
 from qrank.lambert import E_series, P_series, lambert_t
 from qrank.qexpr import (BinOp, Call, EvalCtx, Num, Pow, Q, QExprEvalError,
-                         QExprSyntaxError, Zeta, evaluate, parse, render)
+                         QExprSyntaxError, Zeta, _sized, evaluate, parse, render)
 from qrank.rankgen import ru_at_root, u_series
-from qrank.series import LaurentSeries
+from qrank.series import INF, LaurentSeries
 
 from oracles import ref_monomial_sum
 
@@ -251,6 +252,42 @@ def test_sized_powers_of_truncated_series_equal_plain_powers(expr, prec, const, 
     direct = base ** k if k > 0 else base.inverse() ** -k
     ctx = EvalCtx(ell=5, prec=prec)
     assert evaluate(expr, ctx) == direct.promote(cyclotomic_field(5)).truncate(prec)
+
+
+def test_deep_expressions_are_refused_with_an_offset():
+    with pytest.raises(QExprSyntaxError, match=r"nested too deeply \(at offset \d+\)"):
+        parse("(" * 300 + "q" + ")" * 300)
+    with pytest.raises(QExprEvalError, match=r"nested too deeply \(at offset \d+\)"):
+        evaluate("*".join(["E(2)"] * 990), EvalCtx(ell=5, prec=10))
+
+
+@st.composite
+def small_series(draw):
+    """A series of up to 6 terms over QQ or Q(zeta_5), exact or truncated a few terms on."""
+    ring = draw(st.sampled_from([QQ, cyclotomic_field(5)]))
+    small = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4))
+    basis = [QQ.one] if ring is QQ else [ring.zeta(j) for j in range(ring.width)]
+    coeffs = [sum((z * draw(small) for z in basis), ring.zero) for _ in range(draw(st.integers(1, 6)))]
+    v = draw(st.integers(-3, 3))
+    return LaurentSeries(ring, v, coeffs, draw(st.sampled_from([INF, v + 1, v + 3, v + 8])))
+
+
+@given(small_series(), small_series(), st.booleans())
+def test_sized_is_the_operation_and_counts_at_least_its_result_bits(a, b, square):
+    """_sized(a, b, op) is a op b, and for nonzero a and b (a zero one leaves the other as
+    it is) refuses it once the cap is below the result's slots × width × bits of its
+    largest coordinate or denominator."""
+    b = a if square else b
+    assume(a.data and b.data)
+    for op, plain in (("+", a + b), ("-", a - b), ("*", a * b)):
+        got = _sized(a, b, op)
+        assert got == plain
+        if got.data:  # len(data) is the slots × width
+            bits = len(got.data) * max(got.den, *map(abs, got.data)).bit_length()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qexpr, "POWER_BITS_MAX", bits - 1)
+                with pytest.raises(ValueError, match="more than the cap of"):
+                    _sized(a, b, op)
 
 
 @st.composite
