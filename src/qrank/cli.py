@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .cyclotomic import ELL_MAX, cyclotomic_field
 from .quadruples import (CLASSES_MAX_N, RANK_TABLE_COLUMNS, RANKTABLE_MAX_N, class_counts,
@@ -106,16 +107,29 @@ def _doc(command: str, args: dict, payload) -> dict:
             "payload": payload}
 
 
+def _batched(chunks, size: int = 1 << 16):
+    """The text of ``chunks`` in pieces of about ``size`` characters."""
+    buf, count = [], 0
+    for chunk in chunks:
+        buf.append(chunk)
+        count += len(chunk)
+        if count >= size:
+            yield "".join(buf)
+            buf, count = [], 0
+    yield "".join(buf)
+
+
 def _emit(doc: dict, fmt: str, plain_lines, csv_lines, out) -> None:
-    """Write the document; a reader that closes the pipe early drops the rest,
-    and the caller's exit status stands."""
+    """Write the document (read only for JSON), in large pieces; a reader that
+    closes the pipe early drops the rest, and the caller's exit status stands."""
+    if fmt == "json":
+        # the text of json.dump(doc, out, indent=2), which writes each encoder token on its own
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(doc), "\n")
+    else:
+        chunks = (line + "\n" for line in (csv_lines if fmt == "csv" else plain_lines)())
     try:
-        if fmt == "json":
-            json.dump(doc, out, indent=2)
-            out.write("\n")
-        else:
-            for line in (csv_lines if fmt == "csv" else plain_lines)():
-                out.write(line + "\n")
+        for piece in _batched(chunks):
+            out.write(piece)
         out.flush()
     except BrokenPipeError:
         # the unwritten buffer would fail again at the flush on exit
@@ -159,10 +173,12 @@ def _cmd_coeffs(args, out, err) -> int:
     if digits_cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        dump = series.to_json()
-        dump["ell"] = args.ell
-        doc = _doc("coeffs", {"expr": args.expr, "ell": args.ell, "prec": prec,
-                              "format": args.format}, dump)
+        doc = None
+        if args.format == "json":
+            dump = series.to_json()
+            dump["ell"] = args.ell
+            doc = _doc("coeffs", {"expr": args.expr, "ell": args.ell, "prec": prec,
+                                  "format": args.format}, dump)
         _emit(doc, args.format, plain, csv, out)
     finally:
         if digits_cap is not None:

@@ -8,7 +8,8 @@ reduce the argument first, producing honest Laurent series with negative
 valuation where identities demand them.
 
 ``theta_sum`` evaluates tables of terms c q^s T(a, b, l) prod E(x)^k P(x)^k,
-each E/P product one in-place FactorBlock with no Newton inverse;
+each E/P product one in-place FactorBlock with no Newton inverse, an E(x)^k
+with k > 0 multiplied by Euler's pentagonal series;
 ``P_series`` is such a table, and so is every identity in
 ``rankgen.IDENTITY_CATALOGUE``.
 """
@@ -115,13 +116,13 @@ def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
 
 def _reduced_factors(ell: int, shift: int, factors):
     """(sign, shift, ranges, vanishes) of a term's E/P product, each P(x) reduced to 0 < x < ell
-    and the product as factor ranges (start, step, power), (q^start; q^step)_inf^power."""
+    and the product as factor ranges (kind, start, step, power), (q^start; q^step)_inf^power."""
     sign, ranges, vanishes = 1, [], False
     for kind, x, power in factors:
         if kind == "E":
             if x < 1:
                 raise ValueError(f"E(a) needs a >= 1, got {x}")
-            ranges.append((x, x, power))
+            ranges.append(("E", x, x, power))
         elif x % ell == 0:
             if power < 0:
                 raise ValueError(f"P({x}) is degenerate for ell = {ell} (argument divisible by ell)")
@@ -130,8 +131,27 @@ def _reduced_factors(ell: int, shift: int, factors):
             p_sign, p_shift, x = _reduce_p_argument(x, ell)
             sign *= p_sign ** abs(power)
             shift += p_shift * power
-            ranges += [(ell * x, ell * ell, power), (ell * (ell - x), ell * ell, power)]
+            ranges += [("P", ell * x, ell * ell, power), ("P", ell * (ell - x), ell * ell, power)]
     return sign, shift, ranges, vanishes
+
+
+def _pentagonal(x: int, n: int) -> list:
+    """The terms (t, c) of E(x) - 1 below q^n, by Euler's pentagonal theorem
+    E(x) = 1 + sum_{k >= 1} (-1)^k (q^(x k(3k-1)/2) + q^(x k(3k+1)/2)): about
+    2 sqrt(2n/(3x)) of them."""
+    terms, k = [], 1
+    while x * k * (3 * k - 1) // 2 < n:
+        terms += [(t, (-1) ** k) for t in (x * k * (3 * k - 1) // 2, x * k * (3 * k + 1) // 2) if t < n]
+        k += 1
+    return terms
+
+
+def block_passes(ranges, n: int) -> int:
+    """The whole-block passes ``theta_sum`` makes for a term's factor ranges at n
+    terms: one per pentagonal term for each power of an E(x)^k with k > 0, and
+    otherwise one per factor below q^n for each power."""
+    return sum(power * len(_pentagonal(start, n)) if kind == "E" and power > 0
+               else abs(power) * len(range(start, n, step)) for kind, start, step, power in ranges)
 
 
 def term_valuation(ell: int, term) -> int:
@@ -151,6 +171,11 @@ def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
     k > 0 and raises at k < 0; any other is reduced to 0 < x < ell, its sign and
     q-shift folded into the term.  The E/P product is built over the rationals
     to prec - s - val(T) terms: a term with s >= prec counts when val(T) < 0.
+    An E(x)^k with k > 0 multiplies the block k times by Euler's pentagonal
+    series, about 2 sqrt(2n/(3x)) terms, one whole-block shifted add each;
+    a negative power of E(x) and every P(x)^k (its two ranges
+    (q^(l x); q^(l^2))_inf (q^(l^2 - l x); q^(l^2))_inf) are |k| passes of
+    one factor (1 - q^e) per exponent below q^n.
     """
     field = cyclotomic_field(ell)
     ring = field if any(isinstance(t[0], tuple) for t in terms) else QQ
@@ -162,7 +187,12 @@ def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
         if vanishes or n <= 0 or (t is not None and t.is_zero()):
             continue
         block = FactorBlock(QQ, n)
-        for start, step, power in ranges:
+        for kind, start, step, power in ranges:
+            if kind == "E" and power > 0:
+                pentagonal = _pentagonal(start, n)
+                for _ in range(power):
+                    block.sparse(pentagonal)
+                continue
             for _ in range(abs(power) if start < n else 0):
                 block.factor(1, range(start, n, step), divide=power < 0)
         term = block.series(n) if t is None else t * block.series(n) if ranges else t

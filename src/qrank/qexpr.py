@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
-from .lambert import TSpec, _reduced_factors, t_valuation, term_valuation, theta_sum
+from .lambert import TSpec, _reduced_factors, block_passes, t_valuation, term_valuation, theta_sum
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .series import INF, LaurentSeries, _poch_shift, jacprod, poch
 
@@ -453,8 +453,8 @@ def _monomial(node, ctx: EvalCtx, ev, shapes: dict):
 def _theta_table(node, ctx: EvalCtx, ev, shapes: dict):
     """(ell, terms) for ``theta_sum`` of a sum of monomials with an E, P or T call, each term
     one FactorBlock of n = ctx.prec - its valuation terms; None, leaving it to the generic
-    path, when a term needs more factor passes (|k| per range of an E(x)^k or P(x)^k) than
-    terms or more than max(TERMS_MAX, ctx.prec) terms, or its P's and T's ask for two l."""
+    path, when a term needs more whole-block passes (``lambert.block_passes``) than terms
+    or more than max(TERMS_MAX, ctx.prec) terms, or its P's and T's ask for two l."""
     summands = _summands(node) if _shape(node, shapes) else []
     if all(_shape(m, shapes) == "scalar" for _, m in summands):
         return None
@@ -472,7 +472,7 @@ def _theta_table(node, ctx: EvalCtx, ev, shapes: dict):
     ell = ells.pop() if ells else ctx.ell
     for (_, m), term in zip(summands, terms):
         n, c = ctx.prec - term_valuation(ell, term), term[0]
-        passes = sum(abs(k) * len(range(a, n, e)) for a, e, k in _reduced_factors(ell, 0, term[2])[2])
+        passes = block_passes(_reduced_factors(ell, 0, term[2])[2], n)
         if passes > max(n, 0) or n > max(TERMS_MAX, ctx.prec):
             return None
         _refuse_oversized(m, _bits(max(n, 0), 1, max(abs(c.numerator), c.denominator)), POWER_BITS_MAX, "bits")

@@ -10,7 +10,9 @@ zeta_ell or at 1.
   (rho1, rho2, z) = (zeta^2, zeta^-2, zeta), or at z = 1 the counting series
   computed directly from its smallest-part decomposition;
 * LAMBERT: ``ru_at_root`` / ``rv_at_root``, a bilateral Lambert-form sum over
-  Q(zeta_l) divided in place by the prefactor (1+z)(q, z, 1/z; q)_inf;
+  Q(zeta_l) divided in place by the prefactor (1+z)(q, z, 1/z; q)_inf, which
+  the Jacobi triple product makes (1+z)(1-z) times the sparse
+  ``theta_jtp_sum(zeta)``;
 * QBINOMIAL: ``_bivariate``, an exact expansion in both z and q built from a
   single sum plus a Gaussian-binomial double sum, as rank polynomials;
 * ENUMERATION: the rank histograms of ``quadruples.rank_counts``.
@@ -36,7 +38,7 @@ from operator import add, lshift, sub
 
 from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
-from .series import FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack
+from .series import FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack, theta_jtp_sum
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
@@ -81,28 +83,30 @@ def v_series(prec: int) -> LaurentSeries:
 # -- route 1: the bilateral Lambert form at z = zeta_l ------------------------
 
 
-def _prefactor(block: FactorBlock, ell: int, prec: int, divide: bool) -> None:
-    """Multiply ``block`` (prec terms) in place by (1+z)(q, z, 1/z; q)_inf at z = zeta_ell,
-    or divide it by that product.
-
-    The product is (1+z)(1-z)(1-1/z) times the factors (1 - q^k),
-    (1 - z q^k) and (1 - z^-1 q^k) for every k >= 1.
-    """
+@lru_cache(maxsize=None)
+def _theta_quotients(ell: int):
+    """The quotients (-1)^n (zeta^n - zeta^(-n-1)) / (1 - 1/zeta) = (-1)^n (zeta^n + zeta^(n-1)
+    + ... + zeta^-n) for n = 0 .. 2 ell - 1, a whole period in n, and
+    1 / ((1+zeta)(1-zeta)(1-1/zeta))."""
+    period = []
+    for n in range(2 * ell):
+        raw = [0] * ell
+        for i in range(-n, n + 1):
+            raw[i % ell] += (-1) ** n
+        period.append(CycQ.from_raw(ell, raw))
     field = cyclotomic_field(ell)
-    z, zinv = field.zeta(1), field.zeta(-1)
-    exps = range(1, prec)
-    for c in (1, z, zinv):
-        block.factor(c, exps, divide)
-    scalar = (field.one + z) * (field.one - z) * (field.one - zinv)
-    block.scale(scalar.inverse() if divide else scalar)
+    z = field.zeta(1)
+    return tuple(period), ((field.one + z) * (field.one - z) * (field.one - field.zeta(-1))).inverse()
 
 
 @lru_cache(maxsize=None)
 def root_prefactor(ell: int, prec: int) -> LaurentSeries:
-    """(1+z)(q, z, 1/z; q)_inf at z = zeta_ell, over Q(zeta_ell)."""
-    block = FactorBlock(cyclotomic_field(ell), prec)
-    _prefactor(block, ell, prec, divide=False)
-    return block.series(prec)
+    """(1+z)(q, z, 1/z; q)_inf at z = zeta_ell, over Q(zeta_ell): by the Jacobi
+    triple product (q, z, 1/z; q)_inf = (1-z) sum_n (-1)^n z^n q^(n(n+1)/2),
+    the sparse ``theta_jtp_sum``."""
+    field = cyclotomic_field(ell)
+    z = field.zeta(1)
+    return theta_jtp_sum(field, z, prec).scale((field.one + z) * (field.one - z))
 
 
 def _rotate(u: list, k: int) -> list:
@@ -167,9 +171,30 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
 
 
 def _at_root(ell: int, prec: int, offset: int) -> LaurentSeries:
-    """The bilateral rank sum divided in place by the prefactor."""
+    """The bilateral rank sum divided in place by the prefactor (1+z)(1-z) Theta,
+    Theta = ``theta_jtp_sum(zeta)`` = sum_n (-1)^n zeta^n q^(n(n+1)/2).
+
+    Theta has about sqrt(2 prec) terms.  Its constant term is 1 - 1/zeta, and
+    the one at q^(n(n+1)/2), n >= 1, gathers n and -n-1:
+    (-1)^n (zeta^n - zeta^(-n-1)).  On residue vectors, that is a difference
+    of two rotations, whose coordinates sum to 0, so it is divisible by
+    1 - 1/zeta in Z[x]/(x^l - 1): a vector r of coordinate sum 0 is
+    (1 - x^-1) w with w_j = r_j + ... + r_(l-1), one suffix sum.  Here the
+    quotient is (-1)^n zeta^n (1 + zeta^-1 + ... + zeta^-2n), so Theta is
+    1 - 1/zeta times a monic series with coefficients in Z[zeta], and the
+    block divides by that series with the integer recurrence
+    y_i = x_i - sum_T (Theta_T / (1 - 1/zeta)) y_(i-T) of ``FactorBlock.sparse``:
+    no denominator, no Newton inverse, and nothing to check at run time.  The
+    scalar (1+z)(1-z)(1-1/z) is divided out once at the end.
+    """
     block = _bilateral_rank_sum(ell, prec, offset)
-    _prefactor(block, ell, prec, divide=True)
+    period, inverse = _theta_quotients(ell)
+    terms, n = [], 1
+    while n * (n + 1) // 2 < prec:
+        terms.append((n * (n + 1) // 2, period[n % len(period)]))
+        n += 1
+    block.sparse(terms, divide=True)
+    block.scale(inverse)
     return block.series(prec)
 
 

@@ -26,10 +26,12 @@ All dense arithmetic runs on integers:
   (1 - c q^e): a mutable block changed in place, O(n) integer additions per
   factor: a plain add over QQ, a rotation of residue vectors for c = zeta^k
   over Q(zeta_l), and in general the lifted integer coordinates of c.  Every
-  Pochhammer product (``poch``, ``jacprod``, ``gauss_binomial``), every
-  geometric series (one division of the constant 1) and the RU/RV prefactor
-  division is one pass of it, and generating functions whose terms differ by
-  a few factors keep one running block.
+  Pochhammer product (``poch``, ``jacprod``, ``gauss_binomial``) and every
+  geometric series (one division of the constant 1) is one pass of it, and
+  generating functions whose terms differ by a few factors keep one running
+  block.  ``FactorBlock.sparse`` multiplies or divides the block by a sparse
+  monic series with integral coefficients instead: Euler's pentagonal series
+  for E(x), and the triple-product sum that divides RU/RV at zeta_l.
 
 A formal z appears only in ``ZLaurentPoly``, the rank polynomial
 sum_r N(r, n) z^r of one n; ``rankgen._bivariate`` packs its own z-digits
@@ -738,6 +740,9 @@ def _apply(data: list, width: int, start: int, src: list, terms, op) -> None:
     target = slice(start, start + len(src))
     for k, m in terms:
         part = _rotated(src, width, k)
+        if m == -1:
+            data[target] = map(sub if op is add else add, data[target], part)
+            continue
         if m != 1:
             part = map(mul, part, repeat(m))
         data[target] = map(op, data[target], part)
@@ -813,6 +818,49 @@ class FactorBlock:
                 if d != 1:
                     prev = [x // d for x in prev]
                 _apply(data, w, lo, prev, terms, add)
+
+    def sparse(self, terms, divide: bool = False) -> None:
+        """Multiply the block by s = 1 + sum c q^t over ``terms``, pairs (t, c)
+        with t >= 1 and c integral, or divide it by s.
+
+        A multiplication is one whole-block shifted add per term.  s is monic
+        with integral coefficients, so the quotient y solves
+        y_i = x_i - sum c y_(i-t) slot by slot, exact and with no denominator.
+        A term m x^k of a lifted c enters that sum |m| times (once for the
+        pentagonal and triple-product series, whose lifted coordinates are 0
+        or +-1), as the slice of the doubled residue vector y_(i-t) y_(i-t)
+        that is x^k y_(i-t), or of its negation.
+        """
+        w = self.width
+        n = len(self.data) // w
+        resolved = []
+        for t, c in terms:
+            if t < 1:
+                raise ValueError(f"sparse term exponent must be >= 1, got {t}")
+            d, lifted = _factor_terms(self.ring, c)
+            if d != 1:
+                raise ValueError(f"sparse term coefficients must be integral, got {c}")
+            if t < n and lifted:
+                resolved.append((t, lifted))
+        if not divide:
+            old = self.data[:]
+            for t, lifted in resolved:
+                _apply(self.data, w, t * w, old[:(n - t) * w], lifted, add)
+            return
+        gather = sorted((t, m > 0, w - k) for t, lifted in resolved for k, m in lifted for _ in range(abs(m)))
+        data, out, doubled, negated = self.data, [], [], []
+        live = 0
+        for i in range(n):
+            while live < len(gather) and gather[live][0] <= i:
+                live += 1
+            y = data[i * w:(i + 1) * w]
+            if live:
+                y = list(map(sum, zip(y, *[(negated if minus else doubled)[i - t][s:s + w]
+                                           for t, minus, s in gather[:live]])))
+            out += y
+            doubled.append(y + y)
+            negated.append(list(map(neg, y)) * 2)
+        self.data = out
 
     def scale(self, c) -> None:
         """Multiply the block in place by the scalar c."""

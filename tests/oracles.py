@@ -302,11 +302,20 @@ def ref_bilateral_rank_sum(ell: int, prec: int, offset: int):
 
 
 def ref_root_prefactor(ell: int, prec: int):
-    """(1+z)(q, z, 1/z; q)_inf at z = zeta_ell, as three ref_poch products."""
+    """(1+z)(q, z, 1/z; q)_inf at z = zeta_ell as the infinite product, one factor
+    at a time on plain residue vectors: slot i holds the coefficients of 1, z, ...,
+    z^(ell-1) at q^i, and a factor (1 - z^j q^k) subtracts slot i - k, rotated by j,
+    from slot i, from the top slot down."""
     field = cyclotomic_field(ell)
-    z = field.zeta(1)
-    return (ref_poch_series(QQ, 1, 1, 1, None, prec) * ref_poch_series(field, z, 0, 1, None, prec)
-            * ref_poch_series(field, field.zeta(-1), 0, 1, None, prec)).scale(field.one + z)
+    n = max(prec, 0)
+    slots = [[1] + [0] * (ell - 1)] + [[0] * ell for _ in range(n - 1)]
+    factors = [(0, k) for k in range(1, n)] + [(j, k) for j in (1, -1) for k in range(n)]
+    for j, k in factors:
+        for i in range(n - 1, k - 1, -1):
+            src = slots[i - k]
+            slots[i] = [x - y for x, y in zip(slots[i], src[-j:] + src[:-j])]
+    coeffs = [CycQ.from_raw(ell, s) for s in slots]
+    return LaurentSeries(field, 0, coeffs, prec).scale(field.one + field.zeta(1))
 
 
 # -- reference generating functions --------------------------------------------

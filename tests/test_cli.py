@@ -356,6 +356,36 @@ def test_coefficients_past_the_int_to_str_digit_cap_are_written(capsys):
         assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
 
+def test_coeffs_builds_the_json_payload_only_for_json(monkeypatch, capsys):
+    expected = {}
+    for fmt in ("plain", "csv"):
+        assert main(["coeffs", "--expr", "1 + zeta*q", "--ell", "3", "--prec", "5", "--format", fmt]) == 0
+        expected[fmt] = capsys.readouterr().out
+
+    def refuse(self):
+        raise AssertionError("to_json called for a format that does not write it")
+    monkeypatch.setattr(LaurentSeries, "to_json", refuse)
+    for fmt in ("plain", "csv"):
+        assert main(["coeffs", "--expr", "1 + zeta*q", "--ell", "3", "--prec", "5", "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected[fmt]
+    assert expected["plain"] == "1 + (zeta)*q + O(q^5)\n"
+
+
+def test_json_output_is_the_indented_dump(capsys):
+    # the batched writer writes the text json.dump(doc, out, indent=2) wrote token by token
+    from qrank.cli import _batched, _doc
+    from qrank.quadruples import rank_table
+    for n in (1, 5, 11):
+        for kind in ("u", "v"):
+            assert main(["ranktable", str(n), "--kind", kind, "--format", "json"]) == 0
+            doc = _doc("ranktable", {"n": n, "kind": kind, "format": "json"},
+                       {"n": n, "kind": kind, "rows": rank_table(n, kind)})
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    chunks = ["ab", "c", "", "defg", "h"]
+    assert list(_batched(chunks, 3)) == ["abc", "defg", "h"]
+    assert list(_batched([], 3)) == [""]
+
+
 def test_poch_with_exponents_at_or_below_zero_keeps_the_precision(capsys):
     assert main(["coeffs", "--expr", "poch(1,-3,1,5)", "--ell", "5", "--prec", "10",
                  "--format", "json"]) == 0

@@ -330,6 +330,48 @@ def test_factor_block_scale_copy_and_add(case):
     assert FactorBlock(ring, n, 0).series(n) == LaurentSeries.zero(ring, n)
 
 
+def integral_scalars(ring):
+    """The integral c of the sparse terms c q^t drawn over each ring."""
+    if ring is QQ:
+        return [1, -1, 2, -3]
+    return [1, -1, 2] + [ring.zeta(k) for k in range(1, ring.ell)] + [
+        ring.one + ring.zeta(3), ring.zeta(1) - 2 * ring.zeta(4), -ring.zeta(2) - ring.zeta(-2)]
+
+
+@st.composite
+def sparse_case(draw):
+    ring, n, ops, _, _ = draw(factor_case())
+    terms = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=16),
+                                    st.sampled_from(integral_scalars(ring))), max_size=5))
+    return ring, n, ops, terms, draw(st.booleans())
+
+
+@given(sparse_case())
+@example((cyclotomic_field(13), 14, [(2, 1, False)],
+          [(1, cyclotomic_field(13).zeta(5)), (3, -2), (1, cyclotomic_field(13).zeta(-2))], True))
+def test_factor_block_sparse_matches_product_and_inverse(case):
+    ring, n, ops, terms, divide = case
+    s = [ring.one] + [ring.zero] * (n - 1)
+    for t, c in terms:
+        if t < n:
+            s[t] = s[t] + ring.of(c)
+    if divide:
+        s = oracles.ref_inverse(s, n, ring.one, ring.zero)
+    expected = oracles.ref_mul(list(expected_factors(ring, n, ops).coeffs) + [ring.zero] * n, s, n, ring.zero)
+    block = FactorBlock(ring, n)
+    for c, e, div in ops:
+        block.factor(c, e, div)
+    block.sparse(terms, divide)
+    assert block.series(n) == LaurentSeries(ring, 0, expected, n)
+
+
+def test_factor_block_sparse_rejects_bad_terms():
+    with pytest.raises(ValueError):
+        FactorBlock(QQ, 5).sparse([(0, 1)])
+    with pytest.raises(ValueError):
+        FactorBlock(QQ, 5).sparse([(2, Fraction(1, 2))], divide=True)
+
+
 # -- structural operations ------------------------------------------------------
 
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qrank.cyclotomic import QQ, cyclotomic_field
 from qrank.lambert import (E_series, P_series, TSpec, _reduce_p_argument, _t_term_exponents,
-                           lambert_T, lambert_t, t_valuation)
+                           lambert_T, lambert_t, t_valuation, theta_sum)
 from qrank.rankgen import IDENTITY_CATALOGUE
+from qrank.series import LaurentSeries
 
 import oracles
 
@@ -122,6 +124,36 @@ def test_e_series():
     assert E_series(7, 30).coefficient(0) == 1
     with pytest.raises(ValueError):
         E_series(0, 10)
+
+
+@st.composite
+def positive_e_tables(draw):
+    """theta_sum terms with at least one E(x)^k, k > 0, each coefficient rational
+    (the sum over QQ) or, with ring Q(zeta_5), a sum of c zeta^j."""
+    over_field = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [("E", draw(st.integers(1, 12)), draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            factors.append((draw(st.sampled_from("EP")), draw(st.integers(1, 4)), draw(st.integers(-2, 2))))
+        lam = draw(st.none() | st.tuples(st.integers(1, 4), st.integers(-5, 5)))
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 3)))
+        coeff = ((c, draw(st.integers(0, 4))), (1, draw(st.integers(0, 4)))) if over_field else c
+        terms.append((coeff, draw(st.integers(0, 6)), tuple(factors), lam))
+    return terms, draw(st.integers(1, 120))
+
+
+@given(positive_e_tables())
+def test_pentagonal_e_powers_match_the_product_route(case):
+    # E(x)^k, k > 0, multiplied by Euler's pentagonal series, against the
+    # generic route whose E is a poch product
+    terms, prec = case
+    field = cyclotomic_field(5)
+    expected = LaurentSeries.zero(QQ, prec)
+    for coeff, shift, factors, lam in terms:
+        scalar = sum((field.zeta(j) * c for c, j in coeff), field.zero) if isinstance(coeff, tuple) else coeff
+        expected = expected + oracles.ref_monomial_sum(5, [(1, shift, factors, lam)], prec).scale(scalar)
+    assert theta_sum(5, terms, prec).equal_upto(expected, prec) is None
 
 
 def test_chan_variant2_examples(catalogue_residual):

@@ -341,6 +341,21 @@ def test_monomial_sums_match_the_generic_route(case):
     assert got.equal_upto(ref_monomial_sum(ell, terms, prec), prec) is None
 
 
+@pytest.mark.parametrize("expr, product", [("E(5)^4", "poch(0,5,5,inf)^4"), ("E(2)^2", "poch(0,2,2,inf)^2"),
+                                            ("E(1)^3/E(2)", "poch(0,1,1,inf)^3/poch(0,2,2,inf)")])
+def test_pentagonal_powers_of_e_match_the_generic_route(monkeypatch, expr, product):
+    # positive E powers are lowered to one theta_sum at 1000 terms, which multiplies
+    # by Euler's pentagonal series once per power; the generic route takes each E
+    # call alone and squares it, and the Pochhammer form multiplies every factor
+    ctx = EvalCtx(ell=5, prec=1000)
+    assert qexpr._theta_table(parse(expr), ctx, None, {}) is not None
+    lowered = str(evaluate(expr, ctx))
+    assert lowered == str(evaluate(product, ctx))
+    table = qexpr._theta_table
+    monkeypatch.setattr(qexpr, "_theta_table", lambda node, *rest: table(node, *rest) if isinstance(node, Call) else None)
+    assert lowered == str(evaluate(expr, ctx))
+
+
 def test_import_loads_neither_the_cli_nor_the_check_registry():
     script = "import sys, qrank.qexpr; print(sorted({'qrank.cli', 'qrank.verify'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.qexpr import EvalCtx, evaluate
@@ -50,6 +51,15 @@ def test_prefactor_division_matches_newton_reference(ell, prec):
     inverse = prefactor.inverse()
     assert ru_at_root.__wrapped__(ell, prec) == oracles.ref_bilateral_rank_sum(ell, prec, 3) * inverse
     assert rv_at_root.__wrapped__(ell, prec) == oracles.ref_bilateral_rank_sum(ell, prec, 1) * inverse
+
+
+@settings(max_examples=10)
+@given(st.sampled_from((3, 5, 7, 11, 13)), st.integers(min_value=1, max_value=300))
+@example(13, 300)
+def test_prefactor_division_property(ell, prec):
+    # the triple-product prefactor and the sparse division against the infinite
+    # product, factor by factor, and its Newton inverse, at any order and precision
+    test_prefactor_division_matches_newton_reference(ell, prec)
 
 
 # The running-block builders against the per-term Newton references they
