@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 
 from .cyclotomic import ELL_MAX, cyclotomic_field
 from .quadruples import (CLASSES_MAX_N, RANK_TABLE_COLUMNS, RANKTABLE_MAX_N, class_counts,
@@ -33,6 +33,7 @@ from .quadruples import (CLASSES_MAX_N, RANK_TABLE_COLUMNS, RANKTABLE_MAX_N, cla
 from .verify import PROFILES, check_names, congruence_scan, run_all
 
 SCHEMA_VERSION = 1
+_CONTAINERS = (dict, list, tuple)
 
 # Measured at 1000 on a 2-core x86 machine (Python 3.11, about 31 MB at most):
 # the whole `verify --prec` registry 24-27 s, half of it in SEC5:RU13-q13-nonzero
@@ -119,12 +120,35 @@ def _batched(chunks, size: int = 1 << 16):
     yield "".join(buf)
 
 
+def _json_chunks(obj, indent: str = ""):
+    """The text of json.dump(obj, out, indent=2) for a non-empty dict or list, in
+    pieces.  ``indent`` turns CPython's C encoder off, so each container of
+    scalars goes through ``json.dumps`` without it, one item per line by the
+    item separator."""
+    inner = indent + "  "
+    is_dict = isinstance(obj, dict)
+    sep = "{\n" if is_dict else "[\n"
+    for key, value in obj.items() if is_dict else enumerate(obj):
+        yield sep + inner
+        sep = ",\n"
+        if is_dict:
+            # json writes a non-string key as the string of its JSON scalar
+            yield json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+        if not value or not isinstance(value, _CONTAINERS):
+            yield json.dumps(value)
+        elif any(map(isinstance, value.values() if isinstance(value, dict) else value, repeat(_CONTAINERS))):
+            yield from _json_chunks(value, inner)
+        else:
+            text = json.dumps(value, separators=(",\n  " + inner, ": "))
+            yield f"{text[0]}\n  {inner}{text[1:-1]}\n{inner}{text[-1]}"
+    yield "\n" + indent + ("}" if is_dict else "]")
+
+
 def _emit(doc: dict, fmt: str, plain_lines, csv_lines, out) -> None:
     """Write the document (read only for JSON), in large pieces; a reader that
     closes the pipe early drops the rest, and the caller's exit status stands."""
     if fmt == "json":
-        # the text of json.dump(doc, out, indent=2), which writes each encoder token on its own
-        chunks = chain(json.JSONEncoder(indent=2).iterencode(doc), "\n")
+        chunks = chain(_json_chunks(doc), "\n")
     else:
         chunks = (line + "\n" for line in (csv_lines if fmt == "csv" else plain_lines)())
     try:

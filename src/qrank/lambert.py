@@ -12,15 +12,19 @@ each E/P product one in-place FactorBlock with no Newton inverse, an E(x)^k
 with k > 0 multiplied by Euler's pentagonal series;
 ``P_series`` is such a table, and so is every identity in
 ``rankgen.IDENTITY_CATALOGUE``.
+
+``lambert_T``, ``E_series``, ``P_series`` and the E/P products (``_product``,
+keyed on the sorted factor ranges, so P(1)P(2) and P(2)P(1) share an entry)
+are ``series.memo`` builders: one build per key, the longest asked for, and a
+lower precision is its truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclotomic import QQ, cyclotomic_field
-from .series import INF, FactorBlock, LaurentSeries, poch
+from .series import INF, FactorBlock, LaurentSeries, memo, poch
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ def t_valuation(spec: TSpec) -> int:
     return min(_t_term_exponents(spec, n + d)[1] for n in candidates for d in (0, 1))
 
 
-@lru_cache(maxsize=None)
+@memo
 def lambert_T(spec: TSpec, prec: int) -> LaurentSeries:
     """The bilateral sum T(a,b,ell) truncated below prec, over the rationals."""
     # Term valuations are quadratics in n with positive leading coefficient
@@ -87,7 +91,7 @@ def lambert_t(a: int, b: int, ell: int, prec: int) -> LaurentSeries:
     return lambert_T(TSpec(a, b, ell), prec)
 
 
-@lru_cache(maxsize=None)
+@memo
 def E_series(a: int, prec: int) -> LaurentSeries:
     """Euler product E(a) = (q^a; q^a)_inf."""
     if a < 1:
@@ -106,7 +110,7 @@ def _reduce_p_argument(a: int, ell: int):
     return (-1) ** (k % 2), -ell * (k * r + ell * k * (k - 1) // 2), r if a > 0 else ell - r
 
 
-@lru_cache(maxsize=None)
+@memo
 def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
     """The theta block P(a) over the rationals, argument reduced by symmetry."""
     if a % ell == 0:
@@ -116,7 +120,8 @@ def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
 
 def _reduced_factors(ell: int, shift: int, factors):
     """(sign, shift, ranges, vanishes) of a term's E/P product, each P(x) reduced to 0 < x < ell
-    and the product as factor ranges (kind, start, step, power), (q^start; q^step)_inf^power."""
+    and the product as sorted factor ranges (kind, start, step, power), (q^start; q^step)_inf^power,
+    so products that differ only in the order of their factors share one ``_product`` entry."""
     sign, ranges, vanishes = 1, [], False
     for kind, x, power in factors:
         if kind == "E":
@@ -132,7 +137,7 @@ def _reduced_factors(ell: int, shift: int, factors):
             sign *= p_sign ** abs(power)
             shift += p_shift * power
             ranges += [("P", ell * x, ell * ell, power), ("P", ell * (ell - x), ell * ell, power)]
-    return sign, shift, ranges, vanishes
+    return sign, shift, tuple(sorted(ranges)), vanishes
 
 
 def _pentagonal(x: int, n: int) -> list:
@@ -152,6 +157,22 @@ def block_passes(ranges, n: int) -> int:
     otherwise one per factor below q^n for each power."""
     return sum(power * len(_pentagonal(start, n)) if kind == "E" and power > 0
                else abs(power) * len(range(start, n, step)) for kind, start, step, power in ranges)
+
+
+@memo
+def _product(ranges: tuple, n: int) -> LaurentSeries:
+    """The E/P product of a ``theta_sum`` term over the rationals, exact below q^n,
+    from its sorted factor ranges (kind, start, step, power)."""
+    block = FactorBlock(QQ, n)
+    for kind, start, step, power in ranges:
+        if kind == "E" and power > 0:
+            pentagonal = _pentagonal(start, n)
+            for _ in range(power):
+                block.sparse(pentagonal)
+            continue
+        for _ in range(abs(power) if start < n else 0):
+            block.factor(1, range(start, n, step), divide=power < 0)
+    return block.series(n)
 
 
 def term_valuation(ell: int, term) -> int:
@@ -186,16 +207,7 @@ def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
         n = prec - shift - (0 if t is None else t.valuation)
         if vanishes or n <= 0 or (t is not None and t.is_zero()):
             continue
-        block = FactorBlock(QQ, n)
-        for kind, start, step, power in ranges:
-            if kind == "E" and power > 0:
-                pentagonal = _pentagonal(start, n)
-                for _ in range(power):
-                    block.sparse(pentagonal)
-                continue
-            for _ in range(abs(power) if start < n else 0):
-                block.factor(1, range(start, n, step), divide=power < 0)
-        term = block.series(n) if t is None else t * block.series(n) if ranges else t
+        term = _product(ranges, n) if t is None else t * _product(ranges, n) if ranges else t
         if isinstance(coeff, tuple):
             coeff = sum((ring.zeta(j) * c for c, j in coeff), ring.zero)
         total = total + term.scale(coeff * sign).shift(shift)

@@ -24,6 +24,11 @@ inverts its own Pochhammer denominator.  The first two are ``FactorBlock``s;
 ``_bivariate``, the one builder with z formal, keeps plain lists of packed
 z-digit integers, and sizes the digits by its own coefficient bound.
 
+``_counting_series``, ``root_prefactor``, ``ru_at_root``, ``rv_at_root``,
+``_bivariate`` and ``rhs_identity`` are ``series.memo`` builders: one build
+per argument tuple, the longest asked for, and a lower precision is its
+truncation (for ``_bivariate``, its first prec rank polynomials).
+
 ``IDENTITY_CATALOGUE`` holds every E/P/T identity the program checks as rows
 of ``lambert.theta_sum`` terms, each row beside the builder of its other side;
 ``rhs_identity`` evaluates the five root-of-unity identities among them.
@@ -38,7 +43,8 @@ from operator import add, lshift, sub
 
 from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
-from .series import FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack, theta_jtp_sum
+from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack, memo,
+                     theta_jtp_sum)
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
@@ -46,7 +52,7 @@ ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 # -- the counting series ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def _counting_series(power: int, prec: int) -> LaurentSeries:
     """sum over the smallest part n of p1 of q^(power*n) B_n, B_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1}).
 
@@ -99,7 +105,7 @@ def _theta_quotients(ell: int):
     return tuple(period), ((field.one + z) * (field.one - z) * (field.one - field.zeta(-1))).inverse()
 
 
-@lru_cache(maxsize=None)
+@memo
 def root_prefactor(ell: int, prec: int) -> LaurentSeries:
     """(1+z)(q, z, 1/z; q)_inf at z = zeta_ell, over Q(zeta_ell): by the Jacobi
     triple product (q, z, 1/z; q)_inf = (1-z) sum_n (-1)^n z^n q^(n(n+1)/2),
@@ -144,20 +150,22 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
             u[2 * (2 * i - m) % ell] += 1
         periods.append(u)
     raw = block.data
+    columns = {}  # c_j U_m for m < ell, coordinate by coordinate: they depend only on j mod 2 ell
 
     def add_term(j: int):
         e = j * (j + offset) // 2
         eff = e if j > 0 else e + 2 * (-j)
         if eff >= prec or j % ell in (0, 1):
             return
-        step = abs(j)
-        sign = -1 if j % 2 else 1
-        rows = [[sign * (a + b - c - d) for a, b, c, d in
-                 zip(_rotate(u, 1 - j), _rotate(u, j), _rotate(u, 1), u)] for u in periods]
+        step, r = abs(j), j % (2 * ell)
+        if r not in columns:
+            sign = -1 if j % 2 else 1
+            columns[r] = list(zip(*[[sign * (a + b - c - d) for a, b, c, d in
+                                     zip(_rotate(u, 1 - j), _rotate(u, j), _rotate(u, 1), u)] for u in periods]))
         reps = (prec - 1 - eff) // step // ell + 1
-        for k in range(ell):
+        for k, column in enumerate(columns[r]):
             target = slice(eff * ell + k, None, step * ell)
-            raw[target] = map(add, raw[target], [row[k] for row in rows] * reps)
+            raw[target] = map(add, raw[target], column * reps)
 
     j = 2
     while j * (j + offset) // 2 < prec:
@@ -198,13 +206,13 @@ def _at_root(ell: int, prec: int, offset: int) -> LaurentSeries:
     return block.series(prec)
 
 
-@lru_cache(maxsize=None)
+@memo
 def ru_at_root(ell: int, prec: int) -> LaurentSeries:
     """RU(zeta_ell, q): coefficients are the rank-class sums over Q(zeta_ell)."""
     return _at_root(ell, prec, 3)
 
 
-@lru_cache(maxsize=None)
+@memo
 def rv_at_root(ell: int, prec: int) -> LaurentSeries:
     """RV(zeta_ell, q), the v-family analog of ru_at_root."""
     return _at_root(ell, prec, 1)
@@ -267,7 +275,7 @@ def eval_g(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int) -> LaurentSeries:
 # -- route 3: the exact bivariate expansion -----------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def _bivariate(power: int, prec: int) -> tuple:
     """The rank polynomials of RU(z, q) (power 1) or RV(z, q) (power 2), one
     ``ZLaurentPoly`` per power q^0 .. q^(prec-1), by the smallest part n of p1.
@@ -538,7 +546,7 @@ IDENTITY_CATALOGUE = {
 IDENTITY_NAMES = tuple(name[6:] for name in IDENTITY_CATALOGUE if name.startswith("THM12:"))
 
 
-@lru_cache(maxsize=None)
+@memo
 def rhs_identity(name: str, prec: int) -> LaurentSeries:
     """The E/P/T product-and-Lambert form equated to RU/RV at zeta_ell."""
     if name not in IDENTITY_NAMES:

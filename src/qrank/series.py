@@ -33,6 +33,12 @@ All dense arithmetic runs on integers:
   monic series with integral coefficients instead: Euler's pentagonal series
   for E(x), and the triple-product sum that divides RU/RV at zeta_l.
 
+Builders whose last argument is the precision (``poch``, ``jacprod``, and
+those of ``lambert`` and ``rankgen``) are wrapped in ``memo``: it keeps the
+longest build per key of the other arguments and answers a request at a
+precision no higher by truncating that build (a tuple of per-n terms by its
+first prec entries), so repeated and lower-precision requests are hits.
+
 A formal z appears only in ``ZLaurentPoly``, the rank polynomial
 sum_r N(r, n) z^r of one n; ``rankgen._bivariate`` packs its own z-digits
 with ``_unpack``'s codec and decodes each q-slot into one.
@@ -43,9 +49,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from itertools import accumulate, compress, count, repeat
 from operator import add, floordiv, lshift, mul, neg, or_, sub
 
@@ -891,6 +898,53 @@ class FactorBlock:
         return _make(ring, 0, self.den, _reduce_residues(data, w, w), prec)
 
 
+# -- the precision-aware memo ------------------------------------------------
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class memo:
+    """Memoize a builder whose last argument is a precision, keyed on the others.
+
+    The longest build per key is kept, and a request at a precision no
+    higher is answered from it: a series by ``truncate(prec)``, a tuple of
+    per-n terms by its first prec entries.  Every memo sits in
+    ``memo.registry``, which ``clear_memos`` empties.
+    """
+
+    registry = []
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._store, self.hits, self.misses = {}, 0, 0
+        memo.registry.append(self)
+
+    def __call__(self, *args):
+        key, prec = args[:-1], args[-1]
+        built = self._store.get(key)
+        if built is not None and built[0] >= prec:
+            self.hits += 1
+            value = built[1]
+            return value[:max(prec, 0)] if isinstance(value, tuple) else value.truncate(prec)
+        self.misses += 1
+        value = self.__wrapped__(*args)
+        self._store[key] = prec, value
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, None, len(self._store))
+
+    def cache_clear(self) -> None:
+        self._store.clear()
+        self.hits = self.misses = 0
+
+
+def clear_memos() -> None:
+    """Empty every memo and reset its counts."""
+    for m in memo.registry:
+        m.cache_clear()
+
+
 # -- product and sum builders ------------------------------------------------
 
 
@@ -912,6 +966,7 @@ def _poch_shift(a: int, b: int, count) -> int:
     return k * a + b * k * (k - 1) // 2
 
 
+@memo
 def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
     """q-Pochhammer (c*q^a; q^b)_count = prod_{j<count} (1 - c*q^(a+j*b)), exact below prec.
 
@@ -951,6 +1006,7 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
     return block.series(prec - shift).shift(shift)
 
 
+@memo
 def jacprod(ring, c, a: int, b: int, prec) -> "LaurentSeries":
     """Theta-style product (c*q^a; q^b)_inf * (q^(b-a)/c; q^b)_inf, 0 < a < b,
     both factor sets in one block."""

@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from qrank import lambert, rankgen
 from qrank.cyclotomic import cyclotomic_field
 from qrank.quadruples import class_counts, rank_counts
 from qrank.rankgen import eval_f, rank_histograms, rank_series, rhs_identity, u_series, v_series
+from qrank.series import clear_memos
 from qrank.verify import run_check
 
 U_GOLDEN = [1, 5, 15, 44, 105, 252, 539, 1135, 2259, 4390]
@@ -29,18 +29,6 @@ INFRA_CHECKS = ["INFRA:T-symmetry", "INFRA:EqChan1-suite", "INFRA:EqChan2-suite"
                 "INFRA:Prefactor-5", "INFRA:Prefactor-7"]
 
 
-def _clear_caches():
-    rankgen._counting_series.cache_clear()
-    rankgen._bivariate.cache_clear()
-    rankgen.ru_at_root.cache_clear()
-    rankgen.rv_at_root.cache_clear()
-    rankgen.rhs_identity.cache_clear()
-    rankgen.root_prefactor.cache_clear()
-    lambert.lambert_T.cache_clear()
-    lambert.E_series.cache_clear()
-    lambert.P_series.cache_clear()
-
-
 def _verdict(number, ok, message, elapsed=None):
     stamp = "PASS" if ok else "FAIL"
     timing = f" ({elapsed:.2f}s)" if elapsed is not None else ""
@@ -49,7 +37,7 @@ def _verdict(number, ok, message, elapsed=None):
 
 
 def test_criterion_1_golden_coefficients():
-    _clear_caches()
+    clear_memos()
     start = time.perf_counter()
     u = u_series(11)
     v = v_series(11)
@@ -61,7 +49,7 @@ def test_criterion_1_golden_coefficients():
 
 
 def test_criterion_2_congruences_to_104():
-    _clear_caches()
+    clear_memos()
     start = time.perf_counter()
     reports = [run_check(name, prec=105) for name in CONGRUENCE_CHECKS]
     elapsed = time.perf_counter() - start
@@ -71,7 +59,7 @@ def test_criterion_2_congruences_to_104():
 
 
 def test_criterion_3_five_identities():
-    _clear_caches()
+    clear_memos()
     start = time.perf_counter()
     outcomes = {}
     for name, prec in [("RU3", 60), ("RV3", 60), ("RU5", 60), ("RV5", 60), ("RU7", 120)]:
@@ -128,7 +116,7 @@ def test_criterion_6_infrastructure_identities():
 
 
 def test_criterion_7_mod13_nonvanishing():
-    _clear_caches()
+    clear_memos()
     start = time.perf_counter()
     coeff = rank_series("u", "LAMBERT", 14, 13).coefficient(13)
     elapsed = time.perf_counter() - start

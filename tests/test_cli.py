@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -372,15 +373,25 @@ def test_coeffs_builds_the_json_payload_only_for_json(monkeypatch, capsys):
 
 
 def test_json_output_is_the_indented_dump(capsys):
-    # the batched writer writes the text json.dump(doc, out, indent=2) wrote token by token
-    from qrank.cli import _batched, _doc
+    # the batched writer writes the text json.dump(doc, out, indent=2) writes
+    from qrank.cli import _batched, _doc, _emit
+    from qrank.qexpr import EvalCtx, evaluate
     from qrank.quadruples import rank_table
-    for n in (1, 5, 11):
+    for n in (1, 5, 11, 14):
         for kind in ("u", "v"):
             assert main(["ranktable", str(n), "--kind", kind, "--format", "json"]) == 0
             doc = _doc("ranktable", {"n": n, "kind": kind, "format": "json"},
                        {"n": n, "kind": kind, "rows": rank_table(n, kind)})
             assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    expr = "RU(7) - 3*q/(1 - zeta*q)"
+    assert main(["coeffs", "--expr", expr, "--ell", "7", "--prec", "12", "--format", "json"]) == 0
+    payload = {**evaluate(expr, EvalCtx(ell=7, prec=12)).to_json(), "ell": 7}
+    doc = _doc("coeffs", {"expr": expr, "ell": 7, "prec": 12, "format": "json"}, payload)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    for doc in (_doc("ranktable", {}, {"n": 0, "rows": []}), {"rows": [{}, [], {1: None, 2.5: [True]}]}):
+        out = io.StringIO()
+        _emit(doc, "json", None, None, out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
     chunks = ["ab", "c", "", "defg", "h"]
     assert list(_batched(chunks, 3)) == ["abc", "defg", "h"]
     assert list(_batched([], 3)) == [""]
