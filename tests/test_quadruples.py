@@ -1,8 +1,8 @@
 import pytest
 
 import oracles
-from qrank.quadruples import (_partitions, class_counts, enumerate_quadruples, in_family,
-                              omega, rank, rank_counts, rank_table)
+from qrank.quadruples import (CLASSES_MAX_N, _partitions, class_counts, enumerate_quadruples,
+                              in_family, omega, rank, rank_counts, rank_table)
 from qrank.rankgen import u_series, v_series
 
 
@@ -119,9 +119,9 @@ def test_class_counts_feed_residue_vector_test():
 
 
 def test_totals_match_counting_series():
-    u = u_series(31)
-    v = v_series(31)
-    for n in range(1, 31):
+    u = u_series(CLASSES_MAX_N + 1)
+    v = v_series(CLASSES_MAX_N + 1)
+    for n in range(1, CLASSES_MAX_N + 1):
         assert sum(class_counts(n, "u", 7)) == u.coefficient(n)
         assert sum(rank_counts(n, "u").values()) == u.coefficient(n)
         assert sum(rank_counts(n, "v").values()) == v.coefficient(n)
