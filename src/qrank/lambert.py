@@ -87,10 +87,6 @@ def lambert_T(spec: TSpec, prec: int) -> LaurentSeries:
     return LaurentSeries.from_items(QQ, items, prec)
 
 
-def lambert_t(a: int, b: int, ell: int, prec: int) -> LaurentSeries:
-    return lambert_T(TSpec(a, b, ell), prec)
-
-
 @memo
 def E_series(a: int, prec: int) -> LaurentSeries:
     """Euler product E(a) = (q^a; q^a)_inf."""

@@ -16,7 +16,8 @@ T(a,b,l), poch(zpow,qpow,step,count|inf), jac(zpow,qpow,step), U(), V(),
 RU(l), RV(l), RHS(id), F(a,b,c,l), G(a,b,c,l), where zpow and the F/G scalar
 arguments are powers of the ambient zeta.  Evaluation is exact, over
 Q(zeta_ell) at the context precision; all errors carry a byte offset.  A sum of
-E/P/T monomials is one ``lambert.theta_sum`` table, exact whatever its q-shifts.
+E/P/T monomials, each node folded once with exact rationals and q-shifts and no
+series (``_terms``), is one ``lambert.theta_sum`` table, exact whatever its q-shifts.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ def _tokenize(text: str):
             raise QExprSyntaxError(f"unexpected character {other!r}", m.start())
         kind = "INT" if digits else "IDENT" if ident else op
         tokens.append((kind, int(digits) if digits else m[0], m.start()))
-    tokens.append(("END", None, len(text)))
-    return tokens
+    return tokens + [("END", None, len(text))]
 
 
 # -- parser -------------------------------------------------------------------
@@ -129,9 +129,8 @@ class _Parser:
         return self.tokens[self.i]
 
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect(self, kind: str):
         tok = self.next()
@@ -144,8 +143,7 @@ class _Parser:
             node = self.expr()
         except RecursionError:
             raise QExprSyntaxError("expression nested too deeply", self.peek()[2]) from None
-        tok = self.peek()
-        if tok[0] != "END":
+        if (tok := self.peek())[0] != "END":
             raise QExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
         return node
 
@@ -166,12 +164,10 @@ class _Parser:
         return node
 
     def _signed_int(self) -> int:
-        sign = 1
         if self.peek()[0] == "-":
             self.next()
-            sign = -1
-        tok = self.expect("INT")
-        return sign * tok[1]
+            return -self.expect("INT")[1]
+        return self.expect("INT")[1]
 
     def primary(self):
         kind, value, pos = self.next()
@@ -193,21 +189,18 @@ class _Parser:
         if kind == "IDENT":
             if value == "q":
                 return Q(pos)
+            if value == "zeta" and self.peek()[0] == "^":
+                self.next()
+                return Zeta(self._signed_int(), pos)
             if value == "zeta":
-                power = 1
-                if self.peek()[0] == "^":
-                    self.next()
-                    power = self._signed_int()
-                return Zeta(power, pos)
+                return Zeta(1, pos)
             if value not in FUNCTIONS:
                 raise QExprSyntaxError(f"unknown identifier {value!r}", pos)
             self.expect("(")
-            args = []
-            if self.peek()[0] != ")":
+            args = [] if self.peek()[0] == ")" else [self._argument()]
+            while args and self.peek()[0] == ",":
+                self.next()
                 args.append(self._argument())
-                while self.peek()[0] == ",":
-                    self.next()
-                    args.append(self._argument())
             self.expect(")")
             if len(args) != FUNCTIONS[value]:
                 raise QExprSyntaxError(
@@ -217,17 +210,12 @@ class _Parser:
 
     def _argument(self):
         kind, value, pos = self.peek()
-        if kind == "-":
-            self.next()
-            tok = self.expect("INT")
-            return -tok[1]
-        if kind == "INT":
-            self.next()
-            return value
         if kind == "IDENT":
             self.next()
             return value
-        raise QExprSyntaxError(f"expected an integer or keyword argument, found {value!r}", pos)
+        if kind not in ("-", "INT"):
+            raise QExprSyntaxError(f"expected an integer or keyword argument, found {value!r}", pos)
+        return self._signed_int()
 
 
 def parse(text: str):
@@ -238,9 +226,7 @@ def parse(text: str):
 def render(node) -> str:
     """Canonical text for an AST; reparsing yields an equal AST."""
     def prec_of(n):
-        if isinstance(n, BinOp):
-            return BINARY[n.op][0]
-        return 3 if isinstance(n, Pow) else 4
+        return BINARY[n.op][0] if isinstance(n, BinOp) else 3 if isinstance(n, Pow) else 4
 
     def wrap(n, minimum):
         text = render(n)
@@ -370,9 +356,7 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
         if name == "RHS":
             return rhs_identity(args[0], ctx.prec)
         if name in ("F", "G"):
-            a, b, c, _ = args
-            fn = eval_f if name == "F" else eval_g
-            return fn(field.zeta(a), field.zeta(b), field.zeta(c), ctx.prec)
+            return (eval_f if name == "F" else eval_g)(*map(field.zeta, args[:3]), ctx.prec)
     except QExprEvalError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
@@ -380,33 +364,7 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
     raise QExprEvalError(f"unknown function {name!r}", node.pos)
 
 
-# -- sums of E/P/T monomials as one theta_sum table -----------------------------
-
-
-def _shape(node, shapes: dict):
-    """"theta": a monomial with an E, P or T call; "scalar": one without (a product, quotient
-    or power of rationals and q); "sum": a sum or difference of monomials; None otherwise.
-    Cached in ``shapes`` by id(node) beside the node, so no other node takes that id."""
-    if id(node) not in shapes:
-        shape = "scalar" if isinstance(node, (Num, Q)) else None
-        if isinstance(node, Call):
-            shape = "theta" if node.name in ("E", "P", "T") else None
-        elif isinstance(node, (BinOp, Pow)):
-            kids = (node.base,) if isinstance(node, Pow) else (node.left, node.right)
-            parts = set(map(_shape, kids, [shapes] * 2))  # one frame per level, as in ev
-            if isinstance(node, BinOp) and node.op in "+-":
-                shape = None if None in parts else "sum"
-            else:
-                shape = None if parts & {None, "sum"} else max(parts)  # "theta" > "scalar"
-        shapes[id(node)] = node, shape
-    return shapes[id(node)][1]
-
-
-def _summands(node, sign=1):
-    """[(sign, monomial), ...] of a node of shape "sum" or a monomial."""
-    if isinstance(node, BinOp) and node.op in "+-":
-        return _summands(node.left, sign) + _summands(node.right, sign if node.op == "+" else -sign)
-    return [(sign, node)]
+# -- the monomial fold: sums of E/P/T monomials as one theta_sum table ---------
 
 
 def _theta_call(node: Call, ctx: EvalCtx):
@@ -424,59 +382,137 @@ def _theta_call(node: Call, ctx: EvalCtx):
     return [Fraction(1), 0, {} if name == "T" else {(name, *args): 1}, args if name == "T" else None]
 
 
-def _monomial(node, ctx: EvalCtx, ev, shapes: dict):
-    """[c, s, {(kind, x): k}, (a, b, l) or None] for c q^s T(a, b, l) prod E(x)^k P(x)^k,
-    a node of some ``_shape``, its scalar parts evaluated by ``ev`` with all their
-    refusals; None leaves it to the generic path: a zero scalar, a T twice, divided
-    or raised, and a power but +-1 of a coefficient but +-1 (sized there)."""
-    if _shape(node, shapes) == "scalar":
-        value = ev(node)  # one term c q^s, or zero
-        return [value.coefficient(value.valuation), value.valuation, {}, None] if value.data else None
-    if isinstance(node, Call):
-        return _theta_call(node, ctx)
-    if isinstance(node, Pow):
-        base, k = _monomial(node.base, ctx, ev, shapes), node.exponent
-        if base is None or (base[3] and k != 1) or (abs(k) > 1 and abs(base[0]) != 1):
-            return None
-        return [base[0] ** k, base[1] * k, {f: p * k for f, p in base[2].items()}, base[3]]
-    left, right = _monomial(node.left, ctx, ev, shapes), node.right
-    if node.op == "/":  # 1/right is a scalar node if right is one, evaluated and refused as "/" is
-        scalar = _shape(right, shapes) == "scalar"
-        right = BinOp("/", Num(Fraction(1)), right, node.pos) if scalar else Pow(right, -1, node.pos)
-    right = None if left is None else _monomial(right, ctx, ev, shapes)
-    if right is None or (left[3] and right[3]):
-        return None
-    powers = {f: left[2].get(f, 0) + right[2].get(f, 0) for f in left[2] | right[2]}
-    return [left[0] * right[0], left[1] + right[1], powers, left[3] or right[3]]
+def _height(c: Fraction) -> int:
+    return max(abs(c.numerator), c.denominator)
 
 
-def _theta_table(node, ctx: EvalCtx, ev, shapes: dict):
-    """(ell, terms) for ``theta_sum`` of a sum of monomials with an E, P or T call, each term
-    one FactorBlock of n = ctx.prec - its valuation terms; None, leaving it to the generic
-    path, when a term needs more whole-block passes (``lambert.block_passes``) than terms
-    or more than max(TERMS_MAX, ctx.prec) terms, or its P's and T's ask for two l."""
-    summands = _summands(node) if _shape(node, shapes) else []
-    if all(_shape(m, shapes) == "scalar" for _, m in summands):
+def _terms(node, ctx: EvalCtx, memo: dict):
+    """node as monomials [c, s, {(kind, x): k}, (a, b, l) or None, origin, prec] of c q^s T(a, b, l)
+    prod E(x)^k P(x)^k, prec the generic path's for a term with no call; a None term is left generic,
+    None any other node.  Memoized by id beside the node, which keeps the id."""
+    if id(node) in memo:
+        return memo[id(node)][1]
+    terms = None
+    if isinstance(node, Num):
+        terms = [[node.value, 0, {}, None, node, INF]]
+    elif isinstance(node, Q):
+        terms = [[Fraction(1), 1, {}, None, node, INF]]
+    elif isinstance(node, Call) and node.name in ("E", "P", "T"):
+        terms = [[*_theta_call(node, ctx), node, INF]]
+    elif isinstance(node, BinOp) and node.op in "+-":
+        # a chain of sums folds bottom-up into one list each holds; only the outermost is read again
+        chain = [node]
+        while isinstance(kid := chain[-1].left, BinOp) and kid.op in "+-" and id(kid) not in memo:
+            chain.append(kid)
+        terms = _terms(chain[-1].left, ctx, memo)
+        terms = terms and list(terms)
+        for n in reversed(chain):
+            right = terms and _terms(n.right, ctx, memo)
+            if right:
+                terms += right if n.op == "+" else [t and [-t[0], *t[1:]] for t in right]
+            terms = right and terms
+            memo[id(n)] = n, terms
+    elif isinstance(node, (BinOp, Pow)):
+        left = _terms(node.base if isinstance(node, Pow) else node.left, ctx, memo)  # a frame a level
+        right = left if isinstance(node, Pow) or left is None else _terms(node.right, ctx, memo)
+        if right is not None and len(left) == len(right) == 1:  # else a sum inside: None
+            terms = [_combine(node, left[0], right[0], ctx, memo)]
+    memo[id(node)] = node, terms
+    return terms
+
+
+def _combine(n, a, b, ctx: EvalCtx, memo: dict):
+    """a op b or a^k as one term, c and s exact; None for a None term, two T's, a 0 with a call, or
+    a refusal for terms with no call (``_power``, ``_sized`` by heights), which ``_eval`` raises."""
+    if a is None or b is None:
         return None
-    terms, ells = [], set()
-    for sign, m in summands:
-        mono = _monomial(m, ctx, ev, shapes)
-        if mono is None:
+    if isinstance(n, Pow):
+        term = _power(a, n.exponent, n, ctx)
+        refused = term is None and not (a[2] or a[3])
+    else:
+        c = b if n.op == "*" else _power(b, -1, n, ctx)  # b or 1/b
+        scalars = not (a[2] or a[3] or b[2] or b[3])
+        refused = (c is None and not (b[2] or b[3])) or (scalars and a[0] and b[0] and (
+            _height(a[0]) * _height(b[0])).bit_length() > POWER_BITS_MAX)
+        term = None if refused or c is None or (a[3] and b[3]) or not (scalars or a[0] and b[0]) else [
+            a[0] * c[0], a[1] + c[1], {f: a[2].get(f, 0) + c[2].get(f, 0) for f in a[2] | c[2]},
+            a[3] or b[3], n, min(a[5] + c[1], c[5] + a[1]) if a[0] and b[0] else INF]
+    if refused:
+        _eval(n, ctx, memo, False)  # raises the refusal, or gives x^0 = 0 for x known below q^0 only
+    return term
+
+
+def _power(term, k: int, node, ctx: EvalCtx):
+    """The term^k; None for a T raised or inverted, a power but +-1 of a c but +-1 with a call, or
+    a term with no call that the generic path refuses (the inverse of 0 or of an exact q^s past
+    TERMS_MAX terms, squarings past POWER_BITS_MAX bits) or truncates to 0 (x^0, x not known at q^0)."""
+    c, s, powers, lam, _, prec = term
+    if (lam and k != 1) or (not c and k < 0) or (abs(k) > 1 and abs(c) != 1 and (
+            powers or abs(k) * (_height(c).bit_length() - 1) >= POWER_BITS_MAX)):
+        return None
+    if not (powers or lam):  # the precision of b^k in ``_eval``
+        if k < 0 and prec == INF and ctx.prec + 1 - k * s > TERMS_MAX or k == 0 and prec <= 0:
             return None
-        c, shift, powers, lam = mono
-        factors = tuple((kind, x, k) for (kind, x), k in powers.items() if k)
-        ells |= ({lam[2]} if lam else set()) | ({ctx.ell} if any(f[0] == "P" for f in factors) else set())
-        terms.append((sign * c, shift, factors, lam and lam[:2]))
+        prec = ctx.prec + 1 if k < 0 and prec == INF else prec + (k - 1) * s if k else prec
+    c **= k
+    return None if abs(k) > 1 and _height(c).bit_length() > POWER_BITS_MAX else [
+        c, s * k, {f: p * k for f, p in powers.items()}, lam, node, prec]
+
+
+def _theta_table(node, ctx: EvalCtx, memo: dict):
+    """(ell, terms) for ``theta_sum`` of node's monomials if one has an E, P or T call, each term one
+    FactorBlock of n = ctx.prec - its valuation terms; None (generic) for a 0 c, a term of more passes
+    (``lambert.block_passes``) than terms or of more than max(TERMS_MAX, ctx.prec), or two l."""
+    monomials = _terms(node, ctx, memo)
+    if not monomials or not all(m and m[0] for m in monomials) or not any(m[2] or m[3] for m in monomials):
+        return None
+    terms = [(c, s, tuple((kind, x, k) for (kind, x), k in powers.items() if k), lam and lam[:2])
+             for c, s, powers, lam, *_ in monomials]
+    ells = {m[3][2] for m in monomials if m[3]} | {ctx.ell for t in terms if any(f[0] == "P" for f in t[2])}
     if len(ells) > 1:
         return None
-    ell = ells.pop() if ells else ctx.ell
-    for (_, m), term in zip(summands, terms):
-        n, c = ctx.prec - term_valuation(ell, term), term[0]
-        passes = block_passes(_reduced_factors(ell, 0, term[2])[2], n)
-        if passes > max(n, 0) or n > max(TERMS_MAX, ctx.prec):
+    ell = min(ells, default=ctx.ell)
+    for m, term in zip(monomials, terms):
+        n = ctx.prec - term_valuation(ell, term)
+        if block_passes(_reduced_factors(ell, 0, term[2])[2], n) > max(n, 0) or n > max(TERMS_MAX, ctx.prec):
             return None
-        _refuse_oversized(m, _bits(max(n, 0), 1, max(abs(c.numerator), c.denominator)), POWER_BITS_MAX, "bits")
+        _refuse_oversized(m[4], _bits(max(n, 0), 1, _height(term[0])), POWER_BITS_MAX, "bits")
     return ell, terms
+
+
+def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True) -> LaurentSeries:
+    """The generic path: n by series operations, but a node ``_theta_table`` lowers is one ``theta_sum``."""
+    if isinstance(n, Num):
+        return LaurentSeries.const(QQ, n.value)
+    if isinstance(n, Q):
+        return LaurentSeries.monomial(QQ, 1)
+    if isinstance(n, Zeta):
+        return LaurentSeries.const(field := cyclotomic_field(ctx.ell), field.zeta(n.power))
+    if isinstance(n, Call) or (lower and isinstance(n, (BinOp, Pow))):
+        lower = _terms(n, ctx, memo) is None  # below a monomial sum left generic only calls are lowered
+        table = _theta_table(n, ctx, memo)
+        if table is not None:
+            return theta_sum(*table, ctx.prec)
+    if isinstance(n, BinOp):
+        left, right = _eval(n.left, ctx, memo, lower), _eval(n.right, ctx, memo, lower)
+        try:
+            return _sized(left, _inverse_of(right, ctx)) if n.op == "/" else _sized(left, right, n.op)
+        except (ZeroDivisionError, ValueError) as exc:
+            raise QExprEvalError(f"cannot divide: {exc}" if n.op == "/" else str(exc), n.pos) from exc
+    if isinstance(n, Pow):
+        base, k = _eval(n.base, ctx, memo, lower), n.exponent
+        try:
+            # an exact b^-k at valuation v > 0 is 1/b^|k|, cheaper than (|k| - 1) v more terms of 1/b
+            if k < 0 and base.prec == INF and base.valuation > 0:
+                return _inverse_of(base.power(-k, _sized), ctx)
+            if k < 0:
+                base, k = _inverse_of(base, ctx), -k
+            return base.power(k, _sized)
+        except (ZeroDivisionError, ValueError) as exc:
+            raise QExprEvalError(f"cannot raise to {n.exponent}: {exc}", n.pos) from exc
+    if isinstance(n, Call):
+        return _call(n, ctx)
+    raise TypeError(f"not an AST node: {n!r}")
 
 
 def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
@@ -485,51 +521,14 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     Raises QExprEvalError when the expression is known to less precision,
     for example a division by a series of positive valuation.
     """
-    if isinstance(node, str):
-        node = parse(node)
-    field, shapes = cyclotomic_field(ctx.ell), {}
-
-    def ev(n, lower: bool = True) -> LaurentSeries:
-        if isinstance(n, Num):
-            return LaurentSeries.const(QQ, n.value)
-        if isinstance(n, Q):
-            return LaurentSeries.monomial(QQ, 1)
-        if isinstance(n, Zeta):
-            return LaurentSeries.const(field, field.zeta(n.power))
-        if isinstance(n, Call) or (lower and isinstance(n, (BinOp, Pow))):
-            table = _theta_table(n, ctx, ev, shapes)
-            if table is not None:
-                return theta_sum(*table, ctx.prec)
-            lower = not _shape(n, shapes)  # a monomial sum left generic lowers only its calls
-        if isinstance(n, BinOp):
-            left, right = ev(n.left, lower), ev(n.right, lower)
-            try:
-                return _sized(left, _inverse_of(right, ctx)) if n.op == "/" else _sized(left, right, n.op)
-            except (ZeroDivisionError, ValueError) as exc:
-                raise QExprEvalError(f"cannot divide: {exc}" if n.op == "/" else str(exc), n.pos) from exc
-        if isinstance(n, Pow):
-            base, k = ev(n.base, lower), n.exponent
-            try:
-                # an exact b^-k at valuation v > 0 is 1/b^|k|, cheaper than (|k| - 1) v more terms of 1/b
-                if k < 0 and base.prec == INF and base.valuation > 0:
-                    return _inverse_of(base.power(-k, _sized), ctx)
-                if k < 0:
-                    base, k = _inverse_of(base, ctx), -k
-                return base.power(k, _sized)
-            except (ZeroDivisionError, ValueError) as exc:
-                raise QExprEvalError(f"cannot raise to {n.exponent}: {exc}", n.pos) from exc
-        if isinstance(n, Call):
-            return _call(n, ctx)
-        raise TypeError(f"not an AST node: {n!r}")
-
+    node = parse(node) if isinstance(node, str) else node
     try:
-        out = ev(node).promote(field).truncate(ctx.prec)
+        out = _eval(node, ctx, {}).promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
     except RecursionError:
         raise QExprEvalError("expression nested too deeply", node.pos) from None
     if out.prec < ctx.prec:
-        raise QExprEvalError(
-            f"the result is exact only below q^{int(out.prec)}, short of the requested "
-            f"precision {ctx.prec}", node.pos)
+        raise QExprEvalError(f"the result is exact only below q^{int(out.prec)}, short of the requested "
+                             f"precision {ctx.prec}", node.pos)
     return out
 
 

@@ -25,9 +25,11 @@ inverts its own Pochhammer denominator.  The first two are ``FactorBlock``s;
 z-digit integers, and sizes the digits by its own coefficient bound.
 
 ``_counting_series``, ``root_prefactor``, ``ru_at_root``, ``rv_at_root``,
-``_bivariate`` and ``rhs_identity`` are ``series.memo`` builders: one build
-per argument tuple, the longest asked for, and a lower precision is its
-truncation (for ``_bivariate``, its first prec rank polynomials).
+``_bivariate``, ``rank_histograms`` and ``rhs_identity`` are ``series.memo``
+builders: one build per argument tuple, the longest asked for, and a lower
+precision is its truncation (for ``_bivariate`` and ``rank_histograms``, its
+first prec rank polynomials), so ``rank_series`` counts the ENUMERATION
+histograms of a kind once for every ell.
 
 ``IDENTITY_CATALOGUE`` holds every E/P/T identity the program checks as rows
 of ``lambert.theta_sum`` terms, each row beside the builder of its other side;
@@ -362,6 +364,7 @@ def _bivariate(power: int, prec: int) -> tuple:
 # -- the route table ------------------------------------------------------------
 
 
+@memo
 def rank_histograms(kind: str, route: str, prec: int) -> tuple:
     """The rank polynomials sum_r N(r, n) z^r of RU (kind "u") or RV (kind "v")
     for n < prec, by the QBINOMIAL or the ENUMERATION route."""

@@ -2,8 +2,8 @@
 
 A series carries its valuation, a dense coefficient block, and a precision
 ``prec``: coefficients of q^e are known exactly for every e < prec.  prec may
-be ``INF`` for objects that are exact polynomials (monomials, Gaussian
-binomials).  Operations never claim coefficients they cannot know.
+be ``INF`` for objects that are exact polynomials (monomials, finite
+products).  Operations never claim coefficients they cannot know.
 
 The block is integer-first: one positive denominator ``den`` shared by every
 coefficient, and a flat list ``data`` of integer coordinates, ``ring.width``
@@ -26,12 +26,12 @@ All dense arithmetic runs on integers:
   (1 - c q^e): a mutable block changed in place, O(n) integer additions per
   factor: a plain add over QQ, a rotation of residue vectors for c = zeta^k
   over Q(zeta_l), and in general the lifted integer coordinates of c.  Every
-  Pochhammer product (``poch``, ``jacprod``, ``gauss_binomial``) and every
-  geometric series (one division of the constant 1) is one pass of it, and
-  generating functions whose terms differ by a few factors keep one running
-  block.  ``FactorBlock.sparse`` multiplies or divides the block by a sparse
-  monic series with integral coefficients instead: Euler's pentagonal series
-  for E(x), and the triple-product sum that divides RU/RV at zeta_l.
+  Pochhammer product (``poch``, ``jacprod``) and every geometric series (one
+  division of the constant 1) is one pass of it, and generating functions
+  whose terms differ by a few factors keep one running block.
+  ``FactorBlock.sparse`` multiplies or divides the block by a sparse monic
+  series with integral coefficients instead: Euler's pentagonal series for
+  E(x), and the triple-product sum that divides RU/RV at zeta_l.
 
 Builders whose last argument is the precision (``poch``, ``jacprod``, and
 those of ``lambert`` and ``rankgen``) are wrapped in ``memo``: it keeps the
@@ -500,21 +500,6 @@ class LaurentSeries:
         if prec < self.valuation + len(self.data) // self.ring.width:
             return _make(self.ring, self.valuation, self.den, self.data, prec)
         return _new(self.ring, self.valuation, self.den, self.data, prec)
-
-    def substitute_qk(self, k: int) -> "LaurentSeries":
-        """q -> q^k; precision becomes k*(prec-1)+1."""
-        if k < 1:
-            raise ValueError(f"substitution power must be >= 1, got {k}")
-        prec = self.prec if self.prec == INF else k * (self.prec - 1) + 1
-        if not self.data:
-            return LaurentSeries.zero(self.ring, prec)
-        w = self.ring.width
-        data = self.data
-        if k > 1:
-            data = [0] * (((len(data) // w - 1) * k + 1) * w)
-            for j in range(w):
-                data[j::k * w] = self.data[j::w]
-        return _new(self.ring, self.valuation * k, self.den, data, prec)
 
     def dissect(self, modulus: int, residue: int) -> "LaurentSeries":
         """Keep only the exponents congruent to residue mod modulus."""
@@ -1042,17 +1027,3 @@ def theta_jtp_sum(ring, c, prec) -> "LaurentSeries":
         items.append((t * (t - 1) // 2, -power if t % 2 else power))
         t += 1
     return LaurentSeries.from_items(ring, items, prec)
-
-
-def gauss_binomial(n: int, m: int) -> "LaurentSeries":
-    """Gaussian binomial (q;q)_{n+m} / ((q;q)_n (q;q)_m) = (q^(n+1);q)_m / (q;q)_m.
-
-    It is a polynomial of degree exactly n*m, so n*m + 1 terms of the
-    in-place quotient are the whole of it.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("Gaussian binomial needs non-negative arguments")
-    block = FactorBlock(QQ, n * m + 1)
-    block.factor(1, range(n + 1, n + m + 1))
-    block.factor(1, range(1, m + 1), divide=True)
-    return block.series(INF)

@@ -266,7 +266,8 @@ def ref_geometric(ring, c, step: int, prec: int):
     """1/(1 - c q^step) by Newton inversion of 1 - c q, then q -> q^step."""
     terms = -(-(prec - 1) // step) + 1
     base = LaurentSeries.from_items(ring, [(0, ring.one), (1, -ring.of(c))])
-    return base.inverse(prec=terms).substitute_qk(step).truncate(prec)
+    stretched = ref_substitute(list(base.inverse(prec=terms).coeffs), step, ring.zero)
+    return LaurentSeries(ring, 0, stretched, prec)
 
 
 def ref_bilateral_rank_sum(ell: int, prec: int, offset: int):
@@ -324,7 +325,7 @@ def ref_root_prefactor(ell: int, prec: int):
 # every term's Pochhammer denominator is a forward product from ``ref_poch``
 # inverted by Newton iteration, with the Gaussian binomial of each bivariate
 # term counted from the partitions in its box.  None of them calls the
-# FactorBlock-based ``poch``, ``geometric`` or ``gauss_binomial``.
+# FactorBlock-based ``poch`` or ``geometric``.
 
 
 def ref_counting_series(power: int, prec: int):

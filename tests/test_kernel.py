@@ -375,14 +375,6 @@ def test_factor_block_sparse_rejects_bad_terms():
 # -- structural operations ------------------------------------------------------
 
 
-@given(rings.flatmap(series_over), st.integers(min_value=1, max_value=4))
-def test_substitute_matches_reference(a, k):
-    prec = a.prec if a.prec == INF else k * (a.prec - 1) + 1
-    coeffs = oracles.ref_substitute(list(a.coeffs), k, a.ring.zero)
-    expected = LaurentSeries(a.ring, a.valuation * k if coeffs else prec, coeffs, prec)
-    assert a.substitute_qk(k) == expected
-
-
 @given(rings.flatmap(series_over), st.integers(min_value=1, max_value=5), st.data())
 def test_dissect_matches_reference(a, modulus, data):
     residue = data.draw(st.integers(min_value=0, max_value=modulus - 1))

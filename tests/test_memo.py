@@ -42,6 +42,8 @@ BUILDERS = {
     "ru_at_root": (rankgen.ru_at_root, (st.sampled_from((3, 5, 7)),), 1, 50),
     "rv_at_root": (rankgen.rv_at_root, (st.sampled_from((3, 5, 7)),), 1, 50),
     "_bivariate": (rankgen._bivariate, (st.sampled_from((1, 2)),), -3, 25),
+    "rank_histograms": (rankgen.rank_histograms,
+                        (st.sampled_from("uv"), st.sampled_from(("QBINOMIAL", "ENUMERATION"))), -3, 25),
     "rhs_identity": (rankgen.rhs_identity, (st.sampled_from(rankgen.IDENTITY_NAMES),), 1, 50),
 }
 
@@ -101,7 +103,7 @@ def test_lower_precision_hit_cases(build, args, hi, lo):
 def test_one_clear_empties_every_memo():
     assert {m.__name__ for m in memo.registry} >= {
         "lambert_T", "E_series", "P_series", "_product", "poch", "jacprod", "_counting_series",
-        "root_prefactor", "ru_at_root", "rv_at_root", "_bivariate", "rhs_identity"}
+        "root_prefactor", "ru_at_root", "rv_at_root", "_bivariate", "rank_histograms", "rhs_identity"}
     rankgen.rank_series("u", "LAMBERT", 20, 5)
     rankgen.rhs_identity("RU5", 20)
     rankgen.rhs_identity("RU5", 10)
@@ -121,3 +123,16 @@ def test_every_benchmark_cache_answers_cache_info():
             info = fn.cache_info()
             assert isinstance(info.hits, int) and isinstance(info.misses, int)
     assert set(worker.cache_stats()) == set(worker.CACHES)
+
+
+def test_enumeration_histograms_are_counted_once_per_kind(monkeypatch):
+    # the ENUMERATION series of u and v at l = 3, 5, 7 and 61 terms, as the tier-1 workflow
+    # asks for them: one DP per kind and 0 < n < 61, not one per (kind, l), which made 360 calls
+    from qrank import quadruples
+    counted, rank_counts = [], quadruples.rank_counts
+    monkeypatch.setattr(quadruples, "rank_counts", lambda n, kind: counted.append(n) or rank_counts(n, kind))
+    clear_memos()
+    for kind in ("u", "v"):
+        for ell in (3, 5, 7):
+            rankgen.rank_series(kind, "ENUMERATION", 61, ell)
+    assert len(counted) == 120

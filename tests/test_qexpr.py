@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from qrank import qexpr
 from qrank.cyclotomic import QQ, cyclotomic_field
-from qrank.lambert import E_series, P_series, lambert_t
+from qrank.lambert import E_series, P_series, TSpec, lambert_T
 from qrank.qexpr import (BinOp, Call, EvalCtx, Num, Pow, Q, QExprEvalError,
                          QExprSyntaxError, Zeta, _sized, evaluate, parse, render)
 from qrank.rankgen import ru_at_root, u_series
@@ -155,7 +155,7 @@ def test_eval_poch_and_jac():
 def test_eval_t_matches_library():
     ctx = EvalCtx(ell=5, prec=30)
     got = evaluate("T(2,1,5)", ctx)
-    assert got.equal_upto(lambert_t(2, 1, 5, 30), 30) is None
+    assert got.equal_upto(lambert_T(TSpec(2, 1, 5), 30), 30) is None
 
 
 def test_eval_ru_requires_matching_ell():
@@ -293,16 +293,21 @@ def test_sized_is_the_operation_and_counts_at_least_its_result_bits(a, b, square
 @st.composite
 def monomial_sums(draw):
     """(ell, prec, text, terms): a sum of up to 3 monomials c q^s T(a, b, ell) prod E(x)^k P(x)^k
-    as expression text and as ``ref_monomial_sum`` terms.  The factors after c come
-    in any order, half of them written as divisions by the opposite power; half the
-    time the q-power and E/P parts are one power -1; the first coefficient is positive."""
+    as expression text and as ``ref_monomial_sum`` terms.  Half the coefficients are written
+    as a power of a rational; q^s as q^s, a division by q^-s or a quotient q^(s+t)/q^t.  The
+    factors after c come in any order, half of them written as divisions by the opposite power;
+    half the time the q-power and E/P parts are one power -1; the first coefficient is positive."""
     ell = draw(st.sampled_from([3, 5, 7]))
     text, terms = "", []
     for i in range(draw(st.integers(1, 3))):
         c = Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 4)))
+        written = str(c)
+        if draw(st.booleans()):
+            base, j = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5))), draw(st.integers(-3, 3))
+            c, written = base ** j, f"({base})^{j}"
         c *= 1 if i == 0 else draw(st.sampled_from((1, -1)))
-        s = draw(st.integers(-20, 20))
-        parts, factors = [f"/q^{-s}" if draw(st.booleans()) else f"*q^{s}"], []
+        s, t = draw(st.integers(-20, 20)), draw(st.integers(0, 5))
+        parts, factors = [draw(st.sampled_from((f"/q^{-s}", f"*q^{s}", f"*(q^{s + t}/q^{t})")))], []
         for _ in range(draw(st.integers(0, 2))):
             kind = draw(st.sampled_from("EP"))
             x = draw(st.integers(1, 30) if kind == "E"
@@ -317,7 +322,7 @@ def monomial_sums(draw):
                                          st.integers(-ell, ell)))
         if lam is not None:
             parts.append(f"*T({lam[0]},{lam[1]},{ell})")
-        text += ("" if i == 0 else " - " if c < 0 else " + ") + str(abs(c)) + "".join(draw(st.permutations(parts)))
+        text += ("" if i == 0 else " - " if c < 0 else " + ") + written + "".join(draw(st.permutations(parts)))
         terms.append((c, s, tuple(factors), lam))
     return ell, draw(st.integers(1, 40)), text, terms
 
@@ -341,6 +346,20 @@ def test_monomial_sums_match_the_generic_route(case):
     assert got.equal_upto(ref_monomial_sum(ell, terms, prec), prec) is None
 
 
+def test_a_lowered_monomial_sum_multiplies_no_series(monkeypatch):
+    # the fold takes each monomial's rationals and powers of q as exact numbers and
+    # theta_sum builds each E/P quotient in place, so the lowering makes no series product
+    from qrank import series
+    products, mul = [], series._mul
+    monkeypatch.setattr(series, "_mul", lambda a, b: products.append((a, b)) or mul(a, b))
+    series.clear_memos()
+    got = evaluate("q^15*E(49)*P(3)/(P(1)*P(2)^2) - q^8*P(1)/(P(2)*P(3))", EvalCtx(ell=7, prec=60))
+    assert products == []
+    terms = [(1, 15, (("E", 49, 1), ("P", 3, 1), ("P", 1, -1), ("P", 2, -2)), None),
+             (-1, 8, (("P", 1, 1), ("P", 2, -1), ("P", 3, -1)), None)]
+    assert got.equal_upto(ref_monomial_sum(7, terms, 60), 60) is None
+
+
 @pytest.mark.parametrize("expr, product", [("E(5)^4", "poch(0,5,5,inf)^4"), ("E(2)^2", "poch(0,2,2,inf)^2"),
                                             ("E(1)^3/E(2)", "poch(0,1,1,inf)^3/poch(0,2,2,inf)")])
 def test_pentagonal_powers_of_e_match_the_generic_route(monkeypatch, expr, product):
@@ -348,7 +367,7 @@ def test_pentagonal_powers_of_e_match_the_generic_route(monkeypatch, expr, produ
     # by Euler's pentagonal series once per power; the generic route takes each E
     # call alone and squares it, and the Pochhammer form multiplies every factor
     ctx = EvalCtx(ell=5, prec=1000)
-    assert qexpr._theta_table(parse(expr), ctx, None, {}) is not None
+    assert qexpr._theta_table(parse(expr), ctx, {}) is not None
     lowered = str(evaluate(expr, ctx))
     assert lowered == str(evaluate(product, ctx))
     table = qexpr._theta_table

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrank.cyclotomic import QQ, cyclotomic_field
-from qrank.series import (INF, LaurentSeries, PrecisionError, gauss_binomial, geometric, jacprod,
-                          poch, theta_jtp_sum)
+from qrank.series import INF, LaurentSeries, PrecisionError, geometric, jacprod, poch, theta_jtp_sum
 
 import oracles
 
@@ -91,18 +90,7 @@ def test_invert_rejects_zero_and_infinite():
     assert all(inv.coefficient(e) == 1 for e in range(8))
 
 
-# -- substitute / dissect / coefficient ---------------------------------------
-
-
-def test_substitute_examples():
-    a = qs(0, [1, 1], 9)
-    cubed = a.substitute_qk(3)
-    assert cubed.coefficient(0) == 1 and cubed.coefficient(3) == 1
-    assert cubed.prec == 3 * (9 - 1) + 1
-    assert a.substitute_qk(1) == a
-    e1 = poch(QQ, 1, 1, 1, INF, 9)
-    direct = poch(QQ, 1, 25, 25, INF, 201)
-    assert e1.substitute_qk(25).equal_upto(direct, 201) is None
+# -- dissect / coefficient ---------------------------------------------------
 
 
 def test_dissect_examples():
@@ -218,6 +206,12 @@ def test_triple_product_identity(label, ring, c):
     prod = poch(ring, c, 1, 1, INF, prec) * poch(ring, ring.invert(c), 0, 1, INF, prec) \
         * poch(QQ, 1, 1, 1, INF, prec)
     assert theta.equal_upto(prod) is None
+
+
+def gauss_binomial(n: int, m: int) -> LaurentSeries:
+    """[n+m choose m]_q = (q^(n+1); q)_m / (q; q)_m, a polynomial of degree n m, from two ``poch``s."""
+    prec = n * m + 1
+    return poch(QQ, 1, n + 1, 1, m, prec) * poch(QQ, 1, 1, 1, m, prec).inverse()
 
 
 def test_gauss_binomial_examples():
