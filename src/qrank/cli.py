@@ -35,10 +35,10 @@ from .verify import PROFILES, check_names, congruence_scan, run_all
 SCHEMA_VERSION = 1
 _CONTAINERS = (dict, list, tuple)
 
-# Measured at 1000 on a 2-core x86 machine (Python 3.11, about 31 MB at most):
-# the whole `verify --prec` registry 24-27 s, half of it in SEC5:RU13-q13-nonzero
-# (6.8 s) and INFRA:JTP (5.4 s); `coeffs` of RHS(RU7) - RU(7) 2.5 s, of U()
-# 0.34 s, of E(1) 0.13 s; the u(5n) congruence scan 0.32 s.
+# Measured at 1000 on a 2-core x86 machine (Python 3.11, under 25 MB per
+# process): the whole `verify --prec` registry 2.2 s across both cores (4.2 s
+# on one), 1.6 s of it in INFRA:JTP; `coeffs` of RHS(RU7) - RU(7) 0.13 s, of
+# U() 0.32 s, of E(1) 0.08 s; the u(5n) congruence scan 0.26 s.
 PREC_MAX = 1000
 # Every rank at n <= 40 lies in [-78, 78], so a modulus past 157 only adds
 # empty classes.

@@ -163,7 +163,7 @@ def _product(ranges: tuple, n: int) -> LaurentSeries:
     for kind, start, step, power in ranges:
         if kind == "E" and power > 0:
             pentagonal = _pentagonal(start, n)
-            for _ in range(power):
+            for _ in range(power if pentagonal else 0):
                 block.sparse(pentagonal)
             continue
         for _ in range(abs(power) if start < n else 0):

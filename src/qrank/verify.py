@@ -2,9 +2,9 @@
 
 Each check produces a CheckReport: PASS, or FAIL with the first offending
 exponent and both coefficient values.  ``run_all`` executes the registry for a
-precision profile and reports a check that raises as ERROR, with the
-exception text, while the other checks still run; the exit status of the CLI
-wrapper reflects any FAIL or ERROR.
+precision profile across the CPUs the process may use and reports a check that
+raises, or that is lost with a dead worker process, as ERROR while the other
+checks still run; the exit status of the CLI wrapper reflects any FAIL or ERROR.
 
 Check identifiers are grouped by family:
 
@@ -17,6 +17,8 @@ Check identifiers are grouped by family:
 
 from __future__ import annotations
 
+import marshal
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -325,20 +327,144 @@ def run_check(name: str, prec: int | None = None, profile: str = "default") -> C
     return CheckReport(name, used_prec, status, failure, elapsed, detail)
 
 
-def run_all(profile: str = "default", only=None, prec: int | None = None) -> list[CheckReport]:
-    """Run the registry (long checks only under the deep profile), each name once, in name order.
+def _report(name: str, used_prec: int, prec: int | None, profile: str) -> CheckReport:
+    """``run_check``, or an ERROR report with the exception text if the check raises."""
+    start = time.perf_counter()
+    try:
+        return run_check(name, prec=prec, profile=profile)
+    except Exception as exc:
+        elapsed = (time.perf_counter() - start) * 1000.0
+        return CheckReport(name, used_prec, "ERROR", None, elapsed, f"{type(exc).__name__}: {exc}")
 
-    A check that raises is reported as ERROR with the exception text; the others still run.
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def run_all(profile: str = "default", only=None, prec: int | None = None) -> list[CheckReport]:
+    """Run the registry (long checks only under the deep profile), each name once,
+    and return the reports in name order.
+
+    The checks run across every CPU the process may use (see ``_run_forked``;
+    the workers are forked, so call this from a process with no other thread);
+    with one CPU, or without ``os.fork``, they run here one after another.  A
+    check that raises is reported as ERROR with the exception text, and one
+    lost with a dead worker process as ERROR with its exit status; the others
+    still run.  ``runtime_ms`` is each check's wall time in the process that
+    ran it.
     """
     names = check_names(include_long=(profile == "deep")) if only is None else set(only)
     used = {n: _used_prec(n, prec, profile) for n in sorted(names)}
-    reports = []
-    for n in used:
-        start = time.perf_counter()
-        try:
-            reports.append(run_check(n, prec=prec, profile=profile))
-        except Exception as exc:
-            elapsed = (time.perf_counter() - start) * 1000.0
-            reports.append(CheckReport(n, used[n], "ERROR", None, elapsed,
-                                       f"{type(exc).__name__}: {exc}"))
-    return reports
+
+    def run(name):
+        return _report(name, used[name], prec, profile)
+
+    workers = min(len(used), _usable_cpus()) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [run(n) for n in used]
+    return _run_forked(used, run, workers - 1)
+
+
+_INDEX = 2   # bytes of a check index in the queue and in a report frame
+_LENGTH = 4  # bytes of a report frame's payload length; 0 marks a claim
+
+
+def _take(queue: int):
+    """The check indices this process pulls from the shared queue until it is empty."""
+    while chunk := os.read(queue, _INDEX):
+        yield int.from_bytes(chunk, "little")
+
+
+def _serve(queue: int, out: int, names: list, run) -> None:
+    """A forked worker's whole life: claim each index it takes, run the check, send
+    its report as (index, length, marshalled fields), then leave with os._exit
+    without touching the inherited stdio."""
+    code = 1
+    try:
+        for i in _take(queue):
+            key = i.to_bytes(_INDEX, "little")
+            os.write(out, key + bytes(_LENGTH))
+            r = run(names[i])
+            data = marshal.dumps((r.name, r.prec, r.status, r.first_failure, r.runtime_ms, r.detail))
+            frame = memoryview(key + len(data).to_bytes(_LENGTH, "little") + data)
+            while frame:
+                frame = frame[os.write(out, frame):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _frames(fd: int):
+    """(index, payload) of every whole frame a worker wrote to ``fd``, read to end
+    of file; a frame cut short by the worker's death is dropped."""
+    data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    at, head = 0, _INDEX + _LENGTH
+    while at + head <= len(data):
+        end = at + head + int.from_bytes(data[at + _INDEX:at + head], "little")
+        if end > len(data):
+            break
+        yield int.from_bytes(data[at:at + _INDEX], "little"), data[at + head:end]
+        at = end
+
+
+def _lost(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    ended = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+    return f"lost with its worker process, which {ended}"
+
+
+def _run_forked(used: dict, run, children: int) -> list[CheckReport]:
+    """Run the checks in ``used`` (name -> precision, in name order) in this process
+    and ``children`` forked ones.
+
+    A pipe preloaded with every check index is the one queue: each process takes
+    the next index until the pipe is empty.  Each child sends each report back
+    over its own pipe as soon as the check ends.  A check that no process
+    reported becomes ERROR with the exit status of the child that took it.
+    Every child is reaped before this returns, and killed first if this raises.
+    """
+    names = list(used)
+    reports, claims, status, pipes = {}, {}, {}, {}   # pipes: pid -> read end of its reports
+    queue, fill = os.pipe()
+    # all indices fit one pipe buffer, so this write does not block
+    os.write(fill, b"".join(i.to_bytes(_INDEX, "little") for i in range(len(names))))
+    os.close(fill)
+    try:
+        for _ in range(children):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: the ones started share the queue
+                pid = None
+            if pid == 0:
+                os.close(read_end)
+                _serve(queue, write_end, names, run)
+            os.close(write_end)
+            if pid is None:
+                os.close(read_end)
+                break
+            pipes[pid] = read_end
+        for i in _take(queue):
+            reports[i] = run(names[i])
+        for pid, fd in pipes.items():
+            for i, payload in _frames(fd):
+                if payload:
+                    reports[i] = CheckReport(*marshal.loads(payload))
+                else:
+                    claims[i] = pid
+            status[pid] = os.waitpid(pid, 0)[1]
+    finally:
+        for fd in (queue, *pipes.values()):
+            os.close(fd)
+        if len(status) < len(pipes):
+            import signal
+            for pid in pipes.keys() - status.keys():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    # an unreported check was claimed by the child that lost it, unless that child
+    # died between taking its index and claiming it
+    dead = next((s for s in status.values() if s), 0)
+    return [reports.get(i) or CheckReport(n, used[n], "ERROR", None, 0.0,
+                                          _lost(status[claims[i]] if i in claims else dead))
+            for i, n in enumerate(names)]

@@ -375,6 +375,15 @@ def test_pentagonal_powers_of_e_match_the_generic_route(monkeypatch, expr, produ
     assert lowered == str(evaluate(expr, ctx))
 
 
+def test_a_positive_e_power_with_no_term_below_the_precision_is_one():
+    # E(2) is 1 below q^2, so its 1.8e11-th power costs no pass over the block;
+    # the timeout turns a pass per unit of the power into a failure, not a hang
+    proc = subprocess.run([sys.executable, "-m", "qrank", "coeffs", "--expr", "((E(2))^600000)^300000",
+                           "--ell", "3", "--prec", "1"], capture_output=True, text=True, timeout=30,
+                          env={"PATH": "", "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 + O(q^1)\n", "")
+
+
 def test_import_loads_neither_the_cli_nor_the_check_registry():
     script = "import sys, qrank.qexpr; print(sorted({'qrank.cli', 'qrank.verify'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -1,3 +1,11 @@
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from qrank import lambert, verify
@@ -7,6 +15,8 @@ from qrank.quadruples import class_counts
 from qrank.rankgen import IDENTITY_CATALOGUE, rank_histograms, rank_series, root_prefactor
 from qrank.series import LaurentSeries, geometric
 from qrank.verify import PARTIAL_FRACTIONS, CheckReport, _expand, check_names, run_all, run_check
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # every check the registry must expose
 REQUIRED_NAMES = [
@@ -77,6 +87,134 @@ def test_fast_profile_all_pass():
     failures = [r.name for r in reports if r.status != "PASS"]
     assert failures == []
     assert "SEC5:F13-grid-q13-nonzero" not in {r.name for r in reports}
+
+
+# -- the registry across processes ----------------------------------------------
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """run_all forks one worker beside this process; no child outlives the test, and
+    no pipe end stays open."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fds = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def _one_check_per_process(tmp_path, body):
+    """A check body for a two-check run on two CPUs: in this process it first waits
+    until the worker has started its check, so each process runs one of the two."""
+    parent, started = os.getpid(), tmp_path / "worker-started"
+
+    def run(prec):
+        if os.getpid() != parent:
+            started.touch()
+        else:
+            deadline = time.monotonic() + 30
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.002)
+        return body(prec)
+    return run
+
+
+def _without_runtime(reports):
+    return [{k: v for k, v in r.to_json().items() if k != "runtime_ms"} for r in reports]
+
+
+@pytest.mark.parametrize("one_cpu", ["affinity", "cpu_count", "no_fork", "fork_fails"])
+def test_the_serial_path_gives_the_same_reports(monkeypatch, two_cpus, one_cpu):
+    forked = run_all(profile="fast")
+    if one_cpu == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    elif one_cpu == "fork_fails":  # this process alone takes the whole queue
+        def fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("the serial path forked"))
+        if one_cpu == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _without_runtime(run_all(profile="fast")) == _without_runtime(forked)
+
+
+def test_a_raising_check_is_an_error_in_either_process(monkeypatch, tmp_path, two_cpus):
+    def boom(prec):
+        raise RuntimeError(f"boom at {prec} in {os.getpid()}")
+    only = ["THM11:u3", "THM12:RU3"]
+    for name in only:
+        monkeypatch.setattr(verify._REGISTRY[name], "run", _one_check_per_process(tmp_path, boom))
+    reports = run_all(only=only)
+    assert [(r.name, r.prec, r.status) for r in reports] == [("THM11:u3", 105, "ERROR"),
+                                                             ("THM12:RU3", 60, "ERROR")]
+    pids = set()
+    for r in reports:
+        head, _, pid = r.detail.rpartition(" in ")
+        assert head == f"RuntimeError: boom at {r.prec}"
+        pids.add(int(pid))
+    assert len(pids) == 2 and os.getpid() in pids
+
+
+@pytest.mark.parametrize("die, ended", [(lambda: os._exit(3), "exited with status 3"),
+                                        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                         f"was killed by signal {signal.SIGKILL.value}")])
+def test_a_check_lost_with_its_worker_is_an_error(monkeypatch, tmp_path, two_cpus, die, ended):
+    # the worker dies in the first check it takes; this process runs the other two
+    parent = os.getpid()
+    only = ["THM11:u3", "THM11:v3", "THM12:RU3"]
+    for name in only:
+        run = verify._REGISTRY[name].run
+        monkeypatch.setattr(verify._REGISTRY[name], "run", _one_check_per_process(
+            tmp_path, lambda prec, run=run: run(prec) if os.getpid() == parent else die()))
+    reports = run_all(only=only)
+    assert [r.name for r in reports] == only
+    lost = [r for r in reports if r.status != "PASS"]
+    assert [(r.status, r.detail, r.first_failure) for r in lost] == \
+        [("ERROR", f"lost with its worker process, which {ended}", None)]
+    assert lost[0].prec == verify._used_prec(lost[0].name, None, "default")
+
+
+def test_a_raise_in_this_process_kills_and_reaps_the_worker(monkeypatch, tmp_path, two_cpus):
+    def body(prec):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    parent = os.getpid()
+    only = ["THM11:u3", "THM12:RU3"]
+    for name in only:
+        monkeypatch.setattr(verify._REGISTRY[name], "run", _one_check_per_process(tmp_path, body))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_all(only=only)
+    assert time.monotonic() - start < 30
+
+
+def test_a_frame_cut_short_is_dropped():
+    read_end, write_end = os.pipe()
+    os.write(write_end, bytes([5, 0, 0, 0, 0, 0]) + bytes([5, 0, 3, 0, 0, 0]) + b"abc"
+             + bytes([6, 0, 9, 0, 0, 0]) + b"abcd")
+    os.close(write_end)
+    try:
+        assert list(verify._frames(read_end)) == [(5, b""), (5, b"abc")]
+    finally:
+        os.close(read_end)
+
+
+def test_verify_prints_one_json_document():
+    proc = subprocess.run([sys.executable, "-m", "qrank", "verify", "--only", "THM11:u3,THM12:RU3",
+                           "--format", "json"], capture_output=True, text=True,
+                          env={"PATH": "", "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)["payload"]
+    assert [(r["name"], r["status"]) for r in payload] == [("THM11:u3", "PASS"), ("THM12:RU3", "PASS")]
 
 
 def test_explicit_prec_override():
