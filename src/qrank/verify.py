@@ -361,13 +361,11 @@ def run_all(profile: str = "default", only=None, prec: int | None = None) -> lis
         return _report(name, used[name], prec, profile)
 
     workers = min(len(used), _usable_cpus()) if hasattr(os, "fork") else 1
-    if workers <= 1:
-        return [run(n) for n in used]
     return _run_forked(used, run, workers - 1)
 
 
 _INDEX = 2   # bytes of a check index in the queue and in a report frame
-_LENGTH = 4  # bytes of a report frame's payload length; 0 marks a claim
+_LENGTH = 4  # bytes of a report frame's payload length
 
 
 def _take(queue: int):
@@ -377,17 +375,15 @@ def _take(queue: int):
 
 
 def _serve(queue: int, out: int, names: list, run) -> None:
-    """A forked worker's whole life: claim each index it takes, run the check, send
-    its report as (index, length, marshalled fields), then leave with os._exit
+    """A forked worker's whole life: run each check whose index it takes, send its
+    report as (index, length, marshalled fields), then leave with os._exit
     without touching the inherited stdio."""
     code = 1
     try:
         for i in _take(queue):
-            key = i.to_bytes(_INDEX, "little")
-            os.write(out, key + bytes(_LENGTH))
             r = run(names[i])
             data = marshal.dumps((r.name, r.prec, r.status, r.first_failure, r.runtime_ms, r.detail))
-            frame = memoryview(key + len(data).to_bytes(_LENGTH, "little") + data)
+            frame = memoryview(i.to_bytes(_INDEX, "little") + len(data).to_bytes(_LENGTH, "little") + data)
             while frame:
                 frame = frame[os.write(out, frame):]
         code = 0
@@ -416,16 +412,16 @@ def _lost(status: int) -> str:
 
 def _run_forked(used: dict, run, children: int) -> list[CheckReport]:
     """Run the checks in ``used`` (name -> precision, in name order) in this process
-    and ``children`` forked ones.
+    and up to ``children`` forked ones; with none, this process runs them all.
 
     A pipe preloaded with every check index is the one queue: each process takes
     the next index until the pipe is empty.  Each child sends each report back
     over its own pipe as soon as the check ends.  A check that no process
-    reported becomes ERROR with the exit status of the child that took it.
-    Every child is reaped before this returns, and killed first if this raises.
+    reported becomes ERROR with the exit status of a child that died.  Every
+    child is reaped before this returns, and killed first if this raises.
     """
     names = list(used)
-    reports, claims, status, pipes = {}, {}, {}, {}   # pipes: pid -> read end of its reports
+    reports, status, pipes = {}, {}, {}   # pipes: pid -> read end of its reports
     queue, fill = os.pipe()
     # all indices fit one pipe buffer, so this write does not block
     os.write(fill, b"".join(i.to_bytes(_INDEX, "little") for i in range(len(names))))
@@ -449,10 +445,7 @@ def _run_forked(used: dict, run, children: int) -> list[CheckReport]:
             reports[i] = run(names[i])
         for pid, fd in pipes.items():
             for i, payload in _frames(fd):
-                if payload:
-                    reports[i] = CheckReport(*marshal.loads(payload))
-                else:
-                    claims[i] = pid
+                reports[i] = CheckReport(*marshal.loads(payload))
             status[pid] = os.waitpid(pid, 0)[1]
     finally:
         for fd in (queue, *pipes.values()):
@@ -462,9 +455,6 @@ def _run_forked(used: dict, run, children: int) -> list[CheckReport]:
             for pid in pipes.keys() - status.keys():
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    # an unreported check was claimed by the child that lost it, unless that child
-    # died between taking its index and claiming it
     dead = next((s for s in status.values() if s), 0)
-    return [reports.get(i) or CheckReport(n, used[n], "ERROR", None, 0.0,
-                                          _lost(status[claims[i]] if i in claims else dead))
+    return [reports.get(i) or CheckReport(n, used[n], "ERROR", None, 0.0, _lost(dead))
             for i, n in enumerate(names)]

@@ -108,17 +108,14 @@ def two_cpus(monkeypatch):
 
 
 def _one_check_per_process(tmp_path, body):
-    """A check body for a two-check run on two CPUs: in this process it first waits
-    until the worker has started its check, so each process runs one of the two."""
-    parent, started = os.getpid(), tmp_path / "worker-started"
-
+    """A check body for a run on two CPUs: each process marks that it has started a
+    check and waits for the other's mark before it runs ``body``, so neither can
+    take a second index before the other has taken its first."""
     def run(prec):
-        if os.getpid() != parent:
-            started.touch()
-        else:
-            deadline = time.monotonic() + 30
-            while not started.exists() and time.monotonic() < deadline:
-                time.sleep(0.002)
+        (tmp_path / f"started-{os.getpid()}").touch()
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.glob("started-*"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.002)
         return body(prec)
     return run
 
@@ -199,11 +196,11 @@ def test_a_raise_in_this_process_kills_and_reaps_the_worker(monkeypatch, tmp_pat
 
 def test_a_frame_cut_short_is_dropped():
     read_end, write_end = os.pipe()
-    os.write(write_end, bytes([5, 0, 0, 0, 0, 0]) + bytes([5, 0, 3, 0, 0, 0]) + b"abc"
+    os.write(write_end, bytes([5, 0, 2, 0, 0, 0]) + b"xy" + bytes([7, 0, 3, 0, 0, 0]) + b"abc"
              + bytes([6, 0, 9, 0, 0, 0]) + b"abcd")
     os.close(write_end)
     try:
-        assert list(verify._frames(read_end)) == [(5, b""), (5, b"abc")]
+        assert list(verify._frames(read_end)) == [(5, b"xy"), (7, b"abc")]
     finally:
         os.close(read_end)
 
