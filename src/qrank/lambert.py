@@ -13,32 +13,30 @@ with k > 0 multiplied by Euler's pentagonal series;
 ``P_series`` is such a table, and so is every identity in
 ``rankgen.IDENTITY_CATALOGUE``.
 
-``lambert_T``, ``E_series``, ``P_series`` and the E/P products (``_product``,
+``lambert_T``, ``E_series``, ``P_series``, the E/P products (``_product``,
 keyed on the sorted factor ranges, so P(1)P(2) and P(2)P(1) share an entry)
-are ``series.memo`` builders: one build per key, the longest asked for, and a
+and the tables (``_theta_sum``, keyed on ell and the terms as a tuple) are
+``series.memo`` builders: one build per key, the longest asked for, and a
 lower precision is its truncation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import QQ, cyclotomic_field
+from .record import FrozenRecord
 from .series import INF, FactorBlock, LaurentSeries, memo, poch
 
 
-@dataclass(frozen=True)
-class TSpec:
+class TSpec(FrozenRecord):
     """Parameters of a generalized Lambert series T(a, b, ell)."""
 
-    a: int
-    b: int
-    ell: int
+    __slots__ = ("a", "b", "ell")
 
-    def __post_init__(self):
-        cyclotomic_field(self.ell)
-        if self.a % self.ell == 0:
-            raise ValueError(f"a = {self.a} is divisible by ell = {self.ell}; the denominator would vanish")
+    def __init__(self, a: int, b: int, ell: int):
+        cyclotomic_field(ell)
+        if a % ell == 0:
+            raise ValueError(f"a = {a} is divisible by ell = {ell}; the denominator would vanish")
+        self.a, self.b, self.ell = a, b, ell
 
 
 def _t_term_exponents(spec: TSpec, n: int):
@@ -108,7 +106,10 @@ def _reduce_p_argument(a: int, ell: int):
 
 @memo
 def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
-    """The theta block P(a) over the rationals, argument reduced by symmetry."""
+    """The theta block P(a) over the rationals, argument reduced by symmetry.
+
+    A one-term ``theta_sum``, itself memoized; this memo stays because the
+    benchmark reads ``cache_info()`` on it."""
     if a % ell == 0:
         raise ValueError(f"P({a}) is degenerate for ell = {ell} (argument divisible by ell)")
     return theta_sum(ell, [(1, 0, (("P", a, 1),), None)], prec)
@@ -180,6 +181,13 @@ def term_valuation(ell: int, term) -> int:
 
 
 def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
+    """sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over the terms, exact below q^prec;
+    ``_theta_sum`` of the terms as a tuple."""
+    return _theta_sum(ell, tuple(terms), prec)
+
+
+@memo
+def _theta_sum(ell: int, terms: tuple, prec: int) -> LaurentSeries:
     """sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over the terms, exact below q^prec.
 
     A term is (c, s, ((kind, x, k), ...), (a, b) or None for T = 1), kind "E"

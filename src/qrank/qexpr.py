@@ -23,14 +23,14 @@ series (``_terms``), is one ``lambert.theta_sum`` table, exact whatever its q-sh
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
 from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
 from .lambert import TSpec, _reduced_factors, block_passes, t_valuation, term_valuation, theta_sum
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
-from .series import INF, LaurentSeries, _poch_shift, jacprod, poch
+from .record import FrozenRecord
+from .series import CLEARED_WITH_MEMOS, INF, CacheInfo, LaurentSeries, _poch_shift, jacprod, poch
 
 
 class QExprSyntaxError(ValueError):
@@ -48,43 +48,46 @@ class QExprEvalError(ValueError):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int = 0
+class Num(FrozenRecord):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: Fraction, pos: int = 0):
+        self.value, self.pos = value, pos
 
 
-@dataclass(frozen=True)
-class Q:
-    pos: int = 0
+class Q(FrozenRecord):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: int = 0):
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Zeta:
-    power: int = 1
-    pos: int = 0
+class Zeta(FrozenRecord):
+    __slots__ = ("power", "pos")
+
+    def __init__(self, power: int = 1, pos: int = 0):
+        self.power, self.pos = power, pos
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    pos: int = 0
+class BinOp(FrozenRecord):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left, right, pos: int = 0):
+        self.op, self.left, self.right, self.pos = op, left, right, pos
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    pos: int = 0
+class Pow(FrozenRecord):
+    __slots__ = ("base", "exponent", "pos")
+
+    def __init__(self, base, exponent: int, pos: int = 0):
+        self.base, self.exponent, self.pos = base, exponent, pos
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-    pos: int = 0
+class Call(FrozenRecord):
+    __slots__ = ("name", "args", "pos")
+
+    def __init__(self, name: str, args: tuple, pos: int = 0):
+        self.name, self.args, self.pos = name, args, pos
 
 
 # an integer, an identifier, an operator or any other character but a space
@@ -255,17 +258,16 @@ def render(node) -> str:
 # -- evaluator ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalCtx:
+class EvalCtx(FrozenRecord):
     """Ambient cyclotomic order and working precision."""
 
-    ell: int = 5
-    prec: int = 60
+    __slots__ = ("ell", "prec")
 
-    def __post_init__(self):
-        if self.prec < 1:
-            raise ValueError(f"precision must be >= 1, got {self.prec}")
-        cyclotomic_field(self.ell)
+    def __init__(self, ell: int = 5, prec: int = 60):
+        if prec < 1:
+            raise ValueError(f"precision must be >= 1, got {prec}")
+        cyclotomic_field(ell)
+        self.ell, self.prec = ell, prec
 
 
 # P(x), T(a, b, l) and a finite poch start near q^(-x^2 / 2), q^(-b^2 / 2) and
@@ -480,19 +482,27 @@ def _theta_table(node, ctx: EvalCtx, memo: dict):
     return ell, terms
 
 
-def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True) -> LaurentSeries:
-    """The generic path: n by series operations, but a node ``_theta_table`` lowers is one ``theta_sum``."""
+def _plan(n, ctx: EvalCtx, memo: dict, lower: bool = True):
+    """(table, lower) of node n: its ``_theta_table``, None where n is evaluated node by node, and
+    whether the nodes below n are lowered (below a monomial sum left generic only calls are)."""
+    if isinstance(n, Call) or (lower and isinstance(n, (BinOp, Pow))):
+        lower = _terms(n, ctx, memo) is None
+        return _theta_table(n, ctx, memo), lower
+    return None, lower
+
+
+def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True, plan=None) -> LaurentSeries:
+    """The generic path: n by series operations, but a node ``_theta_table`` lowers is one ``theta_sum``;
+    plan is n's ``_plan`` where it is known."""
     if isinstance(n, Num):
         return LaurentSeries.const(QQ, n.value)
     if isinstance(n, Q):
         return LaurentSeries.monomial(QQ, 1)
     if isinstance(n, Zeta):
         return LaurentSeries.const(field := cyclotomic_field(ctx.ell), field.zeta(n.power))
-    if isinstance(n, Call) or (lower and isinstance(n, (BinOp, Pow))):
-        lower = _terms(n, ctx, memo) is None  # below a monomial sum left generic only calls are lowered
-        table = _theta_table(n, ctx, memo)
-        if table is not None:
-            return theta_sum(*table, ctx.prec)
+    table, lower = plan or _plan(n, ctx, memo, lower)
+    if table is not None:
+        return theta_sum(*table, ctx.prec)
     if isinstance(n, BinOp):
         left, right = _eval(n.left, ctx, memo, lower), _eval(n.right, ctx, memo, lower)
         try:
@@ -515,20 +525,68 @@ def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True) -> LaurentSeries:
     raise TypeError(f"not an AST node: {n!r}")
 
 
+# -- the text cache -----------------------------------------------------------
+
+# ``evaluate`` keeps the parsed tree and the root's ``_plan`` of the last SESSION_MAX
+# expression texts it evaluated, keyed on (text, ell, prec): a repeat skips the parse
+# and the fold, and a root lowered to one table is then a ``theta_sum`` memo hit.
+SESSION_MAX = 256
+
+
+class _TextCache:
+    """(text, ell, prec) -> (tree, plan), the least recently used entry dropped first."""
+
+    def __init__(self):
+        self.store, self.hits, self.misses = {}, 0, 0
+        CLEARED_WITH_MEMOS.append(self)
+
+    def get(self, key):
+        entry = self.store.pop(key, None)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.store[key] = entry
+        return entry
+
+    def put(self, key, entry) -> None:
+        if len(self.store) >= SESSION_MAX:
+            del self.store[next(iter(self.store))]
+        self.store[key] = entry
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, SESSION_MAX, len(self.store))
+
+    def cache_clear(self) -> None:
+        self.store.clear()
+        self.hits = self.misses = 0
+
+
+_SESSION = _TextCache()
+
+
 def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     """Evaluate an AST (or expression text) to a series over Q(zeta_ell), exact below ctx.prec.
 
     Raises QExprEvalError when the expression is known to less precision,
-    for example a division by a series of positive valuation.
+    for example a division by a series of positive valuation.  Text that
+    evaluates is kept in the text cache; an error, a syntax error included,
+    is never kept, and an AST is evaluated afresh.
     """
-    node = parse(node) if isinstance(node, str) else node
+    key = (node, ctx.ell, ctx.prec) if isinstance(node, str) else None
+    entry = key and _SESSION.get(key)
+    tree, plan = entry or (parse(node) if key else node, None)
+    memo = {}
     try:
-        out = _eval(node, ctx, {}).promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
+        plan = plan or _plan(tree, ctx, memo)
+        out = _eval(tree, ctx, memo, plan=plan).promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
     except RecursionError:
-        raise QExprEvalError("expression nested too deeply", node.pos) from None
+        raise QExprEvalError("expression nested too deeply", tree.pos) from None
     if out.prec < ctx.prec:
         raise QExprEvalError(f"the result is exact only below q^{int(out.prec)}, short of the requested "
-                             f"precision {ctx.prec}", node.pos)
+                             f"precision {ctx.prec}", tree.pos)
+    if key and not entry:
+        _SESSION.put(key, (tree, plan))
     return out
 
 

@@ -551,7 +551,10 @@ IDENTITY_NAMES = tuple(name[6:] for name in IDENTITY_CATALOGUE if name.startswit
 
 @memo
 def rhs_identity(name: str, prec: int) -> LaurentSeries:
-    """The E/P/T product-and-Lambert form equated to RU/RV at zeta_ell."""
+    """The E/P/T product-and-Lambert form equated to RU/RV at zeta_ell.
+
+    ``theta_sum`` is memoized itself; this memo stays because the benchmark
+    reads ``cache_info()`` on it."""
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
     (_, ell, _, terms), = IDENTITY_CATALOGUE["THM12:" + name][1]

@@ -690,15 +690,19 @@ def _cyclic_lift(coords) -> list:
 # -- the in-place factor kernel ----------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _factor_terms(ring, c):
     """(d, [(k, m), ...]) with c = sum m x^k / d over the integers m.
 
     x is the rotation zeta over Q(zeta_l), acting on residue vectors, with
     the lifted coordinates of c; over QQ there is one term, the numerator
-    of c.
+    of c.  Cached on the integer split of c, which hashes faster than the
+    rational coordinates of a ``CycQ``.
     """
-    den, coords = ring.split(c)
+    return _lifted_terms(ring, *ring.split(c))
+
+
+@lru_cache(maxsize=256)
+def _lifted_terms(ring, den: int, coords: tuple):
     if ring is not QQ:
         coords = _cyclic_lift(coords)
     return den, [(k, m) for k, m in enumerate(coords) if m]
@@ -924,9 +928,13 @@ class memo:
         self.hits = self.misses = 0
 
 
+# caches beside the memos that ``clear_memos`` empties too (``qexpr``'s text cache)
+CLEARED_WITH_MEMOS = []
+
+
 def clear_memos() -> None:
-    """Empty every memo and reset its counts."""
-    for m in memo.registry:
+    """Empty every memo and every cache in ``CLEARED_WITH_MEMOS``, and reset their counts."""
+    for m in memo.registry + CLEARED_WITH_MEMOS:
         m.cache_clear()
 
 

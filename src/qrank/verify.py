@@ -21,7 +21,6 @@ import marshal
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from operator import add
 
@@ -29,6 +28,7 @@ from .cyclotomic import QQ, cyclotomic_field
 from .lambert import term_valuation, theta_sum
 from .quadruples import CLASSES_MAX_N, class_counts
 from .rankgen import IDENTITY_CATALOGUE, eval_f, rank_histograms, rank_series, root_prefactor
+from .record import Record
 from .series import INF, poch, theta_jtp_sum
 
 PROFILES = ("fast", "default", "deep")
@@ -47,14 +47,15 @@ CLASS_FAMILIES = {
 }
 
 
-@dataclass
-class CheckReport:
-    name: str
-    prec: int
-    status: str                  # PASS | FAIL | ERROR (the check raised)
-    first_failure: tuple | None  # (exponent, lhs text, rhs text)
-    runtime_ms: float
-    detail: str = ""
+class CheckReport(Record):
+    __slots__ = ("name", "prec", "status", "first_failure", "runtime_ms", "detail")
+
+    def __init__(self, name: str, prec: int, status: str, first_failure: tuple | None,
+                 runtime_ms: float, detail: str = ""):
+        self.name, self.prec = name, prec
+        self.status = status                # PASS | FAIL | ERROR (the check raised)
+        self.first_failure = first_failure  # (exponent, lhs text, rhs text) or None
+        self.runtime_ms, self.detail = runtime_ms, detail
 
     def to_json(self) -> dict:
         failure = self.first_failure and dict(zip(("exponent", "lhs", "rhs"), self.first_failure))
@@ -65,18 +66,18 @@ class CheckReport:
         }
 
 
-@dataclass
-class _Check:
-    run: callable               # prec -> (status, first_failure, detail)
-    default_prec: int
-    fast_prec: int
-    long: bool = False
-    # --prec is clamped to [min_prec, max_prec]: rank-count and bivariate checks
-    # stay desk-scale, mod-13 checks read q^13, scans and class checks at least
-    # one nonzero coefficient or non-empty class, catalogue checks at least one
-    # term of every row; the report carries the prec used
-    max_prec: int | None = None
-    min_prec: int = 1
+class _Check(Record):
+    __slots__ = ("run", "default_prec", "fast_prec", "long", "max_prec", "min_prec")
+
+    def __init__(self, run, default_prec: int, fast_prec: int, long: bool = False,
+                 max_prec: int | None = None, min_prec: int = 1):
+        self.run = run  # prec -> (status, first_failure, detail)
+        self.default_prec, self.fast_prec, self.long = default_prec, fast_prec, long
+        # --prec is clamped to [min_prec, max_prec]: rank-count and bivariate checks
+        # stay desk-scale, mod-13 checks read q^13, scans and class checks at least
+        # one nonzero coefficient or non-empty class, catalogue checks at least one
+        # term of every row; the report carries the prec used
+        self.max_prec, self.min_prec = max_prec, min_prec
 
 
 def _compare(prec, cases, passed=""):

@@ -25,6 +25,12 @@ tspecs = st.tuples(st.sampled_from((3, 5, 7)), st.integers(-6, 6), st.integers(-
     lambda t: t[1] % t[0]).map(lambda t: TSpec(t[1], t[2], t[0]))
 factor_lists = st.lists(st.tuples(st.sampled_from("EP"), st.integers(1, 9).filter(lambda x: x % 5),
                                   st.integers(-3, 3).filter(bool)), max_size=3)
+# no x here and no a below is divisible by 3, 5 or 7, so every table is defined at those ell
+theta_terms = st.lists(st.tuples(
+    st.sampled_from((1, -2, Fraction(1, 3), ((1, 1), (-1, 2)))), st.integers(-3, 6),
+    st.lists(st.tuples(st.sampled_from("EP"), st.sampled_from((1, 2, 4, 8, 11)), st.integers(-2, 2).filter(bool)),
+             max_size=2).map(tuple),
+    st.none() | st.tuples(st.sampled_from((1, 2, -1, -4)), st.integers(-4, 4))), min_size=1, max_size=3).map(tuple)
 rings = st.sampled_from((QQ, F5))
 scalars = st.sampled_from((1, -1, 2, Fraction(1, 2), F5.zeta(1), F5.zeta(3), F5.zeta(1) + 1))
 counts = st.one_of(st.integers(0, 6), st.just(INF))
@@ -35,6 +41,7 @@ BUILDERS = {
     "E_series": (lambert.E_series, (st.integers(1, 6),), 0, 60),
     "P_series": (lambert.P_series, (st.integers(-12, 12), st.sampled_from((3, 5, 7))), 1, 50),
     "_product": (lambert._product, (factor_lists.map(_ranges),), 1, 80),
+    "_theta_sum": (lambert._theta_sum, (st.sampled_from((3, 5, 7)), theta_terms), 1, 60),
     "poch": (series.poch, (rings, scalars, st.integers(-4, 4), st.integers(1, 3), counts), 1, 40),
     "jacprod": (series.jacprod, (rings, scalars, st.integers(1, 3), st.integers(2, 5)), 1, 40),
     "_counting_series": (rankgen._counting_series, (st.sampled_from((1, 2)),), -3, 60),
@@ -91,6 +98,8 @@ def test_a_hit_equals_a_fresh_build(name, data):
     (series.poch, (QQ, 1, -2, 1, 5), INF, 3),
     (series.poch, (F5, F5.zeta(2), 1, 2, 4), INF, 6),
     (lambert._product, (_ranges([("E", 2, 3), ("E", 1, -2), ("P", 1, -1), ("P", 7, 2)]),), 90, 17),
+    (lambert._theta_sum, (7, ((1, 0, (("P", 3, 3), ("P", 1, 1)), None), (-1, 0, (("P", 2, 3), ("P", 3, 1)), None),
+                              (((1, 1), (2, 3)), -7, (("E", 49, -1),), (3, 2)))), 300, 80),
 ])
 def test_lower_precision_hit_cases(build, args, hi, lo):
     build.cache_clear()
@@ -103,13 +112,35 @@ def test_lower_precision_hit_cases(build, args, hi, lo):
 def test_one_clear_empties_every_memo():
     assert {m.__name__ for m in memo.registry} >= {
         "lambert_T", "E_series", "P_series", "_product", "poch", "jacprod", "_counting_series",
-        "root_prefactor", "ru_at_root", "rv_at_root", "_bivariate", "rank_histograms", "rhs_identity"}
+        "root_prefactor", "ru_at_root", "rv_at_root", "_bivariate", "rank_histograms", "rhs_identity",
+        "_theta_sum"}
     rankgen.rank_series("u", "LAMBERT", 20, 5)
     rankgen.rhs_identity("RU5", 20)
     rankgen.rhs_identity("RU5", 10)
     assert rankgen.rhs_identity.cache_info().hits >= 1
     clear_memos()
     assert all(m.cache_info() == (0, 0, None, 0) for m in memo.registry)
+
+
+def test_one_clear_empties_the_theta_sum_memo_and_the_text_cache():
+    from qrank import qexpr
+    clear_memos()
+    for prec in (60, 40, 60):
+        qexpr.evaluate("q*P(2)/P(1)^2 - q^8*P(1)/(P(2)*P(3)) - q*P(3)^2/(P(1)*P(2)^2)",
+                       qexpr.EvalCtx(ell=7, prec=prec))
+    assert lambert._theta_sum.cache_info()[:2] == (2, 1)
+    assert qexpr._SESSION.cache_info()[:2] == (1, 2)
+    clear_memos()
+    assert lambert._theta_sum.cache_info() == (0, 0, None, 0)
+    assert qexpr._SESSION.cache_info() == (0, 0, qexpr.SESSION_MAX, 0)
+
+
+def test_theta_sum_takes_its_terms_as_any_sequence():
+    terms = [(1, 2, (("P", 1, -1),), (1, 1)), (Fraction(-1, 2), 0, (("E", 3, 2),), None)]
+    clear_memos()
+    assert lambert.theta_sum(5, terms, 40) == lambert._theta_sum.__wrapped__(5, tuple(terms), 40)
+    assert lambert.theta_sum(5, iter(terms), 30) == lambert.theta_sum(5, tuple(terms), 30).truncate(30)
+    assert lambert._theta_sum.cache_info()[:2] == (2, 1)
 
 
 def test_every_benchmark_cache_answers_cache_info():

@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from qrank import qexpr
+from qrank import lambert, qexpr
 from qrank.cyclotomic import QQ, cyclotomic_field
 from qrank.lambert import E_series, P_series, TSpec, lambert_T
 from qrank.qexpr import (BinOp, Call, EvalCtx, Num, Pow, Q, QExprEvalError,
                          QExprSyntaxError, Zeta, _sized, evaluate, parse, render)
 from qrank.rankgen import ru_at_root, u_series
-from qrank.series import INF, LaurentSeries
+from qrank.series import INF, LaurentSeries, clear_memos, memo
 
 from oracles import ref_monomial_sum
 
@@ -372,7 +372,8 @@ def test_pentagonal_powers_of_e_match_the_generic_route(monkeypatch, expr, produ
     assert lowered == str(evaluate(product, ctx))
     table = qexpr._theta_table
     monkeypatch.setattr(qexpr, "_theta_table", lambda node, *rest: table(node, *rest) if isinstance(node, Call) else None)
-    assert lowered == str(evaluate(expr, ctx))
+    # the tree, not the text, so that the text cache does not answer with the lowered plan
+    assert lowered == str(evaluate(parse(expr), ctx))
 
 
 def test_a_positive_e_power_with_no_term_below_the_precision_is_one():
@@ -390,3 +391,88 @@ def test_import_loads_neither_the_cli_nor_the_check_registry():
                           env={"PATH": "", "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- the text cache -------------------------------------------------------------
+
+SESSION_TEXTS = [
+    (7, "q*P(2)/P(1)^2 - q^8*P(1)/(P(2)*P(3)) - q*P(3)^2/(P(1)*P(2)^2)"),
+    (7, "T(-3,1,7) + q^21*T(3,-1,7)"),
+    (5, "q^-3/E(1) + 2*T(1,2,5) - P(6)^2"),
+    (5, "RHS(RU5) - RU(5)"),
+    (5, "(1 + q)^3 * E(2) - zeta*q^2"),
+]
+
+
+def _misses():
+    return {m.__name__: m.cache_info().misses for m in memo.registry}
+
+
+@pytest.mark.parametrize("ell, text", SESSION_TEXTS)
+def test_a_repeated_text_is_not_parsed_or_built_again(monkeypatch, ell, text):
+    clear_memos()
+    ctx = EvalCtx(ell=ell, prec=160)
+    first = evaluate(text, ctx)
+    misses, parsed = _misses(), []
+    monkeypatch.setattr(qexpr, "parse", lambda t: parsed.append(t) or parse(t))
+    again = evaluate(text, ctx)
+    assert (again, again.prec, str(again)) == (first, first.prec, str(first))
+    assert parsed == [] and _misses() == misses
+    assert qexpr._SESSION.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("ell, text", SESSION_TEXTS)
+def test_a_lower_precision_after_a_higher_one_equals_a_cold_evaluation(ell, text):
+    clear_memos()
+    evaluate(text, EvalCtx(ell=ell, prec=240))
+    product_misses = lambert._product.cache_info().misses
+    warm = evaluate(text, EvalCtx(ell=ell, prec=80))
+    assert lambert._product.cache_info().misses == product_misses
+    clear_memos()
+    cold = evaluate(text, EvalCtx(ell=ell, prec=80))
+    assert (warm, warm.prec, str(warm)) == (cold, cold.prec, str(cold))
+
+
+@pytest.mark.parametrize("ell, prec, text, error", [
+    (5, 10, "E(1) +", QExprSyntaxError),
+    (5, 10, "E(1) $ 2", QExprSyntaxError),
+    (5, 10, "P(100001)", QExprEvalError),
+    (5, 10, "T(1,1,17)", QExprEvalError),
+    (5, 3, "q^-3/(1+E(1))", QExprEvalError),
+    (5, 10, "(1+q)^8000", QExprEvalError),
+    (5, 10, "RU(7)", QExprEvalError),
+    (5, 10, "*".join(["E(2)"] * 990), QExprEvalError),
+])
+def test_a_refused_text_raises_the_same_error_on_every_request(ell, prec, text, error):
+    clear_memos()
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as caught:
+            evaluate(text, EvalCtx(ell=ell, prec=prec))
+        messages.append(str(caught.value))
+    assert len(set(messages)) == 1
+    assert qexpr._SESSION.cache_info()[1:] == (3, qexpr.SESSION_MAX, 0)
+
+
+def test_an_ast_bypasses_the_text_cache(monkeypatch):
+    clear_memos()
+    ell, text = SESSION_TEXTS[0]
+    ctx = EvalCtx(ell=ell, prec=60)
+    lowered = evaluate(text, ctx)
+    seen = []
+    table = qexpr._theta_table
+    monkeypatch.setattr(qexpr, "_theta_table", lambda node, *rest: seen.append(node) or table(node, *rest))
+    tree = parse(text)
+    assert evaluate(tree, ctx) == evaluate(tree, ctx) == lowered
+    assert seen.count(tree) == 2
+    assert qexpr._SESSION.cache_info()[:2] == (0, 1)
+
+
+def test_the_text_cache_keeps_the_most_recently_used_entries(monkeypatch):
+    monkeypatch.setattr(qexpr, "SESSION_MAX", 2)
+    clear_memos()
+    ctx = EvalCtx(ell=5, prec=20)
+    for text in ("E(1)", "E(2)", "E(1)", "E(3)"):
+        evaluate(text, ctx)
+    assert list(qexpr._SESSION.store) == [("E(1)", 5, 20), ("E(3)", 5, 20)]
+    assert qexpr._SESSION.cache_info() == (1, 3, 2, 2)

@@ -13,7 +13,7 @@ from qrank.cyclotomic import cyclotomic_field
 from qrank.lambert import TSpec
 from qrank.quadruples import class_counts
 from qrank.rankgen import IDENTITY_CATALOGUE, rank_histograms, rank_series, root_prefactor
-from qrank.series import LaurentSeries, geometric
+from qrank.series import LaurentSeries, clear_memos, geometric
 from qrank.verify import PARTIAL_FRACTIONS, CheckReport, _expand, check_names, run_all, run_check
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -327,16 +327,22 @@ def test_comparison_short_of_the_requested_precision_is_an_error(monkeypatch):
 
 def test_t_symmetry_compares_every_triple_below_the_requested_precision(monkeypatch):
     # (-7, 10, 3) is a sampled triple; q^(la) = q^-21 shifts T(-7, -10, 3)
-    # down, so it must be built to prec + 21 for the residual to reach q^79
+    # down, so it must be built to prec + 21 for the residual to reach q^79;
+    # the memos are cleared so that theta_sum builds with the bumped T, and
+    # again at the end so that no sum built from it is kept
     lambert_T = lambert.lambert_T
-    for target, k in ((TSpec(7, 10, 3), 79), (TSpec(-7, -10, 3), 100)):
-        def bumped(spec, prec):
-            t = lambert_T(spec, prec)
-            return _bump(t, k) if spec == target else t
-        monkeypatch.setattr(lambert, "lambert_T", bumped)
-        report = run_check("INFRA:T-symmetry", prec=80)
-        assert (report.status, report.first_failure) == ("FAIL", (79, "1", "0"))
-        assert report.detail.endswith("at (a,b,l)=(-7, 10, 3)")
+    try:
+        for target, k in ((TSpec(7, 10, 3), 79), (TSpec(-7, -10, 3), 100)):
+            def bumped(spec, prec):
+                t = lambert_T(spec, prec)
+                return _bump(t, k) if spec == target else t
+            monkeypatch.setattr(lambert, "lambert_T", bumped)
+            clear_memos()
+            report = run_check("INFRA:T-symmetry", prec=80)
+            assert (report.status, report.first_failure) == ("FAIL", (79, "1", "0"))
+            assert report.detail.endswith("at (a,b,l)=(-7, 10, 3)")
+    finally:
+        clear_memos()
 
 
 def test_f13_grid_runs_at_its_capped_precision(monkeypatch):
