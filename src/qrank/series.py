@@ -690,19 +690,15 @@ def _cyclic_lift(coords) -> list:
 # -- the in-place factor kernel ----------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _factor_terms(ring, c):
     """(d, [(k, m), ...]) with c = sum m x^k / d over the integers m.
 
     x is the rotation zeta over Q(zeta_l), acting on residue vectors, with
     the lifted coordinates of c; over QQ there is one term, the numerator
-    of c.  Cached on the integer split of c, which hashes faster than the
-    rational coordinates of a ``CycQ``.
+    of c.
     """
-    return _lifted_terms(ring, *ring.split(c))
-
-
-@lru_cache(maxsize=256)
-def _lifted_terms(ring, den: int, coords: tuple):
+    den, coords = ring.split(c)
     if ring is not QQ:
         coords = _cyclic_lift(coords)
     return den, [(k, m) for k, m in enumerate(coords) if m]
