@@ -1,6 +1,6 @@
 """qrank: exact q-series engine and partition-quadruple rank toolkit."""
 
-from .cyclotomic import CycQ, QQ, cyclotomic_field, is_prime, residue_vector_is_constant
+from .cyclotomic import CycQ, QQ, cyclotomic_field, is_prime
 from .series import (INF, LaurentSeries, PrecisionError, ZLaurentPoly,
                      geometric, jacprod, poch, theta_jtp_sum)
 from .lambert import E_series, P_series, TSpec, lambert_T

@@ -294,7 +294,9 @@ def _cmd_congruence(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     if args.list:
-        _emit(None, "plain", check_names, None, out)
+        names = check_names()
+        doc = _doc("verify", {"list": True, "format": args.format}, names)
+        _emit(doc, args.format, lambda: names, lambda: ["name", *names], out)
         return 0
     if args.prec is not None and not 1 <= args.prec <= PREC_MAX:
         err.write(f"qrank verify: --prec must be between 1 and {PREC_MAX}, got {args.prec}\n")

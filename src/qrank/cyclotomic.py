@@ -16,7 +16,6 @@ rebuilds the element from them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -145,11 +144,6 @@ class CycQ:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -263,15 +257,7 @@ class CycQ:
     def __hash__(self):
         return hash((self.ell, self.coeffs))
 
-    # -- conversions ----------------------------------------------------
-
-    def complex_value(self) -> complex:
-        """Float embedding zeta -> exp(2*pi*i/l); a sanity check, not an oracle."""
-        root = cmath.exp(2j * cmath.pi / self.ell)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * root + complex(c)
-        return acc
+    # -- text -----------------------------------------------------------
 
     def __repr__(self):
         return f"CycQ({self.ell}, {self})"
@@ -379,12 +365,3 @@ ELL_MAX = 13
 @lru_cache(maxsize=None)
 def cyclotomic_field(ell: int) -> CyclotomicField:
     return CyclotomicField(ell)
-
-
-def residue_vector_is_constant(ell: int, c) -> bool:
-    """True iff all l entries agree, i.e. sum_k c_k zeta^k = 0."""
-    c = list(c)
-    if len(c) != ell:
-        raise ValueError(f"need {ell} entries, got {len(c)}")
-    first = c[0]
-    return all(x == first for x in c)

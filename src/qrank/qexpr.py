@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, sub
 
 from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
 from .lambert import TSpec, _reduced_factors, block_passes, t_valuation, term_valuation, theta_sum
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .record import FrozenRecord
-from .series import CLEARED_WITH_MEMOS, INF, CacheInfo, LaurentSeries, _poch_shift, jacprod, poch
+from .series import CLEARED_WITH_MEMOS, INF, LaurentSeries, _poch_shift, jacprod, poch
 
 
 class QExprSyntaxError(ValueError):
@@ -527,66 +528,45 @@ def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True, plan=None) -> Laurent
 
 # -- the text cache -----------------------------------------------------------
 
-# ``evaluate`` keeps the parsed tree and the root's ``_plan`` of the last SESSION_MAX
-# expression texts it evaluated, keyed on (text, ell, prec): a repeat skips the parse
+# ``evaluate`` keeps the parsed tree, the root's ``_plan`` and the fold memo of the
+# last SESSION_MAX expression texts, keyed on (text, ctx): a repeat skips the parse
 # and the fold, and a root lowered to one table is then a ``theta_sum`` memo hit.
 SESSION_MAX = 256
 
 
-class _TextCache:
-    """(text, ell, prec) -> (tree, plan), the least recently used entry dropped first."""
-
-    def __init__(self):
-        self.store, self.hits, self.misses = {}, 0, 0
-        CLEARED_WITH_MEMOS.append(self)
-
-    def get(self, key):
-        entry = self.store.pop(key, None)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.store[key] = entry
-        return entry
-
-    def put(self, key, entry) -> None:
-        if len(self.store) >= SESSION_MAX:
-            del self.store[next(iter(self.store))]
-        self.store[key] = entry
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, SESSION_MAX, len(self.store))
-
-    def cache_clear(self) -> None:
-        self.store.clear()
-        self.hits = self.misses = 0
+@lru_cache(maxsize=SESSION_MAX)
+def _prepared(node, ctx: EvalCtx):
+    """(tree, plan, memo) of a text or an AST: the root's ``_plan`` and the fold memo that found it,
+    which each evaluation of the tree goes on filling; ``evaluate`` calls it through the cache for a
+    text only.  An error leaves no entry."""
+    tree = parse(node) if isinstance(node, str) else node
+    memo = {}
+    try:
+        return tree, _plan(tree, ctx, memo), memo
+    except RecursionError:
+        raise QExprEvalError("expression nested too deeply", tree.pos) from None
 
 
-_SESSION = _TextCache()
+CLEARED_WITH_MEMOS.append(_prepared)
 
 
 def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     """Evaluate an AST (or expression text) to a series over Q(zeta_ell), exact below ctx.prec.
 
     Raises QExprEvalError when the expression is known to less precision,
-    for example a division by a series of positive valuation.  Text that
-    evaluates is kept in the text cache; an error, a syntax error included,
-    is never kept, and an AST is evaluated afresh.
+    for example a division by a series of positive valuation.  A text whose
+    parse and fold succeed is kept in the text cache, even when its evaluation
+    is then refused, which every repeat raises again; a syntax error or a
+    refusal in the fold is not kept, and an AST is evaluated afresh.
     """
-    key = (node, ctx.ell, ctx.prec) if isinstance(node, str) else None
-    entry = key and _SESSION.get(key)
-    tree, plan = entry or (parse(node) if key else node, None)
-    memo = {}
+    tree, plan, memo = (_prepared if isinstance(node, str) else _prepared.__wrapped__)(node, ctx)
     try:
-        plan = plan or _plan(tree, ctx, memo)
         out = _eval(tree, ctx, memo, plan=plan).promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
     except RecursionError:
         raise QExprEvalError("expression nested too deeply", tree.pos) from None
     if out.prec < ctx.prec:
         raise QExprEvalError(f"the result is exact only below q^{int(out.prec)}, short of the requested "
                              f"precision {ctx.prec}", tree.pos)
-    if key and not entry:
-        _SESSION.put(key, (tree, plan))
     return out
 
 

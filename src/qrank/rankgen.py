@@ -45,8 +45,8 @@ from operator import add, lshift, sub
 
 from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
-from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack, memo,
-                     theta_jtp_sum)
+from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _rotated, _unpack,
+                     memo, theta_jtp_sum)
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
 
@@ -117,12 +117,6 @@ def root_prefactor(ell: int, prec: int) -> LaurentSeries:
     return theta_jtp_sum(field, z, prec).scale((field.one + z) * (field.one - z))
 
 
-def _rotate(u: list, k: int) -> list:
-    """x^k u in Z[x]/(x^l - 1), for the residue vector u of length l."""
-    cut = len(u) - k % len(u)
-    return u[cut:] + u[:cut]
-
-
 def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
     """sum_j (1-z^j)(1-z^(j-1)) z^(1-j) (-1)^j q^(j(j+offset)/2) / ((1-z^2 q^j)(1-z^-2 q^j)).
 
@@ -161,9 +155,9 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
             return
         step, r = abs(j), j % (2 * ell)
         if r not in columns:
-            sign = -1 if j % 2 else 1
+            sign, shifts = -1 if j % 2 else 1, ((1 - j) % ell, j % ell, 1)
             columns[r] = list(zip(*[[sign * (a + b - c - d) for a, b, c, d in
-                                     zip(_rotate(u, 1 - j), _rotate(u, j), _rotate(u, 1), u)] for u in periods]))
+                                     zip(*(_rotated(u, ell, k) for k in shifts), u)] for u in periods]))
         reps = (prec - 1 - eff) // step // ell + 1
         for k, column in enumerate(columns[r]):
             target = slice(eff * ell + k, None, step * ell)

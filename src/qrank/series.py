@@ -522,18 +522,6 @@ class LaurentSeries:
 
     # -- comparison -------------------------------------------------------
 
-    def equal_upto(self, other, limit=None):
-        """First differing (exponent, lhs, rhs) below min precision, or None."""
-        bound = min(self.prec, other.prec)
-        if limit is not None:
-            bound = min(bound, limit)
-        diff = self - other
-        for e, _ in diff.nonzero_items():
-            if e >= bound:
-                break
-            return e, self.coefficient(e), other.coefficient(e)
-        return None
-
     def first_nonzero_below(self, limit=None):
         bound = self.prec if limit is None else min(limit, self.prec)
         for e, c in self.nonzero_items():

@@ -5,6 +5,7 @@ machinery: plain dicts keyed by exponent, plain loops.  These implementations
 stay naive so they can arbitrate against the fast paths they check.
 """
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 
@@ -118,6 +119,16 @@ def as_coeff_dict(series, lo: int, hi: int) -> dict:
         if c:
             out[e] = c
     return out
+
+
+def complex_embedding(x: CycQ) -> complex:
+    """x under zeta -> exp(2 pi i / l) in floating point, by Horner's rule on its
+    power-basis coordinates: a sanity check of the field arithmetic, not exact."""
+    root = cmath.exp(2j * cmath.pi / x.ell)
+    acc = 0j
+    for c in reversed(x.coeffs):
+        acc = acc * root + complex(c)
+    return acc
 
 
 # -- reference series arithmetic ----------------------------------------------

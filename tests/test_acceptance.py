@@ -64,7 +64,7 @@ def test_criterion_3_five_identities():
     outcomes = {}
     for name, prec in [("RU3", 60), ("RV3", 60), ("RU5", 60), ("RV5", 60), ("RU7", 120)]:
         lhs = rank_series(name[1].lower(), "LAMBERT", prec, int(name[2:]))
-        outcomes[name] = lhs.equal_upto(rhs_identity(name, prec), prec)
+        outcomes[name] = (lhs - rhs_identity(name, prec)).first_nonzero_below(prec)
     elapsed = time.perf_counter() - start
     bad = {k: v for k, v in outcomes.items() if v is not None}
     ok = not bad and elapsed < 120.0
@@ -76,8 +76,8 @@ def test_criterion_4_route_agreement():
     histograms_ok = all(
         dict(rank_histograms(kind, "QBINOMIAL", 15)[n].items()) == rank_counts(n, kind)
         for kind in ("u", "v") for n in range(1, 13))
-    spez_ok = (rank_series("u", "QBINOMIAL", 15).equal_upto(u_series(15), 15) is None
-               and rank_series("v", "QBINOMIAL", 15).equal_upto(v_series(15), 15) is None)
+    spez_ok = ((rank_series("u", "QBINOMIAL", 15) - u_series(15)).first_nonzero_below(15) is None
+               and (rank_series("v", "QBINOMIAL", 15) - v_series(15)).first_nonzero_below(15) is None)
     elapsed = time.perf_counter() - start
     _verdict(4, histograms_ok and spez_ok,
              "rank histograms equal bivariate coefficients to n=12; z->1 matches to q^14",

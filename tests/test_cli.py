@@ -194,6 +194,19 @@ def test_verify_list():
     assert "THM12:RU7" in names and "SEC5:F13-grid-q13-nonzero" in names
 
 
+def test_verify_list_as_json_is_the_envelope_with_the_names_as_payload(capsys):
+    assert main(["verify", "--list", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"schema_version": 1, "command": {"name": "verify", "args": {"list": True, "format": "json"}},
+                   "payload": verify.check_names()}
+    assert len(doc["payload"]) == 37
+
+
+def test_verify_list_as_csv_is_a_name_column(capsys):
+    assert main(["verify", "--list", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["name", *verify.check_names()]
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli("frobnicate")
     assert code == 2

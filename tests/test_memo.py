@@ -129,10 +129,10 @@ def test_one_clear_empties_the_theta_sum_memo_and_the_text_cache():
         qexpr.evaluate("q*P(2)/P(1)^2 - q^8*P(1)/(P(2)*P(3)) - q*P(3)^2/(P(1)*P(2)^2)",
                        qexpr.EvalCtx(ell=7, prec=prec))
     assert lambert._theta_sum.cache_info()[:2] == (2, 1)
-    assert qexpr._SESSION.cache_info()[:2] == (1, 2)
+    assert qexpr._prepared.cache_info()[:2] == (1, 2)
     clear_memos()
     assert lambert._theta_sum.cache_info() == (0, 0, None, 0)
-    assert qexpr._SESSION.cache_info() == (0, 0, qexpr.SESSION_MAX, 0)
+    assert qexpr._prepared.cache_info() == (0, 0, qexpr.SESSION_MAX, 0)
 
 
 def test_theta_sum_takes_its_terms_as_any_sequence():

@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from qrank.cyclotomic import CycQ
 from qrank.quadruples import (CLASSES_MAX_N, _partitions, class_counts, enumerate_quadruples,
                               in_family, omega, rank, rank_counts, rank_table)
 from qrank.rankgen import u_series, v_series
@@ -113,9 +114,8 @@ def test_class_counts_examples():
 
 
 def test_class_counts_feed_residue_vector_test():
-    from qrank.cyclotomic import residue_vector_is_constant
-    assert residue_vector_is_constant(5, class_counts(5, "u", 5))
-    assert not residue_vector_is_constant(13, class_counts(13, "u", 13))
+    assert CycQ.from_raw(5, class_counts(5, "u", 5)).is_zero()
+    assert not CycQ.from_raw(13, class_counts(13, "u", 13)).is_zero()
 
 
 def test_totals_match_counting_series():
