@@ -155,7 +155,8 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
             return
         step, r = abs(j), j % (2 * ell)
         if r not in columns:
-            sign, shifts = -1 if j % 2 else 1, ((1 - j) % ell, j % ell, 1)
+            sign = -1 if j % 2 else 1
+            shifts = (1 - j) % ell, j % ell, 1
             columns[r] = list(zip(*[[sign * (a + b - c - d) for a, b, c, d in
                                      zip(*(_rotated(u, ell, k) for k in shifts), u)] for u in periods]))
         reps = (prec - 1 - eff) // step // ell + 1
