@@ -11,12 +11,13 @@ exit 2 before any work: a precision (``coeffs --prec``, QRANK_PREC, ``verify
 --prec``) above PREC_MAX or below 1, a ``congruence --max`` above PREC_MAX or
 below ``--residue``, ``coeffs --ell`` above ELL_MAX, ``classes --mod`` above
 MOD_MAX, a ``coeffs`` P, T or finite poch needing more than ``qexpr.TERMS_MAX``
-terms, a ``coeffs`` T whose own l is above ELL_MAX, and a ``coeffs`` inverse
-of an exact polynomial needing more than ``qexpr.TERMS_MAX`` terms.  ``coeffs``
-also stops with exit 2 at the first sum, difference or product (a power's
-squarings and an inverse's Newton steps included) or theta-table term that
-needs more than ``qexpr.POWER_BITS_MAX`` bits, and at an expression nested
-too deeply to parse or evaluate.
+terms, a ``coeffs`` T whose own l is above ELL_MAX, a ``coeffs`` inverse of
+an exact polynomial (not a q-shift beside an E, P or T call) needing more than
+``qexpr.TERMS_MAX`` terms, and parentheses nested over ``qexpr.NESTING_MAX``
+deep.  ``coeffs`` also stops with exit 2 at the first sum, difference or
+product (a power's squarings and an inverse's Newton steps included) or
+theta-table term that needs more than ``qexpr.POWER_BITS_MAX`` bits, and at
+an operator chain too long for the interpreter's recursion limit.
 """
 
 from __future__ import annotations

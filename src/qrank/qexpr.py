@@ -16,8 +16,9 @@ T(a,b,l), poch(zpow,qpow,step,count|inf), jac(zpow,qpow,step), U(), V(),
 RU(l), RV(l), RHS(id), F(a,b,c,l), G(a,b,c,l), where zpow and the F/G scalar
 arguments are powers of the ambient zeta.  Evaluation is exact, over
 Q(zeta_ell) at the context precision; all errors carry a byte offset.  A sum of
-E/P/T monomials, each node folded once with exact rationals and q-shifts and no
-series (``_terms``), is one ``lambert.theta_sum`` table, exact whatever its q-shifts.
+E/P/T monomials, each node folded once into exact rationals and q-shifts (``_terms``,
+which evaluates nothing), is one ``lambert.theta_sum`` table, exact whatever its
+q-shifts; ``_eval`` takes, and refuses in its own words, any node the fold leaves.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class Call(FrozenRecord):
 # an integer, an identifier, an operator or any other character but a space
 _TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
 _RATIONAL = re.compile(r"(\d+)/(\d+)")
+# grouping parentheses nest at most this deep, five parser frames a level, whatever the caller's stack
+NESTING_MAX = 100
 
 # operator -> (binding power, spelling); "/" is spaced so that a rendered
 # quotient of two integers is not read back as a rational literal
@@ -127,7 +130,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.i = 0
+        self.i = self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -143,10 +146,7 @@ class _Parser:
         return tok
 
     def parse(self):
-        try:
-            node = self.expr()
-        except RecursionError:
-            raise QExprSyntaxError("expression nested too deeply", self.peek()[2]) from None
+        node = self.expr()
         if (tok := self.peek())[0] != "END":
             raise QExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
         return node
@@ -187,8 +187,12 @@ class _Parser:
                 raise QExprSyntaxError(f"malformed number {rational[0]!r}: zero denominator", pos)
             return Num(Fraction(value, den), pos)
         if kind == "(":
+            self.depth += 1
+            if self.depth > NESTING_MAX:
+                raise QExprSyntaxError("expression nested too deeply", pos)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if kind == "IDENT":
             if value == "q":
@@ -390,18 +394,18 @@ def _height(c: Fraction) -> int:
 
 
 def _terms(node, ctx: EvalCtx, memo: dict):
-    """node as monomials [c, s, {(kind, x): k}, (a, b, l) or None, origin, prec] of c q^s T(a, b, l)
-    prod E(x)^k P(x)^k, prec the generic path's for a term with no call; a None term is left generic,
-    None any other node.  Memoized by id beside the node, which keeps the id."""
+    """node as exact monomials [c, s, {(kind, x): k}, (a, b, l) or None, origin] of c q^s T(a, b, l)
+    prod E(x)^k P(x)^k; a None term is left generic, None any other node.  Memoized by id beside the
+    node, which keeps the id."""
     if id(node) in memo:
         return memo[id(node)][1]
     terms = None
     if isinstance(node, Num):
-        terms = [[node.value, 0, {}, None, node, INF]]
+        terms = [[node.value, 0, {}, None, node]]
     elif isinstance(node, Q):
-        terms = [[Fraction(1), 1, {}, None, node, INF]]
+        terms = [[Fraction(1), 1, {}, None, node]]
     elif isinstance(node, Call) and node.name in ("E", "P", "T"):
-        terms = [[*_theta_call(node, ctx), node, INF]]
+        terms = [[*_theta_call(node, ctx), node]]
     elif isinstance(node, BinOp) and node.op in "+-":
         # a chain of sums folds bottom-up into one list each holds; only the outermost is read again
         chain = [node]
@@ -419,47 +423,37 @@ def _terms(node, ctx: EvalCtx, memo: dict):
         left = _terms(node.base if isinstance(node, Pow) else node.left, ctx, memo)  # a frame a level
         right = left if isinstance(node, Pow) or left is None else _terms(node.right, ctx, memo)
         if right is not None and len(left) == len(right) == 1:  # else a sum inside: None
-            terms = [_combine(node, left[0], right[0], ctx, memo)]
+            terms = [_combine(node, left[0], right[0])]
     memo[id(node)] = node, terms
     return terms
 
 
-def _combine(n, a, b, ctx: EvalCtx, memo: dict):
-    """a op b or a^k as one term, c and s exact; None for a None term, two T's, a 0 with a call, or
-    a refusal for terms with no call (``_power``, ``_sized`` by heights), which ``_eval`` raises."""
+def _combine(n, a, b):
+    """a op b or a^k as one term; None for a None term, an inverse or power ``_power`` leaves
+    generic, two T's, or a product of two terms with no call past POWER_BITS_MAX bits (beside
+    a call, ``_theta_table`` bounds the coefficient)."""
     if a is None or b is None:
         return None
     if isinstance(n, Pow):
-        term = _power(a, n.exponent, n, ctx)
-        refused = term is None and not (a[2] or a[3])
-    else:
-        c = b if n.op == "*" else _power(b, -1, n, ctx)  # b or 1/b
-        scalars = not (a[2] or a[3] or b[2] or b[3])
-        refused = (c is None and not (b[2] or b[3])) or (scalars and a[0] and b[0] and (
-            _height(a[0]) * _height(b[0])).bit_length() > POWER_BITS_MAX)
-        term = None if refused or c is None or (a[3] and b[3]) or not (scalars or a[0] and b[0]) else [
-            a[0] * c[0], a[1] + c[1], {f: a[2].get(f, 0) + c[2].get(f, 0) for f in a[2] | c[2]},
-            a[3] or b[3], n, min(a[5] + c[1], c[5] + a[1]) if a[0] and b[0] else INF]
-    if refused:
-        _eval(n, ctx, memo, False)  # raises the refusal, or gives x^0 = 0 for x known below q^0 only
-    return term
+        return _power(a, n.exponent, n)
+    c = b if n.op == "*" else _power(b, -1, n)  # b or 1/b
+    if c is None or (a[3] and c[3]) or not (a[2] or a[3] or c[2] or c[3]) and a[0] and c[0] and (
+            _height(a[0]) * _height(c[0])).bit_length() > POWER_BITS_MAX:
+        return None
+    return [a[0] * c[0], a[1] + c[1], {f: a[2].get(f, 0) + c[2].get(f, 0) for f in a[2] | c[2]},
+            a[3] or c[3], n]
 
 
-def _power(term, k: int, node, ctx: EvalCtx):
-    """The term^k; None for a T raised or inverted, a power but +-1 of a c but +-1 with a call, or
-    a term with no call that the generic path refuses (the inverse of 0 or of an exact q^s past
-    TERMS_MAX terms, squarings past POWER_BITS_MAX bits) or truncates to 0 (x^0, x not known at q^0)."""
-    c, s, powers, lam, _, prec = term
+def _power(term, k: int, node):
+    """term^k, x^0 = 1; None for a T raised to k != 1, the inverse of 0, a power but +-1 of a c but +-1
+    beside a call, or a c^k past POWER_BITS_MAX bits."""
+    c, s, powers, lam, _ = term
     if (lam and k != 1) or (not c and k < 0) or (abs(k) > 1 and abs(c) != 1 and (
             powers or abs(k) * (_height(c).bit_length() - 1) >= POWER_BITS_MAX)):
         return None
-    if not (powers or lam):  # the precision of b^k in ``_eval``
-        if k < 0 and prec == INF and ctx.prec + 1 - k * s > TERMS_MAX or k == 0 and prec <= 0:
-            return None
-        prec = ctx.prec + 1 if k < 0 and prec == INF else prec + (k - 1) * s if k else prec
     c **= k
     return None if abs(k) > 1 and _height(c).bit_length() > POWER_BITS_MAX else [
-        c, s * k, {f: p * k for f, p in powers.items()}, lam, node, prec]
+        c, s * k, {f: p * k for f, p in powers.items()}, lam, node]
 
 
 def _theta_table(node, ctx: EvalCtx, memo: dict):

@@ -365,8 +365,7 @@ def run_all(profile: str = "default", only=None, prec: int | None = None) -> lis
     return _run_forked(used, run, workers - 1)
 
 
-_INDEX = 2   # bytes of a check index in the queue and in a report frame
-_LENGTH = 4  # bytes of a report frame's payload length
+_INDEX = 2  # bytes of a check index in the queue
 
 
 def _take(queue: int):
@@ -377,32 +376,29 @@ def _take(queue: int):
 
 def _serve(queue: int, out: int, names: list, run) -> None:
     """A forked worker's whole life: run each check whose index it takes, send its
-    report as (index, length, marshalled fields), then leave with os._exit
+    report as one marshal record (index, fields), then leave with os._exit
     without touching the inherited stdio."""
     code = 1
     try:
-        for i in _take(queue):
-            r = run(names[i])
-            data = marshal.dumps((r.name, r.prec, r.status, r.first_failure, r.runtime_ms, r.detail))
-            frame = memoryview(i.to_bytes(_INDEX, "little") + len(data).to_bytes(_LENGTH, "little") + data)
-            while frame:
-                frame = frame[os.write(out, frame):]
+        with open(out, "wb", closefd=False) as pipe:
+            for i in _take(queue):
+                r = run(names[i])
+                marshal.dump((i, (r.name, r.prec, r.status, r.first_failure, r.runtime_ms, r.detail)), pipe)
+                pipe.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _frames(fd: int):
-    """(index, payload) of every whole frame a worker wrote to ``fd``, read to end
-    of file; a frame cut short by the worker's death is dropped."""
-    data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-    at, head = 0, _INDEX + _LENGTH
-    while at + head <= len(data):
-        end = at + head + int.from_bytes(data[at + _INDEX:at + head], "little")
-        if end > len(data):
-            break
-        yield int.from_bytes(data[at:at + _INDEX], "little"), data[at + head:end]
-        at = end
+def _records(fd: int):
+    """(index, fields) of every whole record a worker wrote to ``fd``, read to end
+    of file; a record cut short by the worker's death ends the reading."""
+    with open(fd, "rb", closefd=False) as pipe:
+        while True:
+            try:
+                yield marshal.load(pipe)
+            except (EOFError, ValueError, TypeError):
+                return
 
 
 def _lost(status: int) -> str:
@@ -445,8 +441,8 @@ def _run_forked(used: dict, run, children: int) -> list[CheckReport]:
         for i in _take(queue):
             reports[i] = run(names[i])
         for pid, fd in pipes.items():
-            for i, payload in _frames(fd):
-                reports[i] = CheckReport(*marshal.loads(payload))
+            for i, fields in _records(fd):
+                reports[i] = CheckReport(*fields)
             status[pid] = os.waitpid(pid, 0)[1]
     finally:
         for fd in (queue, *pipes.values()):

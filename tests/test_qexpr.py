@@ -1,3 +1,4 @@
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -255,8 +256,13 @@ def test_sized_powers_of_truncated_series_equal_plain_powers(expr, prec, const, 
 
 
 def test_deep_expressions_are_refused_with_an_offset():
-    with pytest.raises(QExprSyntaxError, match=r"nested too deeply \(at offset \d+\)"):
-        parse("(" * 300 + "q" + ")" * 300)
+    # parentheses are refused at the first "(" past NESTING_MAX, whatever the caller's stack;
+    # sibling groups do not add up
+    n = qexpr.NESTING_MAX
+    assert strip(parse("+".join(["(" * n + "q" + ")" * n] * 3))) == strip(parse("q+q+q"))
+    for depth in (n + 1, 300):
+        with pytest.raises(QExprSyntaxError, match=rf"^expression nested too deeply \(at offset {n}\)$"):
+            parse("(" * depth + "q" + ")" * depth)
     with pytest.raises(QExprEvalError, match=r"nested too deeply \(at offset \d+\)"):
         evaluate("*".join(["E(2)"] * 990), EvalCtx(ell=5, prec=10))
 
@@ -358,6 +364,44 @@ def test_a_lowered_monomial_sum_multiplies_no_series(monkeypatch):
     terms = [(1, 15, (("E", 49, 1), ("P", 3, 1), ("P", 1, -1), ("P", 2, -2)), None),
              (-1, 8, (("P", 1, 1), ("P", 2, -1), ("P", 3, -1)), None)]
     assert (got - ref_monomial_sum(7, terms, 60)).first_nonzero_below(60) is None
+
+
+def _session_templates():
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    return workloads["SPARSE_TEMPLATES"] + workloads["LAMBERT_TEMPLATES"] + workloads["DENSE_TEMPLATES"]
+
+
+@pytest.mark.parametrize("ell, text", [(5, "1 / 0*E(1)"), (5, "q^-9990*E(1)"), (5, "2^1000000*2^1000000*E(1)"),
+                                        *_session_templates()])
+def test_the_fold_evaluates_no_node_and_builds_no_series(monkeypatch, ell, text):
+    # the fold is exact monomial algebra: where it cannot combine it leaves the node
+    # to the generic path, which raises its own refusal when it evaluates the node
+    from qrank import series
+
+    def reached(*args):
+        raise AssertionError(f"the fold of {text!r} reached the generic path")
+
+    monkeypatch.setattr(qexpr, "_eval", reached)
+    monkeypatch.setattr(series, "_new", reached)
+    qexpr._plan(parse(text), EvalCtx(ell=ell, prec=60), {})
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("q^-9990*E(1)", [(1, -9990, (("E", 1, 1),), None)]),
+    ("E(1)/q^9990", [(1, -9990, (("E", 1, 1),), None)]),
+    ("q^-9990/E(23)", [(1, -9990, (("E", 23, -1),), None)]),
+])
+def test_a_shift_past_the_exact_inverse_cap_is_exact_beside_a_call(text, terms):
+    # the series inverse of q^9990 needs more than TERMS_MAX terms; the fold takes
+    # q^-9990 as an exact shift of the one table
+    got = evaluate(text, EvalCtx(ell=5, prec=10))
+    assert got.prec == 10 and (got - ref_monomial_sum(5, terms, 10)).first_nonzero_below(10) is None
+
+
+def test_a_zeroth_power_beside_a_call_is_one():
+    # (q^-7)^0 is 1 exactly, however little of q^-7 a series would know
+    ctx = EvalCtx(ell=5, prec=3)
+    assert evaluate("(q^-3*q^-4)^0*E(1)", ctx) == evaluate("E(1)", ctx)
 
 
 @pytest.mark.parametrize("expr, product", [("E(5)^4", "poch(0,5,5,inf)^4"), ("E(2)^2", "poch(0,2,2,inf)^2"),

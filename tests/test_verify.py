@@ -1,4 +1,5 @@
 import json
+import marshal
 import os
 import signal
 import subprocess
@@ -195,14 +196,17 @@ def test_a_raise_in_this_process_kills_and_reaps_the_worker(monkeypatch, tmp_pat
 
 
 def test_a_frame_cut_short_is_dropped():
-    read_end, write_end = os.pipe()
-    os.write(write_end, bytes([5, 0, 2, 0, 0, 0]) + b"xy" + bytes([7, 0, 3, 0, 0, 0]) + b"abc"
-             + bytes([6, 0, 9, 0, 0, 0]) + b"abcd")
-    os.close(write_end)
-    try:
-        assert list(verify._frames(read_end)) == [(5, b"xy"), (7, b"abc")]
-    finally:
-        os.close(read_end)
+    records = [(5, ("THM11:u3", 20, "PASS", None, 1.5, "")), (7, ("THM12:RU3", 30, "FAIL", (4, "1"), 2.0, "x"))]
+    whole = b"".join(marshal.dumps(r) for r in records)
+    cut = marshal.dumps((6, ("THM12:RU5", 40, "PASS", None, 0.5, "")))
+    for end in range(len(cut)):  # the worker died at every byte of its third record
+        read_end, write_end = os.pipe()
+        os.write(write_end, whole + cut[:end])
+        os.close(write_end)
+        try:
+            assert list(verify._records(read_end)) == records, end
+        finally:
+            os.close(read_end)
 
 
 def test_verify_prints_one_json_document():
