@@ -430,14 +430,13 @@ def _terms(node, ctx: EvalCtx, memo: dict):
 
 def _combine(n, a, b):
     """a op b or a^k as one term; None for a None term, an inverse or power ``_power`` leaves
-    generic, two T's, or a product of two terms with no call past POWER_BITS_MAX bits (beside
-    a call, ``_theta_table`` bounds the coefficient)."""
+    generic, two T's, or a product whose coefficient is past POWER_BITS_MAX bits."""
     if a is None or b is None:
         return None
     if isinstance(n, Pow):
         return _power(a, n.exponent, n)
     c = b if n.op == "*" else _power(b, -1, n)  # b or 1/b
-    if c is None or (a[3] and c[3]) or not (a[2] or a[3] or c[2] or c[3]) and a[0] and c[0] and (
+    if c is None or (a[3] and c[3]) or a[0] and c[0] and (
             _height(a[0]) * _height(c[0])).bit_length() > POWER_BITS_MAX:
         return None
     return [a[0] * c[0], a[1] + c[1], {f: a[2].get(f, 0) + c[2].get(f, 0) for f in a[2] | c[2]},

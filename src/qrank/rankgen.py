@@ -22,7 +22,10 @@ block and change it by a few factors (1 - c q^e) whenever the smallest part
 n (and, in ``_bivariate``, the p4 count m) changes, so no term builds or
 inverts its own Pochhammer denominator.  The first two are ``FactorBlock``s;
 ``_bivariate``, the one builder with z formal, keeps plain lists of packed
-z-digit integers, and sizes the digits by its own coefficient bound.
+z-digit integers, sizes the digits by its own coefficient bound, and steps
+them with the in-place kernel of ``quadruples.rank_counts``: QBINOMIAL and
+ENUMERATION run one recurrence on one kernel, and DEFINITION and LAMBERT
+are the routes independent of it.
 
 ``_counting_series``, ``root_prefactor``, ``ru_at_root``, ``rv_at_root``,
 ``_bivariate``, ``rank_histograms`` and ``rhs_identity`` are ``series.memo``
@@ -40,11 +43,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add, lshift, sub
+from itertools import repeat
+from operator import add, lshift
 
 from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
+from .quadruples import _divide, _multiply
 from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _rotated, _unpack,
                      memo, theta_jtp_sum)
 
@@ -226,7 +230,8 @@ def _fg_series(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int, power: int) -> Lauren
     runs over s^n R_n, R_n = prod_c (cq;q)_(n-1)/(q;q)_(2n), one running
     block: s^(n+1) R_(n+1) is s^n R_n times s and the four (1 - c q^n),
     divided by (1 - q^(2n+1)) and (1 - q^(2n+2)).  The remaining prefactor
-    (q;q)_inf/prod_c (cq;q)_inf is applied to the sum in place.
+    (q;q)_inf/prod_c (cq;q)_inf is applied to the sum in place, so each c
+    must be integral (``FactorBlock.factor`` divides by no other).
     """
     if rho1.ell != z.ell or rho2.ell != z.ell:
         raise ValueError("rho1, rho2 and z must live in the same cyclotomic field")
@@ -303,29 +308,15 @@ def _bivariate(power: int, prec: int) -> tuple:
     coefficients.  E_n and W_(n,m) hold z-degrees in [-2j/n, 2j/n] at q^j, so
     tilt 1 keeps every power of X non-negative for n >= 2; at n = 1 the head
     and the sum are re-laid once to tilt 2.  A factor (1 - z^c q^e) then
-    moves digits up by c + tilt*e >= 0, z^-m is adding a term at q^offset
-    m digits lower (tilt*offset > m), and the sum holds z-degrees in
-    [-2i, 2i] at q^i, so slot i decodes to 4i + 1 digits from z^-2i up.
+    moves digits up by c + tilt*e >= 0, one in-place pass of the kernel the
+    ENUMERATION DP runs (``quadruples._multiply`` and ``_divide``), z^-m is
+    adding a term at q^offset m digits lower (tilt*offset > m), and the sum
+    holds z-degrees in [-2i, 2i] at q^i, so slot i decodes to 4i + 1 digits
+    from z^-2i up.
     """
     bound = 1 << (int(2 * math.pi * math.sqrt(max(prec - 2, 0)) / math.log(2)) + 2)
     k = _digit_bytes(bound)
     bits = 8 * k
-
-    def factor(block, zpow, e, tilt, divide=False):
-        """block times (1 - z^zpow q^e), or divided by it, in place."""
-        n = len(block)
-        if e >= n:
-            return
-        shift = (zpow + tilt * e) * bits
-        if not divide:
-            block[e:] = map(sub, block[e:], map(lshift, block[:n - e], repeat(shift)))
-        elif e * e < n:
-            # fewer residue classes mod e than groups of e slots: one running sum per class
-            for j in range(e):
-                block[j::e] = accumulate(block[j::e], lambda a, x: x + (a << shift))
-        else:
-            for lo in range(e, n, e):
-                block[lo:lo + e] = map(add, block[lo:lo + e], map(lshift, block[lo - e:lo], repeat(shift)))
 
     def add_to_sum(block, offset, m, tilt):  # acc += z^-m q^offset block
         count = min(len(block), prec - offset)
@@ -342,15 +333,15 @@ def _bivariate(power: int, prec: int) -> tuple:
             tilt = 2
         for zpow in (1, 2, -2):
             for e in (range(n, prec - power) if n == top else (n,)):
-                factor(head, zpow, e, tilt, divide=True)
+                _divide(head, e, up=(zpow + tilt * e) * bits)
         base = power * n
         add_to_sum(head, base, 0, tilt)
         term = head[:]
         m = 1
         while base + n * m < prec:
             del term[prec - base - n * m:]
-            factor(term, 1, n + m, tilt)
-            factor(term, 0, m, tilt, divide=True)
+            _multiply(term, n + m, up=(1 + tilt * (n + m)) * bits)
+            _divide(term, m, up=tilt * m * bits)
             add_to_sum(term, base + n * m, m, tilt)
             m += 1
     return tuple(ZLaurentPoly(-2 * i, _unpack(x, 4 * i + 1, k)) for i, x in enumerate(acc))
@@ -368,8 +359,9 @@ def rank_histograms(kind: str, route: str, prec: int) -> tuple:
                          f"got {kind!r} and {route!r}")
     if route == "QBINOMIAL":
         return _bivariate(1 if kind == "u" else 2, prec)
-    # ENUMERATION: rank histograms counted by quadruples.rank_counts, a DP over
-    # the members, independent of the q-series routes
+    # ENUMERATION: rank histograms counted per n by quadruples.rank_counts, a DP
+    # over the members on the packed-digit kernel _bivariate steps too; imported
+    # here so that a patched quadruples.rank_counts is the one called
     from .quadruples import rank_counts
     polys = []
     for n in range(max(prec, 0)):

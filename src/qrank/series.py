@@ -25,10 +25,10 @@ All dense arithmetic runs on integers:
 * ``FactorBlock`` is the one kernel that multiplies or divides by a factor
   (1 - c q^e): a mutable block changed in place, O(n) integer additions per
   factor: a plain add over QQ, a rotation of residue vectors for c = zeta^k
-  over Q(zeta_l), and in general the lifted integer coordinates of c.  Every
-  Pochhammer product (``poch``, ``jacprod``) and every geometric series (one
-  division of the constant 1) is one pass of it, and generating functions
-  whose terms differ by a few factors keep one running block.
+  over Q(zeta_l), and in general the lifted integer coordinates of c; it
+  divides only by a factor of integral c.  Every Pochhammer product
+  (``poch``, ``jacprod``) is one pass of it, and generating functions whose
+  terms differ by a few factors keep one running block.
   ``FactorBlock.sparse`` multiplies or divides the block by a sparse monic
   series with integral coefficients instead: Euler's pentagonal series for
   E(x), and the triple-product sum that divides RU/RV at zeta_l.
@@ -40,8 +40,9 @@ precision no higher by truncating that build (a tuple of per-n terms by its
 first prec entries), so repeated and lower-precision requests are hits.
 
 A formal z appears only in ``ZLaurentPoly``, the rank polynomial
-sum_r N(r, n) z^r of one n; ``rankgen._bivariate`` packs its own z-digits
-with ``_unpack``'s codec and decodes each q-slot into one.
+sum_r N(r, n) z^r of one n, a record with no arithmetic a program uses;
+``rankgen._bivariate`` packs its own z-digits with ``_unpack``'s codec and
+decodes each q-slot into one.
 """
 
 from __future__ import annotations
@@ -76,7 +77,13 @@ def join_rings(r1, r2):
 
 
 class ZLaurentPoly:
-    """Laurent polynomial in the auxiliary variable z with integer or rational coefficients."""
+    """Laurent polynomial in the auxiliary variable z with integer or rational coefficients.
+
+    A record: the rank polynomial sum_r N(r, n) z^r of one n, built by the
+    rank routes and compared, read and printed.  Its one operation, the
+    product of two polynomials, serves no program path; it stays because
+    the benchmark traces ``__mul__`` and ``__rmul__`` by name.
+    """
 
     __slots__ = ("lowest", "coeffs")
 
@@ -90,65 +97,16 @@ class ZLaurentPoly:
         self.lowest = lowest if coeffs else 0
         self.coeffs = tuple(coeffs)
 
-    @staticmethod
-    def monomial(power: int, coeff=1) -> "ZLaurentPoly":
-        return ZLaurentPoly(power, (coeff,))
-
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _coerce(self, other):
-        if isinstance(other, ZLaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ZLaurentPoly(0, (other,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.lowest, other.lowest)
-        hi = max(self.lowest + len(self.coeffs), other.lowest + len(other.coeffs))
-        acc = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            acc[self.lowest - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            acc[other.lowest - lo + i] += c
-        return ZLaurentPoly(lo, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZLaurentPoly(self.lowest, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ZLaurentPoly(0, ())
-            return ZLaurentPoly(self.lowest, tuple(c * other for c in self.coeffs))
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, ZLaurentPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return ZLaurentPoly(0, ())
-        acc = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        acc = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
             for j, b in enumerate(other.coeffs):
-                if b:
-                    acc[i + j] += a * b
+                acc[i + j] += a * b
         return ZLaurentPoly(self.lowest + other.lowest, acc)
 
     __rmul__ = __mul__
@@ -447,7 +405,7 @@ class LaurentSeries:
         if k < 0:
             return self.inverse(product=product).power(-k, product)
         if k == 0:
-            return LaurentSeries.const(self.ring, self.ring.one, self.prec)
+            return LaurentSeries.const(self.ring, self.ring.one)  # exact, whatever the base knows
         result, base = None, self
         while True:
             if k & 1:
@@ -739,12 +697,11 @@ class FactorBlock:
     ``series`` reduces it to the power basis once.
 
     Multiplying by (1 - c q^e), c = C/d, sets slot i to d slot_i - C slot_(i-e)
-    and multiplies den by d.  Dividing solves slot_i = x_i + c slot_(i-e)
-    from the low slots up, e slots at a time: with the block first scaled by
-    d^K, K = (n-1)//e, the slots of the k-th group are divisible by d^(K-k),
-    so each group adds C (previous group // d) exactly.  Every operation is
-    exact in the power series ring truncated at q^n, so factors may be
-    applied in any order.
+    and multiplies den by d.  Dividing, for an integral c (1 or a root of
+    unity wherever the program divides), solves slot_i = x_i + c slot_(i-e)
+    from the low slots up, e slots at a time.  Every operation is exact in
+    the power series ring truncated at q^n, so factors may be applied in any
+    order.
     """
 
     __slots__ = ("ring", "width", "den", "data")
@@ -762,11 +719,14 @@ class FactorBlock:
         """Multiply the block by (1 - c q^e) for each e in ``exps``, or divide it by those factors.
 
         ``exps`` is one exponent >= 1 or an iterable of them; c is resolved
-        into integer terms once for all of them.
+        into integer terms once for all of them.  A divided factor's c must
+        be integral.
         """
         w = self.width
         n = len(self.data) // w
         d, terms = _factor_terms(self.ring, c)
+        if divide and d != 1:
+            raise ValueError(f"a divided factor's c must be integral, got {c}")
         for e in (exps,) if isinstance(exps, int) else exps:
             if e < 1:
                 raise ValueError(f"factor exponent must be >= 1, got {e}")
@@ -781,7 +741,7 @@ class FactorBlock:
                 _apply(data, w, e * w, prev, terms, sub)
                 continue
             step = e * w
-            if d == 1 and len(terms) == 1 and terms[0][0] == 0 and e * step < n:
+            if len(terms) == 1 and terms[0][0] == 0 and e * step < n:
                 # c = m, and fewer residue classes mod e than groups of e
                 # slots: each class is one running sum, in one C-level pass
                 m = terms[0][1]
@@ -789,15 +749,8 @@ class FactorBlock:
                 for j in range(step):
                     data[j::step] = accumulate(data[j::step], running)
                 continue
-            if d != 1:
-                scale = d ** ((n - 1) // e)
-                data = self.data = list(map(mul, data, repeat(scale)))
-                self.den *= scale
             for lo in range(step, len(data), step):
-                prev = data[lo - step:lo]
-                if d != 1:
-                    prev = [x // d for x in prev]
-                _apply(data, w, lo, prev, terms, add)
+                _apply(data, w, lo, data[lo - step:lo], terms, add)
 
     def sparse(self, terms, divide: bool = False) -> None:
         """Multiply the block by s = 1 + sum c q^t over ``terms``, pairs (t, c)
@@ -926,15 +879,13 @@ def clear_memos() -> None:
 
 
 def geometric(ring, c, step: int, prec) -> "LaurentSeries":
-    """1/(1 - c*q^step) = sum_{k>=0} c^k q^(k*step), step >= 1: the constant 1
-    divided in place by that one factor."""
+    """1/(1 - c*q^step) = sum_{k>=0} c^k q^(k*step), step >= 1, by its closed form."""
     if step < 1:
         raise ValueError(f"geometric step must be >= 1, got {step}")
     if prec == INF:
         raise PrecisionError("geometric expansion needs a finite precision")
-    block = FactorBlock(ring, max(int(prec), 0))
-    block.factor(c, step, divide=True)
-    return block.series(prec)
+    powers = accumulate(repeat(ring.of(c)), mul, initial=ring.one)  # 1, c, c^2, ...
+    return LaurentSeries.from_items(ring, zip(range(0, int(prec), step), powers), prec)
 
 
 def _poch_shift(a: int, b: int, count) -> int:

@@ -135,7 +135,7 @@ def complex_embedding(x: CycQ) -> complex:
 #
 # The dense algorithms the integer kernel in qrank.series replaced, kept as
 # the slow reference.  They work on plain lists of ring elements (Fraction,
-# CycQ or ZLaurentPoly), index 0 being the lowest exponent, with one ring
+# CycQ or RefZPoly), index 0 being the lowest exponent, with one ring
 # operation per term.
 
 
@@ -380,13 +380,50 @@ def ref_fg_series(rho1, rho2, z, prec: int, power: int):
     return pref * acc
 
 
+class RefZPoly:
+    """A Laurent polynomial in z as a dict exponent -> nonzero coefficient, the ring of
+    ``ref_bivariate``'s lists, written apart from qrank.series."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return RefZPoly(out)
+
+    def __neg__(self):
+        return RefZPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return RefZPoly(out)
+
+    def as_zlaurent(self) -> ZLaurentPoly:
+        """The same polynomial as the ZLaurentPoly the rank routes return, to compare with them."""
+        lo = min(self.terms, default=0)
+        return ZLaurentPoly(lo, [self.terms.get(k, 0) for k in range(lo, max(self.terms, default=lo) + 1)])
+
+
 def ref_bivariate(power: int, prec: int) -> list:
-    """The rank polynomials of RU(z, q) (power 1) or RV(z, q) (power 2) for n < prec, on
-    lists of ZLaurentPoly: per n the head 1/(z q^n, z^2 q^n, z^-2 q^n; q)_inf, and per
-    (n, m) a Gaussian binomial over its full Pochhammer denominator, each inverted by
-    the recurrence."""
-    zero, one = ZLaurentPoly(0, ()), ZLaurentPoly.monomial(0)
-    z, z2, z2i = (ZLaurentPoly.monomial(k) for k in (1, 2, -2))
+    """The rank polynomials of RU(z, q) (power 1) or RV(z, q) (power 2) for n < prec, as
+    ZLaurentPoly, summed on lists of RefZPoly: per n the head 1/(z q^n, z^2 q^n,
+    z^-2 q^n; q)_inf, and per (n, m) a Gaussian binomial over its full Pochhammer
+    denominator, each inverted by the recurrence."""
+    zero, one = RefZPoly({}), RefZPoly({0: 1})
+    z, z2, z2i = (RefZPoly({k: 1}) for k in (1, 2, -2))
     acc = [zero] * max(prec, 0)
 
     def product(size, factors):
@@ -412,12 +449,12 @@ def ref_bivariate(power: int, prec: int) -> list:
             den = product(rel2, [(z, n, 1), (one, n + 1, m), (z, n + m + 1, None),
                                  (z2, n, None), (z2i, n, None)])
             gauss = ref_gauss_binomial(n, m)
-            gauss = [ZLaurentPoly.monomial(0, int(c)) for c in gauss.coeffs]
+            gauss = [RefZPoly({0: int(c)}) for c in gauss.coeffs]
             term = ref_mul(ref_inverse(den, rel2, one, zero), gauss, rel2, zero)
-            add(term, base + n * m, ZLaurentPoly.monomial(-m))
+            add(term, base + n * m, RefZPoly({-m: 1}))
             m += 1
         n += 1
-    return acc
+    return [p.as_zlaurent() for p in acc]
 
 
 # -- reference rank counts -----------------------------------------------------

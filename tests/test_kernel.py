@@ -271,20 +271,23 @@ def test_geometric_to_higher_precision(ring, c, step, prec):
 
 
 def factor_scalars(ring):
-    """The c of the factors (1 - c q^e) drawn over each ring."""
-    base = [1, -1, 2]
+    """The c of the factors (1 - c q^e) drawn over each ring: the integral ones, which
+    multiply and divide, and the ones with a denominator, which only multiply."""
+    integral = [1, -1, 2]
     if ring is QQ:
-        return base + [Fraction(1, 2)]
-    return base + [ring.zeta(k) for k in range(1, ring.ell)] + [ring.one + ring.zeta(3),
-                                                               ring.zeta(2) / 3]
+        return integral, [Fraction(1, 2)]
+    return integral + [ring.zeta(k) for k in range(1, ring.ell)] + [ring.one + ring.zeta(3)], [ring.zeta(2) / 3]
 
 
 @st.composite
 def factor_case(draw):
     ring = draw(rings)
-    scalars = st.sampled_from(factor_scalars(ring))
+    integral, fractional = factor_scalars(ring)
+    scalars = st.sampled_from(integral + fractional)
     n = draw(st.integers(min_value=1, max_value=14))
-    ops = draw(st.lists(st.tuples(scalars, st.sampled_from((1, 2, 5)), st.booleans()),
+    exps = st.sampled_from((1, 2, 5))
+    ops = draw(st.lists(st.one_of(st.tuples(scalars, exps, st.just(False)),
+                                  st.tuples(st.sampled_from(integral), exps, st.just(True))),
                         min_size=1, max_size=4))
     return ring, n, ops, draw(scalars), draw(st.integers(min_value=0, max_value=4))
 
@@ -302,7 +305,8 @@ def expected_factors(ring, n, ops):
 
 @given(factor_case())
 @example((cyclotomic_field(13), 14, [(cyclotomic_field(13).zeta(12), 1, True),
-                                     (cyclotomic_field(13).zeta(2) / 3, 2, True)], 2, 3))
+                                     (cyclotomic_field(13).zeta(2) / 3, 2, False),
+                                     (cyclotomic_field(13).one + cyclotomic_field(13).zeta(3), 2, True)], 2, 3))
 def test_factor_block_matches_poch_and_inverse(case):
     ring, n, ops, _, _ = case
     expected = expected_factors(ring, n, ops)
@@ -328,6 +332,12 @@ def test_factor_block_scale_copy_and_add(case):
     acc.add(block, shift)  # the terms that would pass q^n are cut
     assert acc.series(n) == total
     assert FactorBlock(ring, n, 0).series(n) == LaurentSeries.zero(ring, n)
+
+
+def test_factor_block_divides_only_by_an_integral_factor():
+    for ring, c in ((QQ, Fraction(1, 2)), (F7, F7.zeta(2) / 3)):
+        with pytest.raises(ValueError):
+            FactorBlock(ring, 5).factor(c, 1, divide=True)
 
 
 def integral_scalars(ring):

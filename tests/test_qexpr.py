@@ -399,9 +399,24 @@ def test_a_shift_past_the_exact_inverse_cap_is_exact_beside_a_call(text, terms):
 
 
 def test_a_zeroth_power_beside_a_call_is_one():
-    # (q^-7)^0 is 1 exactly, however little of q^-7 a series would know
+    # (q^-7)^0 is 1 exactly, however little of q^-7 a series would know: in the fold
+    # beside a call, and alone on the node-by-node path
     ctx = EvalCtx(ell=5, prec=3)
     assert evaluate("(q^-3*q^-4)^0*E(1)", ctx) == evaluate("E(1)", ctx)
+    assert str(evaluate("(q^-3*q^-4)^0", EvalCtx(ell=5, prec=10))) == "1 + O(q^10)"
+
+
+def test_the_fold_keeps_no_coefficient_past_the_cap():
+    # a product whose coefficient passes POWER_BITS_MAX bits is left to the generic path,
+    # beside a call too, so the fold memo holds no such coefficient; the generic path
+    # then refuses the product, though q^100 puts the whole of it above the precision
+    text, ctx = "q^100*E(1)" + "*2^1000000" * 60, EvalCtx(ell=5, prec=10)
+    memo = {}
+    qexpr._plan(parse(text), ctx, memo)
+    heights = [qexpr._height(t[0]) for _, terms in memo.values() for t in terms or () if t]
+    assert heights and max(heights).bit_length() <= qexpr.POWER_BITS_MAX
+    with pytest.raises(QExprEvalError, match="more than the cap of"):
+        evaluate(text, ctx)
 
 
 @pytest.mark.parametrize("expr, product", [("E(5)^4", "poch(0,5,5,inf)^4"), ("E(2)^2", "poch(0,2,2,inf)^2"),

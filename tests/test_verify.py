@@ -14,7 +14,7 @@ from qrank.cyclotomic import cyclotomic_field
 from qrank.lambert import TSpec
 from qrank.quadruples import class_counts
 from qrank.rankgen import IDENTITY_CATALOGUE, rank_histograms, rank_series, root_prefactor
-from qrank.series import LaurentSeries, clear_memos, geometric
+from qrank.series import LaurentSeries, ZLaurentPoly, clear_memos, geometric
 from qrank.verify import PARTIAL_FRACTIONS, CheckReport, _expand, check_names, run_all, run_check
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -265,15 +265,23 @@ def _bump_rv5_qbinomial(monkeypatch, prec, k):
     return (k, str(c), str(c + 1)), "RV at zeta_5, QBINOMIAL route"
 
 
+def _plus_one(poly):
+    """poly + 1, its z^0 coefficient raised by one"""
+    coeffs = dict(poly.items())
+    coeffs[0] = coeffs.get(0, 0) + 1
+    lo = min(coeffs)
+    return ZLaurentPoly(lo, [coeffs.get(r, 0) for r in range(lo, max(coeffs) + 1)])
+
+
 def _bump_v_enumeration(monkeypatch, prec, k):
     def bumped(kind, route, prec):
         polys = rank_histograms(kind, route, prec)
         if (kind, route) == ("v", "ENUMERATION"):
-            polys = polys[:k] + (polys[k] + 1,) + polys[k + 1:]
+            polys = polys[:k] + (_plus_one(polys[k]),) + polys[k + 1:]
         return polys
     monkeypatch.setattr(verify, "rank_histograms", bumped)
     c = rank_histograms("v", "QBINOMIAL", prec)[k]
-    return (k, str(c + 1), str(c)), f"v-rank histogram at n={k}"
+    return (k, str(_plus_one(c)), str(c)), f"v-rank histogram at n={k}"
 
 
 def _bump_v_definition(monkeypatch, prec, k):
