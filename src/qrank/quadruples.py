@@ -103,25 +103,28 @@ def enumerate_quadruples(n: int, kind: str = "u") -> list[tuple]:
     return quads
 
 
-def _divide(table: list, part: int, up: int = 0, down: int = 0) -> None:
+def _divide(table: list, part: int, shift: int = 0) -> None:
     """Multiply a packed table by 1/(1 - z^k q^part) in place.
 
     ``table[t]`` is the coefficient of q^t, packed in z; multiplying by z^k
-    shifts it ``up`` bits left or, when ``down`` is set, ``down`` bits right
-    (never both: a shift by 0 still copies a long integer).
+    shifts it ``shift`` bits, left when positive and right when negative
+    (a shift by 0 would copy a long integer, so z^0 is a plain add).
     """
-    if down:
+    if shift > 0:
         for t in range(part, len(table)):
-            table[t] += table[t - part] >> down
+            table[t] += table[t - part] << shift
+    elif shift < 0:
+        for t in range(part, len(table)):
+            table[t] += table[t - part] >> -shift
     else:
         for t in range(part, len(table)):
-            table[t] += table[t - part] << up
+            table[t] += table[t - part]
 
 
-def _multiply(table: list, part: int, up: int) -> None:
-    """Multiply a packed table by (1 - z^k q^part) in place, z^k a left shift."""
+def _multiply(table: list, part: int, shift: int) -> None:
+    """Multiply a packed table by (1 - z^k q^part) in place, z^k a left shift by ``shift`` bits."""
     for t in range(len(table) - 1, part - 1, -1):
-        table[t] -= table[t - part] << up
+        table[t] -= table[t - part] << shift
 
 
 def rank_counts(n: int, kind: str = "u") -> dict[int, int]:
@@ -170,9 +173,9 @@ def rank_counts(n: int, kind: str = "u") -> dict[int, int]:
     carried = [1 << (bias * width)] + [0] * top
     acc = 0
     for s in range(n, 0, -1):
-        _divide(carried, s, up=width)
-        _divide(carried, s, up=2 * width)
-        _divide(carried, s, down=2 * width)
+        _divide(carried, s, width)
+        _divide(carried, s, 2 * width)
+        _divide(carried, s, -2 * width)
         rest = n - forced * s
         if rest < 0:
             continue
@@ -180,7 +183,7 @@ def rank_counts(n: int, kind: str = "u") -> dict[int, int]:
         acc += table[rest]
         for m in range(1, rest // s + 1):
             del table[rest - m * s + 1:]
-            _multiply(table, s + m, up=width)
+            _multiply(table, s + m, width)
             _divide(table, m)
             acc += table[-1] >> (m * width)
     hist = {}

@@ -46,9 +46,9 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, lshift
 
+from . import quadruples
 from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
-from .quadruples import _divide, _multiply
 from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _rotated, _unpack,
                      memo, theta_jtp_sum)
 
@@ -230,8 +230,10 @@ def _fg_series(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int, power: int) -> Lauren
     runs over s^n R_n, R_n = prod_c (cq;q)_(n-1)/(q;q)_(2n), one running
     block: s^(n+1) R_(n+1) is s^n R_n times s and the four (1 - c q^n),
     divided by (1 - q^(2n+1)) and (1 - q^(2n+2)).  The remaining prefactor
-    (q;q)_inf/prod_c (cq;q)_inf is applied to the sum in place, so each c
-    must be integral (``FactorBlock.factor`` divides by no other).
+    (q;q)_inf/prod_c (cq;q)_inf is applied to the sum in place.
+    ``FactorBlock.factor`` divides only by an integral c (1 or a root of
+    unity on every program path); a c with a denominator is divided out as
+    1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)..., products only.
     """
     if rho1.ell != z.ell or rho2.ell != z.ell:
         raise ValueError("rho1, rho2 and z must live in the same cyclotomic field")
@@ -257,10 +259,16 @@ def _fg_series(rho1: CycQ, rho2: CycQ, z: CycQ, prec: int, power: int) -> Lauren
         term.scale(s)
         acc.add(term, power * n)
         n += 1
-    exps = range(1, prec - power)  # the sum starts at q^power: higher factors act as 1
-    acc.factor(1, exps)
+    top = prec - power  # the sum starts at q^power: factors at q^top and above act as 1
+    acc.factor(1, range(1, top))
     for c in args:
-        acc.factor(c, exps, divide=True)
+        if field.split(c)[0] == 1:
+            acc.factor(c, range(1, top), divide=True)
+            continue
+        step = 1
+        while step < top:  # times (1 + c^step q^(e*step)) for every e
+            acc.factor(-c, range(step, top, step))
+            c, step = c * c, 2 * step
     return acc.series(prec)
 
 
@@ -333,15 +341,15 @@ def _bivariate(power: int, prec: int) -> tuple:
             tilt = 2
         for zpow in (1, 2, -2):
             for e in (range(n, prec - power) if n == top else (n,)):
-                _divide(head, e, up=(zpow + tilt * e) * bits)
+                quadruples._divide(head, e, (zpow + tilt * e) * bits)
         base = power * n
         add_to_sum(head, base, 0, tilt)
         term = head[:]
         m = 1
         while base + n * m < prec:
             del term[prec - base - n * m:]
-            _multiply(term, n + m, up=(1 + tilt * (n + m)) * bits)
-            _divide(term, m, up=tilt * m * bits)
+            quadruples._multiply(term, n + m, (1 + tilt * (n + m)) * bits)
+            quadruples._divide(term, m, tilt * m * bits)
             add_to_sum(term, base + n * m, m, tilt)
             m += 1
     return tuple(ZLaurentPoly(-2 * i, _unpack(x, 4 * i + 1, k)) for i, x in enumerate(acc))
@@ -360,12 +368,10 @@ def rank_histograms(kind: str, route: str, prec: int) -> tuple:
     if route == "QBINOMIAL":
         return _bivariate(1 if kind == "u" else 2, prec)
     # ENUMERATION: rank histograms counted per n by quadruples.rank_counts, a DP
-    # over the members on the packed-digit kernel _bivariate steps too; imported
-    # here so that a patched quadruples.rank_counts is the one called
-    from .quadruples import rank_counts
+    # over the members on the packed-digit kernel _bivariate steps too
     polys = []
     for n in range(max(prec, 0)):
-        counts = rank_counts(n, kind) if n else {}
+        counts = quadruples.rank_counts(n, kind) if n else {}
         lo = min(counts, default=0)
         polys.append(ZLaurentPoly(lo, [counts.get(r, 0) for r in range(lo, max(counts, default=lo) + 1)]))
     return tuple(polys)
