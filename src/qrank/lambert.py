@@ -7,11 +7,11 @@ of that range the symmetries P(-a) = -q^(-l a) P(a) and P(l + a) = P(-a)
 reduce the argument first, producing honest Laurent series with negative
 valuation where identities demand them.
 
-``theta_sum`` evaluates tables of terms c q^s T(a, b, l) prod E(x)^k P(x)^k,
-each E/P product one in-place FactorBlock with no Newton inverse, an E(x)^k
-with k > 0 multiplied by Euler's pentagonal series;
-``P_series`` is such a table, and so is every identity in
-``rankgen.IDENTITY_CATALOGUE``.
+``theta_sum`` evaluates tables of terms c q^s T(a, b, l) prod E(x)^k P(x)^k
+on integers, each E/P product one in-place FactorBlock on q^g with no Newton
+inverse, an E(x)^k with k > 0 multiplied by Euler's pentagonal series, and
+the terms summed in one integer accumulator; ``P_series`` is such a table,
+and so is every identity in ``rankgen.IDENTITY_CATALOGUE``.
 
 ``lambert_T``, ``E_series``, ``P_series``, the E/P products (``_product``,
 keyed on the sorted factor ranges, so P(1)P(2) and P(2)P(1) share an entry)
@@ -22,9 +22,13 @@ lower precision is its truncation.
 
 from __future__ import annotations
 
-from .cyclotomic import QQ, cyclotomic_field
+import math
+from itertools import repeat
+from operator import add, mul
+
+from .cyclotomic import QQ, _reduce_residues, cyclotomic_field
 from .record import FrozenRecord
-from .series import INF, FactorBlock, LaurentSeries, memo, poch
+from .series import INF, FactorBlock, LaurentSeries, _make, memo, poch
 
 
 class TSpec(FrozenRecord):
@@ -151,7 +155,8 @@ def _pentagonal(x: int, n: int) -> list:
 def block_passes(ranges, n: int) -> int:
     """The whole-block passes ``theta_sum`` makes for a term's factor ranges at n
     terms: one per pentagonal term for each power of an E(x)^k with k > 0, and
-    otherwise one per factor below q^n for each power."""
+    otherwise one per factor below q^n for each power; at n terms each, an
+    upper bound on the work of ``_product``, which runs on q^g (n/g slots)."""
     return sum(power * len(_pentagonal(start, n)) if kind == "E" and power > 0
                else abs(power) * len(range(start, n, step)) for kind, start, step, power in ranges)
 
@@ -159,17 +164,21 @@ def block_passes(ranges, n: int) -> int:
 @memo
 def _product(ranges: tuple, n: int) -> LaurentSeries:
     """The E/P product of a ``theta_sum`` term over the rationals, exact below q^n,
-    from its sorted factor ranges (kind, start, step, power)."""
-    block = FactorBlock(QQ, n)
+    from its sorted factor ranges (kind, start, step, power), on q^g for g the gcd
+    of every start and step (l for the P-quotients and E(l^2)): n/g slots."""
+    g = math.gcd(*(x for _, start, step, _ in ranges for x in (start, step))) or 1
+    size = (n - 1) // g + 1
+    block = FactorBlock(QQ, size)
     for kind, start, step, power in ranges:
+        start, step = start // g, step // g
         if kind == "E" and power > 0:
-            pentagonal = _pentagonal(start, n)
+            pentagonal = _pentagonal(start, size)
             for _ in range(power if pentagonal else 0):
                 block.sparse(pentagonal)
             continue
-        for _ in range(abs(power) if start < n else 0):
-            block.factor(1, range(start, n, step), divide=power < 0)
-    return block.series(n)
+        for _ in range(abs(power) if start < size else 0):
+            block.factor(1, range(start, size, step), divide=power < 0)
+    return block.series(n, g)
 
 
 def term_valuation(ell: int, term) -> int:
@@ -200,11 +209,14 @@ def _theta_sum(ell: int, terms: tuple, prec: int) -> LaurentSeries:
     series, about 2 sqrt(2n/(3x)) terms, one whole-block shifted add each;
     a negative power of E(x) and every P(x)^k (its two ranges
     (q^(l x); q^(l^2))_inf (q^(l^2 - l x); q^(l^2))_inf) are |k| passes of
-    one factor (1 - q^e) per exponent below q^n.
+    one factor (1 - q^e) per exponent below q^n, on q^g (``_product``).  The
+    terms add into one integer accumulator over a common denominator, each
+    block times the integer coordinates of its coefficient on 1, zeta, ...,
+    zeta^(ell-1) (one over QQ), reduced to the power basis once.
     """
-    field = cyclotomic_field(ell)
-    ring = field if any(isinstance(t[0], tuple) for t in terms) else QQ
-    total = LaurentSeries.zero(ring, prec)
+    dense = any(isinstance(t[0], tuple) for t in terms)
+    width = ell if dense else 1
+    parts = []
     for coeff, shift, factors, lam in terms:
         sign, shift, ranges, vanishes = _reduced_factors(ell, shift, factors)
         t = None if lam is None else lambert_T(TSpec(*lam, ell), prec - shift)
@@ -212,9 +224,25 @@ def _theta_sum(ell: int, terms: tuple, prec: int) -> LaurentSeries:
         if vanishes or n <= 0 or (t is not None and t.is_zero()):
             continue
         term = _product(ranges, n) if t is None else t * _product(ranges, n) if ranges else t
-        if isinstance(coeff, tuple):
-            coeff = sum((ring.zeta(j) * c for c, j in coeff), ring.zero)
-        total = total + term.scale(coeff * sign).shift(shift)
-    if total.prec < prec:
-        raise ValueError(f"internal precision shortfall: {total.prec} < {prec}")
-    return total.truncate(prec)
+        if term.prec + shift < prec:
+            raise ValueError(f"internal precision shortfall: {term.prec + shift} < {prec}")
+        pairs = coeff if isinstance(coeff, tuple) else ((coeff, 0),)
+        den = math.lcm(*(c.denominator for c, _ in pairs))
+        coords = [0] * width
+        for c, j in pairs:
+            coords[j % width] += sign * c.numerator * (den // c.denominator)
+        parts.append((term, shift, den, coords))
+    den = math.lcm(*(term.den * d for term, _, d, _ in parts))
+    lo = min((term.valuation + shift for term, shift, _, _ in parts), default=prec)
+    acc = [0] * (max(prec - lo, 0) * width)
+    for term, shift, d, coords in parts:
+        start = term.valuation + shift
+        data = term.data[:max(prec - start, 0)]
+        scale = den // (term.den * d)
+        for k, x in enumerate(coords):
+            if x and data:
+                target = slice((start - lo) * width + k, (start - lo + len(data)) * width, width)
+                acc[target] = map(add, acc[target], map(mul, data, repeat(x * scale)))
+    if not dense:
+        return _make(QQ, lo, den, acc, prec)
+    return _make(cyclotomic_field(ell), lo, den, _reduce_residues(acc, ell, ell), prec)

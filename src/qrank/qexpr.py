@@ -500,7 +500,9 @@ def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True, plan=None) -> Laurent
     if isinstance(n, BinOp):
         left, right = _eval(n.left, ctx, memo, lower), _eval(n.right, ctx, memo, lower)
         try:
-            return _sized(left, _inverse_of(right, ctx)) if n.op == "/" else _sized(left, right, n.op)
+            if n.op == "/":
+                return _sized(left, _inverse_of(right, ctx, left.valuation))
+            return _sized(left, right, n.op)
         except (ZeroDivisionError, ValueError) as exc:
             raise QExprEvalError(f"cannot divide: {exc}" if n.op == "/" else str(exc), n.pos) from exc
     if isinstance(n, Pow):
@@ -563,12 +565,14 @@ def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     return out
 
 
-def _inverse_of(series: LaurentSeries, ctx: EvalCtx) -> LaurentSeries:
-    """1/series, its Newton products taken by ``_sized``."""
+def _inverse_of(series: LaurentSeries, ctx: EvalCtx, dividend: int = 0) -> LaurentSeries:
+    """1/series, its Newton products taken by ``_sized``; ``dividend`` is the valuation of
+    what the inverse multiplies."""
     if series.prec != INF:
         return series.inverse(product=_sized)  # as many terms as the series knows
-    # an exact polynomial from q^v: prec + v terms, so that the final truncation is exact
-    prec = ctx.prec + max(0, -2 * series.valuation) + 1
+    # an exact polynomial from q^v: prec + v terms, so that the final truncation is exact, and
+    # -dividend more when the dividend starts below q^0
+    prec = ctx.prec + max(0, -2 * series.valuation) + 1 + max(0, -dividend)
     if series.data and prec + series.valuation > TERMS_MAX:
         raise ValueError(f"the inverse of an exact polynomial from q^{series.valuation} needs "
                          f"{prec + series.valuation} terms, more than the cap of {TERMS_MAX}")

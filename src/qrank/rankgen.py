@@ -97,18 +97,32 @@ def v_series(prec: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _theta_quotients(ell: int):
-    """The quotients (-1)^n (zeta^n - zeta^(-n-1)) / (1 - 1/zeta) = (-1)^n (zeta^n + zeta^(n-1)
-    + ... + zeta^-n) for n = 0 .. 2 ell - 1, a whole period in n, and
-    1 / ((1+zeta)(1-zeta)(1-1/zeta))."""
+    """The per-ell tables of the bilateral route, built once on integer lists: the quotients
+    (-1)^n (zeta^n - zeta^(-n-1)) / (1 - 1/zeta) = (-1)^n (zeta^n + zeta^(n-1) + ... + zeta^-n)
+    for n = 0 .. 2 ell - 1, a whole period in n; 1 / ((1+zeta)(1-zeta)(1-1/zeta)); and for
+    each j mod 2 ell the columns of c_j U_m, m < ell, that ``_bilateral_rank_sum`` adds."""
     period = []
     for n in range(2 * ell):
         raw = [0] * ell
         for i in range(-n, n + 1):
             raw[i % ell] += (-1) ** n
-        period.append(CycQ.from_raw(ell, raw))
+        period.append(CycQ(ell, _reduce_residues(raw, ell, ell)))
     field = cyclotomic_field(ell)
     z = field.zeta(1)
-    return tuple(period), ((field.one + z) * (field.one - z) * (field.one - field.zeta(-1))).inverse()
+    inverse = ((field.one + z) * (field.one - z) * (field.one - field.zeta(-1))).inverse()
+    u_rows = []  # U_m, m < ell, as residue vectors
+    for m in range(ell):
+        u = [0] * ell
+        for i in range(m + 1):
+            u[2 * (2 * i - m) % ell] += 1
+        u_rows.append(u)
+    columns = []
+    for j in range(2 * ell):
+        shifts = (1 - j) % ell, j % ell, 1
+        rows = [[(-1) ** j * (a + b - c - d) for a, b, c, d in zip(*(_rotated(u, ell, k) for k in shifts), u)]
+                for u in u_rows]
+        columns.append(list(zip(*rows)))
+    return tuple(period), inverse, columns
 
 
 @memo
@@ -139,32 +153,22 @@ def _bilateral_rank_sum(ell: int, prec: int, offset: int) -> FactorBlock:
     * c_j = (1-zeta^j)(1-zeta^(j-1)) zeta^(1-j) (-1)^j
           = (-1)^j (zeta^(1-j) + zeta^j - zeta - 1).
 
-    Term j adds c_j U_m to the coefficient of q^(eff + m|j|).  The block
+    Term j adds c_j U_m to the coefficient of q^(eff + m|j|): one slice add
+    per coordinate of the columns c_j U_m, m < ell, which depend only on
+    j mod 2 ell and are built once per ell (``_theta_quotients``).  The block
     holds residue vectors, so the prefactor can be divided out in place.
     """
     block = FactorBlock(cyclotomic_field(ell), prec, 0)
-    periods = []
-    for m in range(ell):
-        u = [0] * ell
-        for i in range(m + 1):
-            u[2 * (2 * i - m) % ell] += 1
-        periods.append(u)
-    raw = block.data
-    columns = {}  # c_j U_m for m < ell, coordinate by coordinate: they depend only on j mod 2 ell
+    raw, columns = block.data, _theta_quotients(ell)[2]
 
     def add_term(j: int):
         e = j * (j + offset) // 2
         eff = e if j > 0 else e + 2 * (-j)
         if eff >= prec or j % ell in (0, 1):
             return
-        step, r = abs(j), j % (2 * ell)
-        if r not in columns:
-            sign = -1 if j % 2 else 1
-            shifts = (1 - j) % ell, j % ell, 1
-            columns[r] = list(zip(*[[sign * (a + b - c - d) for a, b, c, d in
-                                     zip(*(_rotated(u, ell, k) for k in shifts), u)] for u in periods]))
+        step = abs(j)
         reps = (prec - 1 - eff) // step // ell + 1
-        for k, column in enumerate(columns[r]):
+        for k, column in enumerate(columns[j % (2 * ell)]):
             target = slice(eff * ell + k, None, step * ell)
             raw[target] = map(add, raw[target], column * reps)
 
@@ -197,7 +201,7 @@ def _at_root(ell: int, prec: int, offset: int) -> LaurentSeries:
     scalar (1+z)(1-z)(1-1/z) is divided out once at the end.
     """
     block = _bilateral_rank_sum(ell, prec, offset)
-    period, inverse = _theta_quotients(ell)
+    period, inverse, _ = _theta_quotients(ell)
     terms, n = [], 1
     while n * (n + 1) // 2 < prec:
         terms.append((n * (n + 1) // 2, period[n % len(period)]))

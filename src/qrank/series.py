@@ -27,8 +27,9 @@ All dense arithmetic runs on integers:
   factor: a plain add over QQ, a rotation of residue vectors for c = zeta^k
   over Q(zeta_l), and in general the lifted integer coordinates of c; it
   divides only by a factor of integral c.  Every Pochhammer product
-  (``poch``, ``jacprod``) is one pass of it, and generating functions whose
-  terms differ by a few factors keep one running block.
+  (``poch``, ``jacprod``) is one pass of it, on q^g when its exponents share
+  the factor g, and generating functions whose terms differ by a few factors
+  keep one running block.
   ``FactorBlock.sparse`` multiplies or divides the block by a sparse monic
   series with integral coefficients instead: Euler's pentagonal series for
   E(x), and the triple-product sum that divides RU/RV at zeta_l.
@@ -701,7 +702,8 @@ class FactorBlock:
     unity wherever the program divides), solves slot_i = x_i + c slot_(i-e)
     from the low slots up, e slots at a time.  Every operation is exact in
     the power series ring truncated at q^n, so factors may be applied in any
-    order.
+    order.  A product whose exponents are all multiples of g runs on q^g, each
+    exponent divided by g; ``series(prec, g)`` puts slot i back at q^(i g).
     """
 
     __slots__ = ("ring", "width", "den", "data")
@@ -816,12 +818,12 @@ class FactorBlock:
             self.den = den
         _apply(self.data, w, shift * w, other.data[:count * w], [(0, den // other.den)], add)
 
-    def series(self, prec) -> "LaurentSeries":
-        """The block as a LaurentSeries from q^0, exact below prec."""
+    def series(self, prec, step: int = 1) -> "LaurentSeries":
+        """The block as a LaurentSeries from q^0, slot i at q^(i*step), exact below prec:
+        a block built on q^step, every exponent divided by step, spread back to q."""
         ring, w, data = self.ring, self.width, self.data
-        if ring is QQ:
-            return _make(QQ, 0, self.den, data[:], prec)
-        return _make(ring, 0, self.den, _reduce_residues(data, w, w), prec)
+        data = data[:] if ring is QQ else _reduce_residues(data, w, w)
+        return _make(ring, 0, self.den, _spread(data, ring.width, ring.width * step), prec)
 
 
 # -- the precision-aware memo ------------------------------------------------
@@ -902,7 +904,9 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
     a >= 1, or a = 0 with c != 1 (the leading factor is then the scalar 1-c).
     With (1 - c q^e) = -c q^e (1 - c^-1 q^-e) for e < 0, one FactorBlock holds
     c at the positive exponents and 1/c at the negated negative ones, to
-    prec - shift terms, shift the sum of the negative exponents.
+    prec - shift terms, shift the sum of the negative exponents.  Every
+    exponent is a multiple of g = gcd(a, b), so the block runs on q^g: one
+    slot per multiple of g below q^(prec - shift).
     """
     if b < 1:
         raise ValueError(f"Pochhammer step must be >= 1, got {b}")
@@ -924,30 +928,32 @@ def poch(ring, c, a: int, b: int, count, prec) -> "LaurentSeries":
         # factors at or past q^n act as 1 on the block
         n = max(int(prec) - shift, 1)
         exps = range(a, min(a + count * b, n), b)
-    block = FactorBlock(ring, n)
+    g = math.gcd(a, b)
+    block = FactorBlock(ring, (n - 1) // g + 1)
     if not c:
         return block.series(prec)  # every factor is 1
-    flipped = [-e for e in exps if e < 0]
-    block.factor(c, [e for e in exps if e > 0])
+    flipped = [-e // g for e in exps if e < 0]
+    block.factor(c, [e // g for e in exps if e > 0])
     block.factor(ring.invert(c), flipped)
     block.scale((-c) ** len(flipped) * (ring.one - c) ** int(0 in exps))
-    return block.series(prec - shift).shift(shift)
+    return block.series(prec - shift, g).shift(shift)
 
 
 @memo
 def jacprod(ring, c, a: int, b: int, prec) -> "LaurentSeries":
     """Theta-style product (c*q^a; q^b)_inf * (q^(b-a)/c; q^b)_inf, 0 < a < b,
-    both factor sets in one block."""
+    both factor sets in one block, on q^g for g = gcd(a, b)."""
     if not 0 < a < b:
         raise ValueError(f"jacprod needs 0 < a < b, got a={a}, b={b}")
     if prec == INF:
         raise PrecisionError("infinite product needs a finite precision")
-    size = max(int(prec), 1)
+    g = math.gcd(a, b)
+    size = (max(int(prec), 1) - 1) // g + 1
     block = FactorBlock(ring, size)
     c = ring.of(c)
-    block.factor(c, range(a, size, b))
-    block.factor(ring.invert(c), range(b - a, size, b))
-    return block.series(prec)
+    block.factor(c, range(a // g, size, b // g))
+    block.factor(ring.invert(c), range((b - a) // g, size, b // g))
+    return block.series(prec, g)
 
 
 def theta_jtp_sum(ring, c, prec) -> "LaurentSeries":

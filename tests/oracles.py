@@ -186,11 +186,27 @@ def ref_poch_series(ring, c, a: int, b: int, count, prec: int):
     return LaurentSeries(ring, 0, ref_poch(ring.of(c), a, b, count, prec, ring.one, ring.zero), prec)
 
 
+def ref_product(ranges, n: int):
+    """The product of (q^start; q^step)_inf^power over the factor ranges (kind, start, step,
+    power) to n terms, over QQ: each range a ``ref_poch`` list, inverted by ``ref_inverse``
+    for a negative power and multiplied in |power| times by ``ref_mul``."""
+    out = [1] + [0] * (n - 1)
+    for _, start, step, power in ranges:
+        factor = ref_poch(1, start, step, None, n, 1, 0)
+        if power < 0:
+            factor = ref_inverse(factor, n, 1, 0)
+        for _ in range(abs(power)):
+            out = ref_mul(out, factor, n, 0)
+    return LaurentSeries(QQ, 0, out, n)
+
+
 def ref_monomial_sum(ell: int, terms, prec: int):
     """The sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over terms (c, s, ((kind, x, k), ...),
     (a, b) or None), exact below at least q^prec, by the generic route of the
     expression evaluator: E(x) and P(x) as q-Pochhammer products, T by lambert_T,
-    and LaurentSeries products, inverses and powers.
+    and LaurentSeries products, inverses and powers.  A coefficient c is a rational
+    or a tuple of (rational, j) pairs for sum c_j zeta^j, each pair a monomial
+    scaled by zeta^j over Q(zeta_ell).
 
     P(x) is its two factor sets (q^(ell x); q^(ell^2))_inf (q^(ell^2 - ell x); q^(ell^2))_inf
     as written, with no reduction of x: the factors with exponent <= 0 are one
@@ -209,10 +225,17 @@ def ref_monomial_sum(ell: int, terms, prec: int):
             out = out * poch(QQ, 1, start, step, below, INF) * poch(QQ, 1, start + below * step, step, INF, rel)
         return out
 
+    def monomial(c, s):
+        if not isinstance(c, tuple):
+            return LaurentSeries.monomial(QQ, s, c)
+        field = cyclotomic_field(ell)
+        return sum((LaurentSeries.monomial(QQ, s, cj).scale(field.zeta(j)) for cj, j in c),
+                   LaurentSeries.zero(field))
+
     def total(rel):
         out = LaurentSeries.zero(QQ)
         for c, s, factors, lam in terms:
-            term = LaurentSeries.monomial(QQ, s, c)
+            term = monomial(c, s)
             if lam is not None:
                 term = term * lambert_T(TSpec(*lam, ell), rel)
             for kind, x, k in factors:

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qrank.cyclotomic import QQ, cyclotomic_field
-from qrank.lambert import (E_series, P_series, TSpec, _reduce_p_argument, _t_term_exponents,
+from qrank import rankgen, series
+from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
+from qrank.lambert import (E_series, P_series, TSpec, _product, _reduce_p_argument, _t_term_exponents,
                            lambert_T, t_valuation, theta_sum)
 from qrank.rankgen import IDENTITY_CATALOGUE
-from qrank.series import LaurentSeries
+from qrank.series import LaurentSeries, clear_memos
 
 import oracles
 
@@ -149,12 +150,73 @@ def test_pentagonal_e_powers_match_the_product_route(case):
     # E(x)^k, k > 0, multiplied by Euler's pentagonal series, against the
     # generic route whose E is a poch product
     terms, prec = case
-    field = cyclotomic_field(5)
-    expected = LaurentSeries.zero(QQ, prec)
-    for coeff, shift, factors, lam in terms:
-        scalar = sum((field.zeta(j) * c for c, j in coeff), field.zero) if isinstance(coeff, tuple) else coeff
-        expected = expected + oracles.ref_monomial_sum(5, [(1, shift, factors, lam)], prec).scale(scalar)
-    assert (theta_sum(5, terms, prec) - expected).first_nonzero_below(prec) is None
+    assert (theta_sum(5, terms, prec) - oracles.ref_monomial_sum(5, terms, prec)).first_nonzero_below(prec) is None
+
+
+@st.composite
+def shared_factor_ranges(draw):
+    """Sorted E/P factor ranges (kind, start, step, power) whose starts and steps are
+    all multiples of one g, as the P-quotients at l share l, and a term count."""
+    g = draw(st.sampled_from((1, 2, 3, 5, 7, 25, 49)))
+    ranges = []
+    for _ in range(draw(st.integers(0, 4))):
+        power = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        if draw(st.booleans()):
+            x = g * draw(st.integers(1, 4))
+            ranges.append(("E", x, x, power))
+        else:
+            ranges.append(("P", g * draw(st.integers(1, 9)), g * draw(st.integers(1, 9)), power))
+    return tuple(sorted(ranges)), draw(st.integers(1, 250))
+
+
+@given(shared_factor_ranges())
+def test_products_on_q_to_the_gcd_match_the_factor_by_factor_oracle(case):
+    ranges, n = case
+    assert _product.__wrapped__(ranges, n) == oracles.ref_product(ranges, n)
+
+
+@st.composite
+def dense_tables(draw):
+    """theta_sum terms at ell 3, 5 or 7 with at least one coefficient a sum of c zeta^j,
+    E and P factors of either sign (a P(x) with ell | x only at k > 0) and optional T."""
+    ell = draw(st.sampled_from((3, 5, 7)))
+    terms = []
+    for i in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind, x, k = draw(st.sampled_from("EP")), draw(st.integers(1, 3 * ell)), draw(st.integers(-2, 2))
+            factors.append((kind, x, abs(k) if kind == "P" and x % ell == 0 else k))
+        lam = draw(st.none() | st.tuples(st.integers(-2 * ell, 2 * ell).filter(lambda a: a % ell),
+                                         st.integers(-5, 5)))
+        pairs = st.tuples(st.fractions(-9, 9, max_denominator=4), st.integers(-ell, 2 * ell))
+        coeff = draw(st.lists(pairs, min_size=1, max_size=3).map(tuple) if i == 0 or draw(st.booleans())
+                     else st.fractions(-9, 9, max_denominator=4))
+        terms.append((coeff, draw(st.integers(-3, 12)), tuple(factors), lam))
+    return ell, terms, draw(st.integers(1, 120))
+
+
+@given(dense_tables())
+def test_dense_tables_match_the_generic_route(case):
+    ell, terms, prec = case
+    got = theta_sum(ell, terms, prec)
+    assert got.ring is cyclotomic_field(ell) and got.prec == prec
+    assert (got - oracles.ref_monomial_sum(ell, terms, prec)).first_nonzero_below(prec) is None
+
+
+def test_a_dense_table_sums_on_integer_coordinates(monkeypatch):
+    # no CycQ product or sum and no series addition: the RU7 table, and the
+    # LAMBERT route it equals once its per-ell tables exist
+    (_, ell, _, terms), = IDENTITY_CATALOGUE["THM12:RU7"][1]
+    rankgen._theta_quotients(7)
+    clear_memos()
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic on the dense-table path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(CycQ, name, refuse)
+    monkeypatch.setattr(series, "_combine", refuse)
+    assert theta_sum(ell, terms, 60) == rankgen.ru_at_root(7, 60)
 
 
 def test_chan_variant2_examples(catalogue_residual):

@@ -398,6 +398,18 @@ def test_a_shift_past_the_exact_inverse_cap_is_exact_beside_a_call(text, terms):
     assert got.prec == 10 and (got - ref_monomial_sum(5, terms, 10)).first_nonzero_below(10) is None
 
 
+@pytest.mark.parametrize("text, factor", [
+    ("P(-2)/(1+q)", LaurentSeries(QQ, 0, [(-1) ** k for k in range(21)], 21)),
+    ("(1+q)*P(-2)/3", LaurentSeries(QQ, 0, [Fraction(1, 3), Fraction(1, 3)])),
+])
+def test_an_exact_divisor_is_expanded_past_the_dividend_valuation(text, factor):
+    # P(-2) starts at q^-10 at ell 5, so 1/(1+q) and 1/3 need 10 more terms than from q^0
+    got = evaluate(text, EvalCtx(ell=5, prec=10))
+    p = ref_monomial_sum(5, [(1, 0, (("P", -2, 1),), None)], 10)
+    assert got.prec == 10
+    assert (got - p * factor).first_nonzero_below(10) is None
+
+
 def test_a_zeroth_power_beside_a_call_is_one():
     # (q^-7)^0 is 1 exactly, however little of q^-7 a series would know: in the fold
     # beside a call, and alone on the node-by-node path

@@ -35,9 +35,9 @@ def test_u_minus_v_at_q1():
     assert diff.coefficient(1) == 1
 
 
-@pytest.mark.parametrize("prec", (1, 2, 14, 40, 61))
+@pytest.mark.parametrize("prec", (1, 2, 14, 40, 61, 300))
 @pytest.mark.parametrize("offset", (3, 1))
-@pytest.mark.parametrize("ell", (3, 5, 7, 13))
+@pytest.mark.parametrize("ell", (3, 5, 7, 11, 13))
 def test_bilateral_sum_matches_term_by_term(ell, offset, prec):
     got = _bilateral_rank_sum(ell, prec, offset).series(prec)
     assert got == oracles.ref_bilateral_rank_sum(ell, prec, offset)

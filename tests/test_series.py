@@ -167,6 +167,14 @@ def test_jacprod_examples():
         jacprod(QQ, 1, 5, 5, 30)
 
 
+@given(st.sampled_from((1, 2, 3, 5, 7)), st.integers(1, 4), st.integers(1, 5), st.integers(1, 120))
+def test_jacprod_on_q_to_the_gcd_matches_the_factor_expansion(g, a, gap, prec):
+    a, b = g * a, g * (a + gap)
+    got = jacprod(QQ, 1, a, b, prec)
+    assert got.prec == prec
+    assert oracles.as_coeff_dict(got, 0, prec) == oracles.jac_reference(a, b, prec)
+
+
 def test_jacprod_against_bilateral_triple_product():
     # (q^5, q^20, q^25; q^25)_inf = sum (-1)^n q^(25 n(n+1)/2 - 20n)
     prec = 120
