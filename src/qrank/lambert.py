@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 from .cyclotomic import QQ, _reduce_residues, cyclotomic_field
 from .record import FrozenRecord
-from .series import INF, FactorBlock, LaurentSeries, _make, memo, poch
+from .series import INF, FactorBlock, LaurentSeries, PrecisionError, _make, memo, poch
 
 
 class TSpec(FrozenRecord):
@@ -72,21 +72,28 @@ def t_valuation(spec: TSpec) -> int:
 
 @memo
 def lambert_T(spec: TSpec, prec: int) -> LaurentSeries:
-    """The bilateral sum T(a,b,ell) truncated below prec, over the rationals."""
+    """The bilateral sum T(a,b,ell) truncated below prec, over the rationals: term n adds
+    its sign to every m-th slot of one integer block from its valuation on."""
     # Term valuations are quadratics in n with positive leading coefficient
     # l^2/2; stop a direction only once past the vertex of both branch
     # quadratics, guarding against early non-monotonicity for large |b|.
+    if prec == INF:
+        raise PrecisionError("a Lambert series needs a finite precision")
     vertex_hi = abs(spec.b) // spec.ell + 2
-    items = []
+    runs = []
     for n, step in ((0, 1), (-1, -1)):
         while True:
             sign, val, m = _t_term_exponents(spec, n)
-            c = QQ.one if sign > 0 else -QQ.one
-            items += [(e, c) for e in range(val, prec, m)]
+            runs += [(sign, val, m)] if val < prec else []
             if val >= prec and abs(n) > vertex_hi:
                 break
             n += step
-    return LaurentSeries.from_items(QQ, items, prec)
+    lo = min((val for _, val, _ in runs), default=prec)
+    data = [0] * (prec - lo)
+    for sign, val, m in runs:
+        target = slice(val - lo, None, m)
+        data[target] = map(add if sign > 0 else sub, data[target], repeat(1))
+    return _make(QQ, lo, 1, data, prec)
 
 
 @memo

@@ -116,12 +116,9 @@ def _theta_quotients(ell: int):
         for i in range(m + 1):
             u[2 * (2 * i - m) % ell] += 1
         u_rows.append(u)
-    columns = []
-    for j in range(2 * ell):
-        shifts = (1 - j) % ell, j % ell, 1
-        rows = [[(-1) ** j * (a + b - c - d) for a, b, c, d in zip(*(_rotated(u, ell, k) for k in shifts), u)]
-                for u in u_rows]
-        columns.append(list(zip(*rows)))
+    # coordinate k of c_j U_m is (-1)^j (U_m[k + j - 1] + U_m[k - j] - U_m[k - 1] - U_m[k]), indices mod ell
+    columns = [[tuple((-1) ** j * (u[(k + j - 1) % ell] + u[(k - j) % ell] - u[k - 1] - u[k]) for u in u_rows)
+                for k in range(ell)] for j in range(2 * ell)]
     return tuple(period), inverse, columns
 
 

@@ -8,7 +8,7 @@ from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
 from qrank.lambert import (E_series, P_series, TSpec, _product, _reduce_p_argument, _t_term_exponents,
                            lambert_T, t_valuation, theta_sum)
 from qrank.rankgen import IDENTITY_CATALOGUE
-from qrank.series import LaurentSeries, clear_memos
+from qrank.series import INF, LaurentSeries, PrecisionError, clear_memos
 
 import oracles
 
@@ -26,6 +26,8 @@ def test_lambert_constant_term():
     # only the n = 0 term reaches q^0
     assert t.coefficient(0) == 1
     assert oracles.as_coeff_dict(t, 0, 40) == oracles.lambert_reference(2, 1, 5, 40)
+    with pytest.raises(PrecisionError):
+        lambert_T(TSpec(2, 1, 5), INF)
 
 
 @pytest.mark.parametrize("a,b,ell", [(2, 1, 5), (2, 2, 5), (3, 3, 5), (2, 3, 3), (3, 1, 7), (-2, 1, 5), (1, -4, 7)])
