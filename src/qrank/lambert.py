@@ -74,17 +74,18 @@ def t_valuation(spec: TSpec) -> int:
 def lambert_T(spec: TSpec, prec: int) -> LaurentSeries:
     """The bilateral sum T(a,b,ell) truncated below prec, over the rationals: term n adds
     its sign to every m-th slot of one integer block from its valuation on."""
+    if prec == INF:
+        raise PrecisionError("a Lambert series needs a finite precision")
     # Term valuations are quadratics in n with positive leading coefficient
     # l^2/2; stop a direction only once past the vertex of both branch
     # quadratics, guarding against early non-monotonicity for large |b|.
-    if prec == INF:
-        raise PrecisionError("a Lambert series needs a finite precision")
     vertex_hi = abs(spec.b) // spec.ell + 2
     runs = []
     for n, step in ((0, 1), (-1, -1)):
         while True:
             sign, val, m = _t_term_exponents(spec, n)
-            runs += [(sign, val, m)] if val < prec else []
+            if val < prec:
+                runs.append((sign, val, m))
             if val >= prec and abs(n) > vertex_hi:
                 break
             n += step

@@ -49,7 +49,7 @@ from operator import add, lshift
 from . import quadruples
 from .cyclotomic import QQ, CycQ, _reduce_residues, cyclotomic_field
 from .lambert import theta_sum
-from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _rotated, _unpack,
+from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack,
                      memo, theta_jtp_sum)
 
 ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
