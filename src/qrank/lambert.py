@@ -140,7 +140,7 @@ def _reduced_factors(ell: int, shift: int, factors):
         elif x % ell == 0:
             if power < 0:
                 raise ValueError(f"P({x}) is degenerate for ell = {ell} (argument divisible by ell)")
-            vanishes = True
+            vanishes = vanishes or power > 0  # P(x)^0 is 1
         else:
             p_sign, p_shift, x = _reduce_p_argument(x, ell)
             sign *= p_sign ** abs(power)
@@ -210,7 +210,7 @@ def _theta_sum(ell: int, terms: tuple, prec: int) -> LaurentSeries:
     A term is (c, s, ((kind, x, k), ...), (a, b) or None for T = 1), kind "E"
     or "P"; c is a rational or a tuple of (rational, j) pairs for sum c_j zeta^j,
     which puts the sum over Q(zeta_ell).  A P(x) with ell | x zeroes its term at
-    k > 0 and raises at k < 0; any other is reduced to 0 < x < ell, its sign and
+    k > 0, is 1 at k = 0 and raises at k < 0; any other is reduced to 0 < x < ell, its sign and
     q-shift folded into the term.  The E/P product is built over the rationals
     to prec - s - val(T) terms: a term with s >= prec counts when val(T) < 0.
     An E(x)^k with k > 0 multiplies the block k times by Euler's pentagonal

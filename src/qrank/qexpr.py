@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from operator import add, mul, sub
 
 from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
 from .lambert import TSpec, _reduced_factors, block_passes, t_valuation, term_valuation, theta_sum
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .record import FrozenRecord
-from .series import CLEARED_WITH_MEMOS, INF, LaurentSeries, _poch_shift, jacprod, poch
+from .series import INF, LaurentSeries, _poch_shift, jacprod, memo, poch
 
 
 class QExprSyntaxError(ValueError):
@@ -485,16 +485,15 @@ def _plan(n, ctx: EvalCtx, memo: dict, lower: bool = True):
     return None, lower
 
 
-def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True, plan=None) -> LaurentSeries:
-    """The generic path: n by series operations, but a node ``_theta_table`` lowers is one ``theta_sum``;
-    plan is n's ``_plan`` where it is known."""
+def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True) -> LaurentSeries:
+    """The generic path: n by series operations, but a node ``_theta_table`` lowers is one ``theta_sum``."""
     if isinstance(n, Num):
         return LaurentSeries.const(QQ, n.value)
     if isinstance(n, Q):
         return LaurentSeries.monomial(QQ, 1)
     if isinstance(n, Zeta):
         return LaurentSeries.const(field := cyclotomic_field(ctx.ell), field.zeta(n.power))
-    table, lower = plan or _plan(n, ctx, memo, lower)
+    table, lower = _plan(n, ctx, memo, lower)
     if table is not None:
         return theta_sum(*table, ctx.prec)
     if isinstance(n, BinOp):
@@ -521,48 +520,42 @@ def _eval(n, ctx: EvalCtx, memo: dict, lower: bool = True, plan=None) -> Laurent
     raise TypeError(f"not an AST node: {n!r}")
 
 
-# -- the text cache -----------------------------------------------------------
+# -- the session cache --------------------------------------------------------
 
-# ``evaluate`` keeps the parsed tree, the root's ``_plan`` and the fold memo of the
-# last SESSION_MAX expression texts, keyed on (text, ctx): a repeat skips the parse
-# and the fold, and a root lowered to one table is then a ``theta_sum`` memo hit.
+# the (text, ell) keys the session cache keeps, the least recently used dropped first
 SESSION_MAX = 256
 
 
-@lru_cache(maxsize=SESSION_MAX)
-def _prepared(node, ctx: EvalCtx):
-    """(tree, plan, memo) of a text or an AST: the root's ``_plan`` and the fold memo that found it,
-    which each evaluation of the tree goes on filling; ``evaluate`` calls it through the cache for a
-    text only.  An error leaves no entry."""
-    tree = parse(node) if isinstance(node, str) else node
-    memo = {}
+def _evaluated(tree, ctx: EvalCtx) -> LaurentSeries:
     try:
-        return tree, _plan(tree, ctx, memo), memo
-    except RecursionError:
-        raise QExprEvalError("expression nested too deeply", tree.pos) from None
-
-
-CLEARED_WITH_MEMOS.append(_prepared)
-
-
-def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
-    """Evaluate an AST (or expression text) to a series over Q(zeta_ell), exact below ctx.prec.
-
-    Raises QExprEvalError when the expression is known to less precision,
-    for example a division by a series of positive valuation.  A text whose
-    parse and fold succeed is kept in the text cache, even when its evaluation
-    is then refused, which every repeat raises again; a syntax error or a
-    refusal in the fold is not kept, and an AST is evaluated afresh.
-    """
-    tree, plan, memo = (_prepared if isinstance(node, str) else _prepared.__wrapped__)(node, ctx)
-    try:
-        out = _eval(tree, ctx, memo, plan=plan).promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
+        out = _eval(tree, ctx, {}).promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
     except RecursionError:
         raise QExprEvalError("expression nested too deeply", tree.pos) from None
     if out.prec < ctx.prec:
         raise QExprEvalError(f"the result is exact only below q^{int(out.prec)}, short of the requested "
                              f"precision {ctx.prec}", tree.pos)
     return out
+
+
+@partial(memo, maxsize=SESSION_MAX)
+def _session(text: str, ell: int, prec: int) -> LaurentSeries:
+    """``evaluate`` of a text, kept per (text, ell) as a ``series.memo`` keeps a builder's longest
+    build; a refusal leaves no entry."""
+    return _evaluated(parse(text), EvalCtx(ell, prec))
+
+
+def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
+    """Evaluate an AST (or expression text) to a series over Q(zeta_ell), exact below ctx.prec.
+
+    Raises QExprEvalError when the expression is known to less precision,
+    for example a division by a series of positive valuation.  A text is
+    answered from the session cache (``_session``) at or below the highest
+    precision it was answered at for the same ell, so a text that a fresh
+    process refuses at a low precision only because its lowering to one
+    table falls back there (``q^-1*E(1)^3`` at ell 5, prec 10) is answered
+    after a higher one; an AST is evaluated afresh.
+    """
+    return _session(node, ctx.ell, ctx.prec) if isinstance(node, str) else _evaluated(node, ctx)
 
 
 def _inverse_of(series: LaurentSeries, ctx: EvalCtx, dividend: int = 0) -> LaurentSeries:

@@ -128,10 +128,16 @@ def _multiply(table: list, part: int, shift: int) -> None:
 
 
 def rank_counts(n: int, kind: str = "u") -> dict[int, int]:
-    """Histogram rank -> number of family members of n with that rank.
+    """Histogram rank -> number of family members of n with that rank, a fresh
+    copy of the one ``_rank_counts`` keeps per (n, kind)."""
+    return dict(_rank_counts(n, kind))
 
-    Counted by dynamic programming, without listing any member.  For the
-    smallest part s of p1 and m = #(p4), the members carry
+
+@lru_cache(maxsize=None)
+def _rank_counts(n: int, kind: str) -> dict[int, int]:
+    """The rank histogram of n, counted by dynamic programming, without
+    listing any member.  For the smallest part s of p1 and m = #(p4), the
+    members carry
 
         z^-m A_s prod_{s<k<=s+m} (1 - z q^k)/(1 - q^k) q^(ms) [m+s, m]_q,
         A_s = prod_{k>=s} 1/((1 - z q^k)(1 - z^2 q^k)(1 - z^-2 q^k)),

@@ -836,15 +836,17 @@ class memo:
 
     The longest build per key is kept, and a request at a precision no
     higher is answered from it: a series by ``truncate(prec)``, a tuple of
-    per-n terms by its first prec entries.  Every memo sits in
+    per-n terms by its first prec entries.  A build that raises leaves the
+    store as it was.  With a maxsize, only that many keys are kept, the
+    least recently used dropped first.  Every memo sits in
     ``memo.registry``, which ``clear_memos`` empties.
     """
 
     registry = []
 
-    def __init__(self, build):
+    def __init__(self, build, maxsize=None):
         update_wrapper(self, build)
-        self._store, self.hits, self.misses = {}, 0, 0
+        self._store, self.hits, self.misses, self.maxsize = {}, 0, 0, maxsize
         memo.registry.append(self)
 
     def __call__(self, *args):
@@ -852,28 +854,28 @@ class memo:
         built = self._store.get(key)
         if built is not None and built[0] >= prec:
             self.hits += 1
+            self._store[key] = self._store.pop(key)  # the store runs from least to most recently used
             value = built[1]
             return value[:max(prec, 0)] if isinstance(value, tuple) else value.truncate(prec)
         self.misses += 1
         value = self.__wrapped__(*args)
+        self._store.pop(key, None)
         self._store[key] = prec, value
+        if self.maxsize is not None and len(self._store) > self.maxsize:
+            del self._store[next(iter(self._store))]
         return value
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, None, len(self._store))
+        return CacheInfo(self.hits, self.misses, self.maxsize, len(self._store))
 
     def cache_clear(self) -> None:
         self._store.clear()
         self.hits = self.misses = 0
 
 
-# caches beside the memos that ``clear_memos`` empties too (``qexpr``'s text cache)
-CLEARED_WITH_MEMOS = []
-
-
 def clear_memos() -> None:
-    """Empty every memo and every cache in ``CLEARED_WITH_MEMOS``, and reset their counts."""
-    for m in memo.registry + CLEARED_WITH_MEMOS:
+    """Empty every memo, ``qexpr``'s session cache among them, and reset their counts."""
+    for m in memo.registry:
         m.cache_clear()
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qrank import rankgen, series
 from qrank.cyclotomic import QQ, CycQ, cyclotomic_field
@@ -199,11 +199,22 @@ def dense_tables(draw):
 
 
 @given(dense_tables())
+@example((7, [(((Fraction(1, 1), 0),), 0, (("P", 21, 0),), None)], 1))
 def test_dense_tables_match_the_generic_route(case):
     ell, terms, prec = case
     got = theta_sum(ell, terms, prec)
     assert got.ring is cyclotomic_field(ell) and got.prec == prec
     assert (got - oracles.ref_monomial_sum(ell, terms, prec)).first_nonzero_below(prec) is None
+
+
+def test_a_zeroth_power_of_a_degenerate_p_is_one():
+    # P(x) with ell | x vanishes, but its zeroth power is 1 and keeps the term
+    for coeff in (1, ((Fraction(1), 0),)):
+        terms = [(coeff, 0, (("P", 21, 0),), None)]
+        got = theta_sum(7, terms, 3)
+        assert str(got) == "1 + O(q^3)"
+        assert (got - oracles.ref_monomial_sum(7, terms, 3)).first_nonzero_below(3) is None
+    assert theta_sum(7, [(1, 0, (("P", 21, 1),), None)], 3).is_zero()
 
 
 def test_a_dense_table_sums_on_integer_coordinates(monkeypatch):

@@ -119,7 +119,7 @@ def test_one_clear_empties_every_memo():
     rankgen.rhs_identity("RU5", 10)
     assert rankgen.rhs_identity.cache_info().hits >= 1
     clear_memos()
-    assert all(m.cache_info() == (0, 0, None, 0) for m in memo.registry)
+    assert all(m.cache_info() == (0, 0, m.maxsize, 0) for m in memo.registry)
 
 
 def test_one_clear_empties_the_theta_sum_memo_and_the_text_cache():
@@ -128,11 +128,11 @@ def test_one_clear_empties_the_theta_sum_memo_and_the_text_cache():
     for prec in (60, 40, 60):
         qexpr.evaluate("q*P(2)/P(1)^2 - q^8*P(1)/(P(2)*P(3)) - q*P(3)^2/(P(1)*P(2)^2)",
                        qexpr.EvalCtx(ell=7, prec=prec))
-    assert lambert._theta_sum.cache_info()[:2] == (2, 1)
-    assert qexpr._prepared.cache_info()[:2] == (1, 2)
+    assert lambert._theta_sum.cache_info()[:2] == (0, 1)
+    assert qexpr._session.cache_info()[:2] == (2, 1)
     clear_memos()
     assert lambert._theta_sum.cache_info() == (0, 0, None, 0)
-    assert qexpr._prepared.cache_info() == (0, 0, qexpr.SESSION_MAX, 0)
+    assert qexpr._session.cache_info() == (0, 0, qexpr.SESSION_MAX, 0)
 
 
 def test_theta_sum_takes_its_terms_as_any_sequence():

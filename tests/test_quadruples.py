@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from qrank.cyclotomic import CycQ
-from qrank.quadruples import (CLASSES_MAX_N, _partitions, class_counts, enumerate_quadruples,
+from qrank.quadruples import (CLASSES_MAX_N, _partitions, _rank_counts, class_counts, enumerate_quadruples,
                               in_family, omega, rank, rank_counts, rank_table)
 from qrank.rankgen import u_series, v_series
 
@@ -105,6 +105,16 @@ def test_rank_counts_match_enumeration(kind):
 def test_rank_counts_match_enumeration_deep(kind):
     for n in range(15, 18):
         assert rank_counts(n, kind) == oracles.ref_rank_counts(n, kind), n
+
+
+def test_each_n_and_kind_is_counted_once_and_handed_out_as_a_fresh_dict():
+    _rank_counts.cache_clear()
+    first = rank_counts(9, "u")
+    first[0] = -1
+    assert rank_counts(9, "u") == oracles.ref_rank_counts(9, "u")
+    assert sum(class_counts(9, "u", 5)) == sum(oracles.ref_rank_counts(9, "u").values())
+    assert rank_counts(9, "v") == oracles.ref_rank_counts(9, "v")
+    assert _rank_counts.cache_info()[:2] == (2, 2)
 
 
 def test_class_counts_examples():
