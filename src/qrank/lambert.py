@@ -13,11 +13,11 @@ inverse, an E(x)^k with k > 0 multiplied by Euler's pentagonal series, and
 the terms summed in one integer accumulator; ``P_series`` is such a table,
 and so is every identity in ``rankgen.IDENTITY_CATALOGUE``.
 
-``lambert_T``, ``E_series``, ``P_series``, the E/P products (``_product``,
+``lambert_T``, ``E_series``, ``P_series`` and the E/P products (``_product``,
 keyed on the sorted factor ranges, so P(1)P(2) and P(2)P(1) share an entry)
-and the tables (``_theta_sum``, keyed on ell and the terms as a tuple) are
-``series.memo`` builders: one build per key, the longest asked for, and a
-lower precision is its truncation.
+are ``series.memo`` builders: one build per key, the longest asked for, and a
+lower precision is its truncation.  ``theta_sum`` keeps no memo: its callers
+(``P_series``, ``rankgen.rhs_identity``, the ``qexpr`` session) keep theirs.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def _reduce_p_argument(a: int, ell: int):
 def P_series(a: int, ell: int, prec: int) -> LaurentSeries:
     """The theta block P(a) over the rationals, argument reduced by symmetry.
 
-    A one-term ``theta_sum``, itself memoized; this memo stays because the
-    benchmark reads ``cache_info()`` on it."""
+    A one-term ``theta_sum``, which keeps no memo; this one keeps the table,
+    and the benchmark reads ``cache_info()`` on it."""
     if a % ell == 0:
         raise ValueError(f"P({a}) is degenerate for ell = {ell} (argument divisible by ell)")
     return theta_sum(ell, [(1, 0, (("P", a, 1),), None)], prec)
@@ -198,14 +198,8 @@ def term_valuation(ell: int, term) -> int:
 
 
 def theta_sum(ell: int, terms, prec: int) -> LaurentSeries:
-    """sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over the terms, exact below q^prec;
-    ``_theta_sum`` of the terms as a tuple."""
-    return _theta_sum(ell, tuple(terms), prec)
-
-
-@memo
-def _theta_sum(ell: int, terms: tuple, prec: int) -> LaurentSeries:
-    """sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over the terms, exact below q^prec.
+    """sum of c q^s T(a, b, ell) prod E(x)^k P(x)^k over the terms (any iterable),
+    exact below q^prec.
 
     A term is (c, s, ((kind, x, k), ...), (a, b) or None for T = 1), kind "E"
     or "P"; c is a rational or a tuple of (rational, j) pairs for sum c_j zeta^j,
@@ -222,6 +216,7 @@ def _theta_sum(ell: int, terms: tuple, prec: int) -> LaurentSeries:
     block times the integer coordinates of its coefficient on 1, zeta, ...,
     zeta^(ell-1) (one over QQ), reduced to the power basis once.
     """
+    terms = tuple(terms)
     dense = any(isinstance(t[0], tuple) for t in terms)
     width = ell if dense else 1
     parts = []

@@ -9,14 +9,14 @@ repeat.  ``omega`` counts the parts of p1 that equal s(p1) or exceed s(p1) +
 2#(p2) - 2#(p3) - #(p4).
 
 Two independent paths serve two jobs.  Enumeration lists every member and
-serves the rank tables (``enumerate_quadruples``, ``rank_table``); it grows
+serves the rank tables and ``verify``'s bivariate agreement check; it grows
 with u(n), so the CLI caps it at RANKTABLE_MAX_N.  A dynamic program over
 packed z-polynomials counts members by rank without listing them and serves
 the histograms and class totals (``rank_counts``, ``class_counts``); it
 takes about 3 ms at n = 40, the CLI's CLASSES_MAX_N, and 12 ms at n = 60
 (kind "u", median of 30 calls on one pinned CPU of a 2-core x86 Xeon,
 CPython 3.11).  Its in-place kernel (``_divide``, ``_multiply``) also steps
-``rankgen._bivariate``.  The tests hold each path against the other.
+``rankgen._bivariate``, so the tests hold the DP against the listing.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 ``rank_series(kind, route, prec, ell)`` is the one entry point: it returns
 RU(z, q) (kind "u") or RV(z, q) (kind "v") along the named route, at
-z = zeta_ell or at z = 1.  The two routes that keep z formal give one rank
+z = zeta_ell or at z = 1.  The route that keeps z formal gives one rank
 polynomial per n (``rank_histograms``), which ``rank_series`` folds at
 zeta_ell or at 1.
 
@@ -14,8 +14,7 @@ zeta_ell or at 1.
   the Jacobi triple product makes (1+z)(1-z) times the sparse
   ``theta_jtp_sum(zeta)``;
 * QBINOMIAL: ``_bivariate``, an exact expansion in both z and q built from a
-  single sum plus a Gaussian-binomial double sum, as rank polynomials;
-* ENUMERATION: the rank histograms of ``quadruples.rank_counts``.
+  single sum plus a Gaussian-binomial double sum, as rank polynomials.
 
 ``_counting_series``, ``_fg_series`` and ``_bivariate`` each keep one running
 block and change it by a few factors (1 - c q^e) whenever the smallest part
@@ -23,16 +22,16 @@ n (and, in ``_bivariate``, the p4 count m) changes, so no term builds or
 inverts its own Pochhammer denominator.  The first two are ``FactorBlock``s;
 ``_bivariate``, the one builder with z formal, keeps plain lists of packed
 z-digit integers, sizes the digits by its own coefficient bound, and steps
-them with the in-place kernel of ``quadruples.rank_counts``: QBINOMIAL and
-ENUMERATION run one recurrence on one kernel, and DEFINITION and LAMBERT
-are the routes independent of it.
+them with the in-place kernel of ``quadruples.rank_counts``, the DP that
+counts the rank classes; DEFINITION and LAMBERT are the routes independent
+of that recurrence, and ``verify`` holds its rank polynomials against
+histograms counted from the listed quadruples.
 
 ``_counting_series``, ``root_prefactor``, ``ru_at_root``, ``rv_at_root``,
-``_bivariate``, ``rank_histograms`` and ``rhs_identity`` are ``series.memo``
-builders: one build per argument tuple, the longest asked for, and a lower
-precision is its truncation (for ``_bivariate`` and ``rank_histograms``, its
-first prec rank polynomials), so ``rank_series`` counts the ENUMERATION
-histograms of a kind once for every ell.
+``_bivariate`` and ``rhs_identity`` are ``series.memo`` builders: one build
+per argument tuple, the longest asked for, and a lower precision is its
+truncation (for ``_bivariate``, its first prec rank polynomials), so
+``rank_series`` steps the bivariate recurrence of a kind once for every ell.
 
 ``IDENTITY_CATALOGUE`` holds every E/P/T identity the program checks as rows
 of ``lambert.theta_sum`` terms, each row beside the builder of its other side;
@@ -52,7 +51,7 @@ from .lambert import theta_sum
 from .series import (FactorBlock, LaurentSeries, ZLaurentPoly, _digit_bytes, _make, _unpack,
                      memo, theta_jtp_sum)
 
-ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL", "ENUMERATION")
+ROUTES = ("DEFINITION", "LAMBERT", "QBINOMIAL")
 
 
 # -- the counting series ------------------------------------------------------
@@ -318,7 +317,7 @@ def _bivariate(power: int, prec: int) -> tuple:
     tilt 1 keeps every power of X non-negative for n >= 2; at n = 1 the head
     and the sum are re-laid once to tilt 2.  A factor (1 - z^c q^e) then
     moves digits up by c + tilt*e >= 0, one in-place pass of the kernel the
-    ENUMERATION DP runs (``quadruples._multiply`` and ``_divide``), z^-m is
+    rank-count DP runs (``quadruples._multiply`` and ``_divide``), z^-m is
     adding a term at q^offset m digits lower (tilt*offset > m), and the sum
     holds z-degrees in [-2i, 2i] at q^i, so slot i decodes to 4i + 1 digits
     from z^-2i up.
@@ -359,23 +358,12 @@ def _bivariate(power: int, prec: int) -> tuple:
 # -- the route table ------------------------------------------------------------
 
 
-@memo
-def rank_histograms(kind: str, route: str, prec: int) -> tuple:
+def rank_histograms(kind: str, prec: int) -> tuple:
     """The rank polynomials sum_r N(r, n) z^r of RU (kind "u") or RV (kind "v")
-    for n < prec, by the QBINOMIAL or the ENUMERATION route."""
-    if kind not in ("u", "v") or route not in ("QBINOMIAL", "ENUMERATION"):
-        raise ValueError(f"rank histograms need kind 'u' or 'v' and route QBINOMIAL or ENUMERATION, "
-                         f"got {kind!r} and {route!r}")
-    if route == "QBINOMIAL":
-        return _bivariate(1 if kind == "u" else 2, prec)
-    # ENUMERATION: rank histograms counted per n by quadruples.rank_counts, a DP
-    # over the members on the packed-digit kernel _bivariate steps too
-    polys = []
-    for n in range(max(prec, 0)):
-        counts = quadruples.rank_counts(n, kind) if n else {}
-        lo = min(counts, default=0)
-        polys.append(ZLaurentPoly(lo, [counts.get(r, 0) for r in range(lo, max(counts, default=lo) + 1)]))
-    return tuple(polys)
+    for n < prec, by the QBINOMIAL route: the polynomials ``_bivariate`` keeps."""
+    if kind not in ("u", "v"):
+        raise ValueError(f"kind must be 'u' or 'v', got {kind!r}")
+    return _bivariate(1 if kind == "u" else 2, prec)
 
 
 def _fold(polys, ell: int | None, prec: int) -> LaurentSeries:
@@ -416,7 +404,7 @@ def rank_series(kind: str, route: str, prec: int, ell: int | None = None) -> Lau
         if ell is None:
             raise ValueError("the bilateral route needs z specialized; pass ell")
         return ru_at_root(ell, prec) if kind == "u" else rv_at_root(ell, prec)
-    return _fold(rank_histograms(kind, route, prec), ell, prec)
+    return _fold(rank_histograms(kind, prec), ell, prec)
 
 
 # -- the identity catalogue ---------------------------------------------------
@@ -547,7 +535,7 @@ IDENTITY_NAMES = tuple(name[6:] for name in IDENTITY_CATALOGUE if name.startswit
 def rhs_identity(name: str, prec: int) -> LaurentSeries:
     """The E/P/T product-and-Lambert form equated to RU/RV at zeta_ell.
 
-    ``theta_sum`` is memoized itself; this memo stays because the benchmark
+    ``theta_sum`` keeps no memo; this one keeps the table, and the benchmark
     reads ``cache_info()`` on it."""
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")

@@ -74,7 +74,7 @@ def test_criterion_3_five_identities():
 def test_criterion_4_route_agreement():
     start = time.perf_counter()
     histograms_ok = all(
-        dict(rank_histograms(kind, "QBINOMIAL", 15)[n].items()) == rank_counts(n, kind)
+        dict(rank_histograms(kind, 15)[n].items()) == rank_counts(n, kind)
         for kind in ("u", "v") for n in range(1, 13))
     spez_ok = ((rank_series("u", "QBINOMIAL", 15) - u_series(15)).first_nonzero_below(15) is None
                and (rank_series("v", "QBINOMIAL", 15) - v_series(15)).first_nonzero_below(15) is None)

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from qrank import lambert, verify
+from qrank import lambert, quadruples, rankgen, verify
 from qrank.cyclotomic import cyclotomic_field
 from qrank.lambert import TSpec
-from qrank.quadruples import class_counts
+from qrank.quadruples import class_counts, enumerate_quadruples, rank
 from qrank.rankgen import IDENTITY_CATALOGUE, rank_histograms, rank_series, root_prefactor
 from qrank.series import LaurentSeries, ZLaurentPoly, clear_memos, geometric
 from qrank.verify import PARTIAL_FRACTIONS, CheckReport, _expand, check_names, run_all, run_check
@@ -265,23 +265,21 @@ def _bump_rv5_qbinomial(monkeypatch, prec, k):
     return (k, str(c), str(c + 1)), "RV at zeta_5, QBINOMIAL route"
 
 
-def _plus_one(poly):
-    """poly + 1, its z^0 coefficient raised by one"""
+def _plus(poly, r, c=1):
+    """poly + c z^r"""
     coeffs = dict(poly.items())
-    coeffs[0] = coeffs.get(0, 0) + 1
+    coeffs[r] = coeffs.get(r, 0) + c
     lo = min(coeffs)
-    return ZLaurentPoly(lo, [coeffs.get(r, 0) for r in range(lo, max(coeffs) + 1)])
+    return ZLaurentPoly(lo, [coeffs.get(i, 0) for i in range(lo, max(coeffs) + 1)])
 
 
 def _bump_v_enumeration(monkeypatch, prec, k):
-    def bumped(kind, route, prec):
-        polys = rank_histograms(kind, route, prec)
-        if (kind, route) == ("v", "ENUMERATION"):
-            polys = polys[:k] + (_plus_one(polys[k]),) + polys[k + 1:]
-        return polys
-    monkeypatch.setattr(verify, "rank_histograms", bumped)
-    c = rank_histograms("v", "QBINOMIAL", prec)[k]
-    return (k, str(_plus_one(c)), str(c)), f"v-rank histogram at n={k}"
+    # the first v member of n = k listed twice
+    first = enumerate_quadruples(k, "v")[0]
+    monkeypatch.setattr(verify, "enumerate_quadruples", lambda n, kind: enumerate_quadruples(n, kind) + (
+        [first] if (n, kind) == (k, "v") else []))
+    c = rank_histograms("v", prec)[k]
+    return (k, str(_plus(c, rank(first, "v"))), str(c)), f"v-rank histogram at n={k}"
 
 
 def _bump_v_definition(monkeypatch, prec, k):
@@ -294,13 +292,57 @@ def _bump_v_definition(monkeypatch, prec, k):
     ("THM12:RU5", 60, 41, _bump_ru5_rhs),
     ("INFRA:Prefactor-5", 60, 59, _bump_prefactor_side),
     ("INFRA:three-routes", 21, 17, _bump_rv5_qbinomial),
-    ("THM13:bivariate-agreement", 21, 12, _bump_v_enumeration),
+    ("THM13:bivariate-agreement", 21, 6, _bump_v_enumeration),
     ("THM13:bivariate-agreement", 21, 20, _bump_v_definition),
 ])
 def test_perturbed_side_reports_its_first_failure(monkeypatch, name, prec, k, perturb):
     failure, detail = perturb(monkeypatch, prec, k)
     report = run_check(name, prec=prec)
     assert (report.status, report.first_failure, report.detail) == ("FAIL", failure, detail)
+
+
+def test_a_rank_error_shared_by_the_bivariate_route_and_the_rank_count_dp_fails(monkeypatch):
+    # one u member of n = 5 moved from rank 0 to rank 1 in both recurrences on the packed-digit
+    # kernel: they still agree with each other, and only the listed histogram tells
+    bivariate, rank_counts = rankgen._bivariate, quadruples.rank_counts
+    listed = bivariate(1, 21)[5]
+    planted = _plus(_plus(listed, 0, -1), 1)
+
+    def planted_bivariate(power, prec):
+        polys = bivariate(power, prec)
+        return polys[:5] + (planted,) + polys[6:] if power == 1 and prec > 5 else polys
+
+    def planted_counts(n, kind):
+        counts = rank_counts(n, kind)
+        if (n, kind) == (5, "u"):
+            counts[0] -= 1
+            counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(rankgen, "_bivariate", planted_bivariate)
+    monkeypatch.setattr(quadruples, "rank_counts", planted_counts)
+    assert dict(rank_histograms("u", 21)[5].items()) == quadruples.rank_counts(5, "u")
+    report = run_check("THM13:bivariate-agreement", prec=21)
+    assert (report.status, report.first_failure, report.detail) == (
+        "FAIL", (5, str(listed), str(planted)), "u-rank histogram at n=5")
+
+
+def test_the_bivariate_agreement_check_runs_no_rank_count_dp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rank-count DP ran")
+    for name in ("rank_counts", "_rank_counts"):
+        monkeypatch.setattr(quadruples, name, refuse)
+    for prec in (9, 21, 40):
+        assert run_check("THM13:bivariate-agreement", prec=prec).status == "PASS"
+
+
+@pytest.mark.parametrize("name", ["THM13:bivariate-agreement", "INFRA:three-routes"])
+def test_route_checks_compare_a_nonzero_v_coefficient_at_any_precision(name):
+    # v(n) = 0 for n < 2, so below prec 3 the v side of either check compares nothing
+    for prec in (1, 2, 3):
+        report = run_check(name, prec=prec)
+        assert (report.prec, report.status) == (3, "PASS")
+    assert rank_series("v", "DEFINITION", 3).coefficient(2) != 0
 
 
 @pytest.mark.parametrize("check, index", [(check, i) for check, (_, rows) in IDENTITY_CATALOGUE.items()
