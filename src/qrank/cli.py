@@ -16,8 +16,11 @@ an exact polynomial (not a q-shift beside an E, P or T call) needing more than
 ``qexpr.TERMS_MAX`` terms, and parentheses nested over ``qexpr.NESTING_MAX``
 deep.  ``coeffs`` also stops with exit 2 at the first sum, difference or
 product (a power's squarings and an inverse's Newton steps included) or
-theta-table term that needs more than ``qexpr.POWER_BITS_MAX`` bits, and at
-an operator chain too long for the interpreter's recursion limit.
+theta-table term that needs more than ``qexpr.POWER_BITS_MAX`` bits, at an
+operator chain too long for the interpreter's recursion limit, at a result
+still short of ``--prec`` (one short by s <= ``--prec`` is evaluated once more
+at ``--prec`` + s), and at an RU, RV, RHS, F or G call whose own l is not
+``--ell``, advising that l as ``--ell`` only where ``--ell`` takes it.
 """
 
 from __future__ import annotations

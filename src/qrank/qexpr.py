@@ -19,16 +19,19 @@ Q(zeta_ell) at the context precision; all errors carry a byte offset.  A sum of
 E/P/T monomials, each node folded once into exact rationals and q-shifts (``_terms``,
 which evaluates nothing), is one ``lambert.theta_sum`` table, exact whatever its
 q-shifts; ``_eval`` takes, and refuses in its own words, any node the fold leaves.
+Which path takes a node is a cost choice only: a result short of the precision
+by s <= prec is evaluated once more at prec + s (``_evaluated``).
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 from operator import add, mul, sub
 
-from .cyclotomic import ELL_MAX, QQ, cyclotomic_field
+from .cyclotomic import ELL_MAX, QQ, cyclotomic_field, is_prime
 from .lambert import TSpec, _reduced_factors, block_passes, t_valuation, term_valuation, theta_sum
 from .rankgen import IDENTITY_NAMES, eval_f, eval_g, rank_series, rhs_identity
 from .record import FrozenRecord
@@ -338,8 +341,9 @@ def _call(node: Call, ctx: EvalCtx) -> LaurentSeries:
     if name in ("RU", "RV", "RHS", "F", "G"):
         ell = int(args[0][2:]) if name == "RHS" else _int_args(node, args)[-1]
         if ell != ctx.ell:
-            raise QExprEvalError(f"{render(node)} needs the ambient ell to be {ell}; pass --ell {ell}",
-                                 node.pos)
+            advice = (f"pass --ell {ell}" if 3 <= ell <= ELL_MAX and is_prime(ell)
+                      else f"--ell must be a prime >= 3 and at most {ELL_MAX}")
+            raise QExprEvalError(f"{render(node)} needs the ambient ell to be {ell}; {advice}", node.pos)
     try:
         if name in ("poch", "jac"):
             zpow, qpow, step = _int_args(node, args, 3)
@@ -527,33 +531,37 @@ SESSION_MAX = 256
 
 
 def _evaluated(tree, ctx: EvalCtx) -> LaurentSeries:
+    """tree exact below ctx.prec.  A result exact only below q^p, a shortfall s = ctx.prec - p with
+    0 < s <= ctx.prec, is evaluated once more at ctx.prec + s; a larger shortfall, or one that the
+    second evaluation leaves or refuses, is refused naming p."""
     try:
-        out = _eval(tree, ctx, {}).promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
+        out = first = _eval(tree, ctx, {})
+        if 0 < (short := ctx.prec - first.prec) <= ctx.prec:
+            with suppress(QExprEvalError):
+                out = _eval(tree, EvalCtx(ctx.ell, ctx.prec + short), {})
     except RecursionError:
         raise QExprEvalError("expression nested too deeply", tree.pos) from None
     if out.prec < ctx.prec:
-        raise QExprEvalError(f"the result is exact only below q^{int(out.prec)}, short of the requested "
+        raise QExprEvalError(f"the result is exact only below q^{int(first.prec)}, short of the requested "
                              f"precision {ctx.prec}", tree.pos)
-    return out
+    return out.promote(cyclotomic_field(ctx.ell)).truncate(ctx.prec)
 
 
 @partial(memo, maxsize=SESSION_MAX)
 def _session(text: str, ell: int, prec: int) -> LaurentSeries:
     """``evaluate`` of a text, kept per (text, ell) as a ``series.memo`` keeps a builder's longest
-    build; a refusal leaves no entry."""
+    build, so a hit is that answer truncated; a refusal leaves no entry."""
     return _evaluated(parse(text), EvalCtx(ell, prec))
 
 
 def evaluate(node, ctx: EvalCtx) -> LaurentSeries:
     """Evaluate an AST (or expression text) to a series over Q(zeta_ell), exact below ctx.prec.
 
-    Raises QExprEvalError when the expression is known to less precision,
-    for example a division by a series of positive valuation.  A text is
-    answered from the session cache (``_session``) at or below the highest
-    precision it was answered at for the same ell, so a text that a fresh
-    process refuses at a low precision only because its lowering to one
-    table falls back there (``q^-1*E(1)^3`` at ell 5, prec 10) is answered
-    after a higher one; an AST is evaluated afresh.
+    Raises QExprEvalError when the expression is known to less precision
+    after ``_evaluated``'s one more evaluation, or short by more than
+    ctx.prec (``U()*q^-2000`` at prec 10).  A text is answered from the
+    session cache (``_session``) at or below the highest precision it was
+    answered at for the same ell; an AST is evaluated afresh.
     """
     return _session(node, ctx.ell, ctx.prec) if isinstance(node, str) else _evaluated(node, ctx)
 

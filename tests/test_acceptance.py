@@ -9,10 +9,12 @@ import time
 
 import pytest
 
+from oracles import ref_rank_counts
+from qrank import quadruples, rankgen
 from qrank.cyclotomic import cyclotomic_field
-from qrank.quadruples import class_counts, rank_counts
+from qrank.quadruples import class_counts
 from qrank.rankgen import eval_f, rank_histograms, rank_series, rhs_identity, u_series, v_series
-from qrank.series import clear_memos
+from qrank.series import ZLaurentPoly, clear_memos
 from qrank.verify import run_check
 
 U_GOLDEN = [1, 5, 15, 44, 105, 252, 539, 1135, 2259, 4390]
@@ -71,17 +73,44 @@ def test_criterion_3_five_identities():
     _verdict(3, ok, f"five root-of-unity identities identically zero {bad or ''}", elapsed)
 
 
+def _histograms_match_the_listing():
+    """The QBINOMIAL rank histograms against those counted from the quadruple listing, n <= 12."""
+    return all(dict(rank_histograms(kind, 15)[n].items()) == ref_rank_counts(n, kind)
+               for kind in ("u", "v") for n in range(1, 13))
+
+
 def test_criterion_4_route_agreement():
     start = time.perf_counter()
-    histograms_ok = all(
-        dict(rank_histograms(kind, 15)[n].items()) == rank_counts(n, kind)
-        for kind in ("u", "v") for n in range(1, 13))
+    histograms_ok = _histograms_match_the_listing()
     spez_ok = ((rank_series("u", "QBINOMIAL", 15) - u_series(15)).first_nonzero_below(15) is None
                and (rank_series("v", "QBINOMIAL", 15) - v_series(15)).first_nonzero_below(15) is None)
     elapsed = time.perf_counter() - start
     _verdict(4, histograms_ok and spez_ok,
-             "rank histograms equal bivariate coefficients to n=12; z->1 matches to q^14",
+             "bivariate rank histograms equal the listed ones to n=12; z->1 matches to q^14",
              elapsed)
+
+
+def test_criterion_4_fails_on_a_rank_error_shared_by_the_bivariate_route_and_the_rank_count_dp(monkeypatch):
+    # one u member of n = 5 moved from rank 0 to rank 1 in both recurrences on the packed-digit
+    # kernel: they still agree with each other, and only the listed histogram tells
+    bivariate, dp = rankgen._bivariate, quadruples.rank_counts
+    counts = dict(bivariate(1, 15)[5].items())
+    planted = {**counts, 0: counts[0] - 1, 1: counts[1] + 1}
+
+    def planted_bivariate(power, prec):
+        polys = bivariate(power, prec)
+        if power != 1 or prec <= 5:
+            return polys
+        return polys[:5] + (ZLaurentPoly(min(planted), [planted.get(r, 0) for r in range(
+            min(planted), max(planted) + 1)]),) + polys[6:]
+
+    def planted_counts(n, kind):
+        return dict(planted) if (n, kind) == (5, "u") else dp(n, kind)
+
+    monkeypatch.setattr(rankgen, "_bivariate", planted_bivariate)
+    monkeypatch.setattr(quadruples, "rank_counts", planted_counts)
+    assert dict(rank_histograms("u", 15)[5].items()) == quadruples.rank_counts(5, "u") == planted
+    assert not _histograms_match_the_listing()
 
 
 def test_criterion_5_equal_classes():

@@ -79,11 +79,24 @@ def test_coeffs_bad_expression_is_usage_error():
 
 
 def test_coeffs_precision_shortfall_is_usage_error():
-    # 1/(1+E(1)) is known to q^3, so q^-3/(1+E(1)) only below q^0
-    code, out, err = run_cli("coeffs", "--expr", "q^-3/(1+E(1))", "--prec", "3", "--format", "json")
+    # P(-2) starts at q^-10 and 1/(1+q) is built to q^9, so their product is exact only below q^-1:
+    # short by 9, more than the precision, so it is not evaluated again
+    code, out, err = run_cli("coeffs", "--expr", "P(-2)*(1/(1+q))", "--prec", "8", "--format", "json")
     assert code == 2
     assert out == ""
-    assert "below q^0" in err and "precision 3" in err
+    assert "below q^-1" in err and "precision 8" in err
+
+
+@pytest.mark.parametrize("text, advised", [("RU(4)", None), ("RV(15)", None), ("F(1,2,3,9)", None),
+                                           ("RU(7)", "7")])
+def test_coeffs_advises_only_an_ell_that_the_cli_takes(text, advised):
+    code, out, err = run_cli("coeffs", "--expr", text, "--ell", "5", "--prec", "5")
+    assert (code, out) == (2, "")
+    if advised is None:
+        assert "pass --ell" not in err and "--ell must be a prime >= 3 and at most 13 (at offset 0)" in err
+    else:
+        assert f"; pass --ell {advised} (at offset 0)" in err
+        assert run_cli("coeffs", "--expr", text, "--ell", advised, "--prec", "5")[0] == 0
 
 
 def test_coeffs_monomial_with_a_negative_shift_is_exact_to_the_precision():
